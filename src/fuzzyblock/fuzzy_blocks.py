@@ -7,8 +7,8 @@ the possibility of the joint block (PJB), a supremum over unit directions
 gives the possibility that a pyramid is nonempty (PBP), and
 min(1 - PBP(block pyramid), PJB-sup) is the possibility of removability
 (PBR).  In the crisp limit these reduce exactly to the classical
-removability theorem, which is computed by linear programming rather than
-sampling so the limit is exact.
+removability theorem, which is computed by the exact candidate-ray cone
+test rather than by sampling so the limit is exact.
 """
 from __future__ import annotations
 

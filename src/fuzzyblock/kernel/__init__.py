@@ -14,7 +14,6 @@ from .orientation import JointPlane, Orientation, downdip_vector, normal_from_or
 from .pyramid import (
     HalfSpaceSystem,
     PyramidResult,
-    PyramidSolveError,
     cone_nonempty,
     pyramid_nonempty,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "ModeInconsistencyError",
     "Orientation",
     "PyramidResult",
-    "PyramidSolveError",
     "SlidingMode",
     "TunnelSection",
     "UnboundedBlockError",

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .orientation import JointPlane
-from .pyramid import HalfSpaceSystem, PyramidResult, pyramid_nonempty
+from .pyramid import HalfSpaceSystem, PyramidResult, SignedCones, signed_cones
 
 _FEAS_TOL = 1e-9
 
@@ -40,12 +40,34 @@ def code_signs(code: str) -> list[float]:
     return signs
 
 
+def joint_normals(joints: Sequence[JointPlane]) -> np.ndarray:
+    """Upward unit normals of the joints, shape (n, 3)."""
+    return np.array([j.normal for j in joints]).reshape(len(joints), 3)
+
+
 def joint_pyramid(code: str, joints: Sequence[JointPlane]) -> HalfSpaceSystem:
     if len(code) != len(joints):
         raise ValueError(f"code length {len(code)} != joint count {len(joints)}")
-    signs = code_signs(code)
-    normals = [s * j.normal for s, j in zip(signs, joints)]
-    return HalfSpaceSystem(np.array(normals).reshape(len(normals), 3))
+    return HalfSpaceSystem(np.array(code_signs(code))[:, None] * joint_normals(joints))
+
+
+def classify_codes(
+    signs: np.ndarray, normals: np.ndarray, jp: SignedCones, facet_normal: np.ndarray
+) -> tuple[np.ndarray, SignedCones]:
+    """Shi classification of every code against one free face.
+
+    Codes are sign rows of the joint normals and jp holds their JP tests,
+    which do not depend on the face.  Returns (classes, bp).
+    """
+    e = np.asarray(facet_normal, dtype=float)
+    e = e / np.linalg.norm(e)
+    bp = signed_cones(
+        np.vstack([normals, e]), np.hstack([signs, np.ones((len(signs), 1))])
+    )
+    classes = np.select(
+        [bp.nonempty, jp.nonempty], [CLASS_INFINITE, CLASS_REMOVABLE], CLASS_TAPERED
+    )
+    return classes, bp
 
 
 def classify_block(
@@ -56,16 +78,13 @@ def classify_block(
     Returns (classification, jp_result, bp_result); classification is one of
     "infinite", "tapered", "removable".
     """
-    jp = joint_pyramid(code, joints)
-    e = np.asarray(facet_normal, dtype=float)
-    e = e / np.linalg.norm(e)
-    jp_res = pyramid_nonempty(jp)
-    bp_res = pyramid_nonempty(jp.extended(e))
-    if bp_res.nonempty:
-        return CLASS_INFINITE, jp_res, bp_res
-    if jp_res.nonempty:
-        return CLASS_REMOVABLE, jp_res, bp_res
-    return CLASS_TAPERED, jp_res, bp_res
+    if len(code) != len(joints):
+        raise ValueError(f"code length {len(code)} != joint count {len(joints)}")
+    signs = np.array([code_signs(code)]).reshape(1, len(joints))
+    normals = joint_normals(joints)
+    jp = signed_cones(normals, signs)
+    classes, bp = classify_codes(signs, normals, jp, facet_normal)
+    return str(classes[0]), jp.result(0), bp.result(0)
 
 
 @dataclass(frozen=True)

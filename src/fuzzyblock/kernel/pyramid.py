@@ -2,10 +2,18 @@
 
 A pyramid {v : n_i . v >= 0 for all i} always contains the zero vector; it
 counts as nonempty only when it contains some nonzero vector (boundary rays
-included).  The decision is made by linear programming: first maximize the
-margin eps subject to n_i . v >= eps inside the unit box, then, if the
-optimum margin is zero, probe each +-coordinate direction to distinguish a
-boundary-only cone from the trivial one.
+included).  The decision is the candidate-ray test, the vector form of
+Goodman & Shi, *Block Theory and Its Application to Rock Engineering* (1985):
+a cone is nonempty exactly when one candidate ray is feasible.  If the
+normals span 3-D space the cone is pointed and its edges lie along
++-n_i x n_j; if they span a plane with normal d, its edges across the line
+along d lie along +-d x n_i; if they span a line, an orthonormal pair across
+that line reaches it.  The rays +-n_i are candidates too, and in 2-D the
+candidates are +-n_i and +-perp(n_i).  The cone has an interior exactly when
+the sum of its feasible candidates is strictly feasible; otherwise it is
+boundary-only and a feasible candidate is the witness.  Flipping the sign of
+a normal maps the candidates onto themselves, so one candidate matrix
+decides every sign pattern of a normal set (every block code) at once.
 """
 from __future__ import annotations
 
@@ -15,11 +23,7 @@ from typing import Optional
 import numpy as np
 
 _TOL = 1e-9
-_PIVOT_TOL = 1e-11
-
-
-class PyramidSolveError(RuntimeError):
-    """Raised when the LP solver fails to converge."""
+_CROSS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,130 +59,92 @@ class HalfSpaceSystem:
 class PyramidResult:
     nonempty: bool
     witness: Optional[np.ndarray]
-    margin: float
     boundary_only: bool
 
 
-def _simplex_max(c: np.ndarray, A: np.ndarray, b: np.ndarray, max_iter: int = 2000):
-    """Maximize c.x subject to A x <= b, x >= 0, with b >= 0.
+@dataclass(frozen=True)
+class SignedCones:
+    """Cone tests of one normal set under each row of a sign matrix.
 
-    Dense tableau simplex with Bland's rule, so no cycling.  Sizes here are
-    tiny (a dozen rows), so exactness and determinism beat speed.
+    Row c describes {v != 0 : signs[c, i] * n_i . v >= 0}; ``witness[c]`` is
+    a unit vector of that cone, or NaN when the cone is empty.
     """
-    m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = list(range(n, n + m))
-    for _ in range(max_iter):
-        col = -1
-        for j in range(n + m):
-            if T[m, j] < -_PIVOT_TOL:
-                col = j
-                break
-        if col < 0:
-            x = np.zeros(n + m)
-            for i, bi in enumerate(basis):
-                x[bi] = T[i, -1]
-            return x[:n], T[m, -1]
-        row, best_ratio, best_basis = -1, np.inf, None
-        for i in range(m):
-            if T[i, col] > _PIVOT_TOL:
-                ratio = T[i, -1] / T[i, col]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (best_basis is None or basis[i] < best_basis)
-                ):
-                    row, best_ratio, best_basis = i, ratio, basis[i]
-        if row < 0:
-            raise PyramidSolveError("LP unbounded; constraint set malformed")
-        T[row] /= T[row, col]
-        for i in range(m + 1):
-            if i != row and T[i, col] != 0.0:
-                T[i] -= T[i, col] * T[row]
-        basis[row] = col
-    raise PyramidSolveError("simplex iteration limit exceeded")
+
+    nonempty: np.ndarray
+    boundary_only: np.ndarray
+    witness: np.ndarray
+
+    def result(self, c: int) -> PyramidResult:
+        if not self.nonempty[c]:
+            return PyramidResult(False, None, False)
+        return PyramidResult(True, self.witness[c].copy(), bool(self.boundary_only[c]))
 
 
-def _cone_margin_lp(normals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Max eps with n_i.(p - q) >= eps, p - q in the unit box, p, q, eps >= 0."""
-    n, dim = normals.shape
-    ncols = 2 * dim + 1
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(ncols)
-        row[:dim] = -normals[i]
-        row[dim : 2 * dim] = normals[i]
-        row[-1] = 1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for k in range(dim):
-        row = np.zeros(ncols)
-        row[k] = 1.0
-        row[dim + k] = -1.0
-        rows.append(row)
-        rhs.append(1.0)
-        rows.append(-row)
-        rhs.append(1.0)
-    c = np.zeros(ncols)
-    c[-1] = 1.0
-    x, value = _simplex_max(c, np.array(rows), np.array(rhs))
-    v = x[:dim] - x[dim : 2 * dim]
-    return v, value
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(v, axis=1)
+    keep = norms > _CROSS_TOL
+    return v[keep] / norms[keep, None]
 
 
-def _cone_probe_lp(normals: np.ndarray, axis: int, sign: float) -> tuple[np.ndarray, float]:
-    """Max sign*v[axis] with n_i . v >= 0 and v in the unit box."""
-    n, dim = normals.shape
-    ncols = 2 * dim
-    rows = []
-    rhs = []
-    for i in range(n):
-        row = np.zeros(ncols)
-        row[:dim] = -normals[i]
-        row[dim:] = normals[i]
-        rows.append(row)
-        rhs.append(0.0)
-    for k in range(dim):
-        row = np.zeros(ncols)
-        row[k] = 1.0
-        row[dim + k] = -1.0
-        rows.append(row)
-        rhs.append(1.0)
-        rows.append(-row)
-        rhs.append(1.0)
-    c = np.zeros(ncols)
-    c[axis] = sign
-    c[dim + axis] = -sign
-    x, value = _simplex_max(c, np.array(rows), np.array(rhs))
-    return x[:dim] - x[dim:], value
+def _candidate_rays(normals: np.ndarray) -> np.ndarray:
+    """Unit rays, closed under negation, that meet every nonempty signed cone."""
+    dim = normals.shape[1]
+    if dim == 2:
+        rays = [normals, normals[:, ::-1] * np.array([-1.0, 1.0])]
+    elif dim == 3:
+        i, j = np.triu_indices(len(normals), 1)
+        rays = [normals, _unit_rows(np.cross(normals[i], normals[j]))]
+        _, s, vt = np.linalg.svd(normals)
+        rank = int(np.count_nonzero(s > _TOL))
+        if rank == 2:
+            rays.append(_unit_rows(np.cross(vt[2], normals)))
+        elif rank == 1:
+            rays.append(vt[1:])
+    else:
+        raise ValueError(f"cone tests need 2-D or 3-D normals, got dimension {dim}")
+    k = np.vstack(rays)
+    return np.vstack([k, -k])
+
+
+def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
+    """Decide {v != 0 : signs[c, i] * n_i . v >= 0} for every sign row c at once.
+
+    Signs are +-1.  A candidate ray fails row c when it violates a constraint
+    of either sign, so counting violations is two matrix products and no
+    temporary grows past (rows x candidates).
+    """
+    normals = np.asarray(normals, dtype=float)
+    signs = np.asarray(signs, dtype=float)
+    if len(normals) == 0:  # the whole space
+        witness = np.zeros((len(signs), normals.shape[1]))
+        witness[:, -1] = 1.0
+        return SignedCones(np.ones(len(signs), bool), np.zeros(len(signs), bool), witness)
+    k = _candidate_rays(normals)
+    margins = k @ normals.T
+    breaks_up = (margins < -_TOL).T.astype(float)  # ray k violates +n_i
+    breaks_down = (margins > _TOL).T.astype(float)  # ray k violates -n_i
+    feasible = ((signs > 0) @ breaks_up + (signs < 0) @ breaks_down) == 0
+    nonempty = feasible.any(axis=1)
+    total = feasible.astype(float) @ k
+    norms = np.linalg.norm(total, axis=1)
+    interior = norms > _CROSS_TOL
+    total[interior] /= norms[interior, None]
+    interior &= (signs * (total @ normals.T)).min(axis=1) > _TOL
+    witness = np.where(interior[:, None], total, k[feasible.argmax(axis=1)])
+    witness[~nonempty] = np.nan
+    return SignedCones(nonempty, nonempty & ~interior, witness)
 
 
 def cone_nonempty(normals: np.ndarray) -> PyramidResult:
     """Decide whether {v != 0 : n_i . v >= 0 for all i} is nonempty.
 
-    Works in any dimension >= 1; used for 3-D pyramids and for 2-D fuzzy
+    Takes 2-D or 3-D normals; used for 3-D pyramids and for 2-D fuzzy
     half-plane systems in their crisp limit.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     if normals.size == 0:
-        dim = normals.shape[1] if normals.shape[1] else 3
-        w = np.zeros(dim)
-        w[-1] = 1.0
-        return PyramidResult(True, w, 1.0, False)
-    dim = normals.shape[1]
-    v, margin = _cone_margin_lp(normals)
-    if margin > _TOL:
-        return PyramidResult(True, v / np.linalg.norm(v), float(margin), False)
-    for axis in range(dim):
-        for sign in (1.0, -1.0):
-            v, value = _cone_probe_lp(normals, axis, sign)
-            if value > _TOL:
-                return PyramidResult(True, v / np.linalg.norm(v), 0.0, True)
-    return PyramidResult(False, None, float(min(margin, 0.0)), False)
+        normals = np.zeros((0, normals.shape[1] or 3))
+    return signed_cones(normals, np.ones((1, len(normals)))).result(0)
 
 
 def pyramid_nonempty(sys: HalfSpaceSystem) -> PyramidResult:

@@ -19,12 +19,15 @@ import numpy as np
 from .mechanics import (
     CLASS_REMOVABLE,
     SlidingMode,
-    classify_block,
+    classify_codes,
+    code_signs,
+    joint_normals,
     joint_pyramid,
     safety_factor,
     sliding_mode,
 )
 from .orientation import JointPlane
+from .pyramid import signed_cones
 from .volume import block_volume
 
 GRAVITY_DIR = (0.0, 0.0, -1.0)
@@ -191,6 +194,22 @@ def all_codes(n_joints: int) -> list[str]:
     return ["".join(c) for c in itertools.product("LU", repeat=n_joints)]
 
 
+def _mode_and_sf(
+    code: str,
+    joints: Sequence[JointPlane],
+    resultant: Sequence[float],
+    frictions: Sequence[float],
+) -> tuple[Optional[SlidingMode], Optional[float], Optional[str]]:
+    """(mode, safety factor, error) of a removable code; both depend on the code only."""
+    mode = None
+    try:
+        jp = joint_pyramid(code, joints)
+        mode = sliding_mode(jp, resultant)
+        return mode, safety_factor(jp, mode, resultant, frictions), None
+    except Exception as exc:  # per-block failures stay in the record
+        return mode, None, f"{type(exc).__name__}: {exc}"
+
+
 def enumerate_tunnel_blocks(
     joints: Sequence[JointPlane],
     tunnel: TunnelSection,
@@ -200,6 +219,8 @@ def enumerate_tunnel_blocks(
 ) -> list[BlockRecord]:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
+    All codes of a facet are classified in one batched cone test, and the JP
+    test, mode and safety factor of a code are computed once for all facets.
     Removable blocks get mode, safety factor, and the volume of the block
     whose joints all pass through a seed point offset into the rock from the
     facet midpoint (a quarter of the edge length unless overridden).
@@ -211,34 +232,32 @@ def enumerate_tunnel_blocks(
     records: list[BlockRecord] = []
     box = bbox if bbox is not None else tunnel.section_bbox()
     frictions = [j.friction_deg for j in joints]
+    codes = all_codes(len(joints))
+    signs = np.array([code_signs(code) for code in codes]).reshape(len(codes), len(joints))
+    normals = joint_normals(joints)
+    jp = signed_cones(normals, signs)
+    by_code: dict[str, tuple[Optional[SlidingMode], Optional[float], Optional[str]]] = {}
     for facet in tunnel.facets():
         offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
         seed_point = facet.midpoint + offset * facet.inward_normal
-        for code in all_codes(len(joints)):
+        classes, bp = classify_codes(signs, normals, jp, facet.inward_normal)
+        boundary = jp.boundary_only | bp.boundary_only
+        for c, code in enumerate(codes):
             rec = BlockRecord(
                 facet_index=facet.index, facet_angle_deg=facet.angle_deg, code=code
             )
             records.append(rec)
-            try:
-                cls, jp_res, bp_res = classify_block(code, joints, facet.inward_normal)
-                rec.classification = cls
-                rec.boundary_pyramid = jp_res.boundary_only or bp_res.boundary_only
-                if cls != CLASS_REMOVABLE:
-                    continue
-                jp = joint_pyramid(code, joints)
-                mode = sliding_mode(jp, resultant)
-                rec.mode = mode
-                rec.safety_factor = safety_factor(jp, mode, resultant, frictions)
-            except Exception as exc:  # per-block failures stay in the record
-                rec.error = f"{type(exc).__name__}: {exc}"
+            rec.classification = str(classes[c])
+            rec.boundary_pyramid = bool(boundary[c])
+            if rec.classification != CLASS_REMOVABLE:
+                continue
+            if code not in by_code:
+                by_code[code] = _mode_and_sf(code, joints, resultant, frictions)
+            rec.mode, rec.safety_factor, rec.error = by_code[code]
+            if rec.error is not None:
                 continue
             try:
-                halfspaces = [
-                    (s * j.normal, float((s * j.normal) @ seed_point))
-                    for s, j in zip(
-                        [1.0 if ch == "U" else -1.0 for ch in code], joints
-                    )
-                ]
+                halfspaces = [(n, float(n @ seed_point)) for n in signs[c][:, None] * normals]
                 halfspaces.append(
                     (facet.inward_normal, float(facet.inward_normal @ facet.midpoint))
                 )

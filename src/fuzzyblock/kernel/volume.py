@@ -45,23 +45,17 @@ def _enumerate_vertices(
     normals = np.array([p[0] for p in planes])
     offsets = np.array([p[1] for p in planes])
     scale = 1.0 + float(np.max(np.abs(offsets))) if len(offsets) else 1.0
-    verts = []
-    for i, j, k in itertools.combinations(range(len(planes)), 3):
-        A = normals[[i, j, k]]
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        x = np.linalg.solve(A, offsets[[i, j, k]])
-        if np.all(normals @ x >= offsets - tol * scale):
-            verts.append(x)
-    if not verts:
-        return np.zeros((0, 3))
-    verts = np.array(verts)
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)))
+    A = normals[triples]
+    regular = np.abs(np.linalg.det(A)) >= 1e-12
+    x = np.linalg.solve(A[regular], offsets[triples[regular]][..., None])[..., 0]
+    verts = x[np.all(x @ normals.T >= offsets - tol * scale, axis=1)]
     # cluster duplicates produced by >3 planes meeting at a point
     keep: list[np.ndarray] = []
     for v in verts:
         if all(np.linalg.norm(v - u) > 1e-7 * scale for u in keep):
             keep.append(v)
-    return np.array(keep)
+    return np.array(keep).reshape(-1, 3)
 
 
 def _face_area(verts: np.ndarray, n: np.ndarray, d: float, scale: float) -> float:

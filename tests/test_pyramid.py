@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from fuzzyblock.kernel.pyramid import HalfSpaceSystem, cone_nonempty, pyramid_nonempty
+from fuzzyblock.kernel.pyramid import (
+    HalfSpaceSystem,
+    cone_nonempty,
+    pyramid_nonempty,
+    signed_cones,
+)
 
 
 def sampling_oracle(normals, directions):
@@ -151,3 +158,88 @@ class TestConeNonempty2D:
         res = cone_nonempty(normals)
         assert res.nonempty
         assert np.all(normals @ res.witness >= -1e-9)
+
+
+def scipy_interior_margin(normals):
+    """Max eps with n.v >= eps, v in the unit box: > 0 exactly when the cone has an interior."""
+    n, dim = normals.shape
+    A_ub = np.hstack([-normals, np.ones((n, 1))])
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), bounds=[(-1, 1)] * dim + [(0, 2)],
+                  method="highs")
+    assert res.success
+    return res.x[-1]
+
+
+@st.composite
+def normal_systems(draw, dim=None):
+    """Unit normals from small integer vectors, so every degeneracy is exact.
+
+    The kinds cover opposed pairs, parallel copies, dip 0 and dip 90
+    (axis-aligned), rank-1 and coplanar (rank-2) normals, in 2-D and 3-D.
+    """
+    dim = dim or draw(st.sampled_from([2, 3]))
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    rows = draw(st.lists(vec, min_size=1, max_size=7))
+    kind = draw(st.sampled_from(
+        ["general", "opposed", "parallel", "axis", "rank1", "coplanar"]))
+    if kind == "opposed":
+        rows.append([-x for x in rows[0]])
+    elif kind == "parallel":
+        rows.append([2 * x for x in rows[0]])
+    elif kind == "axis":
+        axes = st.sampled_from(range(dim))
+        signs = st.sampled_from([-1, 1])
+        for _ in range(draw(st.integers(1, 3))):
+            e = [0] * dim
+            e[draw(axes)] = draw(signs)
+            rows.append(e)
+    elif kind == "rank1":
+        rows = [[draw(st.sampled_from([-1, 1])) * x for x in rows[0]] for _ in rows]
+    elif kind == "coplanar" and dim == 3:
+        rows = [r[:2] + [0] for r in rows if any(r[:2])] or [[1, 0, 0]]
+    return unit_rows(np.array(rows, dtype=float))
+
+
+class TestCandidateRays:
+    @settings(max_examples=300, deadline=None)
+    @given(normal_systems())
+    def test_nonempty_agrees_with_scipy_oracle(self, normals):
+        assert cone_nonempty(normals).nonempty == scipy_cone_nonempty(normals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_systems())
+    def test_boundary_only_agrees_with_lp_margin(self, normals):
+        res = cone_nonempty(normals)
+        expected = res.nonempty and scipy_interior_margin(normals) <= 1e-9
+        assert res.boundary_only == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_systems())
+    def test_witness_is_feasible_unit_vector(self, normals):
+        res = cone_nonempty(normals)
+        if not res.nonempty:
+            assert res.witness is None
+            return
+        assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(normals @ res.witness >= -1e-9)
+        if not res.boundary_only:
+            assert np.all(normals @ res.witness > 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(normal_systems(), st.data())
+    def test_sign_rows_match_single_systems(self, normals, data):
+        signs = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(normals),
+                     max_size=len(normals)),
+            min_size=1, max_size=6)))
+        batch = signed_cones(normals, signs)
+        for c, row in enumerate(signs):
+            single = cone_nonempty(row[:, None] * normals)
+            assert (batch.nonempty[c], batch.boundary_only[c]) == (
+                single.nonempty, single.boundary_only)
+
+    def test_three_dimensions_or_two_only(self):
+        with pytest.raises(ValueError):
+            cone_nonempty(np.array([[1.0]]))

@@ -8,8 +8,14 @@ from fuzzyblock.kernel import (
     Orientation,
     TunnelSection,
     all_codes,
+    block_volume,
+    classify_block,
     enumerate_tunnel_blocks,
+    joint_pyramid,
+    safety_factor,
+    sliding_mode,
 )
+from fuzzyblock.kernel.tunnel import GRAVITY_DIR
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
 
@@ -130,3 +136,69 @@ class TestEnumerateTunnelBlocks:
         assert len(roof) == 1
         assert roof[0].mode_label == "falling"
         assert roof[0].volume_m3 == pytest.approx(0.5773502691896258, abs=1e-9)
+
+
+OCTAGON = TunnelSection(
+    ((2, -1.2), (2, 1.2), (1.2, 2), (-1.2, 2), (-2, 1.2), (-2, -1.2), (-1.2, -2), (1.2, -2))
+)
+
+
+def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
+    """The sweep one record at a time: the reference for the batched sweep."""
+    box = tunnel.section_bbox()
+    frictions = [j.friction_deg for j in joints]
+    out = []
+    for facet in tunnel.facets():
+        seed_point = facet.midpoint + 0.25 * facet.edge_length * facet.inward_normal
+        for code in all_codes(len(joints)):
+            cls, jp_res, bp_res = classify_block(code, joints, facet.inward_normal)
+            row = [facet.index, code, cls, jp_res.boundary_only or bp_res.boundary_only,
+                   "", None, None, None]
+            out.append(row)
+            if cls != CLASS_REMOVABLE:
+                continue
+            jp = joint_pyramid(code, joints)
+            try:
+                mode = sliding_mode(jp, resultant)
+                row[4] = mode.label()
+                row[5] = safety_factor(jp, mode, resultant, frictions)
+            except Exception as exc:
+                row[7] = f"{type(exc).__name__}: {exc}"
+                continue
+            halfspaces = [(n, float(n @ seed_point)) for n in jp.normals]
+            halfspaces.append(
+                (facet.inward_normal, float(facet.inward_normal @ facet.midpoint)))
+            row[6] = block_volume(halfspaces, box, allow_bbox_clip=True)
+    return out
+
+
+def degenerate_joint_set(n):
+    """Joint sets with dip 0, dip 90 and parallel copies among them."""
+    rng = np.random.Generator(np.random.Philox(n))
+    g = [Orientation(rng.uniform(20, 80), rng.uniform(0, 360)) for _ in range(5)]
+    flat, vertical = Orientation(0.0, 35.0), Orientation(90.0, 250.0)
+    orients = {
+        1: [flat],
+        2: [g[0], g[0]],
+        3: [flat, vertical, g[0]],
+        8: g + [flat, vertical, g[0]],
+    }[n]
+    return [JointPlane(f"J{i + 1}", o, float(rng.uniform(15, 35)))
+            for i, o in enumerate(orients)]
+
+
+class TestBatchedSweepMatchesPerRecordPath:
+    @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
+    def test_records_equal(self, n_joints):
+        joints = degenerate_joint_set(n_joints)
+        records = enumerate_tunnel_blocks(joints, OCTAGON)
+        expected = per_record_sweep(joints, OCTAGON)
+        got = [[r.facet_index, r.code, r.classification, r.boundary_pyramid, r.mode_label,
+                r.safety_factor, r.volume_m3, r.error] for r in records]
+        assert got == expected
+
+    def test_degenerate_kinds_are_exercised(self):
+        records = enumerate_tunnel_blocks(degenerate_joint_set(8), OCTAGON)
+        assert any(r.boundary_pyramid for r in records)
+        assert any(r.error and r.error.startswith("ModeInconsistencyError") for r in records)
+        assert {r.classification for r in records} == {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}

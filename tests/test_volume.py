@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,26 @@ def cube_halfspaces():
 BIG_BOX = ((-3.0, -3.0, -3.0), (4.0, 4.0, 4.0))
 
 
+def loop_vertices(planes, tol):
+    """Vertex enumeration one plane triple at a time: the reference for the batched one."""
+    normals = np.array([p[0] for p in planes])
+    offsets = np.array([p[1] for p in planes])
+    scale = 1.0 + float(np.max(np.abs(offsets)))
+    verts = []
+    for i, j, k in itertools.combinations(range(len(planes)), 3):
+        A = normals[[i, j, k]]
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        x = np.linalg.solve(A, offsets[[i, j, k]])
+        if np.all(normals @ x >= offsets - tol * scale):
+            verts.append(x)
+    keep = []
+    for v in verts:
+        if all(np.linalg.norm(v - u) > 1e-7 * scale for u in keep):
+            keep.append(v)
+    return np.array(keep)
+
+
 class TestBlockVolume:
     def test_unit_cube(self):
         assert block_volume(cube_halfspaces(), BIG_BOX) == pytest.approx(1.0, abs=1e-12)
@@ -57,6 +78,19 @@ class TestBlockVolume:
         hs = [(np.array([0, 0, 1.0]), 0.0)]
         vol = block_volume(hs, ((-1, -1, -1), (1, 1, 1)), allow_bbox_clip=True)
         assert vol == pytest.approx(4.0, abs=1e-9)
+
+    def test_vertices_match_per_triple_loop(self):
+        # a repeated plane and a parallel copy give singular triples, and the
+        # repeated plane gives duplicate vertices
+        rng = np.random.Generator(np.random.Philox(5))
+        normals = rng.normal(size=(3, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        centre = np.full(3, 0.5)
+        hs = cube_halfspaces() + [(n, float(n @ centre) - 0.3) for n in normals]
+        hs += [hs[0], (np.array([1.0, 0, 0]), -0.5)]
+        expected = loop_vertices(hs + bbox_halfspaces(*BIG_BOX), 1e-9)
+        assert len(expected) >= 8
+        assert np.array_equal(block_vertices(hs, BIG_BOX), expected)
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ValueError):
