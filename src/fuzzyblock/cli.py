@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data or numeric error.  Every product
 file is written atomically (temp file plus rename), so an interrupted run
-never leaves a truncated CSV or SVG behind.  FUZZYBLOCK_THREADS caps the
-parallelism of dataset generation and rasterization; the default of 1 keeps
-runs bit-reproducible.
+never leaves a truncated CSV or SVG behind.  Diagnostics go through
+``logging``; ``main`` shows INFO and above on stderr as bare messages unless
+logging is already configured.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -21,7 +22,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy_blocks import finiteness_label, pbp, pbr, systems_for_code
+from .fuzzy_blocks import (
+    FuzzySystem,
+    block_pyramid,
+    finiteness_label,
+    joint_constraint,
+    pbp,
+)
 from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from .plane_geometry import raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
@@ -49,16 +56,11 @@ from .svg_out import damage_map_svg, heat_grid_svg, polyline_svg
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
+log = logging.getLogger(__name__)
+
 
 class CliDataError(RuntimeError):
     pass
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FUZZYBLOCK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -145,15 +147,16 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
     if not cfg.fuzzy_joints:
         raise CliDataError("project has no fuzzy joints; add a 'fuzzy_joints' section")
     variant = args.delta_variant or cfg.delta_variant
-    resolution = args.resolution or cfg.resolution
+    # the joint pyramid of a code, and so its PJB-sup, is the same on every facet
+    sides = [{side: joint_constraint(fo, side) for side in "UL"} for fo in cfg.fuzzy_joints]
+    joint_pyramids = {}
+    for code in all_codes(len(sides)):
+        jp_sys = FuzzySystem(tuple(s[ch] for s, ch in zip(sides, code)), "joint-pyramid")
+        joint_pyramids[code] = (jp_sys, pbp(jp_sys, variant))
     rows = []
     for facet in cfg.tunnel.facets():
-        for code in all_codes(len(cfg.fuzzy_joints)):
-            jp_sys, bp_sys = systems_for_code(
-                cfg.fuzzy_joints, code, facet.inward_normal
-            )
-            pbp_value = pbp(bp_sys, resolution, variant)
-            pjb_sup = pbp(jp_sys, resolution, variant)
+        for code, (jp_sys, pjb_sup) in joint_pyramids.items():
+            pbp_value = pbp(block_pyramid(jp_sys, facet.inward_normal), variant)
             pbr_value = min(1.0 - pbp_value, pjb_sup)
             label = finiteness_label(pbp_value, cfg.label_thresholds)
             rows.append(
@@ -182,7 +185,7 @@ def _cmd_geom_eval(args: argparse.Namespace) -> int:
     if cfg.geometry is None:
         raise CliDataError("project has no 'geometry' section to evaluate")
     job = cfg.geometry
-    grid = raster_membership(job.shape, job.bbox, job.nx, job.ny, workers=_workers())
+    grid = raster_membership(job.shape, job.bbox, job.nx, job.ny)
     xmin, ymin, xmax, ymax = job.bbox
     dx = (xmax - xmin) / job.nx
     dy = (ymax - ymin) / job.ny
@@ -213,7 +216,7 @@ def _cmd_surrogate_gen(args: argparse.Namespace) -> int:
     spec = _require_dataset(cfg)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    samples = generate_dataset(spec, workers=_workers())
+    samples = generate_dataset(spec)
     tmp_buf = io.StringIO()
     writer = csv.writer(tmp_buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -260,10 +263,10 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     json.dump(model_to_dict(model), buf, sort_keys=True, indent=1)
     buf.write("\n")
     atomic_write_text(args.out, buf.getvalue())
-    print(f"train rmse {history[-1]:.6f} over {epochs} epochs", file=sys.stderr)
+    log.info("train rmse %.6f over %d epochs", history[-1], epochs)
     if len(test_idx):
         held = model_rmse(model, X[test_idx], y[test_idx])
-        print(f"held-out rmse {held:.6f} on {len(test_idx)} samples", file=sys.stderr)
+        log.info("held-out rmse %.6f on %d samples", held, len(test_idx))
     if args.rules:
         atomic_write_text(args.rules, "\n".join(extract_rules(model)) + "\n")
     return 0
@@ -383,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     pbr_cmd = fuzzy_sub.add_parser("pbr", help="PBP / PJB / PBR table per facet and code")
     pbr_cmd.add_argument("-p", "--project", required=True)
     pbr_cmd.add_argument("-o", "--out")
-    pbr_cmd.add_argument("--resolution", type=int)
     pbr_cmd.add_argument("--delta-variant", choices=("paper", "standard"))
     pbr_cmd.set_defaults(func=_cmd_fuzzy_pbr)
 
@@ -432,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,15 +6,26 @@ exceedance gives a possibility degree; min-composition over a system gives
 the possibility of the joint block (PJB), a supremum over unit directions
 gives the possibility that a pyramid is nonempty (PBP), and
 min(1 - PBP(block pyramid), PJB-sup) is the possibility of removability
-(PBR).  In the crisp limit these reduce exactly to the classical
-removability theorem, which is computed by the exact candidate-ray cone
-test rather than by sampling so the limit is exact.
+(PBR).
+
+PBP is exact, not sampled.  Within one closed orthant of direction space
+(a quadrant in 2-D) the scaled-knot sums l3 and l4 of every constraint are
+linear in the direction, so the set where the min possibility is at least t
+is a homogeneous cone: rows (1 - t) l4 + t l3 >= 0 plus the orthant rows.
+The orthant rows make the cone pointed, so it is nonempty exactly when one
+of its candidate edges +-r_i x r_j (+-perp(r_i) in 2-D) is feasible, the
+candidate-ray argument of Goodman & Shi (1985).  The ``paper`` variant is a
+0/1 indicator decided by one strict test per orthant; the ``standard``
+variant brackets the largest feasible t by batched multisection.  In the
+crisp limit these reduce exactly to the classical removability theorem,
+computed by the kernel's candidate-ray cone test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +44,12 @@ SystemKind = Literal["joint-pyramid", "block-pyramid"]
 FINITENESS_LABELS = ("finite", "quasi finite", "not so very finite", "infinite")
 DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# margin slack for unit rows against unit rays, and the norm below which a
+# row or cross product counts as zero: rounding of a cross product is
+# ~1e-16, and a looser slack would let t overshoot by slack / spread
+_TOL = 1e-12
+# t values tested per multisection round of the standard variant
+_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -251,175 +267,165 @@ def _min_poss_over_dirs(
     return poss.min(axis=1)
 
 
-def _support_margin(dirs: np.ndarray, knots: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Continuous tie-break objective: worst optimistic margin over constraints."""
-    A1, _, _, A4 = knots
-    pos = dirs >= 0.0
-    l4 = np.where(pos[:, None, :], dirs[:, None, :] * A4, dirs[:, None, :] * A1).sum(axis=2)
-    return l4.min(axis=1)
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Rows of v scaled to unit length; zero rows become NaN (never feasible)."""
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norms > _TOL, v / norms, np.nan)
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def _orthant_edges(
+    rows: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge rays of the cones {v : s_k v_k >= 0, rows . v >= 0}.
 
-
-def _circle_grid(n: int) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(n, dtype=float) / n
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def _candidate_dirs(system: FuzzySystem) -> np.ndarray:
-    """Combinatorial seed directions from core representatives of the system."""
-    cores = []
-    for c in system.constraints:
-        v = np.array([(t.a2 + t.a3) / 2.0 for t in c.coeffs])
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            cores.append(v / norm)
-    out = []
-    for v in cores:
-        out.extend([v, -v])
-    if system.dimension == 3:
-        for i in range(len(cores)):
-            for j in range(i + 1, len(cores)):
-                t = np.cross(cores[i], cores[j])
-                norm = np.linalg.norm(t)
-                if norm > 1e-12:
-                    out.extend([t / norm, -t / norm])
-    else:
-        for v in cores:
-            out.extend([np.array([-v[1], v[0]]), np.array([v[1], -v[0]])])
-    if cores:
-        res = cone_nonempty(np.array(cores))
-        if res.nonempty:
-            out.append(res.witness)
-    if not out:
-        return np.zeros((0, system.dimension))
-    return np.array(out)
-
-
-def _orthobasis(v: np.ndarray) -> list[np.ndarray]:
-    if len(v) == 2:
-        return [np.array([-v[1], v[0]])]
-    a = np.array([1.0, 0.0, 0.0]) if abs(v[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(v, a)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(v, t1)
-    return [t1, t2]
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 24):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _refine_direction(
-    eval_pair, v0: np.ndarray, radius: float, rounds: int = 10
-) -> tuple[np.ndarray, tuple[float, float]]:
-    """Golden-section sweeps in the tangent plane around the current best.
-
-    eval_pair maps a unit direction to (possibility, margin); comparisons are
-    lexicographic so flat possibility plateaus still climb toward interior
-    witnesses.
+    rows has shape (..., m, d) and signs (..., d), one orthant per leading
+    index.  The orthant rows make every cone pointed, so a nonempty cone has
+    an edge along +-r_i x r_j (+-perp(r_i) in 2-D) for two of its rows; each
+    candidate is turned toward the orthant, where only one sign can lie.
+    Returns the unit rays (..., K, d), their feasibility (..., K) and the
+    margins (..., K, m) of the unit rows.
     """
-    v = v0 / np.linalg.norm(v0)
-    best = eval_pair(v)
-    for _ in range(rounds):
-        for t in _orthobasis(v):
-            def line(x: float):
-                cand = v + x * t
-                return cand / np.linalg.norm(cand)
+    dim = rows.shape[-1]
+    unit_rows = np.nan_to_num(_unit(rows))  # a zero row holds everywhere
+    axes = np.broadcast_to(
+        signs[..., None, :] * np.eye(dim), rows.shape[:-2] + (dim, dim)
+    )
+    full = np.concatenate([unit_rows, axes], axis=-2)
+    if dim == 3:
+        i, j = np.triu_indices(full.shape[-2], 1)
+        rays = _unit(np.cross(full[..., i, :], full[..., j, :]))
+    else:
+        rays = _unit(full[..., ::-1] * np.array([-1.0, 1.0]))
+    s = signs[..., None, :]
+    rays = np.where((rays * s).sum(axis=-1, keepdims=True) < 0.0, -rays, rays)
+    margins = rays @ np.swapaxes(unit_rows, -1, -2)
+    feasible = np.all(rays * s >= -_TOL, axis=-1) & np.all(margins >= -_TOL, axis=-1)
+    return rays, feasible, margins
 
-            x, _ = _golden_max(lambda x: eval_pair(line(x)), -radius, radius)
-            cand = line(x)
-            val = eval_pair(cand)
-            if val > best:
-                best, v = val, cand
-        radius *= 0.5
-    return v, best
+
+def _face_points(rays: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Kept rays plus, per orthant, their unit sum (relative interior of their cone)."""
+    total = np.where(keep[..., None], rays, 0.0).sum(axis=-2)[keep.any(axis=-1)]
+    return np.vstack([total / np.linalg.norm(total, axis=-1, keepdims=True), rays[keep]])
+
+
+def _paper_sup(
+    L3: np.ndarray, L4: np.ndarray, signs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """0/1 supremum of the paper variant: is some direction possible at all?
+
+    With a crisp zero threshold a constraint has possibility 1 exactly where
+    l4 > 0 or l3 = l4 = 0, else 0.  Per orthant, the cone l4 >= 0 is cut
+    down to the face where every row that is zero on the whole face also
+    has l3 = 0 there (its spread l4 - l3 >= 0 vanishes); repeating until no
+    ray is dropped leaves a nonempty face exactly when some direction has
+    possibility 1.  A cone that only touches l4 = 0 therefore counts as 0.
+    """
+    rays, keep, margins = _orthant_edges(L4, signs)
+    spread = rays @ np.swapaxes(L4 - L3, -1, -2)
+    while True:
+        positive = (keep[..., None] & (margins > _TOL)).any(axis=-2)
+        drop = keep & ((spread > _TOL) & ~positive[..., None, :]).any(axis=-1)
+        if not drop.any():
+            break
+        keep &= ~drop
+    return float(keep.any()), _face_points(rays, keep)
+
+
+def _standard_sup(
+    L3: np.ndarray, L4: np.ndarray, signs: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Largest t whose superlevel cone (1 - t) l4 + t l3 >= 0 is nonempty.
+
+    For t in (0, 1] that cone is exactly {min possibility >= t} within an
+    orthant, and it shrinks as t grows, so a multisection on t brackets the
+    supremum: each round tests every live orthant at _GRID values of t in
+    one batch and keeps the orthants feasible at the new lower end, until
+    the bracket closes to float precision.  The first round tests only t = 0
+    (orthants with no direction of positive support drop out) and t = 1.
+    """
+    lo, hi = 0.0, 1.0
+    ts = np.array([0.0, 1.0])
+    live = np.arange(len(signs))
+    points = np.zeros((0, signs.shape[1]))
+    while len(ts):
+        t = ts[None, :, None, None]
+        rows = (1.0 - t) * L4[live, None] + t * L3[live, None]
+        rays, feasible, _ = _orthant_edges(rows, signs[live, None, :])
+        ok = feasible.any(axis=-1)  # (orthants, ts)
+        found = np.flatnonzero(ok.any(axis=0))
+        if len(found):
+            k = int(found[-1])
+            lo, points = float(ts[k]), _face_points(rays[:, k], feasible[:, k])
+            live = live[ok[:, k]]
+            if k + 1 < len(ts):
+                hi = float(ts[k + 1])
+        else:
+            hi = float(ts[0])
+        ts = lo + (hi - lo) * np.arange(1, _GRID + 1) / (_GRID + 1)
+        ts = np.unique(ts[(ts > lo) & (ts < hi)])
+    return lo, points
+
+
+def _orthant_sup(
+    knots: tuple[np.ndarray, ...], variant: DeltaVariant
+) -> tuple[float, Optional[np.ndarray]]:
+    """Exact supremum of the min possibility from the knot matrices.
+
+    The witness is the best, by the min possibility itself, of the points
+    of the final cones: their edges and one relative-interior point each.
+    """
+    A1, A2, A3, A4 = knots
+    # sign vectors of the 2**d closed orthants (quadrants in 2-D)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=A1.shape[1])))
+    pos = signs[:, None, :] > 0.0
+    # per orthant, the third knot of the scaled sum picks a3 for positive and
+    # a2 for negative weights, the fourth knot a4 / a1
+    L3 = np.where(pos, A3, A2)
+    L4 = np.where(pos, A4, A1)
+    sup = _paper_sup if variant == "paper" else _standard_sup
+    value, points = sup(L3, L4, signs)
+    if value == 0.0:
+        return 0.0, None
+    return value, points[int(np.argmax(_min_poss_over_dirs(points, knots, variant)))]
 
 
 def _sup_min_poss(
-    system: FuzzySystem, resolution: int, variant: DeltaVariant
-) -> float:
+    system: FuzzySystem, variant: DeltaVariant
+) -> tuple[float, Optional[np.ndarray]]:
     """Supremum over unit directions of the min constraint possibility.
 
-    Deterministic: a Fibonacci lattice (uniform circle grid in 2-D) plus
-    combinatorial candidates seed a golden-section refinement.  The result is
-    a lower bound on the true supremum that converges with resolution.
+    Returns the value and a unit direction attaining it (None for 0, which
+    every direction attains).
     """
-    if resolution < 1000:
-        raise ValueError("resolution must be at least 1000")
+    if variant not in ("paper", "standard"):
+        raise ValueError(f"unknown delta variant {variant!r}")
     if not system.is_homogeneous:
         raise ValueError("direction sweeps require homogeneous systems (d = 0)")
-    if system.is_crisp:
-        # exact crisp limit: possibility is the indicator of cone nonemptiness
-        normals = []
-        for c in system.constraints:
-            v = np.array([t.a2 for t in c.coeffs])
-            norm = np.linalg.norm(v)
-            if norm > 1e-12:
-                normals.append(v / norm)
-        if not normals:
-            return 1.0
-        return 1.0 if cone_nonempty(np.array(normals)).nonempty else 0.0
-    knots = _knot_matrices(system)
-    lattice = (
-        _fibonacci_sphere(resolution)
-        if system.dimension == 3
-        else _circle_grid(resolution)
-    )
-    cands = _candidate_dirs(system)
-    dirs = np.vstack([lattice, cands]) if len(cands) else lattice
-    poss = _min_poss_over_dirs(dirs, knots, variant)
-    margins = _support_margin(dirs, knots)
-    order = np.lexsort((margins, poss))
-    best_idx = int(order[-1])
-
-    def eval_pair(v: np.ndarray) -> tuple[float, float]:
-        arr = v.reshape(1, -1)
-        return (
-            float(_min_poss_over_dirs(arr, knots, variant)[0]),
-            float(_support_margin(arr, knots)[0]),
-        )
-
-    spacing = (
-        2.0 * math.sqrt(math.pi / resolution)
-        if system.dimension == 3
-        else 2.0 * math.pi / resolution
-    )
-    _, best = _refine_direction(eval_pair, dirs[best_idx], spacing)
-    return min(1.0, max(float(best[0]), float(poss[best_idx])))
+    if not system.is_crisp:
+        return _orthant_sup(_knot_matrices(system), variant)
+    # exact crisp limit: possibility is the indicator of cone nonemptiness
+    normals = []
+    for c in system.constraints:
+        v = np.array([t.a2 for t in c.coeffs])
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            normals.append(v / norm)
+    if not normals:
+        return 1.0, np.eye(system.dimension)[-1]
+    res = cone_nonempty(np.array(normals))
+    return (1.0, res.witness) if res.nonempty else (0.0, None)
 
 
-def pbp(
-    system: FuzzySystem, resolution: int = 10000, variant: DeltaVariant = "paper"
-) -> float:
+def pbp(system: FuzzySystem, variant: DeltaVariant = "paper") -> float:
     """Possibility that the pyramid of the system is nonempty."""
-    return _sup_min_poss(system, resolution, variant)
+    return _sup_min_poss(system, variant)[0]
 
 
 def pbr(
     jp_system: FuzzySystem,
     bp_system: FuzzySystem,
-    resolution: int = 10000,
     variant: DeltaVariant = "paper",
 ) -> float:
     """Possibility of block removability: min(1 - PBP, direction-sup of PJB)."""
@@ -427,9 +433,7 @@ def pbr(
         raise ValueError("first argument must be a joint-pyramid system")
     if bp_system.kind != "block-pyramid":
         raise ValueError("second argument must be a block-pyramid system")
-    pbp_bp = pbp(bp_system, resolution, variant)
-    pjb_sup = _sup_min_poss(jp_system, resolution, variant)
-    return min(1.0 - pbp_bp, pjb_sup)
+    return min(1.0 - pbp(bp_system, variant), pbp(jp_system, variant))
 
 
 def finiteness_label(
@@ -469,6 +473,14 @@ def joint_constraint(
     return FuzzyHalfSpaceConstraint(coeffs, TrapezoidalNumber.crisp(0.0))
 
 
+def block_pyramid(jp_system: FuzzySystem, facet_normal: Sequence[float]) -> FuzzySystem:
+    """BP fuzzy system: the joint pyramid plus the crisp free-face half-space."""
+    e = np.asarray(facet_normal, dtype=float)
+    e = e / np.linalg.norm(e)
+    facet = FuzzyHalfSpaceConstraint.crisp(e, 0.0)
+    return FuzzySystem(jp_system.constraints + (facet,), "block-pyramid")
+
+
 def systems_for_code(
     fuzzy_joints: Sequence[FuzzyOrientation],
     code: str,
@@ -481,9 +493,5 @@ def systems_for_code(
     jp_constraints = [
         joint_constraint(fo, side, levels) for fo, side in zip(fuzzy_joints, code)
     ]
-    e = np.asarray(facet_normal, dtype=float)
-    e = e / np.linalg.norm(e)
-    facet = FuzzyHalfSpaceConstraint.crisp(e, 0.0)
     jp_sys = FuzzySystem(tuple(jp_constraints), "joint-pyramid")
-    bp_sys = FuzzySystem(tuple(jp_constraints) + (facet,), "block-pyramid")
-    return jp_sys, bp_sys
+    return jp_sys, block_pyramid(jp_sys, facet_normal)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -293,13 +292,10 @@ def raster_membership(
     nx: int,
     ny: int,
     tol: float = DEFAULT_TOL,
-    workers: int = 1,
 ) -> np.ndarray:
     """Membership sampled at cell centers of an nx-by-ny grid over bbox.
 
-    Returns an (ny, nx) array, rows ordered by increasing y.  Cells are
-    independent, so rows may be evaluated in parallel; results are written by
-    index and the output does not depend on scheduling.
+    Returns an (ny, nx) array, rows ordered by increasing y.
     """
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
@@ -311,15 +307,7 @@ def raster_membership(
     xs = [xmin + (i + 0.5) * dx for i in range(nx)]
     ys = [ymin + (j + 0.5) * dy for j in range(ny)]
     grid = np.zeros((ny, nx), dtype=float)
-
-    def fill_row(j: int) -> None:
+    for j, y in enumerate(ys):
         for i, x in enumerate(xs):
-            grid[j, i] = membership_at(shape, x, ys[j], tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(ny)))
-    else:
-        for j in range(ny):
-            fill_row(j)
+            grid[j, i] = membership_at(shape, x, y, tol)
     return grid

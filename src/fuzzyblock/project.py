@@ -2,11 +2,14 @@
 
 Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
-range-checked with a diagnostic naming the offending key path.
+range-checked with a diagnostic naming the offending key path.  Keys that
+schema version 1 accepts but no computation reads any more (``resolution``)
+are logged as ignored.
 """
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -24,6 +27,8 @@ from .plane_geometry import (
 from .surrogate.dataset import DatasetSpec
 
 SCHEMA_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class ProjectError(Exception):
@@ -118,7 +123,6 @@ class ProjectConfig:
     geometry: Optional[GeometryJob] = None
     delta_variant: str = "paper"
     label_thresholds: tuple[float, float, float] = DEFAULT_LABEL_THRESHOLDS
-    resolution: int = 10000
     seed_offset_m: Optional[float] = None
     bbox_margin_m: Optional[float] = None
 
@@ -443,9 +447,8 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     thresholds = tuple(_number(v, f"$.label_thresholds[{i}]") for i, v in enumerate(thresholds))
     if not (1.0 >= thresholds[0] > thresholds[1] > thresholds[2] >= 0.0):
         raise ProjectSemanticError("$.label_thresholds must strictly decrease within [0, 1]")
-    resolution = _integer(doc.get("resolution", 10000), "$.resolution")
-    if resolution < 1000:
-        raise ProjectSemanticError("$.resolution must be at least 1000")
+    if "resolution" in doc:
+        log.warning("$.resolution is ignored: PBP is computed exactly")
 
     return ProjectConfig(
         tunnel=tunnel,
@@ -458,7 +461,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         geometry=geometry,
         delta_variant=variant,
         label_thresholds=thresholds,
-        resolution=resolution,
         seed_offset_m=seed_offset,
         bbox_margin_m=bbox_margin,
     )

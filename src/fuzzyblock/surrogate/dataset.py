@@ -3,15 +3,14 @@
 Each sample draws one joint attitude, a friction angle, and a position angle
 around the tunnel, then runs the kernel's sliding analysis for the block cut
 by that joint at that position.  Per-sample randomness is counter-based
-(keyed by seed and sample index), so the dataset is identical no matter how
-the indices are scheduled.
+(keyed by seed and sample index), so a sample depends only on the seed and
+its index.
 """
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,13 +152,9 @@ def _draw_sample(spec: DatasetSpec, index: int) -> Sample:
     )
 
 
-def generate_dataset(spec: DatasetSpec, workers: int = 1) -> list[Sample]:
+def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     """Generate the dataset; identical output for identical (spec, seed)."""
-    indices = range(spec.sample_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: _draw_sample(spec, i), indices))
-    return [_draw_sample(spec, i) for i in indices]
+    return [_draw_sample(spec, i) for i in range(spec.sample_count)]
 
 
 @dataclass(frozen=True)

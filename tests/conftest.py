@@ -46,7 +46,6 @@ def standard_project_dict():
             "ny": 8,
         },
         "delta_variant": "paper",
-        "resolution": 2000,
     }
 
 

@@ -218,7 +218,7 @@ def test_criterion_4_shi_crisp_limit():
         ]
         jp_sys, bp_sys = systems_for_code(fuzzy, code, e)
         for variant in ("paper", "standard"):
-            value = pbr(jp_sys, bp_sys, 1000, variant)
+            value = pbr(jp_sys, bp_sys, variant)
             if value not in (0.0, 1.0):
                 non_binary += 1
             elif (value == 1.0) != (cls == CLASS_REMOVABLE):

@@ -99,7 +99,7 @@ class TestFuzzyPbr:
 
     def test_table_to_stdout(self, tmp_path, capsys):
         proj = small_project(tmp_path)
-        assert main(["fuzzy", "pbr", "-p", proj, "--resolution", "1000"]) == 0
+        assert main(["fuzzy", "pbr", "-p", proj]) == 0
         captured = capsys.readouterr()
         assert "pbp" in captured.out and "label" in captured.out
 
@@ -239,23 +239,6 @@ class TestPlot:
         main(["plot", "-d", str(path), "-o", out1])
         main(["plot", "-d", str(path), "-o", out2])
         assert open(out1, "rb").read() == open(out2, "rb").read()
-
-
-class TestThreadsEnv:
-    def test_threads_env_does_not_change_products(self, tmp_path, monkeypatch):
-        proj = small_project(tmp_path)
-        serial = str(tmp_path / "serial.csv")
-        threaded = str(tmp_path / "threaded.csv")
-        monkeypatch.delenv("FUZZYBLOCK_THREADS", raising=False)
-        assert main(["surrogate", "gen", "-p", proj, "-o", serial]) == 0
-        monkeypatch.setenv("FUZZYBLOCK_THREADS", "4")
-        assert main(["surrogate", "gen", "-p", proj, "-o", threaded]) == 0
-        assert open(serial, "rb").read() == open(threaded, "rb").read()
-
-    def test_bad_threads_env_ignored(self, tmp_path, monkeypatch):
-        proj = small_project(tmp_path)
-        monkeypatch.setenv("FUZZYBLOCK_THREADS", "many")
-        assert main(["surrogate", "gen", "-p", proj, "-o", str(tmp_path / "d.csv")]) == 0
 
 
 class TestAtomicWrites:

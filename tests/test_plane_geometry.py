@@ -359,12 +359,6 @@ class TestRaster:
         g2 = raster_membership(line, (0, 0, 2, 2), 5, 5)
         assert np.array_equal(g1, g2)
 
-    def test_parallel_matches_serial(self):
-        line = FuzzyLineImplicit(T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5))
-        g1 = raster_membership(line, (0, 0, 2, 2), 8, 8, workers=1)
-        g2 = raster_membership(line, (0, 0, 2, 2), 8, 8, workers=4)
-        assert np.array_equal(g1, g2)
-
     def test_degenerate_bbox_rejected(self):
         line = FuzzyLineImplicit.crisp(1, 1, 1)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -31,7 +32,6 @@ class TestParseProject:
         cfg = parse_project(write(tmp_path, doc))
         assert cfg.unit_weight == 27.0
         assert cfg.delta_variant == "paper"
-        assert cfg.resolution == 10000
         assert cfg.label_thresholds == (0.95, 0.7, 0.3)
         assert cfg.anfis.epochs == 30
         assert cfg.dataset is None
@@ -128,11 +128,14 @@ class TestParseProject:
         with pytest.raises(ProjectSemanticError):
             parse_project_dict(doc)
 
-    def test_resolution_minimum(self):
+    def test_resolution_ignored(self, caplog):
+        # schema version 1 still accepts the retired key, of any value
         doc = standard_project_dict()
         doc["resolution"] = 10
-        with pytest.raises(ProjectSemanticError, match="resolution"):
-            parse_project_dict(doc)
+        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
+            cfg = parse_project_dict(doc)
+        assert cfg == parse_project_dict(standard_project_dict())
+        assert "$.resolution is ignored" in caplog.text
 
     def test_dataset_ranges_checked(self):
         doc = standard_project_dict()
