@@ -16,9 +16,10 @@ The orthant rows make the cone pointed, so it is nonempty exactly when one
 of its candidate edges +-r_i x r_j (+-perp(r_i) in 2-D) is feasible, the
 candidate-ray argument of Goodman & Shi (1985).  The ``paper`` variant is a
 0/1 indicator decided by one strict test per orthant; the ``standard``
-variant brackets the largest feasible t by batched multisection.  In the
-crisp limit these reduce exactly to the classical removability theorem,
-computed by the kernel's candidate-ray cone test.
+variant brackets the largest feasible t by batched multisection.  Crisp
+systems take the same path: with zero spreads l3 = l4, the test decides
+plain cone nonemptiness, and PBP reduces exactly to the classical
+removability theorem.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .fuzzy_numbers import (
     fit_trapezoid,
     linear_combine,
 )
-from .kernel.pyramid import cone_nonempty
 
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
 
@@ -403,19 +403,7 @@ def _sup_min_poss(
         raise ValueError(f"unknown delta variant {variant!r}")
     if not system.is_homogeneous:
         raise ValueError("direction sweeps require homogeneous systems (d = 0)")
-    if not system.is_crisp:
-        return _orthant_sup(_knot_matrices(system), variant)
-    # exact crisp limit: possibility is the indicator of cone nonemptiness
-    normals = []
-    for c in system.constraints:
-        v = np.array([t.a2 for t in c.coeffs])
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            normals.append(v / norm)
-    if not normals:
-        return 1.0, np.eye(system.dimension)[-1]
-    res = cone_nonempty(np.array(normals))
-    return (1.0, res.witness) if res.nonempty else (0.0, None)
+    return _orthant_sup(_knot_matrices(system), variant)
 
 
 def pbp(system: FuzzySystem, variant: DeltaVariant = "paper") -> float:

@@ -37,9 +37,6 @@ class AlphaInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class TrapezoidalNumber:

@@ -48,12 +48,6 @@ class HalfSpaceSystem:
     def size(self) -> int:
         return self.normals.shape[0]
 
-    def extended(self, extra: np.ndarray) -> "HalfSpaceSystem":
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        if self.size == 0:
-            return HalfSpaceSystem(extra)
-        return HalfSpaceSystem(np.vstack([self.normals, extra]))
-
 
 @dataclass(frozen=True)
 class PyramidResult:

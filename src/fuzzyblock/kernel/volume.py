@@ -39,9 +39,7 @@ def bbox_halfspaces(
     return planes
 
 
-def _enumerate_vertices(
-    planes: Sequence[tuple[np.ndarray, float]], tol: float
-) -> np.ndarray:
+def _enumerate_vertices(planes: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
     normals = np.array([p[0] for p in planes])
     offsets = np.array([p[1] for p in planes])
     scale = 1.0 + float(np.max(np.abs(offsets))) if len(offsets) else 1.0
@@ -49,7 +47,7 @@ def _enumerate_vertices(
     A = normals[triples]
     regular = np.abs(np.linalg.det(A)) >= 1e-12
     x = np.linalg.solve(A[regular], offsets[triples[regular]][..., None])[..., 0]
-    verts = x[np.all(x @ normals.T >= offsets - tol * scale, axis=1)]
+    verts = x[np.all(x @ normals.T >= offsets - FEAS_TOL * scale, axis=1)]
     # cluster duplicates produced by >3 planes meeting at a point
     keep: list[np.ndarray] = []
     for v in verts:
@@ -83,18 +81,16 @@ def _face_area(verts: np.ndarray, n: np.ndarray, d: float, scale: float) -> floa
 def block_vertices(
     halfspaces: Sequence[tuple[np.ndarray, float]],
     bbox: tuple[Sequence[float], Sequence[float]],
-    tol: float = FEAS_TOL,
 ) -> np.ndarray:
     """Vertices of the block closed by the bounding box, shape (k, 3)."""
     planes = [(np.asarray(n, dtype=float), float(d)) for n, d in halfspaces]
-    return _enumerate_vertices(planes + bbox_halfspaces(*bbox), tol)
+    return _enumerate_vertices(planes + bbox_halfspaces(*bbox))
 
 
 def block_volume(
     halfspaces: Sequence[tuple[np.ndarray, float]],
     bbox: tuple[Sequence[float], Sequence[float]],
     allow_bbox_clip: bool = False,
-    tol: float = FEAS_TOL,
 ) -> float:
     """Volume in cubic meters of the block cut out by the half-spaces.
 
@@ -104,7 +100,7 @@ def block_volume(
     box_planes = bbox_halfspaces(*bbox)
     planes = [(np.asarray(n, dtype=float), float(d)) for n, d in halfspaces]
     all_planes = planes + box_planes
-    verts = _enumerate_vertices(all_planes, tol)
+    verts = _enumerate_vertices(all_planes)
     if len(verts) < 4:
         return 0.0
     scale = 1.0 + float(np.max(np.abs(verts)))

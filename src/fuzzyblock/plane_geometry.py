@@ -1,9 +1,29 @@
 """Fuzzy plane geometry: points, lines, segments, polygons, and fuzzy distance.
 
-Every shape is a family of crisp sets indexed by alpha.  Membership of a
-plane point is the supremum of the alphas whose crisp set contains it; the
-crisp sets shrink as alpha grows, so that supremum is found by bisection.
-A fuzzy polygon is the union of its closing edges, not a filled region.
+Every shape is a family of crisp sets indexed by alpha, and the membership
+of a plane point is the largest alpha whose crisp set contains it.  By the
+extension principle (Dubois & Prade, 1980) each such membership is the
+membership of a linear combination of trapezoids, which is a trapezoid with
+knots combined by sign as in ``fuzzy_numbers.linear_combine``, so every
+value here has a closed form:
+
+- line a*x + b*y = c: the membership of px*a + py*b - c at 0;
+- slope line y = m*x + b: the membership of px*m + b at py;
+- segment PQ: the largest value over lambda in [0, 1] of the smaller of
+  the memberships of lambda*Px + (1 - lambda)*Qx at px and of
+  lambda*Py + (1 - lambda)*Qy at py.  Both are piecewise linear-fractional
+  in lambda, so the largest value lies at lambda = 0 or 1, where a knot
+  passes the point, or where two ramps cross (a quadratic in lambda).  The
+  midpoints between these candidates are evaluated too, so a point inside
+  the alpha = 1 hull reads exactly 1;
+- polygon: the largest value over its closing edges.  A fuzzy polygon is
+  the union of its edges, not a filled region.
+
+Segment knots are widened by 1e-9 * scale, where scale is 1 plus the
+largest absolute point coordinate or knot of the shape, so that a point
+that rounding puts a hair off a crisp segment still reads 1.  Every
+function works on arrays of points; ``raster_membership`` evaluates one
+grid row per call.
 """
 from __future__ import annotations
 
@@ -16,8 +36,9 @@ import numpy as np
 
 from .fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
 
-DEFAULT_TOL = 1e-6
-_BISECT_MAX_ITER = 30
+# relative widening of segment knots: the slack of the crisp segment test
+_CRISP_SLACK = 1e-9
+_WIDEN = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -104,158 +125,128 @@ class FuzzyPolygon:
 FuzzyShape = Union[FuzzyLineImplicit, FuzzyLineSlope, FuzzySegment, FuzzyPolygon]
 
 
-def _scale_interval(iv: AlphaInterval, k: float) -> tuple[float, float]:
-    if k >= 0:
-        return (k * iv.lo, k * iv.hi)
-    return (k * iv.hi, k * iv.lo)
+def _knots(t: TrapezoidalNumber) -> np.ndarray:
+    return np.array(t.to_list())
 
 
-def _sup_alpha(feasible: Callable[[float], bool], tol: float) -> float:
-    """Largest alpha with feasible(alpha) true, given monotone feasibility.
+def _scaled(knots: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Knots of k*T for each coefficient in k: in order for k >= 0, reversed below."""
+    k = k[..., None]
+    return np.where(k >= 0.0, k * knots, k * knots[..., ::-1])
 
-    Returns 1.0 / 0.0 exactly in the all-feasible / none-feasible cases, so
-    crisp shapes degenerate to their crisp indicator.
+
+def _membership(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Array form of ``TrapezoidalNumber.membership``; knots (..., 4) against x."""
+    a1, a2, a3, a4 = np.moveaxis(knots, -1, 0)
+    shape = np.broadcast_shapes(a1.shape, np.shape(x))
+    rise = np.divide(x - a1, a2 - a1, out=np.zeros(shape), where=a2 > a1)
+    fall = np.divide(a4 - x, a4 - a3, out=np.zeros(shape), where=a4 > a3)
+    mu = np.where(x < a2, rise, np.where(x > a3, fall, 1.0))
+    return np.where((x < a1) | (x > a4), 0.0, mu)
+
+
+def _line_values(line: FuzzyLineImplicit, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    z = _scaled(_knots(line.a), px) + _scaled(_knots(line.b), py) - _knots(line.c)[::-1]
+    return _membership(z, 0.0)
+
+
+def _slope_values(line: FuzzyLineSlope, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    return _membership(_scaled(_knots(line.m), px) + _knots(line.b), py)
+
+
+def _edge_values(
+    ends: Sequence[tuple[FuzzyPoint, FuzzyPoint]], px: np.ndarray, py: np.ndarray
+) -> np.ndarray:
+    """Largest membership over the fuzzy segments joining each pair in ``ends``.
+
+    The x and y trapezoids of the segment point at lambda have knots
+    q + lambda * (p - q), so the point's membership at lambda is the smaller
+    of two piecewise linear-fractional functions of lambda; their largest
+    value is attained at one of the candidates evaluated here.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if feasible(1.0):
-        return 1.0
-    if not feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def line_membership(
-    line: FuzzyLineImplicit, px: float, py: float, tol: float = DEFAULT_TOL
-) -> float:
-    """Membership of (px, py) in the implicit fuzzy line.
-
-    Feasible at alpha when the interval a(alpha)*px + b(alpha)*py meets
-    c(alpha) under interval arithmetic.
-    """
-
-    def feasible(alpha: float) -> bool:
-        alo, ahi = _scale_interval(line.a.alpha_cut(alpha), px)
-        blo, bhi = _scale_interval(line.b.alpha_cut(alpha), py)
-        c = line.c.alpha_cut(alpha)
-        return alo + blo <= c.hi and c.lo <= ahi + bhi
-
-    return _sup_alpha(feasible, tol)
-
-
-def slope_line_membership(
-    line: FuzzyLineSlope, px: float, py: float, tol: float = DEFAULT_TOL
-) -> float:
-    """Membership of (px, py) in the slope-form fuzzy line y = m*x + b."""
-
-    def feasible(alpha: float) -> bool:
-        mlo, mhi = _scale_interval(line.m.alpha_cut(alpha), px)
-        b = line.b.alpha_cut(alpha)
-        return mlo + b.lo <= py <= mhi + b.hi
-
-    return _sup_alpha(feasible, tol)
-
-
-def _box_corners(x: AlphaInterval, y: AlphaInterval) -> list[tuple[float, float]]:
-    return [(x.lo, y.lo), (x.hi, y.lo), (x.hi, y.hi), (x.lo, y.hi)]
-
-
-def _convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Andrew monotone chain; returns CCW hull, possibly degenerate."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _point_segment_dist(p, a, b) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy))
-
-
-def _point_in_hull(p: tuple[float, float], hull: Sequence[tuple[float, float]]) -> bool:
-    scale = 1.0 + max(
-        abs(p[0]), abs(p[1]), max((max(abs(v[0]), abs(v[1])) for v in hull), default=0.0)
+    pk = np.array([[_knots(p.x), _knots(p.y)] for p, _ in ends])  # (E, 2, 4)
+    qk = np.array([[_knots(q.x), _knots(q.y)] for _, q in ends])
+    pt = np.stack([px, py], axis=-1)[:, None, :, None]  # (N, 1, 2, 1)
+    biggest = max(np.abs(pk).max(), np.abs(qk).max())
+    scale = 1.0 + np.maximum(np.maximum(np.abs(px), np.abs(py)), biggest)
+    q0 = qk + (_CRISP_SLACK * scale)[:, None, None, None] * _WIDEN  # knots at lambda = 0
+    dq = pk - qk  # knot change per unit of lambda
+    n = len(px)
+    # lambda at which each knot passes the point
+    passes = np.divide(pt - q0, dq, out=np.zeros(q0.shape), where=dq != 0.0)
+    # rising and falling ramps as (n0 + n1 l) / (d0 + d1 l), axes (N, E, coord, ramp)
+    n0 = np.stack([pt[..., 0] - q0[..., 0], q0[..., 3] - pt[..., 0]], axis=-1)
+    n1 = np.stack([-dq[..., 0], dq[..., 3]], axis=-1)
+    d0 = np.stack([q0[..., 1] - q0[..., 0], q0[..., 3] - q0[..., 2]], axis=-1)
+    d1 = np.stack([dq[..., 1] - dq[..., 0], dq[..., 3] - dq[..., 2]], axis=-1)
+    # an x ramp crosses a y ramp where nx * dy - ny * dx = a l^2 + b l + c = 0
+    n0x, n0y = n0[..., 0, :, None], n0[..., 1, None, :]
+    n1x, n1y = n1[..., 0, :, None], n1[..., 1, None, :]
+    d0x, d0y = d0[..., 0, :, None], d0[..., 1, None, :]
+    d1x, d1y = d1[..., 0, :, None], d1[..., 1, None, :]
+    a = n1x * d1y - n1y * d1x
+    b = n0x * d1y + n1x * d0y - n0y * d1x - n1y * d0x
+    c = n0x * d0y - n0y * d0x
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0.0
+    h = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
+    root1 = np.divide(h, a, out=np.zeros(h.shape), where=real & (a != 0.0))
+    root2 = np.divide(c, h, out=np.zeros(h.shape), where=real & (h != 0.0))
+    cand = np.concatenate(
+        [
+            np.broadcast_to([0.0, 1.0], (n, len(ends), 2)),
+            passes.reshape(n, -1, 8),
+            root1.reshape(n, -1, 4),
+            root2.reshape(n, -1, 4),
+        ],
+        axis=-1,
     )
-    eps = 1e-9 * scale
-    if len(hull) == 1:
-        return math.hypot(p[0] - hull[0][0], p[1] - hull[0][1]) <= eps
-    if len(hull) == 2:
-        return _point_segment_dist(p, hull[0], hull[1]) <= eps
-    for i in range(len(hull)):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % len(hull)]
-        if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < -eps:
-            return False
-    return True
+    cand = np.sort(np.clip(cand, 0.0, 1.0), axis=-1)
+    lam = np.concatenate([cand, 0.5 * (cand[..., 1:] + cand[..., :-1])], axis=-1)
+    knots = q0[:, :, None] + lam[..., None, None] * dq[:, None]  # (N, E, L, 2, 4)
+    mu = _membership(knots, pt[:, :, None, :, 0])
+    return mu.min(axis=-1).max(axis=(-1, -2))
 
 
-def segment_membership(
-    seg: FuzzySegment, px: float, py: float, tol: float = DEFAULT_TOL
-) -> float:
-    """Membership of (px, py) in the fuzzy segment.
-
-    The union of segments between two rectangles is the convex hull of the
-    rectangles, so feasibility at each alpha is a point-in-convex-polygon
-    test over at most 8 corners.
-    """
-
-    def feasible(alpha: float) -> bool:
-        corners = _box_corners(*seg.p.alpha_box(alpha)) + _box_corners(
-            *seg.q.alpha_box(alpha)
-        )
-        return _point_in_hull((px, py), _convex_hull(corners))
-
-    return _sup_alpha(feasible, tol)
-
-
-def polygon_membership(
-    poly: FuzzyPolygon, px: float, py: float, tol: float = DEFAULT_TOL
-) -> float:
-    """Maximum membership over the polygon's closing edges."""
-    return max(segment_membership(e, px, py, tol) for e in poly.edges())
-
-
-def membership_at(shape: FuzzyShape, px: float, py: float, tol: float = DEFAULT_TOL) -> float:
+def _values(shape: FuzzyShape, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     if isinstance(shape, FuzzyLineImplicit):
-        return line_membership(shape, px, py, tol)
+        return _line_values(shape, px, py)
     if isinstance(shape, FuzzyLineSlope):
-        return slope_line_membership(shape, px, py, tol)
+        return _slope_values(shape, px, py)
     if isinstance(shape, FuzzySegment):
-        return segment_membership(shape, px, py, tol)
+        return _edge_values([(shape.p, shape.q)], px, py)
     if isinstance(shape, FuzzyPolygon):
-        return polygon_membership(shape, px, py, tol)
+        v = shape.vertices
+        return _edge_values(list(zip(v, v[1:] + v[:1])), px, py)
     raise TypeError(f"unsupported shape {type(shape).__name__}")
+
+
+def _at(values: Callable, shape: FuzzyShape, px: float, py: float) -> float:
+    return float(values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
+
+
+def line_membership(line: FuzzyLineImplicit, px: float, py: float) -> float:
+    """Membership of (px, py) in the implicit fuzzy line."""
+    return _at(_line_values, line, px, py)
+
+
+def slope_line_membership(line: FuzzyLineSlope, px: float, py: float) -> float:
+    """Membership of (px, py) in the slope-form fuzzy line y = m*x + b."""
+    return _at(_slope_values, line, px, py)
+
+
+def segment_membership(seg: FuzzySegment, px: float, py: float) -> float:
+    """Membership of (px, py) in the fuzzy segment."""
+    return _at(_values, seg, px, py)
+
+
+def polygon_membership(poly: FuzzyPolygon, px: float, py: float) -> float:
+    """Maximum membership over the polygon's closing edges."""
+    return _at(_values, poly, px, py)
+
+
+def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
+    return _at(_values, shape, px, py)
 
 
 def _rect_distance_bounds(
@@ -291,11 +282,12 @@ def raster_membership(
     bbox: tuple[float, float, float, float],
     nx: int,
     ny: int,
-    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Membership sampled at cell centers of an nx-by-ny grid over bbox.
 
-    Returns an (ny, nx) array, rows ordered by increasing y.
+    Returns an (ny, nx) array, rows ordered by increasing y.  Each row is
+    one array evaluation, and every cell equals ``membership_at`` at its
+    center bit for bit.
     """
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
@@ -304,10 +296,8 @@ def raster_membership(
         raise ValueError("nx and ny must be at least 2")
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
-    xs = [xmin + (i + 0.5) * dx for i in range(nx)]
-    ys = [ymin + (j + 0.5) * dy for j in range(ny)]
+    xs = xmin + (np.arange(nx) + 0.5) * dx
     grid = np.zeros((ny, nx), dtype=float)
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            grid[j, i] = membership_at(shape, x, y, tol)
+    for j in range(ny):
+        grid[j] = _values(shape, xs, np.full(nx, ymin + (j + 0.5) * dy))
     return grid

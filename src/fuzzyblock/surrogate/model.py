@@ -150,9 +150,13 @@ def firing_strengths(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     fallback is uniform weighting.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    U = _memberships(model, X)
+    return _strengths(model, _memberships(model, X))
+
+
+def _strengths(model: TskModel, U: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``firing_strengths`` from the per-input memberships U."""
     idx = model.rule_mf_indices()
-    w = np.ones((X.shape[0], model.rule_count))
+    w = np.ones((U[0].shape[0], model.rule_count))
     for i in range(model.input_count):
         w = w * U[i][:, idx[:, i]]
     total = w.sum(axis=1)
@@ -224,17 +228,12 @@ def premise_gradients(
     y = np.asarray(y, dtype=float)
     N = X.shape[0]
     U = _memberships(model, X)
-    idx = model.rule_mf_indices()
-    w = np.ones((N, model.rule_count))
-    for i in range(model.input_count):
-        w = w * U[i][:, idx[:, i]]
+    w, wbar = _strengths(model, U)
     total = w.sum(axis=1)
     ok = total > _W_TINY
+    idx = model.rule_mf_indices()
     Xa = np.column_stack([X, np.ones(N)])
     f = Xa @ model.consequents.T
-    wbar = np.empty_like(w)
-    wbar[ok] = w[ok] / total[ok, None]
-    wbar[~ok] = 1.0 / model.rule_count
     pred = (wbar * f).sum(axis=1)
     err = pred - y
 
@@ -260,13 +259,13 @@ def premise_gradients(
         z = (X[:, i, None] - c[None, :]) / a[None, :]
         absz = np.abs(z)
         u_pow_b = absz ** (2.0 * b[None, :])
-        mu = 1.0 / (1.0 + u_pow_b)
+        mu2 = Ui**2
         zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
-        dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu**2
-        dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu**2
+        dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
+        dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
         with np.errstate(divide="ignore", invalid="ignore"):
             log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
-        dmu_db = -(mu**2) * u_pow_b * log_u
+        dmu_db = -mu2 * u_pow_b * log_u
         g = np.zeros((k_i, 3))
         g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
         g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 
 from conftest import record_acceptance
+from hull_oracle import hull_feasible
 
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
@@ -142,8 +143,6 @@ def test_criterion_2_geometry_oracle_suite():
 
         worst = max(worst, abs(slope_line_membership(line, px, py) - grid_sup(feas)))
         count += 1
-    from fuzzyblock.plane_geometry import _box_corners, _convex_hull, _point_in_hull
-
     for _ in range(30):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -154,10 +153,7 @@ def test_criterion_2_geometry_oracle_suite():
         px, py = rng.uniform(-4, 4, size=2)
 
         def feas(alpha):
-            corners = _box_corners(*seg.p.alpha_box(alpha)) + _box_corners(
-                *seg.q.alpha_box(alpha)
-            )
-            return _point_in_hull((px, py), _convex_hull(corners))
+            return hull_feasible(seg, px, py, alpha)
 
         worst = max(worst, abs(segment_membership(seg, px, py) - grid_sup(feas)))
         count += 1
@@ -166,7 +162,7 @@ def test_criterion_2_geometry_oracle_suite():
     crisp_seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 0))
     checks = [
         (count >= 100, f"only {count} randomized shapes checked"),
-        (worst <= 2e-3, f"worst bisection-vs-grid deviation {worst:.2e} exceeds 2e-3"),
+        (worst <= 2e-3, f"worst closed-form-vs-grid deviation {worst:.2e} exceeds 2e-3"),
         (line_membership(crisp_line, 1, 1) == 1.0, "crisp line on-point must be exactly 1"),
         (line_membership(crisp_line, 0, 0) == 0.0, "crisp line off-point must be exactly 0"),
         (segment_membership(crisp_seg, 0.5, 0) == 1.0, "crisp segment on-point must be 1"),

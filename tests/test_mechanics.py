@@ -82,8 +82,8 @@ class TestClassifyBlock:
         for code in ("LLL", "UUU", "LUL", "ULL"):
             jp = joint_pyramid(code, joints)
             jp_margin = (dirs @ jp.normals.T).min(axis=1).max()
-            bp = jp.extended(e)
-            bp_margin = (dirs @ bp.normals.T).min(axis=1).max()
+            bp_normals = np.vstack([jp.normals, e])
+            bp_margin = (dirs @ bp_normals.T).min(axis=1).max()
             cls, _, _ = classify_block(code, joints, e)
             if jp_margin > 1e-3 and bp_margin > 1e-3:
                 assert cls == CLASS_INFINITE

@@ -3,6 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hull_oracle import hull_feasible
 
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.plane_geometry import (
@@ -208,8 +212,6 @@ class TestMonotoneFeasibilityAndOracleSuite:
             self._assert_monotone(
                 [slope_feasible_oracle(slope, px, py, a / 50) for a in range(51)]
             )
-        from fuzzyblock.plane_geometry import _box_corners, _convex_hull, _point_in_hull
-
         for _ in range(30):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -218,16 +220,9 @@ class TestMonotoneFeasibilityAndOracleSuite:
                     FuzzyPoint(random_trap(rng), random_trap(rng)),
                 )
             px, py = rng.uniform(-4, 4, size=2)
+            self._assert_monotone([hull_feasible(seg, px, py, a / 50) for a in range(51)])
 
-            def hull_feasible(alpha):
-                corners = _box_corners(*seg.p.alpha_box(alpha)) + _box_corners(
-                    *seg.q.alpha_box(alpha)
-                )
-                return _point_in_hull((px, py), _convex_hull(corners))
-
-            self._assert_monotone([hull_feasible(a / 50) for a in range(51)])
-
-    def test_bisection_matches_grid_oracle_on_random_shapes(self):
+    def test_closed_form_vs_grid_oracle(self):
         rng = np.random.Generator(np.random.Philox(11))
         checked = 0
         for _ in range(40):
@@ -253,19 +248,83 @@ class TestMonotoneFeasibilityAndOracleSuite:
                 )
             px, py = rng.uniform(-4, 4, size=2)
             value = segment_membership(seg, px, py)
-
-            def seg_oracle(alpha):
-                bx, by = seg.p.alpha_box(alpha)
-                cx, cy = seg.q.alpha_box(alpha)
-                from fuzzyblock.plane_geometry import _box_corners, _convex_hull, _point_in_hull
-
-                corners = _box_corners(bx, by) + _box_corners(cx, cy)
-                return _point_in_hull((px, py), _convex_hull(corners))
-
-            oracle = grid_sup_alpha(seg_oracle)
+            oracle = grid_sup_alpha(lambda a: hull_feasible(seg, px, py, a))
             assert value == pytest.approx(oracle, abs=2e-3)
             checked += 1
         assert checked >= 100
+
+
+def _mu(knots, x):
+    """Trapezoid membership of x for knot arrays (a1, a2, a3, a4), any shape."""
+    a1, a2, a3, a4 = knots
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise = np.where(a2 > a1, (x - a1) / (a2 - a1), 0.0)
+        fall = np.where(a4 > a3, (a4 - x) / (a4 - a3), 0.0)
+    mu = np.where(x < a2, rise, np.where(x > a3, fall, 1.0))
+    return np.where((x < a1) | (x > a4), 0.0, mu)
+
+
+def lambda_scan(seg, px, py, n=20001):
+    """max over a lambda grid of min(mu of lam*Px + (1-lam)*Qx at px, same for y)."""
+    lam = np.linspace(0.0, 1.0, n)
+    kx = [lam * p + (1 - lam) * q for p, q in zip(seg.p.x.to_list(), seg.q.x.to_list())]
+    ky = [lam * p + (1 - lam) * q for p, q in zip(seg.p.y.to_list(), seg.q.y.to_list())]
+    return float(np.minimum(_mu(kx, px), _mu(ky, py)).max())
+
+
+@st.composite
+def trapezoids(draw):
+    c = draw(st.floats(-3.0, 3.0))
+    widths = [draw(st.sampled_from([0.0]) | st.floats(0.001, 0.6)) for _ in range(2)]
+    core, ramp = sorted(widths)
+    return T(c - ramp, c - core, c + core, c + ramp)
+
+
+@st.composite
+def segments_and_points(draw):
+    p = FuzzyPoint(draw(trapezoids()), draw(trapezoids()))
+    q = FuzzyPoint(draw(trapezoids()), draw(trapezoids()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        seg = FuzzySegment(p, q)
+    lam = draw(st.floats(0.0, 1.0))
+    cx = lam * p.x.a2 + (1 - lam) * q.x.a3
+    cy = lam * p.y.a3 + (1 - lam) * q.y.a2
+    dx, dy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    return seg, cx + dx, cy + dy
+
+
+class TestExactSegment:
+    @settings(max_examples=200, deadline=None)
+    @given(segments_and_points())
+    def test_never_exceeded_by_dense_lambda_scan(self, case):
+        seg, px, py = case
+        value = segment_membership(seg, px, py)
+        assert 0.0 <= value <= 1.0
+        assert lambda_scan(seg, px, py) <= value
+
+    def test_crisp_skew_segment(self):
+        seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 1))
+        assert segment_membership(seg, 1, 1 / 3) == 1.0
+        assert segment_membership(seg, 0.3, 0.1) == 1.0
+        assert segment_membership(seg, 3, 1) == 1.0
+        assert segment_membership(seg, 1, 0.34) == 0.0
+        assert segment_membership(seg, 3.3, 1.1) == 0.0
+
+    def test_core_hull_points_read_one(self):
+        rng = np.random.Generator(np.random.Philox(29))
+        for _ in range(200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                p = FuzzyPoint(random_trap(rng), random_trap(rng))
+                q = FuzzyPoint(random_trap(rng), random_trap(rng))
+                seg = FuzzySegment(p, q)
+            lam = rng.uniform()
+            a = [rng.uniform(*p.x.core), rng.uniform(*p.y.core)]
+            b = [rng.uniform(*q.x.core), rng.uniform(*q.y.core)]
+            px = lam * a[0] + (1 - lam) * b[0]
+            py = lam * a[1] + (1 - lam) * b[1]
+            assert segment_membership(seg, px, py) == 1.0
 
 
 class TestFuzzyDistance:
@@ -328,6 +387,15 @@ class TestFuzzyDistance:
             fuzzy_distance(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 1), levels=1)
 
 
+def _fuzzy_pentagon():
+    verts = []
+    for k in range(5):
+        ang = 2.0 * math.pi * k / 5
+        cx, cy = 1.3 * math.cos(ang), 1.3 * math.sin(ang)
+        verts.append(FuzzyPoint(T(cx - 0.2, cx - 0.03, cx + 0.03, cx + 0.2), T(cy - 0.1, cy, cy, cy + 0.15)))
+    return FuzzyPolygon(tuple(verts))
+
+
 class TestRaster:
     def test_crisp_line_cells(self):
         line = FuzzyLineImplicit.crisp(0, 1, 0.5)  # y = 0.5
@@ -352,6 +420,34 @@ class TestRaster:
         for j in range(4):
             for i in range(4):
                 assert coarse[j, i] == fine[3 * j + 1, 3 * i + 1]
+
+    def test_polygon_pointwise_determinism_on_refinement(self):
+        # cell widths 0.75 and 0.25 are exact, so the centers coincide
+        poly = _fuzzy_pentagon()
+        bbox = (-1.5, -1.5, 1.5, 1.5)
+        coarse = raster_membership(poly, bbox, 4, 4)
+        fine = raster_membership(poly, bbox, 12, 12)
+        assert 0.0 < coarse.max() and fine.max() == 1.0
+        for j in range(4):
+            for i in range(4):
+                assert coarse[j, i] == fine[3 * j + 1, 3 * i + 1]
+
+    def test_cells_equal_membership_at_centers(self):
+        bbox = (-2.2, -2.2, 2.2, 2.2)
+        shapes = [
+            _fuzzy_pentagon(),
+            FuzzyLineImplicit(T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5)),
+            FuzzyLineSlope(T(0, 1, 1, 2), T(-0.2, 0, 0.1, 0.3)),
+            FuzzySegment(FuzzyPoint.crisp(-1, -1), FuzzyPoint(T(0.5, 1, 1, 1.5), T.crisp(1))),
+        ]
+        nx, ny = 17, 13
+        dx, dy = 4.4 / nx, 4.4 / ny
+        for shape in shapes:
+            grid = raster_membership(shape, bbox, nx, ny)
+            for j in range(ny):
+                for i in range(nx):
+                    x, y = -2.2 + (i + 0.5) * dx, -2.2 + (j + 0.5) * dy
+                    assert grid[j, i] == membership_at(shape, x, y)
 
     def test_repeat_identical(self):
         line = FuzzyLineImplicit(T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5))

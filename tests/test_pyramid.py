@@ -58,11 +58,6 @@ class TestHalfSpaceSystem:
         with pytest.raises(ValueError):
             HalfSpaceSystem(np.array([[1.0, 0.0]]))
 
-    def test_extended(self):
-        sys1 = HalfSpaceSystem(np.array([[0.0, 0.0, 1.0]]))
-        sys2 = sys1.extended(np.array([1.0, 0.0, 0.0]))
-        assert sys2.size == 2
-
 
 class TestPyramidNonempty:
     def test_single_halfspace(self):
