@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import logging
 import math
 import os
@@ -33,21 +32,22 @@ from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from .plane_geometry import raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
 from .surrogate.dataset import (
-    CSV_HEADER,
     FEATURE_NAMES,
     DatasetSpec,
+    dataset_csv_text,
     generate_dataset,
     normalize,
     read_dataset_csv,
     single_joint_case,
 )
 from .surrogate.model import (
+    bin_angles,
     damage_map,
     extract_rules,
     forward_batch,
     init_model,
     load_model,
-    model_to_dict,
+    model_json_text,
     rmse as model_rmse,
     train,
 )
@@ -92,10 +92,6 @@ def _fmtnum(v: Optional[float]) -> str:
     return repr(float(v))
 
 
-def _load_project(path: str) -> ProjectConfig:
-    return parse_project(path)
-
-
 def _sweep(cfg: ProjectConfig):
     if not cfg.joints:
         raise CliDataError("project has no crisp joints; add a 'joints' section")
@@ -110,7 +106,7 @@ def _sweep(cfg: ProjectConfig):
 
 
 def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     records = _sweep(cfg)
     rows = [
         (
@@ -130,7 +126,7 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_kbt_volume(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     records = _sweep(cfg)
     rows = [
         (r.facet_index, r.code, _fmtnum(r.volume_m3))
@@ -143,7 +139,7 @@ def _cmd_kbt_volume(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     if not cfg.fuzzy_joints:
         raise CliDataError("project has no fuzzy joints; add a 'fuzzy_joints' section")
     variant = args.delta_variant or cfg.delta_variant
@@ -181,7 +177,7 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
 
 
 def _cmd_geom_eval(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     if cfg.geometry is None:
         raise CliDataError("project has no 'geometry' section to evaluate")
     job = cfg.geometry
@@ -212,22 +208,16 @@ def _require_dataset(cfg: ProjectConfig) -> DatasetSpec:
 
 
 def _cmd_surrogate_gen(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     spec = _require_dataset(cfg)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    samples = generate_dataset(spec)
-    tmp_buf = io.StringIO()
-    writer = csv.writer(tmp_buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for s in samples:
-        writer.writerow([repr(v) for v in (s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg, s.volume_m3, s.sf)])
-    atomic_write_text(args.out, tmp_buf.getvalue())
+    atomic_write_text(args.out, dataset_csv_text(generate_dataset(spec)))
     return 0
 
 
 def _cmd_surrogate_train(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     samples = read_dataset_csv(args.data)
     if not samples:
         raise CliDataError(f"dataset {args.data} has no rows")
@@ -259,10 +249,7 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     model.normalization = record
     inputs = np.array([s.inputs for s in samples])
     model.input_medians = tuple(float(np.median(inputs[:, k])) for k in range(inputs.shape[1]))
-    buf = io.StringIO()
-    json.dump(model_to_dict(model), buf, sort_keys=True, indent=1)
-    buf.write("\n")
-    atomic_write_text(args.out, buf.getvalue())
+    atomic_write_text(args.out, model_json_text(model))
     log.info("train rmse %.6f over %d epochs", history[-1], epochs)
     if len(test_idx):
         held = model_rmse(model, X[test_idx], y[test_idx])
@@ -304,7 +291,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_surrogate_map(args: argparse.Namespace) -> int:
-    cfg = _load_project(args.project)
+    cfg = parse_project(args.project)
     model = load_model(args.model)
     if model.normalization is None or model.input_medians is None:
         raise CliDataError("model carries no normalization record or medians")
@@ -312,8 +299,7 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     med = dict(zip(model.input_names, model.input_medians))
     record = model.normalization
     angle_idx = list(model.input_names).index("angle_deg")
-    lo, hi = record.mins[angle_idx], record.maxs[angle_idx]
-    angles = lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
+    angles = bin_angles(record.mins[angle_idx], record.maxs[angle_idx], bins)
     spec = cfg.dataset
     seed_offset = spec.seed_offset if spec is not None else cfg.seed_offset_m
     volumes = [

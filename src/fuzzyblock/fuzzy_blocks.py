@@ -12,14 +12,14 @@ PBP is exact, not sampled.  Within one closed orthant of direction space
 (a quadrant in 2-D) the scaled-knot sums l3 and l4 of every constraint are
 linear in the direction, so the set where the min possibility is at least t
 is a homogeneous cone: rows (1 - t) l4 + t l3 >= 0 plus the orthant rows.
-The orthant rows make the cone pointed, so it is nonempty exactly when one
-of its candidate edges +-r_i x r_j (+-perp(r_i) in 2-D) is feasible, the
-candidate-ray argument of Goodman & Shi (1985).  The ``paper`` variant is a
-0/1 indicator decided by one strict test per orthant; the ``standard``
-variant brackets the largest feasible t by batched multisection.  Crisp
-systems take the same path: with zero spreads l3 = l4, the test decides
-plain cone nonemptiness, and PBP reduces exactly to the classical
-removability theorem.
+That cone is pointed, so it is nonempty exactly when one of its edge rays
+is feasible; the candidates come from ``kernel.pyramid.edge_rays``, the
+rule the crisp kernel uses too (the orthant argument is stated there).
+The ``paper`` variant is a 0/1 indicator decided by one strict test per
+orthant; the ``standard`` variant brackets the largest feasible t by
+batched multisection.  Crisp systems take the same path: with zero spreads
+l3 = l4, the test decides plain cone nonemptiness, and PBP reduces exactly
+to the classical removability theorem.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .fuzzy_numbers import (
     fit_trapezoid,
     linear_combine,
 )
+from .kernel.pyramid import edge_rays
 
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
 
@@ -45,8 +46,9 @@ FINITENESS_LABELS = ("finite", "quasi finite", "not so very finite", "infinite")
 DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
 
 # margin slack for unit rows against unit rays, and the norm below which a
-# row or cross product counts as zero: rounding of a cross product is
-# ~1e-16, and a looser slack would let t overshoot by slack / spread
+# row counts as zero (``edge_rays`` drops cross products at the same 1e-12):
+# rounding of a cross product is ~1e-16, and a looser slack would let t
+# overshoot by slack / spread
 _TOL = 1e-12
 # t values tested per multisection round of the standard variant
 _GRID = 16
@@ -173,10 +175,6 @@ class FuzzyHalfSpaceConstraint:
     def is_homogeneous(self) -> bool:
         return self.d.is_crisp and self.d.a1 == 0.0
 
-    @property
-    def is_crisp(self) -> bool:
-        return all(c.is_crisp for c in self.coeffs) and self.d.is_crisp
-
 
 @dataclass(frozen=True)
 class FuzzySystem:
@@ -207,10 +205,6 @@ class FuzzySystem:
     @property
     def is_homogeneous(self) -> bool:
         return all(c.is_homogeneous for c in self.constraints)
-
-    @property
-    def is_crisp(self) -> bool:
-        return all(c.is_crisp for c in self.constraints)
 
 
 def constraint_poss(
@@ -267,36 +261,25 @@ def _min_poss_over_dirs(
     return poss.min(axis=1)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """Rows of v scaled to unit length; zero rows become NaN (never feasible)."""
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(norms > _TOL, v / norms, np.nan)
-
-
 def _orthant_edges(
     rows: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge rays of the cones {v : s_k v_k >= 0, rows . v >= 0}.
 
     rows has shape (..., m, d) and signs (..., d), one orthant per leading
-    index.  The orthant rows make every cone pointed, so a nonempty cone has
-    an edge along +-r_i x r_j (+-perp(r_i) in 2-D) for two of its rows; each
-    candidate is turned toward the orthant, where only one sign can lie.
-    Returns the unit rays (..., K, d), their feasibility (..., K) and the
-    margins (..., K, m) of the unit rows.
+    index.  The candidates are the ``edge_rays`` of the unit rows plus the
+    signed orthant axes, each turned toward the orthant, where only one sign
+    can lie.  Returns the unit rays (..., K, d), their feasibility (..., K)
+    and the margins (..., K, m) of the unit rows.
     """
     dim = rows.shape[-1]
-    unit_rows = np.nan_to_num(_unit(rows))  # a zero row holds everywhere
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    # a zero row holds everywhere: it becomes 0 and never bounds a cone
+    unit_rows = np.divide(rows, norms, out=np.zeros_like(rows), where=norms > _TOL)
     axes = np.broadcast_to(
         signs[..., None, :] * np.eye(dim), rows.shape[:-2] + (dim, dim)
     )
-    full = np.concatenate([unit_rows, axes], axis=-2)
-    if dim == 3:
-        i, j = np.triu_indices(full.shape[-2], 1)
-        rays = _unit(np.cross(full[..., i, :], full[..., j, :]))
-    else:
-        rays = _unit(full[..., ::-1] * np.array([-1.0, 1.0]))
+    rays = edge_rays(np.concatenate([unit_rows, axes], axis=-2))
     s = signs[..., None, :]
     rays = np.where((rays * s).sum(axis=-1, keepdims=True) < 0.0, -rays, rays)
     margins = rays @ np.swapaxes(unit_rows, -1, -2)

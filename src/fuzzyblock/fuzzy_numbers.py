@@ -33,10 +33,6 @@ class AlphaInterval:
         if not self.lo <= self.hi:
             raise ValueError(f"inverted interval: lo={self.lo} > hi={self.hi}")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class TrapezoidalNumber:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,24 +38,15 @@ def normal_from_orientation(o: Orientation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointPlane:
-    """A joint set: attitude, friction angle, optional anchor point in meters.
-
-    The anchor point is required only when block volumes are computed.
-    """
+    """A joint set: attitude and friction angle."""
 
     id: str
     orientation: Orientation
     friction_deg: float
-    location: Optional[tuple[float, float, float]] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.friction_deg < 90.0:
             raise ValueError(f"friction angle must lie in [0, 90), got {self.friction_deg}")
-        if self.location is not None:
-            loc = tuple(float(v) for v in self.location)
-            if len(loc) != 3:
-                raise ValueError("location must be a 3-vector in meters")
-            object.__setattr__(self, "location", loc)
 
     @property
     def normal(self) -> np.ndarray:

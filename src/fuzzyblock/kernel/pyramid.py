@@ -4,16 +4,18 @@ A pyramid {v : n_i . v >= 0 for all i} always contains the zero vector; it
 counts as nonempty only when it contains some nonzero vector (boundary rays
 included).  The decision is the candidate-ray test, the vector form of
 Goodman & Shi, *Block Theory and Its Application to Rock Engineering* (1985):
-a cone is nonempty exactly when one candidate ray is feasible.  If the
-normals span 3-D space the cone is pointed and its edges lie along
-+-n_i x n_j; if they span a plane with normal d, its edges across the line
-along d lie along +-d x n_i; if they span a line, an orthonormal pair across
-that line reaches it.  The rays +-n_i are candidates too, and in 2-D the
-candidates are +-n_i and +-perp(n_i).  The cone has an interior exactly when
-the sum of its feasible candidates is strictly feasible; otherwise it is
-boundary-only and a feasible candidate is the witness.  Flipping the sign of
-a normal maps the candidates onto themselves, so one candidate matrix
-decides every sign pattern of a normal set (every block code) at once.
+a cone is nonempty exactly when one candidate ray is feasible.  The
+candidates come from ``edge_rays``, the one rule for them in the package.
+A nonempty cone meets some closed orthant in a pointed cone, and each edge
+of that cone lies where two of its bounding rows (normals or coordinate
+axes) are active: along r_i x r_j in 3-D, along perp(r_i) in 2-D.  So the
+edge rays of the normals plus the axes, taken with both signs, meet every
+nonempty cone, whatever the rank of the normals.  The feasible candidates
+generate the cone, so it has an interior exactly when their sum is strictly
+feasible; otherwise it is boundary-only and a feasible candidate is the
+witness.  Flipping the sign of a normal maps the candidates onto
+themselves, so one candidate matrix decides every sign pattern of a normal
+set (every block code) at once.
 """
 from __future__ import annotations
 
@@ -74,38 +76,33 @@ class SignedCones:
         return PyramidResult(True, self.witness[c].copy(), bool(self.boundary_only[c]))
 
 
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(v, axis=1)
-    keep = norms > _CROSS_TOL
-    return v[keep] / norms[keep, None]
+def edge_rays(rows: np.ndarray) -> np.ndarray:
+    """Candidate edge rays of the cones bounded by the row sets ``rows``.
 
-
-def _candidate_rays(normals: np.ndarray) -> np.ndarray:
-    """Unit rays, closed under negation, that meet every nonempty signed cone."""
-    dim = normals.shape[1]
-    if dim == 2:
-        rays = [normals, normals[:, ::-1] * np.array([-1.0, 1.0])]
-    elif dim == 3:
-        i, j = np.triu_indices(len(normals), 1)
-        rays = [normals, _unit_rows(np.cross(normals[i], normals[j]))]
-        _, s, vt = np.linalg.svd(normals)
-        rank = int(np.count_nonzero(s > _TOL))
-        if rank == 2:
-            rays.append(_unit_rows(np.cross(vt[2], normals)))
-        elif rank == 1:
-            rays.append(vt[1:])
+    rows has shape (..., m, d) with d = 3 or 2.  Returns the unit rays
+    r_i x r_j for i < j in 3-D, or perp(r_i) in 2-D, shape (..., K, d); a
+    ray whose norm is at most 1e-12 (parallel or zero rows) is NaN.
+    """
+    rows = np.asarray(rows, dtype=float)
+    dim = rows.shape[-1]
+    if dim == 3:
+        i, j = np.triu_indices(rows.shape[-2], 1)
+        rays = np.cross(rows[..., i, :], rows[..., j, :])
+    elif dim == 2:
+        rays = rows[..., ::-1] * np.array([-1.0, 1.0])
     else:
-        raise ValueError(f"cone tests need 2-D or 3-D normals, got dimension {dim}")
-    k = np.vstack(rays)
-    return np.vstack([k, -k])
+        raise ValueError(f"cone tests need 2-D or 3-D rows, got dimension {dim}")
+    norms = np.linalg.norm(rays, axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norms > _CROSS_TOL, rays / norms, np.nan)
 
 
 def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
     """Decide {v != 0 : signs[c, i] * n_i . v >= 0} for every sign row c at once.
 
     Signs are +-1.  A candidate ray fails row c when it violates a constraint
-    of either sign, so counting violations is two matrix products and no
-    temporary grows past (rows x candidates).
+    of either sign, so counting violations is one matrix product of 0/1
+    matrices and no temporary grows past (rows x candidates).
     """
     normals = np.asarray(normals, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -113,11 +110,13 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
         witness = np.zeros((len(signs), normals.shape[1]))
         witness[:, -1] = 1.0
         return SignedCones(np.ones(len(signs), bool), np.zeros(len(signs), bool), witness)
-    k = _candidate_rays(normals)
+    k = edge_rays(np.vstack([normals, np.eye(normals.shape[1])]))
+    k = k[~np.isnan(k[:, 0])]
+    k = np.vstack([k, -k])
     margins = k @ normals.T
-    breaks_up = (margins < -_TOL).T.astype(float)  # ray k violates +n_i
-    breaks_down = (margins > _TOL).T.astype(float)  # ray k violates -n_i
-    feasible = ((signs > 0) @ breaks_up + (signs < 0) @ breaks_down) == 0
+    # ray k violates +n_i when its margin is below -tol, -n_i when above +tol
+    breaks = np.hstack([margins < -_TOL, margins > _TOL]).T.astype(float)
+    feasible = np.hstack([signs > 0, signs < 0]) @ breaks == 0
     nonempty = feasible.any(axis=1)
     total = feasible.astype(float) @ k
     norms = np.linalg.norm(total, axis=1)
@@ -132,8 +131,7 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
 def cone_nonempty(normals: np.ndarray) -> PyramidResult:
     """Decide whether {v != 0 : n_i . v >= 0 for all i} is nonempty.
 
-    Takes 2-D or 3-D normals; used for 3-D pyramids and for 2-D fuzzy
-    half-plane systems in their crisp limit.
+    Takes 2-D or 3-D normals: one sign row of ``signed_cones``.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     if normals.size == 0:

@@ -172,8 +172,13 @@ def _edge_values(
     q0 = qk + (_CRISP_SLACK * scale)[:, None, None, None] * _WIDEN  # knots at lambda = 0
     dq = pk - qk  # knot change per unit of lambda
     n = len(px)
-    # lambda at which each knot passes the point
-    passes = np.divide(pt - q0, dq, out=np.zeros(q0.shape), where=dq != 0.0)
+    # lambda at which each knot passes the point; a quotient is only formed
+    # where it lies in [-1, 1], since the rest clip to the 0 and 1 kept anyway
+    # and a tiny divisor would overflow
+    gap = pt - q0
+    passes = np.divide(
+        gap, dq, out=np.zeros(q0.shape), where=(dq != 0.0) & (np.abs(gap) <= np.abs(dq))
+    )
     # rising and falling ramps as (n0 + n1 l) / (d0 + d1 l), axes (N, E, coord, ramp)
     n0 = np.stack([pt[..., 0] - q0[..., 0], q0[..., 3] - pt[..., 0]], axis=-1)
     n1 = np.stack([-dq[..., 0], dq[..., 3]], axis=-1)
@@ -190,8 +195,12 @@ def _edge_values(
     disc = b * b - 4.0 * a * c
     real = disc >= 0.0
     h = -0.5 * (b + np.copysign(np.sqrt(np.where(real, disc, 0.0)), b))
-    root1 = np.divide(h, a, out=np.zeros(h.shape), where=real & (a != 0.0))
-    root2 = np.divide(c, h, out=np.zeros(h.shape), where=real & (h != 0.0))
+    root1 = np.divide(
+        h, a, out=np.zeros(h.shape), where=real & (a != 0.0) & (np.abs(h) <= np.abs(a))
+    )
+    root2 = np.divide(
+        c, h, out=np.zeros(h.shape), where=real & (h != 0.0) & (np.abs(c) <= np.abs(h))
+    )
     cand = np.concatenate(
         [
             np.broadcast_to([0.0, 1.0], (n, len(ends), 2)),

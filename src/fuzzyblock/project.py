@@ -3,8 +3,9 @@
 Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
 range-checked with a diagnostic naming the offending key path.  Keys that
-schema version 1 accepts but no computation reads any more (``resolution``)
-are logged as ignored.
+schema version 1 accepts and checks but no computation reads
+(``resolution``, ``unit_weight_kn_m3``, joint ``location``) are logged as
+ignored; fuzzy ``friction_deg`` is required and checked but not read yet.
 """
 from __future__ import annotations
 
@@ -114,10 +115,8 @@ class GeometryJob:
 @dataclass(frozen=True)
 class ProjectConfig:
     tunnel: TunnelSection
-    unit_weight: float = 27.0
     joints: tuple[JointPlane, ...] = ()
     fuzzy_joints: tuple[FuzzyOrientation, ...] = ()
-    fuzzy_frictions: tuple[TrapezoidalNumber, ...] = ()
     dataset: Optional[DatasetSpec] = None
     anfis: AnfisConfig = AnfisConfig()
     geometry: Optional[GeometryJob] = None
@@ -193,18 +192,18 @@ def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
     if location is not None:
         if not isinstance(location, list) or len(location) != 3:
             raise ProjectSchemaError(f"{path}.location must be a 3-element [x, y, z] array")
-        location = tuple(_number(v, f"{path}.location[{i}]") for i, v in enumerate(location))
+        for i, v in enumerate(location):
+            _number(v, f"{path}.location[{i}]")
+        log.warning("%s.location is ignored: the sweep anchors joints at facet seed points",
+                    path)
     return JointPlane(
         id=str(obj.get("id", f"J{index + 1}")),
         orientation=Orientation(dip, dd),
         friction_deg=phi,
-        location=location,
     )
 
 
-def _parse_fuzzy_joint(
-    obj: Any, path: str
-) -> tuple[FuzzyOrientation, TrapezoidalNumber]:
+def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(
@@ -224,10 +223,10 @@ def _parse_fuzzy_joint(
         )
     if phi.a1 < 0.0 or phi.a4 >= 90.0:
         raise ProjectSemanticError(f"{path}.friction_deg support must stay within [0, 90)")
-    return FuzzyOrientation(dip, dd), phi
+    return FuzzyOrientation(dip, dd)
 
 
-def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection, unit_weight: float,
+def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection,
                    seed_offset: Optional[float]) -> DatasetSpec:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
@@ -264,9 +263,7 @@ def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection, unit_weight: floa
         if lo < 0.0 or hi >= 90.0:
             raise ProjectSemanticError(f"{path}.friction_range must stay within [0, 90)")
     try:
-        return DatasetSpec(
-            tunnel=tunnel, unit_weight=unit_weight, seed_offset=seed_offset, **kwargs
-        )
+        return DatasetSpec(tunnel=tunnel, seed_offset=seed_offset, **kwargs)
     except ValueError as exc:
         raise ProjectSemanticError(f"{path}: {exc}") from None
 
@@ -396,9 +393,10 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     tunnel = _parse_tunnel(doc["tunnel"], "$.tunnel")
-    unit_weight = _number(doc.get("unit_weight_kn_m3", 27.0), "$.unit_weight_kn_m3")
-    if unit_weight <= 0.0:
-        raise ProjectSemanticError("$.unit_weight_kn_m3 must be positive")
+    if "unit_weight_kn_m3" in doc:
+        if _number(doc["unit_weight_kn_m3"], "$.unit_weight_kn_m3") <= 0.0:
+            raise ProjectSemanticError("$.unit_weight_kn_m3 must be positive")
+        log.warning("$.unit_weight_kn_m3 is ignored: safety factors are friction-only")
 
     joints = []
     raw_joints = doc.get("joints", [])
@@ -409,15 +407,12 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     if len({j.id for j in joints}) != len(joints):
         raise ProjectSemanticError("$.joints ids must be unique")
 
-    fuzzy_joints = []
-    fuzzy_frictions = []
     raw_fuzzy = doc.get("fuzzy_joints", [])
     if not isinstance(raw_fuzzy, list):
         raise ProjectSchemaError("$.fuzzy_joints must be an array")
-    for i, obj in enumerate(raw_fuzzy):
-        fo, phi = _parse_fuzzy_joint(obj, f"$.fuzzy_joints[{i}]")
-        fuzzy_joints.append(fo)
-        fuzzy_frictions.append(phi)
+    fuzzy_joints = [
+        _parse_fuzzy_joint(obj, f"$.fuzzy_joints[{i}]") for i, obj in enumerate(raw_fuzzy)
+    ]
 
     seed_offset = doc.get("seed_offset_m")
     if seed_offset is not None:
@@ -432,7 +427,7 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
 
     dataset = None
     if "dataset" in doc:
-        dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel, unit_weight, seed_offset)
+        dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel, seed_offset)
     anfis = _parse_anfis(doc.get("anfis", {}), "$.anfis")
     geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
 
@@ -452,10 +447,8 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
 
     return ProjectConfig(
         tunnel=tunnel,
-        unit_weight=unit_weight,
         joints=tuple(joints),
         fuzzy_joints=tuple(fuzzy_joints),
-        fuzzy_frictions=tuple(fuzzy_frictions),
         dataset=dataset,
         anfis=anfis,
         geometry=geometry,

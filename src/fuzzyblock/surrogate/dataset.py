@@ -9,6 +9,7 @@ its index.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ class DatasetSpec:
     """Fixed tunnel geometry plus ranges for the changeable joint parameters."""
 
     tunnel: TunnelSection
-    unit_weight: float = 27.0
     dip_range: tuple[float, float] = (10.0, 80.0)
     dip_direction_range: tuple[float, float] = (0.0, 360.0)
     friction_range: tuple[float, float] = (15.0, 25.0)
@@ -218,21 +218,20 @@ def normalize(
     return record.apply_features(X), record.apply_target(y), record
 
 
+def dataset_csv_text(samples: Sequence[Sample]) -> str:
+    """The dataset CSV: header plus one row of repr() values per sample."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for s in samples:
+        values = (s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg, s.volume_m3, s.sf)
+        writer.writerow([repr(v) for v in values])
+    return buf.getvalue()
+
+
 def write_dataset_csv(path: str, samples: Sequence[Sample]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for s in samples:
-            writer.writerow(
-                [
-                    repr(s.dip_deg),
-                    repr(s.dipdir_deg),
-                    repr(s.phi_deg),
-                    repr(s.angle_deg),
-                    repr(s.volume_m3),
-                    repr(s.sf),
-                ]
-            )
+        fh.write(dataset_csv_text(samples))
 
 
 def read_dataset_csv(path: str) -> list[Sample]:

@@ -391,15 +391,24 @@ def model_from_dict(doc: dict) -> TskModel:
     )
 
 
+def model_json_text(model: TskModel) -> str:
+    """The model file: sorted-key JSON with one-space indent and a final newline."""
+    return json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n"
+
+
 def save_model(model: TskModel, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(model_json_text(model))
 
 
 def load_model(path: str) -> TskModel:
     with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))
+
+
+def bin_angles(lo: float, hi: float, bins: int) -> np.ndarray:
+    """Centers of ``bins`` equal angular bins spanning [lo, hi], unwrapped."""
+    return lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
 
 
 def damage_map(
@@ -433,9 +442,9 @@ def damage_map(
             raise ValueError(f"unknown input {key!r}")
         base[names.index(key)] = float(value)
     rows = np.tile(base, (angular_bins, 1))
-    lo = model.normalization.mins[angle_idx]
-    hi = model.normalization.maxs[angle_idx]
-    angles = lo + (np.arange(angular_bins) + 0.5) * (hi - lo) / angular_bins
+    angles = bin_angles(
+        model.normalization.mins[angle_idx], model.normalization.maxs[angle_idx], angular_bins
+    )
     rows[:, angle_idx] = angles
     for key, values in (per_bin_inputs or {}).items():
         if key not in names:

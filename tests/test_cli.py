@@ -3,6 +3,8 @@ import json
 import os
 
 from fuzzyblock.cli import atomic_write_text, main
+from fuzzyblock.project import parse_project
+from fuzzyblock.surrogate import generate_dataset, load_model, save_model, write_dataset_csv
 from conftest import standard_project_dict
 
 
@@ -188,6 +190,18 @@ class TestSurrogatePipeline:
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", m1]) == 0
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", m2]) == 0
         assert open(m1, "rb").read() == open(m2, "rb").read()
+
+    def test_products_match_library_writers(self, tmp_path):
+        # one serializer per product: the CLI files are the library's bytes
+        proj = small_project(tmp_path)
+        data, lib_data = str(tmp_path / "data.csv"), str(tmp_path / "lib_data.csv")
+        model, lib_model = str(tmp_path / "m.json"), str(tmp_path / "lib_m.json")
+        assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
+        write_dataset_csv(lib_data, generate_dataset(parse_project(proj).dataset))
+        assert open(data, "rb").read() == open(lib_data, "rb").read()
+        assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model]) == 0
+        save_model(load_model(model), lib_model)
+        assert open(model, "rb").read() == open(lib_model, "rb").read()
 
     def test_range_flag(self, tmp_path):
         proj = small_project(tmp_path)

@@ -303,6 +303,14 @@ class TestExactSegment:
         assert 0.0 <= value <= 1.0
         assert lambda_scan(seg, px, py) <= value
 
+    def test_subnormal_span_reads_without_overflow(self):
+        tiny = 2.2250738585e-313
+        seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(0, tiny))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert segment_membership(seg, 0.0, 0.5) == 0.0
+            assert segment_membership(seg, 0.0, 0.0) == 1.0
+
     def test_crisp_skew_segment(self):
         seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 1))
         assert segment_membership(seg, 1, 1 / 3) == 1.0

@@ -30,7 +30,6 @@ class TestParseProject:
             ],
         }
         cfg = parse_project(write(tmp_path, doc))
-        assert cfg.unit_weight == 27.0
         assert cfg.delta_variant == "paper"
         assert cfg.label_thresholds == (0.95, 0.7, 0.3)
         assert cfg.anfis.epochs == 30
@@ -136,6 +135,37 @@ class TestParseProject:
             cfg = parse_project_dict(doc)
         assert cfg == parse_project_dict(standard_project_dict())
         assert "$.resolution is ignored" in caplog.text
+
+    def test_unit_weight_ignored(self, caplog):
+        # SFs are friction-only: the key is checked, logged, and read by nothing
+        bare = standard_project_dict()
+        del bare["unit_weight_kn_m3"]
+        doc = standard_project_dict()
+        doc["unit_weight_kn_m3"] = 19.5
+        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
+            cfg = parse_project_dict(doc)
+        assert cfg == parse_project_dict(bare)
+        assert "$.unit_weight_kn_m3 is ignored" in caplog.text
+        doc["unit_weight_kn_m3"] = -1.0
+        with pytest.raises(ProjectSemanticError, match="unit_weight_kn_m3"):
+            parse_project_dict(doc)
+        doc["unit_weight_kn_m3"] = "heavy"
+        with pytest.raises(ProjectSchemaError, match="unit_weight_kn_m3"):
+            parse_project_dict(doc)
+
+    def test_joint_location_ignored(self, caplog):
+        doc = standard_project_dict()
+        doc["joints"][1]["location"] = [1.0, -2.0, 0.5]
+        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
+            cfg = parse_project_dict(doc)
+        assert cfg == parse_project_dict(standard_project_dict())
+        assert "$.joints[1].location is ignored" in caplog.text
+        doc["joints"][1]["location"] = [1.0, -2.0]
+        with pytest.raises(ProjectSchemaError, match=r"joints\[1\]\.location"):
+            parse_project_dict(doc)
+        doc["joints"][1]["location"] = [1.0, -2.0, "up"]
+        with pytest.raises(ProjectSchemaError, match=r"location\[2\]"):
+            parse_project_dict(doc)
 
     def test_dataset_ranges_checked(self):
         doc = standard_project_dict()

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
     cone_nonempty,
+    edge_rays,
     pyramid_nonempty,
     signed_cones,
 )
@@ -173,12 +174,15 @@ def normal_systems(draw, dim=None):
 
     The kinds cover opposed pairs, parallel copies, dip 0 and dip 90
     (axis-aligned), rank-1 and coplanar (rank-2) normals, in 2-D and 3-D.
+    Coplanar normals come in the z = 0 plane and in tilted planes, integer
+    combinations of two integer vectors whose plane normal lies off the
+    axes, where the candidate rays are crosses of a normal with an axis.
     """
     dim = dim or draw(st.sampled_from([2, 3]))
     vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
     rows = draw(st.lists(vec, min_size=1, max_size=7))
     kind = draw(st.sampled_from(
-        ["general", "opposed", "parallel", "axis", "rank1", "coplanar"]))
+        ["general", "opposed", "parallel", "axis", "rank1", "coplanar", "tilted"]))
     if kind == "opposed":
         rows.append([-x for x in rows[0]])
     elif kind == "parallel":
@@ -194,6 +198,14 @@ def normal_systems(draw, dim=None):
         rows = [[draw(st.sampled_from([-1, 1])) * x for x in rows[0]] for _ in rows]
     elif kind == "coplanar" and dim == 3:
         rows = [r[:2] + [0] for r in rows if any(r[:2])] or [[1, 0, 0]]
+    elif kind == "tilted" and dim == 3:
+        vec3 = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+        a, b = draw(st.tuples(vec3, vec3).filter(
+            lambda ab: np.count_nonzero(np.cross(*ab)) >= 2))
+        coef = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        combos = draw(st.lists(coef, min_size=len(rows), max_size=len(rows)))
+        rows = [[i * x + j * y for x, y in zip(a, b)] for i, j in combos]
+        rows = [r for r in rows if any(r)] or [a]
     return unit_rows(np.array(rows, dtype=float))
 
 
@@ -238,3 +250,20 @@ class TestCandidateRays:
     def test_three_dimensions_or_two_only(self):
         with pytest.raises(ValueError):
             cone_nonempty(np.array([[1.0]]))
+        with pytest.raises(ValueError):
+            edge_rays(np.eye(4))
+
+
+class TestEdgeRays:
+    def test_crosses_per_row_set(self):
+        rows = np.array([np.eye(3), [[1, 0, 0], [2, 0, 0], [0, 0, 1]]], dtype=float)
+        rays = edge_rays(rows)
+        assert rays.shape == (2, 3, 3)  # pairs (0, 1), (0, 2), (1, 2)
+        assert np.array_equal(rays[0], [[0, 0, 1], [0, -1, 0], [1, 0, 0]])
+        assert np.isnan(rays[1, 0]).all()  # parallel rows have no edge
+        assert np.allclose(rays[1, 1:], [[0, -1, 0], [0, -1, 0]])
+
+    def test_perpendiculars_in_2d(self):
+        rays = edge_rays(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert np.allclose(rays[0], [-0.8, 0.6])
+        assert np.isnan(rays[1]).all()
