@@ -155,12 +155,6 @@ class FuzzyHalfSpaceConstraint:
         object.__setattr__(self, "d", _as_trapezoid(self.d))
 
     @classmethod
-    def from_components(
-        cls, components: Sequence[CoefficientLike], d: CoefficientLike
-    ) -> "FuzzyHalfSpaceConstraint":
-        return cls(tuple(_as_trapezoid(c) for c in components), _as_trapezoid(d))
-
-    @classmethod
     def crisp(cls, vector: Sequence[float], d: float) -> "FuzzyHalfSpaceConstraint":
         return cls(
             tuple(TrapezoidalNumber.crisp(float(v)) for v in vector),

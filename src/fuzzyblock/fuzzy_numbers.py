@@ -56,12 +56,6 @@ class TrapezoidalNumber:
     def crisp(cls, value: float) -> "TrapezoidalNumber":
         return cls(value, value, value, value)
 
-    @classmethod
-    def from_sequence(cls, seq: Sequence[float]) -> "TrapezoidalNumber":
-        if len(seq) != 4:
-            raise ValueError(f"expected 4 knots, got {len(seq)}")
-        return cls(*seq)
-
     def to_list(self) -> list[float]:
         """Serialized form used in all file formats: [a1, a2, a3, a4]."""
         return [self.a1, self.a2, self.a3, self.a4]

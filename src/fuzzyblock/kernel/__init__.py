@@ -29,6 +29,7 @@ from .volume import (
     bbox_halfspaces,
     block_vertices,
     block_volume,
+    block_volumes,
     monte_carlo_volume,
 )
 
@@ -50,6 +51,7 @@ __all__ = [
     "bbox_halfspaces",
     "block_vertices",
     "block_volume",
+    "block_volumes",
     "classify_block",
     "cone_nonempty",
     "downdip_vector",

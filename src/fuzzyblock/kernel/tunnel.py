@@ -9,6 +9,7 @@ maximal block seeded a short way into the rock.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .mechanics import (
 )
 from .orientation import JointPlane
 from .pyramid import signed_cones
-from .volume import block_volume
+from .volume import block_volumes
 
 GRAVITY_DIR = (0.0, 0.0, -1.0)
 
@@ -103,7 +104,12 @@ class TunnelSection:
         ws = [v[1] for v in self.vertices]
         return (sum(us) / len(us), sum(ws) / len(ws))
 
-    def facets(self) -> list[Facet]:
+    def facets(self) -> tuple[Facet, ...]:
+        """One facet per polygon edge, in vertex order; computed once per section."""
+        return self._facets
+
+    @functools.cached_property
+    def _facets(self) -> tuple[Facet, ...]:
         cu, cw = self.centroid
         out = []
         n = len(self.vertices)
@@ -118,37 +124,56 @@ class TunnelSection:
             mid_u, mid_w = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
             angle = math.degrees(math.atan2(mid_w - cw, mid_u - cu)) % 360.0
             e3 = nu * self.u_hat + nw * self.w_hat
+            normal = e3 / np.linalg.norm(e3)
+            midpoint = self.to_world(mid_u, mid_w)
+            normal.flags.writeable = False
+            midpoint.flags.writeable = False
             out.append(
                 Facet(
                     index=i,
-                    inward_normal=e3 / np.linalg.norm(e3),
-                    midpoint=self.to_world(mid_u, mid_w),
+                    inward_normal=normal,
+                    midpoint=midpoint,
                     angle_deg=angle,
                     edge_length=length,
                     section_edge=(a, b),
                 )
             )
-        return out
+        return tuple(out)
+
+    def facets_at_angles(self, thetas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Facet index (-1 where none) and hit point of the ray from the centroid at each angle.
+
+        The batched form of ``facet_at_angle``: the same formulas in the
+        same order, elementwise, so each angle gets the same bits alone or
+        in a batch.
+        """
+        cu, cw = self.centroid
+        rad = [math.radians(t) for t in thetas]
+        du = np.array([math.cos(r) for r in rad])[:, None]
+        dw = np.array([math.sin(r) for r in rad])[:, None]
+        edges = np.array([f.section_edge for f in self.facets()]).reshape(-1, 4)
+        au, aw, bu, bw = edges.T
+        eu, ew = bu - au, bw - aw
+        det = du * (-ew) - dw * (-eu)
+        regular = np.abs(det) >= 1e-12
+        det = np.where(regular, det, 1.0)
+        t = ((au - cu) * (-ew) - (aw - cw) * (-eu)) / det
+        s = (du * (aw - cw) - dw * (au - cu)) / det
+        hit = regular & (t > 1e-9) & (s >= -1e-9) & (s <= 1.0 + 1e-9)
+        best = np.argmin(np.where(hit, t, np.inf), axis=1)
+        rows = np.arange(len(best))
+        t_best = t[rows, best][:, None]
+        u = cu + t_best * du
+        w = cw + t_best * dw
+        points = u * self.u_hat + w * self.w_hat + 0.0 * self.axis
+        return np.where(hit.any(axis=1), best, -1), points
 
     def facet_at_angle(self, theta_deg: float) -> tuple[Facet, np.ndarray]:
         """Facet hit by the ray from the section centroid at theta, plus the hit point."""
-        cu, cw = self.centroid
-        du, dw = math.cos(math.radians(theta_deg)), math.sin(math.radians(theta_deg))
-        best = None
-        for facet in self.facets():
-            (au, aw), (bu, bw) = facet.section_edge
-            eu, ew = bu - au, bw - aw
-            det = du * (-ew) - dw * (-eu)
-            if abs(det) < 1e-12:
-                continue
-            t = ((au - cu) * (-ew) - (aw - cw) * (-eu)) / det
-            s = (du * (aw - cw) - dw * (au - cu)) / det
-            if t > 1e-9 and -1e-9 <= s <= 1.0 + 1e-9:
-                if best is None or t < best[0]:
-                    best = (t, facet, self.to_world(cu + t * du, cw + t * dw))
-        if best is None:
+        index, points = self.facets_at_angles([theta_deg])
+        if index[0] < 0:
             raise ValueError(f"no facet found at angle {theta_deg}")
-        return best[1], best[2]
+        return self.facets()[index[0]], points[0]
 
     def section_bbox(
         self, margin: Optional[float] = None, axis_extent: Optional[float] = None
@@ -223,9 +248,10 @@ def enumerate_tunnel_blocks(
     test, mode and safety factor of a code are computed once for all facets.
     Removable blocks get mode, safety factor, and the volume of the block
     whose joints all pass through a seed point offset into the rock from the
-    facet midpoint (a quarter of the edge length unless overridden).
-    Numerical failures are recorded on the affected record and never abort
-    the sweep.
+    facet midpoint (a quarter of the edge length unless overridden); the
+    volumes of all of them come from one ``block_volumes`` call.  A mode or
+    safety-factor failure is recorded on the affected record and never
+    aborts the sweep.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
@@ -237,6 +263,9 @@ def enumerate_tunnel_blocks(
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
     by_code: dict[str, tuple[Optional[SlidingMode], Optional[float], Optional[str]]] = {}
+    sized: list[BlockRecord] = []
+    block_normals: list[np.ndarray] = []
+    block_offsets: list[list[float]] = []
     for facet in tunnel.facets():
         offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
         seed_point = facet.midpoint + offset * facet.inward_normal
@@ -256,12 +285,17 @@ def enumerate_tunnel_blocks(
             rec.mode, rec.safety_factor, rec.error = by_code[code]
             if rec.error is not None:
                 continue
-            try:
-                halfspaces = [(n, float(n @ seed_point)) for n in signs[c][:, None] * normals]
-                halfspaces.append(
-                    (facet.inward_normal, float(facet.inward_normal @ facet.midpoint))
-                )
-                rec.volume_m3 = block_volume(halfspaces, box, allow_bbox_clip=True)
-            except Exception as exc:
-                rec.error = f"{type(exc).__name__}: {exc}"
+            planes = np.vstack([signs[c][:, None] * normals, facet.inward_normal])
+            sized.append(rec)
+            block_normals.append(planes)
+            block_offsets.append(
+                [float(n @ seed_point) for n in planes[:-1]]
+                + [float(facet.inward_normal @ facet.midpoint)]
+            )
+    if sized:
+        volumes = block_volumes(
+            np.array(block_normals), np.array(block_offsets), box, allow_bbox_clip=True
+        )
+        for rec, volume in zip(sized, volumes):
+            rec.volume_m3 = float(volume)
     return records

@@ -1,20 +1,48 @@
-"""Convex block volumes from half-space descriptions.
+"""Convex block volumes from half-space descriptions, computed in batches.
 
-A block is the intersection of half-spaces n . x >= d (inward normals).
-Vertices come from enumerating plane triples and filtering against all
-constraints; volume follows from the divergence theorem over the faces,
-which is exact for convex blocks.  A bounding box closes the region; contact
-with it means the true block escapes and is an error unless clipping is
-explicitly allowed.
+A block is the intersection of half-spaces n . x >= d (inward normals),
+closed by an axis-aligned bounding box.  ``block_volumes`` takes a batch of
+blocks that share a plane count and, for all of them at once,
+
+1. solves every plane triple (``np.linalg.solve``, one 3x3 system at a time
+   inside LAPACK) and keeps the solutions that satisfy every plane;
+2. packs each block's feasible vertices, in triple order, to the front of a
+   padded array and drops a vertex lying within 1e-7 * scale of an earlier
+   kept vertex of the same block;
+3. orders each distinct plane's face polygon around its centroid, takes its
+   area by the shoelace formula, and sums the divergence theorem
+   V = (1/3) sum_faces (x . n_out) * area, which is exact for convex blocks.
+
+A block with fewer than four vertices, or with all of them on one of its
+planes (two coincident opposed planes, say), is flat and has volume 0.0.
+
+A block's result does not depend on the other blocks in its batch, bit for
+bit: the packed width varies with the batch, but every sum over the vertex
+axis runs in vertex order, so padding adds exact zeros, and per-block
+contractions are elementwise products in a fixed order rather than BLAS
+calls.  ``block_volume`` and ``block_vertices`` are the one-block form of
+the same routine.  Blocks are processed in chunks whose (block, plane
+triple, plane) feasibility array has at most ``_CHUNK_ENTRIES`` entries, so
+the temporary arrays stay near 1 MB whatever the batch size.
+
+Contact with the box means the true block escapes; that is an error unless
+clipping is explicitly allowed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Sequence
 
 import numpy as np
 
 FEAS_TOL = 1e-9
+_VERTEX_TOL = 1e-7  # vertices closer than this (times scale) are one vertex
+_FACE_TOL = 1e-6  # a vertex this close (times scale) to a plane lies on its face
+_PLANE_TOL = 1e-9  # planes closer than this are one face
+_CHUNK_ENTRIES = 1 << 14
+
+Bbox = tuple[Sequence[float], Sequence[float]]
 
 
 class UnboundedBlockError(RuntimeError):
@@ -39,97 +67,215 @@ def bbox_halfspaces(
     return planes
 
 
-def _enumerate_vertices(planes: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    normals = np.array([p[0] for p in planes])
-    offsets = np.array([p[1] for p in planes])
-    scale = 1.0 + float(np.max(np.abs(offsets))) if len(offsets) else 1.0
-    triples = np.array(list(itertools.combinations(range(len(planes)), 3)))
-    A = normals[triples]
+def _seq_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, as a running sum in index order: trailing zeros
+    leave the bits alone."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over a last axis of length 3, in a fixed order."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over a last axis of length 3."""
+    return np.stack([
+        a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+        a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+        a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+    ], axis=-1)
+
+
+def _first_kept(valid: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """Keep entry j of each row unless it is close to an earlier kept entry.
+
+    valid is (B, W) and close (B, W, W).  The rule fixes entry j from the
+    entries before it, so iterating it from ``valid`` reaches its one
+    solution; a pass that changes nothing confirms it.
+    """
+    earlier = close & np.tri(close.shape[1], k=-1, dtype=bool)
+    keep = valid
+    while True:
+        update = valid & ~np.any(earlier & keep[:, None, :], axis=2)
+        if np.array_equal(update, keep):
+            return keep
+        keep = update
+
+
+def _pack(values: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move each row's kept entries, in order, to the front; (packed, count)."""
+    count = keep.sum(axis=1)
+    width = int(count.max()) if len(count) else 0
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(values, order[..., None], axis=1), count
+
+
+@functools.lru_cache(maxsize=None)
+def _triples(m: int) -> np.ndarray:
+    """All index triples i < j < k below m, in lexicographic order, read-only."""
+    triples = np.array(list(itertools.combinations(range(m), 3))).reshape(-1, 3)
+    triples.flags.writeable = False
+    return triples
+
+
+def _vertices(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct vertices of each block, packed (B, W, 3) in triple order, and counts."""
+    triples = _triples(D.shape[1])
+    scale = 1.0 + np.max(np.abs(D), axis=1)
+    A = N[:, triples]
     regular = np.abs(np.linalg.det(A)) >= 1e-12
-    x = np.linalg.solve(A[regular], offsets[triples[regular]][..., None])[..., 0]
-    verts = x[np.all(x @ normals.T >= offsets - FEAS_TOL * scale, axis=1)]
-    # cluster duplicates produced by >3 planes meeting at a point
-    keep: list[np.ndarray] = []
-    for v in verts:
-        if all(np.linalg.norm(v - u) > 1e-7 * scale for u in keep):
-            keep.append(v)
-    return np.array(keep).reshape(-1, 3)
+    x = np.zeros(A.shape[:2] + (3,))
+    x[regular] = np.linalg.solve(A[regular], D[:, triples][regular][..., None])[..., 0]
+    lhs = _dot(x[:, :, None, :], N[:, None, :, :])
+    floor = D - FEAS_TOL * scale[:, None]
+    feasible = regular & np.all(lhs >= floor[:, None, :], axis=2)
+    verts, count = _pack(x, feasible)
+    # >3 planes through one point give that vertex several times: keep the
+    # first, and drop any vertex close to an earlier kept one
+    dist2 = sum((verts[:, :, None, k] - verts[:, None, :, k]) ** 2 for k in range(3))
+    close = np.sqrt(dist2) <= _VERTEX_TOL * scale[:, None, None]
+    return _pack(verts, _first_kept(np.arange(verts.shape[1]) < count[:, None], close))
 
 
-def _face_area(verts: np.ndarray, n: np.ndarray, d: float, scale: float) -> float:
-    """Area of the polygonal face lying on plane n . x = d, 0 if degenerate."""
-    on_face = verts[np.abs(verts @ n - d) <= 1e-6 * scale]
-    if len(on_face) < 3:
-        return 0.0
-    # orthonormal in-plane basis, deterministic given n
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(n[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    u = np.cross(n, a)
-    u /= np.linalg.norm(u)
-    w = np.cross(n, u)
-    centroid = on_face.mean(axis=0)
-    rel = on_face - centroid
-    ang = np.arctan2(rel @ w, rel @ u)
-    order = np.argsort(ang)
-    pts2 = np.column_stack([rel @ u, rel @ w])[order]
-    x, y = pts2[:, 0], pts2[:, 1]
-    area = 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-    return area
+def _pseudo_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Increasing function of atan2(y, x) on (-pi, pi], from + - * / only."""
+    den = np.abs(x) + np.abs(y)
+    p = y / np.where(den > 0.0, den, 1.0)
+    return np.where(x >= 0.0, p, np.where(y >= 0.0, 2.0 - p, -2.0 - p))
+
+
+def _volumes(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Volumes of one chunk, and which blocks touch the box (their last six planes)."""
+    verts, count = _vertices(N, D)
+    W = verts.shape[1]
+    valid = np.arange(W) < count[:, None]
+    scale = 1.0 + np.max(np.where(valid[..., None], np.abs(verts), 0.0), axis=(1, 2), initial=0.0)
+    tol = (_FACE_TOL * scale)[:, None, None]
+    resid = _dot(verts[:, None, :, :], N[:, :, None, :]) - D[:, :, None]
+    on = valid[:, None, :] & (np.abs(resid) <= tol)  # (B, planes, W)
+    on_count = on.sum(axis=2)
+    # a block with every vertex on one of its planes is flat: volume 0
+    closed = (count >= 4) & ~np.any(on_count == count[:, None], axis=1)
+    touching = (count >= 4) & np.any(on[:, -6:, :], axis=(1, 2))
+    # a plane repeated within the block bounds the same face: count it once
+    dn = N[:, :, None, :] - N[:, None, :, :]
+    same = (np.sqrt(_dot(dn, dn)) <= _PLANE_TOL) & (
+        np.abs(D[:, :, None] - D[:, None, :]) <= _PLANE_TOL * scale[:, None, None]
+    )
+    face = _first_kept(np.ones(D.shape, dtype=bool), same) & closed[:, None] & (on_count >= 3)
+
+    # orthonormal in-plane basis (u, w), deterministic given n
+    a = np.zeros_like(N)
+    big = np.abs(N[..., 0]) > 0.9
+    a[..., 0] = ~big
+    a[..., 1] = big
+    u = _cross(N, a)
+    length = np.sqrt(_dot(u, u))
+    u /= np.where(length > 0.0, length, 1.0)[..., None]
+    w = _cross(N, u)
+    masked = np.where(on[:, :, None, :], np.moveaxis(verts, 1, 2)[:, None], 0.0)
+    centroid = _seq_sum(masked)
+    centroid /= np.maximum(on_count, 1)[..., None]
+    rel = verts[:, None, :, :] - centroid[:, :, None, :]
+    XY = np.stack([_dot(rel, u[:, :, None, :]), _dot(rel, w[:, :, None, :])])
+    key = np.where(on, _pseudo_angle(*XY), np.inf)
+    XY = np.take_along_axis(XY, np.argsort(key, axis=2, kind="stable")[None], axis=3)
+    k = np.arange(W)
+    in_face = k < on_count[..., None]
+    nxt = np.where(k + 1 < on_count[..., None], k + 1, 0)
+    X, Y = XY
+    Xn, Yn = np.take_along_axis(XY, nxt[None], axis=3)
+    shoelace = _seq_sum(np.where(in_face, X * Yn, 0.0)) - _seq_sum(np.where(in_face, Y * Xn, 0.0))
+    area = np.where(face, 0.5 * np.abs(shoelace), 0.0)
+    # on a face with inward (n, d) the outward flux density x . (-n) is -d
+    volume = _seq_sum(np.where(face, -D * area, 0.0)) / 3.0
+    return np.where(closed & (volume > 0.0), volume, 0.0), touching
+
+
+def _with_box(normals, offsets, bbox: Bbox) -> tuple[np.ndarray, np.ndarray]:
+    """Normals (B, m + 6, 3) and offsets (B, m + 6) with the six box planes appended."""
+    box = bbox_halfspaces(*bbox)
+    N = np.asarray(normals, dtype=float)
+    D = np.asarray(offsets, dtype=float)
+    if N.ndim != 3 or N.shape[2] != 3 or D.shape != N.shape[:2]:
+        raise ValueError(f"need normals (B, m, 3) and offsets (B, m), got {N.shape}, {D.shape}")
+    B = D.shape[0]
+    box_n = np.broadcast_to(np.array([n for n, _ in box]), (B, len(box), 3))
+    box_d = np.broadcast_to(np.array([d for _, d in box]), (B, len(box)))
+    return np.concatenate([N, box_n], axis=1), np.concatenate([D, box_d], axis=1)
+
+
+def _chunk_size(m: int) -> int:
+    """Blocks per chunk: the (blocks, triples, planes) feasibility array stays under budget."""
+    return max(1, _CHUNK_ENTRIES // max(1, m * m * (m - 1) * (m - 2) // 6))
+
+
+def block_volumes(
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    bbox: Bbox,
+    allow_bbox_clip: bool = False,
+) -> np.ndarray:
+    """Volumes in cubic meters of B blocks with m half-spaces each, shape (B,).
+
+    normals has shape (B, m, 3) and offsets (B, m): block b is the set where
+    normals[b, i] . x >= offsets[b, i] for every i, closed by bbox.  A block
+    that is empty or lower-dimensional has volume 0.0.  Unless
+    allow_bbox_clip is set, a block touching the box raises
+    UnboundedBlockError naming every such block.  Each block's volume is
+    bit-identical to ``block_volume`` of that block alone.
+    """
+    N, D = _with_box(normals, offsets, bbox)
+    B, m = D.shape
+    step = _chunk_size(m)
+    out = np.zeros(B)
+    touching = np.zeros(B, dtype=bool)
+    for first in range(0, B, step):
+        sl = slice(first, first + step)
+        out[sl], touching[sl] = _volumes(N[sl], D[sl])
+    if not allow_bbox_clip and touching.any():
+        raise UnboundedBlockError(
+            f"block(s) {np.flatnonzero(touching).tolist()} touch the bounding box; "
+            "enlarge the box or allow clipping"
+        )
+    return out
+
+
+def _one_block(halfspaces: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+    normals = np.array([np.asarray(n, dtype=float) for n, _ in halfspaces]).reshape(1, -1, 3)
+    offsets = np.array([float(d) for _, d in halfspaces]).reshape(1, -1)
+    return normals, offsets
 
 
 def block_vertices(
-    halfspaces: Sequence[tuple[np.ndarray, float]],
-    bbox: tuple[Sequence[float], Sequence[float]],
+    halfspaces: Sequence[tuple[np.ndarray, float]], bbox: Bbox
 ) -> np.ndarray:
     """Vertices of the block closed by the bounding box, shape (k, 3)."""
-    planes = [(np.asarray(n, dtype=float), float(d)) for n, d in halfspaces]
-    return _enumerate_vertices(planes + bbox_halfspaces(*bbox))
+    N, D = _with_box(*_one_block(halfspaces), bbox)
+    verts, count = _vertices(N, D)
+    return verts[0, : count[0]]
 
 
 def block_volume(
     halfspaces: Sequence[tuple[np.ndarray, float]],
-    bbox: tuple[Sequence[float], Sequence[float]],
+    bbox: Bbox,
     allow_bbox_clip: bool = False,
 ) -> float:
     """Volume in cubic meters of the block cut out by the half-spaces.
 
     halfspaces are (inward unit normal, offset) pairs meaning n . x >= d.
-    Returns 0.0 for an empty or lower-dimensional region.
+    Returns 0.0 for an empty or lower-dimensional region.  This is
+    ``block_volumes`` for a batch of one.
     """
-    box_planes = bbox_halfspaces(*bbox)
-    planes = [(np.asarray(n, dtype=float), float(d)) for n, d in halfspaces]
-    all_planes = planes + box_planes
-    verts = _enumerate_vertices(all_planes)
-    if len(verts) < 4:
-        return 0.0
-    scale = 1.0 + float(np.max(np.abs(verts)))
-    if not allow_bbox_clip:
-        for n, d in box_planes:
-            if np.any(np.abs(verts @ n - d) <= 1e-6 * scale):
-                raise UnboundedBlockError(
-                    "block touches the bounding box; enlarge the box or allow clipping"
-                )
-    # divergence theorem: V = (1/3) * sum over faces of (x . n_out) * area,
-    # and on a face with inward (n, d) the outward flux density x . (-n) = -d
-    unique_planes: list[tuple[np.ndarray, float]] = []
-    for n, d in all_planes:
-        if any(
-            np.linalg.norm(n - n2) <= 1e-9 and abs(d - d2) <= 1e-9 * scale
-            for n2, d2 in unique_planes
-        ):
-            continue
-        unique_planes.append((n, d))
-    volume = 0.0
-    for n, d in unique_planes:
-        area = _face_area(verts, n, d, scale)
-        volume += (-d) * area
-    return max(0.0, volume / 3.0)
+    return float(block_volumes(*_one_block(halfspaces), bbox, allow_bbox_clip)[0])
 
 
 def monte_carlo_volume(
     halfspaces: Sequence[tuple[np.ndarray, float]],
-    bbox: tuple[Sequence[float], Sequence[float]],
+    bbox: Bbox,
     n_points: int,
     seed: int,
 ) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from ..kernel.mechanics import safety_factor, sliding_mode
 from ..kernel.orientation import Orientation, normal_from_orientation
 from ..kernel.pyramid import HalfSpaceSystem
-from ..kernel.tunnel import GRAVITY_DIR, TunnelSection
-from ..kernel.volume import block_volume
+from ..kernel.tunnel import GRAVITY_DIR, Facet, TunnelSection
+from ..kernel.volume import block_volume, block_volumes
 
 log = logging.getLogger(__name__)
 
@@ -74,29 +74,21 @@ class Sample:
         )
 
 
-def single_joint_case(
-    tunnel: TunnelSection,
+def _wedge(
+    facet: Facet,
+    boundary_point: np.ndarray,
     dip: float,
     dd: float,
     phi: float,
-    theta: float,
-    sf_cap: float = 5.0,
-    seed_offset: Optional[float] = None,
-) -> Sample:
-    """Kinematic analysis of the single-joint block at one boundary position.
-
-    Both sides of the joint are checked; a side counts only when its sliding
-    direction actually exits the rock through the facet.  The critical
-    (lowest) safety factor wins; if neither side can move, the stable
-    sentinel (the cap) is used.
-    """
-    facet, boundary_point = tunnel.facet_at_angle(theta % 360.0)
+    sf_cap: float,
+    seed_offset: Optional[float],
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Critical safety factor and the wedge's two half-spaces (normals, offsets)."""
     offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
     seed_point = boundary_point + offset * facet.inward_normal
     n = normal_from_orientation(Orientation(dip, dd % 360.0))
     e = facet.inward_normal
     r = np.asarray(GRAVITY_DIR)
-    bbox = tunnel.section_bbox()
 
     best_sf = math.inf
     best_side: Optional[str] = None
@@ -113,37 +105,75 @@ def single_joint_case(
             best_side = side
 
     volume_side = best_side if best_side is not None else "L"
-    sign = 1.0 if volume_side == "U" else -1.0
-    m = sign * n
-    halfspaces = [
-        (m, float(m @ seed_point)),
-        (e, float(e @ boundary_point)),
-    ]
-    volume = block_volume(halfspaces, bbox, allow_bbox_clip=True)
-    return Sample(dip, dd, phi, theta, volume, min(best_sf, sf_cap))
+    m = (1.0 if volume_side == "U" else -1.0) * n
+    normals = np.array([m, e])
+    offsets = np.array([float(m @ seed_point), float(e @ boundary_point)])
+    return min(best_sf, sf_cap), normals, offsets
 
 
-def _single_joint_case(
-    spec: DatasetSpec, dip: float, dd: float, phi: float, theta: float
+def single_joint_case(
+    tunnel: TunnelSection,
+    dip: float,
+    dd: float,
+    phi: float,
+    theta: float,
+    sf_cap: float = 5.0,
+    seed_offset: Optional[float] = None,
 ) -> Sample:
-    return single_joint_case(
-        spec.tunnel, dip, dd, phi, theta, spec.sf_cap, spec.seed_offset
-    )
+    """Kinematic analysis of the single-joint block at one boundary position.
+
+    Both sides of the joint are checked; a side counts only when its sliding
+    direction actually exits the rock through the facet.  The critical
+    (lowest) safety factor wins; if neither side can move, the stable
+    sentinel (the cap) is used.  The volume is that of the wedge cut by the
+    joint through the seed point and the facet, clipped by the section box.
+    """
+    facet, boundary_point = tunnel.facet_at_angle(theta % 360.0)
+    sf, normals, offsets = _wedge(facet, boundary_point, dip, dd, phi, sf_cap, seed_offset)
+    halfspaces = list(zip(normals, offsets))
+    volume = block_volume(halfspaces, tunnel.section_bbox(), allow_bbox_clip=True)
+    return Sample(dip, dd, phi, theta, volume, sf)
 
 
-def _draw_sample(spec: DatasetSpec, index: int) -> Sample:
+def _draw(spec: DatasetSpec, rng: np.random.Generator) -> tuple[float, float, float, float]:
+    # angles are kept unwrapped so the position feature stays continuous
+    # even when the configured range crosses 360
+    dip = rng.uniform(*spec.dip_range)
+    dd = rng.uniform(*spec.dip_direction_range)
+    phi = rng.uniform(*spec.friction_range)
+    theta = rng.uniform(*spec.angle_range)
+    return dip, dd, phi, theta
+
+
+def _stream(spec: DatasetSpec, index: int) -> np.random.Generator:
+    """Sample index's own random stream, keyed by (seed, index)."""
     key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _first_success(
+    spec: DatasetSpec,
+    index: int,
+    draw: tuple[float, float, float, float],
+    located: Optional[tuple[Facet, np.ndarray]],
+) -> tuple[tuple[float, float, float, float], float, np.ndarray, np.ndarray]:
+    """(draw, sf, normals, offsets) of the first draw whose kinematic analysis succeeds.
+
+    draw is the sample's first draw and located its facet and hit point,
+    when known.  Redraws continue the sample's stream after the first draw.
+    """
+    rng: Optional[np.random.Generator] = None
     last_error: Optional[Exception] = None
     for attempt in range(_MAX_REDRAWS):
-        # angles are kept unwrapped so the position feature stays continuous
-        # even when the configured range crosses 360
-        dip = rng.uniform(*spec.dip_range)
-        dd = rng.uniform(*spec.dip_direction_range)
-        phi = rng.uniform(*spec.friction_range)
-        theta = rng.uniform(*spec.angle_range)
+        if attempt:
+            if rng is None:
+                rng = _stream(spec, index)
+                _draw(spec, rng)  # the first draw, already tried
+            draw, located = _draw(spec, rng), None
+        dip, dd, phi, theta = draw
         try:
-            return _single_joint_case(spec, dip, dd, phi, theta)
+            facet, point = located or spec.tunnel.facet_at_angle(theta % 360.0)
+            return (draw,) + _wedge(facet, point, dip, dd, phi, spec.sf_cap, spec.seed_offset)
         except Exception as exc:
             last_error = exc
             log.warning("sample %d attempt %d failed: %s; redrawing", index, attempt, exc)
@@ -153,8 +183,29 @@ def _draw_sample(spec: DatasetSpec, index: int) -> Sample:
 
 
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
-    """Generate the dataset; identical output for identical (spec, seed)."""
-    return [_draw_sample(spec, i) for i in range(spec.sample_count)]
+    """Generate the dataset; identical output for identical (spec, seed).
+
+    Sample i draws from its own Philox stream keyed by (seed, i), so it does
+    not depend on the sample count.  The facets of all first draws are
+    looked up in one pass; a draw whose kinematic analysis fails is redrawn
+    from the same stream.  All wedge volumes then come from one
+    ``block_volumes`` call, bit-identical to ``single_joint_case``.
+    """
+    tunnel = spec.tunnel
+    facets = tunnel.facets()
+    draws = [_draw(spec, _stream(spec, i)) for i in range(spec.sample_count)]
+    hit, points = tunnel.facets_at_angles([d[3] % 360.0 for d in draws])
+    cases = [
+        _first_success(spec, i, draw, (facets[hit[i]], points[i]) if hit[i] >= 0 else None)
+        for i, draw in enumerate(draws)
+    ]
+    volumes = block_volumes(
+        np.array([c[2] for c in cases]),
+        np.array([c[3] for c in cases]),
+        tunnel.section_bbox(),
+        allow_bbox_clip=True,
+    )
+    return [Sample(*draw, float(v), sf) for (draw, sf, _, _), v in zip(cases, volumes)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -139,8 +139,28 @@ def init_model(
     return TskModel(mf_params, np.zeros((n_rules, d + 1)), input_names=names)
 
 
-def _memberships(model: TskModel, X: np.ndarray) -> list[np.ndarray]:
-    return [bell_membership(X[:, i], model.mf_params[i]) for i in range(model.input_count)]
+class PremiseState(NamedTuple):
+    """Memberships U (one (N, k_i) array per input) and raw and normalized strengths."""
+
+    U: list[np.ndarray]
+    w: np.ndarray
+    wbar: np.ndarray
+
+
+def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
+    """Memberships and firing strengths of the model's current premises on X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    U = [bell_membership(X[:, i], model.mf_params[i]) for i in range(model.input_count)]
+    idx = model.rule_mf_indices()
+    w = np.ones((X.shape[0], model.rule_count))
+    for i in range(model.input_count):
+        w *= U[i][:, idx[:, i]]
+    total = w.sum(axis=1)
+    wbar = np.empty_like(w)
+    ok = total > _W_TINY
+    wbar[ok] = w[ok] / total[ok, None]
+    wbar[~ok] = 1.0 / model.rule_count
+    return PremiseState(U, w, wbar)
 
 
 def firing_strengths(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,21 +169,7 @@ def firing_strengths(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     Normalized strengths sum to 1; if every rule underflows to zero the
     fallback is uniform weighting.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _strengths(model, _memberships(model, X))
-
-
-def _strengths(model: TskModel, U: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``firing_strengths`` from the per-input memberships U."""
-    idx = model.rule_mf_indices()
-    w = np.ones((U[0].shape[0], model.rule_count))
-    for i in range(model.input_count):
-        w = w * U[i][:, idx[:, i]]
-    total = w.sum(axis=1)
-    wbar = np.empty_like(w)
-    ok = total > _W_TINY
-    wbar[ok] = w[ok] / total[ok, None]
-    wbar[~ok] = 1.0 / model.rule_count
+    _, w, wbar = premise_state(model, X)
     return w, wbar
 
 
@@ -171,9 +177,13 @@ def forward_batch(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Predictions and normalized firing strengths for a batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _, wbar = firing_strengths(model, X)
+    return _predict(model, X, wbar), wbar
+
+
+def _predict(model: TskModel, X: np.ndarray, wbar: np.ndarray) -> np.ndarray:
     Xa = np.column_stack([X, np.ones(X.shape[0])])
     f = Xa @ model.consequents.T
-    return (wbar * f).sum(axis=1), wbar
+    return (wbar * f).sum(axis=1)
 
 
 def forward(model: TskModel, x: Sequence[float]) -> tuple[float, np.ndarray]:
@@ -185,50 +195,69 @@ def forward(model: TskModel, x: Sequence[float]) -> tuple[float, np.ndarray]:
     return float(y[0]), wbar[0]
 
 
-def rmse(model: TskModel, X: np.ndarray, y: np.ndarray) -> float:
-    pred, _ = forward_batch(model, X)
+def rmse(
+    model: TskModel, X: np.ndarray, y: np.ndarray, *, state: Optional[PremiseState] = None
+) -> float:
+    """Root mean squared error on (X, y); ``state`` as in ``lse_consequents``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    pred = _predict(model, X, (state or premise_state(model, X)).wbar)
     return float(np.sqrt(np.mean((pred - np.asarray(y, dtype=float)) ** 2)))
 
 
 def lse_consequents(
-    model: TskModel, X: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
+    model: TskModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    ridge: Optional[float] = None,
+    *,
+    state: Optional[PremiseState] = None,
 ) -> np.ndarray:
     """Globally optimal consequents for the current premises.
 
     With ridge=None: minimum-norm least squares via orthogonal factorization,
     falling back to a tiny ridge when the factorization itself fails.  A
     positive ridge switches to Tikhonov regression, which is what keeps the
-    rule grid from interpolating small datasets.
+    rule grid from interpolating small datasets.  state, if given, holds
+    the current premises' strengths on X and saves recomputing them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    _, wbar = firing_strengths(model, X)
+    wbar = (state or premise_state(model, X)).wbar
     Xa = np.column_stack([X, np.ones(X.shape[0])])
     phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(X.shape[0], -1)
     if ridge is not None and ridge > 0.0:
-        gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
-        theta = np.linalg.solve(gram, phi.T @ y)
+        theta = _ridge_solve(phi, y, ridge)
     else:
         try:
             theta, *_ = np.linalg.lstsq(phi, y, rcond=None)
         except np.linalg.LinAlgError:
-            gram = phi.T @ phi + _RIDGE * np.eye(phi.shape[1])
-            theta = np.linalg.solve(gram, phi.T @ y)
+            theta = _ridge_solve(phi, y, _RIDGE)
     return theta.reshape(model.rule_count, model.input_count + 1)
 
 
+def _ridge_solve(phi: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+    """Tikhonov solution of phi @ theta = y.
+
+    The ridge goes onto the Gram diagonal in place, so no second (P, P)
+    array is allocated next to phi.
+    """
+    gram = phi.T @ phi
+    gram[np.diag_indices_from(gram)] += ridge
+    return np.linalg.solve(gram, phi.T @ y)
+
+
 def premise_gradients(
-    model: TskModel, X: np.ndarray, y: np.ndarray
+    model: TskModel, X: np.ndarray, y: np.ndarray, *, state: Optional[PremiseState] = None
 ) -> list[np.ndarray]:
     """Analytic gradient of the mean squared error wrt (center, width, shape).
 
-    Returns one (k_i, 3) array per input, aligned with ``mf_params``.
+    Returns one (k_i, 3) array per input, aligned with ``mf_params``.  state,
+    if given, holds the current premises' memberships and strengths on X.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     N = X.shape[0]
-    U = _memberships(model, X)
-    w, wbar = _strengths(model, U)
+    U, w, wbar = state or premise_state(model, X)
     total = w.sum(axis=1)
     ok = total > _W_TINY
     idx = model.rule_mf_indices()
@@ -286,7 +315,8 @@ def train(
 
     Pass 1 of each epoch solves the consequents exactly; pass 2 is one batch
     gradient step on the premises.  The learning rate halves whenever the
-    epoch RMSE increases.
+    epoch RMSE increases.  Memberships and firing strengths are evaluated
+    once per premise setting and shared by both passes and the RMSE.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -298,15 +328,18 @@ def train(
     lr = learn_rate
     history: list[float] = []
     prev = math.inf
+    state = premise_state(model, X)
     for epoch in range(epochs):
-        model.consequents = lse_consequents(model, X, y, ridge)
-        grads = premise_gradients(model, X, y)
+        model.consequents = lse_consequents(model, X, y, ridge, state=state)
+        grads = premise_gradients(model, X, y, state=state)
         for i, g in enumerate(grads):
             p = model.mf_params[i]
             p[:, 0] -= lr * g[:, 0]
             p[:, 1] = np.maximum(p[:, 1] - lr * g[:, 1], 1e-6)
             p[:, 2] = np.clip(p[:, 2] - lr * g[:, 2], 0.1, 50.0)
-        value = rmse(model, X, y)
+        del state, grads  # one set of strengths alive at a time keeps peak memory flat
+        state = premise_state(model, X)
+        value = rmse(model, X, y, state=state)
         if not math.isfinite(value):
             raise TrainingError(
                 f"non-finite RMSE at epoch {epoch + 1} (learn rate {lr})"

@@ -18,6 +18,7 @@ from fuzzyblock.surrogate.model import (
     lse_consequents,
     mf_labels,
     model_from_dict,
+    model_json_text,
     model_to_dict,
     premise_gradients,
     rmse,
@@ -115,6 +116,43 @@ class TestTrain:
         model, history = train(init_model(2, 3, X), X, y, epochs=100)
         assert len(history) == 100
         assert history[-1] < 0.05
+
+    @pytest.mark.parametrize("ridge", [None, 0.01])
+    def test_shared_strengths_match_three_evaluation_loop(self, ridge):
+        # the loop as written before strengths were shared: lse, gradients and
+        # RMSE each evaluate the memberships and firing strengths themselves
+        rng = np.random.Generator(np.random.Philox(11))
+        X = rng.uniform(-1, 1, size=(60, 3))
+        y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2]
+        start = init_model(3, 2, X)
+        model, history = train(start, X, y, epochs=8, learn_rate=0.05, ridge=ridge)
+        ref = copy.deepcopy(start)
+        lr, prev, ref_history = 0.05, float("inf"), []
+        for _ in range(8):
+            ref.consequents = lse_consequents(ref, X, y, ridge)
+            for p, g in zip(ref.mf_params, premise_gradients(ref, X, y)):
+                p[:, 0] -= lr * g[:, 0]
+                p[:, 1] = np.maximum(p[:, 1] - lr * g[:, 1], 1e-6)
+                p[:, 2] = np.clip(p[:, 2] - lr * g[:, 2], 0.1, 50.0)
+            value = rmse(ref, X, y)
+            ref_history.append(value)
+            if value > prev:
+                lr *= 0.5
+            prev = value
+        assert history == ref_history
+        assert model_json_text(model) == model_json_text(ref)
+
+    def test_ridge_solution_matches_explicit_gram(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        X = rng.uniform(-1, 1, size=(50, 2))
+        y = np.cos(3 * X[:, 0]) * X[:, 1]
+        m = init_model(2, 3, X)
+        _, wbar = firing_strengths(m, X)
+        Xa = np.column_stack([X, np.ones(len(X))])
+        phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(len(X), -1)
+        gram = phi.T @ phi + 0.01 * np.eye(phi.shape[1])
+        expected = np.linalg.solve(gram, phi.T @ y).reshape(m.consequents.shape)
+        assert lse_consequents(m, X, y, 0.01).tobytes() == expected.tobytes()
 
     def test_premise_gradients_match_finite_differences(self):
         rng = np.random.Generator(np.random.Philox(7))

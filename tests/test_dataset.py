@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzyblock.kernel import TunnelSection
+from fuzzyblock.surrogate import dataset
 from fuzzyblock.surrogate.dataset import (
     FEATURE_NAMES,
     DatasetSpec,
@@ -66,6 +67,37 @@ class TestGeneration:
             )
             assert redo.sf == s.sf
             assert redo.volume_m3 == s.volume_m3
+
+    def test_samples_do_not_depend_on_the_batch(self):
+        assert generate_dataset(small_spec(count=60))[:25] == generate_dataset(small_spec(count=25))
+
+    def test_failed_attempt_redraws_only_that_sample(self, monkeypatch):
+        spec = small_spec(count=12)
+        baseline = generate_dataset(spec)
+        real = dataset.sliding_mode
+        calls = []
+
+        def failing_once(jp, r):
+            calls.append(1)
+            # every attempt analyzes two sides, so call 11 opens sample 5
+            if len(calls) == 11:
+                raise RuntimeError("injected failure")
+            return real(jp, r)
+
+        monkeypatch.setattr(dataset, "sliding_mode", failing_once)
+        redrawn = generate_dataset(spec)
+        monkeypatch.undo()
+        assert [s for k, s in enumerate(redrawn) if k != 5] == baseline[:5] + baseline[6:]
+        assert redrawn[5] != baseline[5]
+        # the redraw is the second draw of sample 5's own stream
+        key = np.array([spec.seed, 5], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        ranges = (spec.dip_range, spec.dip_direction_range, spec.friction_range, spec.angle_range)
+        first = [rng.uniform(*r) for r in ranges]
+        second = [rng.uniform(*r) for r in ranges]
+        assert [baseline[5].dip_deg, baseline[5].dipdir_deg, baseline[5].phi_deg,
+                baseline[5].angle_deg] == first
+        assert redrawn[5] == single_joint_case(spec.tunnel, *second, spec.sf_cap)
 
     def test_roof_positions_fall(self):
         # any position on an upward-facing facet admits vertical fall: sf 0

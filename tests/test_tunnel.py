@@ -57,6 +57,28 @@ class TestTunnelSection:
         facet, _ = SQUARE.facet_at_angle(268.0)
         assert facet.angle_deg == pytest.approx(270.0)
 
+    def test_facets_computed_once_and_frozen(self):
+        section = TunnelSection(SQUARE.vertices)
+        facets = section.facets()
+        assert isinstance(facets, tuple) and section.facets() is facets
+        with pytest.raises(ValueError):
+            facets[0].inward_normal[0] = 1.0
+        with pytest.raises(ValueError):
+            facets[0].midpoint += 1.0
+
+    def test_batched_lookup_matches_one_angle_form(self):
+        octagon = TunnelSection(
+            ((2, -1.2), (2, 1.2), (1.2, 2), (-1.2, 2), (-2, 1.2), (-2, -1.2), (-1.2, -2), (1.2, -2)),
+            axis_trend_deg=23.0,
+        )
+        rng = np.random.Generator(np.random.Philox(2))
+        thetas = list(rng.uniform(0, 360, 300)) + [0.0, 45.0, 90.0, 180.0, 270.0]
+        index, points = octagon.facets_at_angles(thetas)
+        for k, theta in enumerate(thetas):
+            facet, point = octagon.facet_at_angle(theta)
+            assert facet.index == index[k]
+            assert point.tobytes() == points[k].tobytes()
+
     def test_codes_lexicographic(self):
         assert all_codes(2) == ["LL", "LU", "UL", "UU"]
 

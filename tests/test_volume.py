@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from fuzzyblock.kernel.volume import (
     UnboundedBlockError,
     bbox_halfspaces,
     block_vertices,
     block_volume,
+    block_volumes,
     monte_carlo_volume,
 )
 
@@ -139,3 +143,111 @@ class TestBlockVolume:
         # 1e6-point estimator inside the 1% band
         mc = monte_carlo_volume(hs, ((-1.1, -1.1, -0.05), (1.1, 1.1, 1.05)), 1_000_000, seed=9)
         assert vol == pytest.approx(mc, rel=0.01)
+
+
+# Small-integer normals and dyadic offsets make duplicated, opposed and
+# coincident planes common, while keeping distinct vertices and planes far
+# apart compared with the kernel's 1e-7 and 1e-6 tolerances.
+PROPERTY_BOX = ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
+_normal = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+_plane = st.tuples(_normal, st.integers(-12, 4).map(lambda k: k / 8.0))
+
+
+@st.composite
+def block_batches(draw):
+    m = draw(st.integers(1, 6))
+    twist = draw(st.sampled_from(["none", "duplicate", "opposed"]))
+    blocks = draw(st.lists(st.lists(_plane, min_size=m, max_size=m), min_size=1, max_size=6))
+    normals, offsets = [], []
+    for planes in blocks:
+        if twist != "none":
+            n, d = planes[0]
+            planes = planes + [(n, d) if twist == "duplicate" else (tuple(-c for c in n), -d)]
+        ns = np.array([p[0] for p in planes], dtype=float)
+        ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+        normals.append(ns)
+        offsets.append([p[1] for p in planes])
+    return np.array(normals), np.array(offsets)
+
+
+def _hull_volume(halfspaces, box):
+    """Independent oracle: per-triple vertices of the box-closed block, then Qhull."""
+    verts = loop_vertices(halfspaces + bbox_halfspaces(*box), 1e-9)
+    if len(verts) < 4:
+        return 0.0, verts
+    try:
+        return ConvexHull(verts).volume, verts
+    except QhullError:  # all vertices coplanar: a flat block
+        return 0.0, verts
+
+
+def _touches_box(verts, box):
+    lo, hi = np.asarray(box[0]), np.asarray(box[1])
+    return len(verts) >= 4 and bool(
+        np.any(np.isclose(verts, lo, rtol=0, atol=1e-9) | np.isclose(verts, hi, rtol=0, atol=1e-9))
+    )
+
+
+class TestBlockVolumesProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(block_batches())
+    def test_one_block_bits_equal_batched(self, batch):
+        normals, offsets = batch
+        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
+        for b in range(len(offsets)):
+            hs = list(zip(normals[b], offsets[b]))
+            alone = block_volume(hs, PROPERTY_BOX, allow_bbox_clip=True)
+            assert got[b].tobytes() == np.float64(alone).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(block_batches())
+    def test_matches_convex_hull(self, batch):
+        normals, offsets = batch
+        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
+        touching = []
+        for b in range(len(offsets)):
+            hull, verts = _hull_volume(list(zip(normals[b], offsets[b])), PROPERTY_BOX)
+            assert got[b] == pytest.approx(hull, rel=1e-9, abs=1e-12)
+            if _touches_box(verts, PROPERTY_BOX):
+                touching.append(b)
+        if touching:
+            with pytest.raises(UnboundedBlockError, match=str(touching)):
+                block_volumes(normals, offsets, PROPERTY_BOX)
+        else:
+            clean = block_volumes(normals, offsets, PROPERTY_BOX)
+            assert clean.tobytes() == got.tobytes()
+
+    def test_degenerate_kinds(self):
+        z = np.array([0.0, 0.0, 1.0])
+        x = np.array([1.0, 0.0, 0.0])
+        y = np.array([0.0, 1.0, 0.0])
+        tilted = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+        normals = np.array([
+            [x, -x, y, -y, z, -z, x],  # unit cube with a duplicated plane
+            [x, -x, y, -y, tilted, -tilted, z],  # coincident opposed tilted planes
+            [x, -x, y, -y, z, -z, z],  # empty: z >= 0.5 and z <= 0.25
+        ])
+        offsets = np.array([
+            [0.0, -1.0, 0.0, -1.0, 0.0, -1.0, 0.0],
+            [0.0, -1.0, 0.0, -1.0, 0.3, -0.3, 0.0],
+            [0.0, -1.0, 0.0, -1.0, 0.5, -0.25, 0.0],
+        ])
+        got = block_volumes(normals, offsets, PROPERTY_BOX)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        assert got[1] == 0.0 and got[2] == 0.0
+        assert str(got[1]) == "0.0"  # not -0.0
+
+    def test_chunked_batch_equals_single_blocks(self):
+        # more blocks than one chunk holds, so the batch is split
+        rng = np.random.Generator(np.random.Philox(3))
+        normals = rng.normal(size=(400, 5, 3))
+        normals /= np.linalg.norm(normals, axis=2, keepdims=True)
+        offsets = rng.uniform(-0.8, 0.1, size=(400, 5))
+        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
+        for b in range(0, 400, 37):
+            hs = list(zip(normals[b], offsets[b]))
+            assert got[b] == block_volume(hs, PROPERTY_BOX, allow_bbox_clip=True)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            block_volumes(np.zeros((2, 3, 3)), np.zeros((2, 4)), PROPERTY_BOX)
