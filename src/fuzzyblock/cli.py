@@ -95,14 +95,7 @@ def _fmtnum(v: Optional[float]) -> str:
 def _sweep(cfg: ProjectConfig):
     if not cfg.joints:
         raise CliDataError("project has no crisp joints; add a 'joints' section")
-    bbox = (
-        cfg.tunnel.section_bbox(margin=cfg.bbox_margin_m)
-        if cfg.bbox_margin_m is not None
-        else None
-    )
-    return enumerate_tunnel_blocks(
-        cfg.joints, cfg.tunnel, seed_offset=cfg.seed_offset_m, bbox=bbox
-    )
+    return enumerate_tunnel_blocks(cfg.joints, cfg.tunnel, seed_offset=cfg.seed_offset_m)
 
 
 def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
@@ -117,10 +110,13 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
             _fmtnum(r.safety_factor),
             _fmtnum(r.volume_m3),
             _fmtnum(r.facet_angle_deg),
+            int(r.boundary_pyramid),
+            r.error or "",
         )
         for r in records
     ]
-    text = _csv_text(("facet", "code", "class", "mode", "sf", "volume", "angle"), rows)
+    header = ("facet", "code", "class", "mode", "sf", "volume", "angle", "boundary", "error")
+    text = _csv_text(header, rows)
     atomic_write_text(args.out, text)
     return 0
 

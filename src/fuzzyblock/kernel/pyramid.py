@@ -15,7 +15,9 @@ generate the cone, so it has an interior exactly when their sum is strictly
 feasible; otherwise it is boundary-only and a feasible candidate is the
 witness.  Flipping the sign of a normal maps the candidates onto
 themselves, so one candidate matrix decides every sign pattern of a normal
-set (every block code) at once.
+set (every block code) at once.  ``cones_nonempty`` applies the same
+candidates to a batch of row sets, one cone each: the recession cones that
+decide whether blocks are bounded.
 """
 from __future__ import annotations
 
@@ -97,6 +99,30 @@ def edge_rays(rows: np.ndarray) -> np.ndarray:
         return np.where(norms > _CROSS_TOL, rays / norms, np.nan)
 
 
+def _candidates(normals: np.ndarray) -> np.ndarray:
+    """Edge rays of the normals plus the coordinate axes, with both signs.
+
+    normals has shape (..., m, d); returns (..., K, d), NaN where a ray is
+    undefined.  This is the candidate set that meets every nonempty cone.
+    """
+    d = normals.shape[-1]
+    axes = np.broadcast_to(np.eye(d), normals.shape[:-2] + (d, d))
+    k = edge_rays(np.concatenate([normals, axes], axis=-2))
+    return np.concatenate([k, -k], axis=-2)
+
+
+def cones_nonempty(normals: np.ndarray) -> np.ndarray:
+    """Decide {v != 0 : n_i . v >= 0 for all i} for each row set, shape (B,).
+
+    normals has shape (B, m, d): one cone test per row set, with the
+    candidates and tolerance of ``signed_cones``, so both agree on a cone.
+    """
+    normals = np.asarray(normals, dtype=float)
+    margins = _candidates(normals) @ np.swapaxes(normals, -1, -2)
+    # a NaN candidate compares False and is never feasible
+    return np.all(margins >= -_TOL, axis=-1).any(axis=-1)
+
+
 def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
     """Decide {v != 0 : signs[c, i] * n_i . v >= 0} for every sign row c at once.
 
@@ -110,9 +136,8 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
         witness = np.zeros((len(signs), normals.shape[1]))
         witness[:, -1] = 1.0
         return SignedCones(np.ones(len(signs), bool), np.zeros(len(signs), bool), witness)
-    k = edge_rays(np.vstack([normals, np.eye(normals.shape[1])]))
+    k = _candidates(normals)
     k = k[~np.isnan(k[:, 0])]
-    k = np.vstack([k, -k])
     margins = k @ normals.T
     # ray k violates +n_i when its margin is below -tol, -n_i when above +tol
     breaks = np.hstack([margins < -_TOL, margins > _TOL]).T.astype(float)

@@ -175,21 +175,19 @@ class TunnelSection:
             raise ValueError(f"no facet found at angle {theta_deg}")
         return self.facets()[index[0]], points[0]
 
-    def section_bbox(
-        self, margin: Optional[float] = None, axis_extent: Optional[float] = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned world box around the section, padded into the rock."""
+    def section_bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        """Axis-aligned world box around the section, padded into the rock.
+
+        The padding is the section's larger extent across the section and
+        1.5 times it along the axis, either way.
+        """
         us = [v[0] for v in self.vertices]
         ws = [v[1] for v in self.vertices]
         extent = max(max(us) - min(us), max(ws) - min(ws))
-        if margin is None:
-            margin = extent
-        if axis_extent is None:
-            axis_extent = 1.5 * extent
         corners = []
-        for u in (min(us) - margin, max(us) + margin):
-            for w in (min(ws) - margin, max(ws) + margin):
-                for s in (-axis_extent, axis_extent):
+        for u in (min(us) - extent, max(us) + extent):
+            for w in (min(ws) - extent, max(ws) + extent):
+                for s in (-1.5 * extent, 1.5 * extent):
                     corners.append(self.to_world(u, w, s))
         corners = np.array(corners)
         return corners.min(axis=0), corners.max(axis=0)
@@ -240,7 +238,6 @@ def enumerate_tunnel_blocks(
     tunnel: TunnelSection,
     resultant: Sequence[float] = GRAVITY_DIR,
     seed_offset: Optional[float] = None,
-    bbox: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> list[BlockRecord]:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
@@ -248,15 +245,16 @@ def enumerate_tunnel_blocks(
     test, mode and safety factor of a code are computed once for all facets.
     Removable blocks get mode, safety factor, and the volume of the block
     whose joints all pass through a seed point offset into the rock from the
-    facet midpoint (a quarter of the edge length unless overridden); the
-    volumes of all of them come from one ``block_volumes`` call.  A mode or
+    facet midpoint (a quarter of the edge length unless overridden).  A
+    removable block's recession cone is its empty block pyramid, so the
+    block is bounded and its volume is exact, with no box; the volumes of
+    all of them come from one ``block_volumes`` call.  A mode or
     safety-factor failure is recorded on the affected record and never
     aborts the sweep.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
     records: list[BlockRecord] = []
-    box = bbox if bbox is not None else tunnel.section_bbox()
     frictions = [j.friction_deg for j in joints]
     codes = all_codes(len(joints))
     signs = np.array([code_signs(code) for code in codes]).reshape(len(codes), len(joints))
@@ -293,9 +291,7 @@ def enumerate_tunnel_blocks(
                 + [float(facet.inward_normal @ facet.midpoint)]
             )
     if sized:
-        volumes = block_volumes(
-            np.array(block_normals), np.array(block_offsets), box, allow_bbox_clip=True
-        )
+        volumes = block_volumes(np.array(block_normals), np.array(block_offsets))
         for rec, volume in zip(sized, volumes):
             rec.volume_m3 = float(volume)
     return records

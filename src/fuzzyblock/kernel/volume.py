@@ -1,8 +1,13 @@
 """Convex block volumes from half-space descriptions, computed in batches.
 
-A block is the intersection of half-spaces n . x >= d (inward normals),
-closed by an axis-aligned bounding box.  ``block_volumes`` takes a batch of
-blocks that share a plane count and, for all of them at once,
+A block is the intersection of half-spaces n . x >= d (inward normals).  It
+is bounded exactly when its recession cone {v : n . v >= 0 for every plane}
+is the zero vector alone; for a removable key block that cone is the block
+pyramid, which is empty, so no bounding box is needed.  ``block_volumes``
+first decides every block's recession cone with ``cones_nonempty`` (the
+candidates and tolerance of the crisp classification) and raises
+``UnboundedBlockError`` naming every unbounded block.  Then, for all blocks
+at once, it
 
 1. solves every plane triple (``np.linalg.solve``, one 3x3 system at a time
    inside LAPACK) and keeps the solutions that satisfy every plane;
@@ -24,9 +29,6 @@ calls.  ``block_volume`` and ``block_vertices`` are the one-block form of
 the same routine.  Blocks are processed in chunks whose (block, plane
 triple, plane) feasibility array has at most ``_CHUNK_ENTRIES`` entries, so
 the temporary arrays stay near 1 MB whatever the batch size.
-
-Contact with the box means the true block escapes; that is an error unless
-clipping is explicitly allowed.
 """
 from __future__ import annotations
 
@@ -36,17 +38,26 @@ from typing import Sequence
 
 import numpy as np
 
+from .pyramid import cones_nonempty
+
 FEAS_TOL = 1e-9
 _VERTEX_TOL = 1e-7  # vertices closer than this (times scale) are one vertex
 _FACE_TOL = 1e-6  # a vertex this close (times scale) to a plane lies on its face
 _PLANE_TOL = 1e-9  # planes closer than this are one face
 _CHUNK_ENTRIES = 1 << 14
 
-Bbox = tuple[Sequence[float], Sequence[float]]
+Halfspaces = Sequence[tuple[np.ndarray, float]]
 
 
 class UnboundedBlockError(RuntimeError):
-    """The block reaches the bounding box, so its true extent is not captured."""
+    """Some blocks have a nonzero recession direction; ``blocks`` lists their indices."""
+
+    def __init__(self, blocks: Sequence[int]) -> None:
+        self.blocks = tuple(int(b) for b in blocks)
+        super().__init__(
+            f"block(s) {list(self.blocks)} are unbounded: their recession cone "
+            "holds a nonzero direction"
+        )
 
 
 def bbox_halfspaces(
@@ -113,6 +124,12 @@ def _pack(values: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(values, order[..., None], axis=1), count
 
 
+def _slices(B: int, per_block: int) -> list[slice]:
+    """Ranges of B blocks holding at most ``_CHUNK_ENTRIES`` entries (and at least one block)."""
+    step = max(1, _CHUNK_ENTRIES // max(1, per_block))
+    return [slice(first, first + step) for first in range(0, B, step)]
+
+
 @functools.lru_cache(maxsize=None)
 def _triples(m: int) -> np.ndarray:
     """All index triples i < j < k below m, in lexicographic order, read-only."""
@@ -134,10 +151,16 @@ def _vertices(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     feasible = regular & np.all(lhs >= floor[:, None, :], axis=2)
     verts, count = _pack(x, feasible)
     # >3 planes through one point give that vertex several times: keep the
-    # first, and drop any vertex close to an earlier kept one
-    dist2 = sum((verts[:, :, None, k] - verts[:, None, :, k]) ** 2 for k in range(3))
-    close = np.sqrt(dist2) <= _VERTEX_TOL * scale[:, None, None]
-    return _pack(verts, _first_kept(np.arange(verts.shape[1]) < count[:, None], close))
+    # first, and drop any vertex close to an earlier kept one.  A block's
+    # planes may all meet at one apex, so the (block, vertex, vertex)
+    # distances are chunked by the packed width too.
+    W = verts.shape[1]
+    keep = np.arange(W) < count[:, None]
+    for sl in _slices(len(verts), W * W):
+        v = verts[sl]
+        dist2 = sum((v[:, :, None, k] - v[:, None, :, k]) ** 2 for k in range(3))
+        keep[sl] = _first_kept(keep[sl], np.sqrt(dist2) <= _VERTEX_TOL * scale[sl, None, None])
+    return _pack(verts, keep)
 
 
 def _pseudo_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,8 +170,8 @@ def _pseudo_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, p, np.where(y >= 0.0, 2.0 - p, -2.0 - p))
 
 
-def _volumes(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Volumes of one chunk, and which blocks touch the box (their last six planes)."""
+def _volumes(N: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Volumes of one chunk of bounded blocks."""
     verts, count = _vertices(N, D)
     W = verts.shape[1]
     valid = np.arange(W) < count[:, None]
@@ -159,7 +182,6 @@ def _volumes(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on_count = on.sum(axis=2)
     # a block with every vertex on one of its planes is flat: volume 0
     closed = (count >= 4) & ~np.any(on_count == count[:, None], axis=1)
-    touching = (count >= 4) & np.any(on[:, -6:, :], axis=(1, 2))
     # a plane repeated within the block bounds the same face: count it once
     dn = N[:, :, None, :] - N[:, None, :, :]
     same = (np.sqrt(_dot(dn, dn)) <= _PLANE_TOL) & (
@@ -192,90 +214,74 @@ def _volumes(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     area = np.where(face, 0.5 * np.abs(shoelace), 0.0)
     # on a face with inward (n, d) the outward flux density x . (-n) is -d
     volume = _seq_sum(np.where(face, -D * area, 0.0)) / 3.0
-    return np.where(closed & (volume > 0.0), volume, 0.0), touching
+    return np.where(closed & (volume > 0.0), volume, 0.0)
 
 
-def _with_box(normals, offsets, bbox: Bbox) -> tuple[np.ndarray, np.ndarray]:
-    """Normals (B, m + 6, 3) and offsets (B, m + 6) with the six box planes appended."""
-    box = bbox_halfspaces(*bbox)
+def _as_batch(normals, offsets) -> tuple[np.ndarray, np.ndarray]:
     N = np.asarray(normals, dtype=float)
     D = np.asarray(offsets, dtype=float)
     if N.ndim != 3 or N.shape[2] != 3 or D.shape != N.shape[:2]:
         raise ValueError(f"need normals (B, m, 3) and offsets (B, m), got {N.shape}, {D.shape}")
-    B = D.shape[0]
-    box_n = np.broadcast_to(np.array([n for n, _ in box]), (B, len(box), 3))
-    box_d = np.broadcast_to(np.array([d for _, d in box]), (B, len(box)))
-    return np.concatenate([N, box_n], axis=1), np.concatenate([D, box_d], axis=1)
+    return N, D
 
 
-def _chunk_size(m: int) -> int:
-    """Blocks per chunk: the (blocks, triples, planes) feasibility array stays under budget."""
-    return max(1, _CHUNK_ENTRIES // max(1, m * m * (m - 1) * (m - 2) // 6))
+def _require_bounded(N: np.ndarray, chunks: list[slice]) -> None:
+    """Raise UnboundedBlockError naming every block whose recession cone is nontrivial."""
+    unbounded = np.zeros(len(N), dtype=bool)
+    for sl in chunks:
+        unbounded[sl] = cones_nonempty(N[sl])
+    if unbounded.any():
+        raise UnboundedBlockError(np.flatnonzero(unbounded))
 
 
-def block_volumes(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    bbox: Bbox,
-    allow_bbox_clip: bool = False,
-) -> np.ndarray:
+def block_volumes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Volumes in cubic meters of B blocks with m half-spaces each, shape (B,).
 
     normals has shape (B, m, 3) and offsets (B, m): block b is the set where
-    normals[b, i] . x >= offsets[b, i] for every i, closed by bbox.  A block
-    that is empty or lower-dimensional has volume 0.0.  Unless
-    allow_bbox_clip is set, a block touching the box raises
-    UnboundedBlockError naming every such block.  Each block's volume is
-    bit-identical to ``block_volume`` of that block alone.
+    normals[b, i] . x >= offsets[b, i] for every i.  A block that is empty
+    or lower-dimensional has volume 0.0.  If any block's recession cone
+    {v : normals[b] v >= 0} holds a nonzero vector, UnboundedBlockError
+    names every such block.  Each block's volume is bit-identical to
+    ``block_volume`` of that block alone.
     """
-    N, D = _with_box(normals, offsets, bbox)
+    N, D = _as_batch(normals, offsets)
     B, m = D.shape
-    step = _chunk_size(m)
-    out = np.zeros(B)
-    touching = np.zeros(B, dtype=bool)
-    for first in range(0, B, step):
-        sl = slice(first, first + step)
-        out[sl], touching[sl] = _volumes(N[sl], D[sl])
-    if not allow_bbox_clip and touching.any():
-        raise UnboundedBlockError(
-            f"block(s) {np.flatnonzero(touching).tolist()} touch the bounding box; "
-            "enlarge the box or allow clipping"
-        )
+    chunks = _slices(B, len(_triples(m)) * m)  # the (block, triple, plane) feasibility array
+    _require_bounded(N, chunks)
+    out = np.zeros(len(D))
+    for sl in chunks:
+        out[sl] = _volumes(N[sl], D[sl])
     return out
 
 
-def _one_block(halfspaces: Sequence[tuple[np.ndarray, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _one_block(halfspaces: Halfspaces) -> tuple[np.ndarray, np.ndarray]:
     normals = np.array([np.asarray(n, dtype=float) for n, _ in halfspaces]).reshape(1, -1, 3)
     offsets = np.array([float(d) for _, d in halfspaces]).reshape(1, -1)
     return normals, offsets
 
 
-def block_vertices(
-    halfspaces: Sequence[tuple[np.ndarray, float]], bbox: Bbox
-) -> np.ndarray:
-    """Vertices of the block closed by the bounding box, shape (k, 3)."""
-    N, D = _with_box(*_one_block(halfspaces), bbox)
+def block_vertices(halfspaces: Halfspaces) -> np.ndarray:
+    """Vertices of the bounded block, shape (k, 3); raises UnboundedBlockError."""
+    N, D = _one_block(halfspaces)
+    _require_bounded(N, [slice(0, 1)])
     verts, count = _vertices(N, D)
     return verts[0, : count[0]]
 
 
-def block_volume(
-    halfspaces: Sequence[tuple[np.ndarray, float]],
-    bbox: Bbox,
-    allow_bbox_clip: bool = False,
-) -> float:
+def block_volume(halfspaces: Halfspaces) -> float:
     """Volume in cubic meters of the block cut out by the half-spaces.
 
     halfspaces are (inward unit normal, offset) pairs meaning n . x >= d.
-    Returns 0.0 for an empty or lower-dimensional region.  This is
-    ``block_volumes`` for a batch of one.
+    Returns 0.0 for an empty or lower-dimensional region and raises
+    UnboundedBlockError for an unbounded one.  This is ``block_volumes``
+    for a batch of one.
     """
-    return float(block_volumes(*_one_block(halfspaces), bbox, allow_bbox_clip)[0])
+    return float(block_volumes(*_one_block(halfspaces))[0])
 
 
 def monte_carlo_volume(
-    halfspaces: Sequence[tuple[np.ndarray, float]],
-    bbox: Bbox,
+    halfspaces: Halfspaces,
+    bbox: tuple[Sequence[float], Sequence[float]],
     n_points: int,
     seed: int,
 ) -> float:

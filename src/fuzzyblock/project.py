@@ -4,8 +4,9 @@ Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
 range-checked with a diagnostic naming the offending key path.  Keys that
 schema version 1 accepts and checks but no computation reads
-(``resolution``, ``unit_weight_kn_m3``, joint ``location``) are logged as
-ignored; fuzzy ``friction_deg`` is required and checked but not read yet.
+(``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
+``location``) are logged as ignored; fuzzy ``friction_deg`` is required and
+checked but not read yet.
 """
 from __future__ import annotations
 
@@ -123,7 +124,6 @@ class ProjectConfig:
     delta_variant: str = "paper"
     label_thresholds: tuple[float, float, float] = DEFAULT_LABEL_THRESHOLDS
     seed_offset_m: Optional[float] = None
-    bbox_margin_m: Optional[float] = None
 
 
 _TOP_KEYS = {
@@ -419,11 +419,11 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         seed_offset = _number(seed_offset, "$.seed_offset_m")
         if seed_offset <= 0.0:
             raise ProjectSemanticError("$.seed_offset_m must be positive")
-    bbox_margin = doc.get("bbox_margin_m")
-    if bbox_margin is not None:
-        bbox_margin = _number(bbox_margin, "$.bbox_margin_m")
-        if bbox_margin <= 0.0:
+    if doc.get("bbox_margin_m") is not None:
+        if _number(doc["bbox_margin_m"], "$.bbox_margin_m") <= 0.0:
             raise ProjectSemanticError("$.bbox_margin_m must be positive")
+        log.warning("$.bbox_margin_m is ignored: removable blocks are bounded, "
+                    "so volumes need no box")
 
     dataset = None
     if "dataset" in doc:
@@ -455,7 +455,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         delta_variant=variant,
         label_thresholds=thresholds,
         seed_offset_m=seed_offset,
-        bbox_margin_m=bbox_margin,
     )
 
 

@@ -21,7 +21,7 @@ from ..kernel.mechanics import safety_factor, sliding_mode
 from ..kernel.orientation import Orientation, normal_from_orientation
 from ..kernel.pyramid import HalfSpaceSystem
 from ..kernel.tunnel import GRAVITY_DIR, Facet, TunnelSection
-from ..kernel.volume import block_volume, block_volumes
+from ..kernel.volume import bbox_halfspaces, block_volume, block_volumes
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +74,20 @@ class Sample:
         )
 
 
+Planes = tuple[np.ndarray, np.ndarray]  # normals (m, 3), offsets (m,)
+
+
+def _section_box(tunnel: TunnelSection) -> Planes:
+    """The six planes of the section box, which closes every sample's wedge.
+
+    A joint plane and a facet plane alone bound an unbounded dihedral wedge;
+    until the dataset states a physical closure, the box around the section
+    stands in for one.
+    """
+    planes = bbox_halfspaces(*tunnel.section_bbox())
+    return np.array([n for n, _ in planes]), np.array([d for _, d in planes])
+
+
 def _wedge(
     facet: Facet,
     boundary_point: np.ndarray,
@@ -82,8 +96,12 @@ def _wedge(
     phi: float,
     sf_cap: float,
     seed_offset: Optional[float],
+    box: Planes,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Critical safety factor and the wedge's two half-spaces (normals, offsets)."""
+    """Critical safety factor and the wedge's half-spaces (normals, offsets).
+
+    The joint and facet planes come first, then the box planes.
+    """
     offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
     seed_point = boundary_point + offset * facet.inward_normal
     n = normal_from_orientation(Orientation(dip, dd % 360.0))
@@ -106,8 +124,8 @@ def _wedge(
 
     volume_side = best_side if best_side is not None else "L"
     m = (1.0 if volume_side == "U" else -1.0) * n
-    normals = np.array([m, e])
-    offsets = np.array([float(m @ seed_point), float(e @ boundary_point)])
+    normals = np.vstack([m, e, box[0]])
+    offsets = np.concatenate([[float(m @ seed_point), float(e @ boundary_point)], box[1]])
     return min(best_sf, sf_cap), normals, offsets
 
 
@@ -126,12 +144,13 @@ def single_joint_case(
     direction actually exits the rock through the facet.  The critical
     (lowest) safety factor wins; if neither side can move, the stable
     sentinel (the cap) is used.  The volume is that of the wedge cut by the
-    joint through the seed point and the facet, clipped by the section box.
+    joint through the seed point and the facet, closed by the section box.
     """
     facet, boundary_point = tunnel.facet_at_angle(theta % 360.0)
-    sf, normals, offsets = _wedge(facet, boundary_point, dip, dd, phi, sf_cap, seed_offset)
-    halfspaces = list(zip(normals, offsets))
-    volume = block_volume(halfspaces, tunnel.section_bbox(), allow_bbox_clip=True)
+    sf, normals, offsets = _wedge(
+        facet, boundary_point, dip, dd, phi, sf_cap, seed_offset, _section_box(tunnel)
+    )
+    volume = block_volume(list(zip(normals, offsets)))
     return Sample(dip, dd, phi, theta, volume, sf)
 
 
@@ -156,11 +175,13 @@ def _first_success(
     index: int,
     draw: tuple[float, float, float, float],
     located: Optional[tuple[Facet, np.ndarray]],
+    box: Planes,
 ) -> tuple[tuple[float, float, float, float], float, np.ndarray, np.ndarray]:
     """(draw, sf, normals, offsets) of the first draw whose kinematic analysis succeeds.
 
     draw is the sample's first draw and located its facet and hit point,
-    when known.  Redraws continue the sample's stream after the first draw.
+    when known; box closes the wedge.  Redraws continue the sample's stream
+    after the first draw.
     """
     rng: Optional[np.random.Generator] = None
     last_error: Optional[Exception] = None
@@ -173,7 +194,9 @@ def _first_success(
         dip, dd, phi, theta = draw
         try:
             facet, point = located or spec.tunnel.facet_at_angle(theta % 360.0)
-            return (draw,) + _wedge(facet, point, dip, dd, phi, spec.sf_cap, spec.seed_offset)
+            return (draw,) + _wedge(
+                facet, point, dip, dd, phi, spec.sf_cap, spec.seed_offset, box
+            )
         except Exception as exc:
             last_error = exc
             log.warning("sample %d attempt %d failed: %s; redrawing", index, attempt, exc)
@@ -193,18 +216,16 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     """
     tunnel = spec.tunnel
     facets = tunnel.facets()
+    box = _section_box(tunnel)
     draws = [_draw(spec, _stream(spec, i)) for i in range(spec.sample_count)]
     hit, points = tunnel.facets_at_angles([d[3] % 360.0 for d in draws])
     cases = [
-        _first_success(spec, i, draw, (facets[hit[i]], points[i]) if hit[i] >= 0 else None)
+        _first_success(
+            spec, i, draw, (facets[hit[i]], points[i]) if hit[i] >= 0 else None, box
+        )
         for i, draw in enumerate(draws)
     ]
-    volumes = block_volumes(
-        np.array([c[2] for c in cases]),
-        np.array([c[3] for c in cases]),
-        tunnel.section_bbox(),
-        allow_bbox_clip=True,
-    )
+    volumes = block_volumes(np.array([c[2] for c in cases]), np.array([c[3] for c in cases]))
     return [Sample(*draw, float(v), sf) for (draw, sf, _, _), v in zip(cases, volumes)]
 
 

@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+
+from fuzzyblock.kernel.volume import monte_carlo_volume
 
 _ACCEPTANCE_RESULTS = []
 
@@ -47,6 +50,21 @@ def standard_project_dict():
         },
         "delta_variant": "paper",
     }
+
+
+def principal_frame_monte_carlo(halfspaces, verts, n_points, seed, pad=0.05):
+    """Monte-Carlo volume of a block, sampled in the principal-axis frame of its vertices.
+
+    Rotating the block onto its principal axes preserves its volume, and the
+    padded axis-aligned box around the rotated vertices fits a long sliver
+    far better than a world-aligned box, so the estimator's standard error
+    stays well below 1%.
+    """
+    centered = verts - verts.mean(axis=0)
+    rotation = np.linalg.svd(centered)[2]  # rows are the principal axes
+    rotated = verts @ rotation.T
+    box = (rotated.min(axis=0) - pad, rotated.max(axis=0) + pad)
+    return monte_carlo_volume([(rotation @ n, d) for n, d in halfspaces], box, n_points, seed)
 
 
 @pytest.fixture

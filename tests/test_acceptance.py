@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from conftest import record_acceptance
+from conftest import principal_frame_monte_carlo, record_acceptance
 from hull_oracle import hull_feasible
 
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
@@ -30,7 +30,6 @@ from fuzzyblock.kernel import (
     TunnelSection,
     classify_block,
     joint_pyramid,
-    monte_carlo_volume,
     pyramid_nonempty,
     safety_factor,
     sliding_mode,
@@ -259,7 +258,6 @@ def test_criterion_5_mechanics_anchors():
     checks.append((abs(sf_wedge - 3.62) < 0.01, f"wedge S.F {sf_wedge} far from 3.62"))
 
     rng = np.random.Generator(np.random.Philox(109))
-    box = ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     vol_checked = 0
     worst_rel = 0.0
     while vol_checked < 4:
@@ -267,17 +265,14 @@ def test_criterion_5_mechanics_anchors():
         offsets = rng.uniform(-0.8, 0.1, size=5)
         hs = [(normals[i], float(offsets[i])) for i in range(5)]
         try:
-            vol = block_volume(hs, box)
+            vol = block_volume(hs)
         except UnboundedBlockError:
             continue
         if vol < 0.5:
             continue
         # sample inside a tight box around the block so the estimator's
         # standard error stays well below the 1% acceptance band
-        verts = block_vertices(hs, box)
-        pad = 0.05
-        mc_box = (verts.min(axis=0) - pad, verts.max(axis=0) + pad)
-        mc = monte_carlo_volume(hs, mc_box, 1_000_000, seed=vol_checked)
+        mc = principal_frame_monte_carlo(hs, block_vertices(hs), 1_000_000, seed=vol_checked)
         worst_rel = max(worst_rel, abs(vol - mc) / mc)
         vol_checked += 1
     checks.append(

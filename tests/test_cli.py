@@ -30,8 +30,23 @@ class TestKbtCommands:
         out = str(tmp_path / "blocks.csv")
         assert main(["kbt", "analyze", "-p", proj, "-o", out]) == 0
         header, rows = read_csv(out)
-        assert header == ["facet", "code", "class", "mode", "sf", "volume", "angle"]
+        assert header == ["facet", "code", "class", "mode", "sf", "volume", "angle",
+                          "boundary", "error"]
         assert len(rows) == 8 * 8  # facets x 2^n codes
+        assert {r[7] for r in rows} == {"0", "1"}
+        assert all(r[8] == "" for r in rows)
+
+    def test_analyze_writes_record_errors(self, tmp_path):
+        # J1 opposed to its parallel copy J4 fails the wedge reactions of some codes
+        doc = standard_project_dict()
+        doc["joints"].append(dict(doc["joints"][0], id="J4"))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "blocks.csv")
+        assert main(["kbt", "analyze", "-p", str(path), "-o", out]) == 0
+        _, rows = read_csv(out)
+        failed = [r for r in rows if r[8]]
+        assert failed and all(r[2] == "removable" and r[4] == "" and r[5] == "" for r in failed)
 
     def test_analyze_finds_removable_roof(self, tmp_path):
         proj = small_project(tmp_path)
@@ -48,6 +63,23 @@ class TestKbtCommands:
         header, rows = read_csv(out)
         assert header == ["facet", "code", "volume"]
         assert all(float(r[2]) >= 0 for r in rows)
+
+    def test_bbox_margin_is_ignored(self, tmp_path, caplog):
+        products = {}
+        for margin in (None, 0.5):
+            doc = standard_project_dict()
+            if margin is not None:
+                doc["bbox_margin_m"] = margin
+            path = tmp_path / f"p{margin}.json"
+            path.write_text(json.dumps(doc))
+            caplog.clear()
+            for cmd in ("analyze", "volume"):
+                out = tmp_path / f"{cmd}{margin}.csv"
+                assert main(["kbt", cmd, "-p", str(path), "-o", str(out)]) == 0
+                products[cmd, margin] = out.read_bytes()
+            assert ("$.bbox_margin_m is ignored" in caplog.text) == (margin is not None)
+        for cmd in ("analyze", "volume"):
+            assert products[cmd, 0.5] == products[cmd, None]
 
     def test_no_joints_is_data_error(self, tmp_path):
         doc = standard_project_dict()

@@ -153,6 +153,21 @@ class TestParseProject:
         with pytest.raises(ProjectSchemaError, match="unit_weight_kn_m3"):
             parse_project_dict(doc)
 
+    def test_bbox_margin_ignored(self, caplog):
+        # volumes need no box: the key is checked, logged, and read by nothing
+        doc = standard_project_dict()
+        doc["bbox_margin_m"] = 2.5
+        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
+            cfg = parse_project_dict(doc)
+        assert cfg == parse_project_dict(standard_project_dict())
+        assert "$.bbox_margin_m is ignored" in caplog.text
+        doc["bbox_margin_m"] = 0.0
+        with pytest.raises(ProjectSemanticError, match="bbox_margin_m"):
+            parse_project_dict(doc)
+        doc["bbox_margin_m"] = "wide"
+        with pytest.raises(ProjectSchemaError, match="bbox_margin_m"):
+            parse_project_dict(doc)
+
     def test_joint_location_ignored(self, caplog):
         doc = standard_project_dict()
         doc["joints"][1]["location"] = [1.0, -2.0, 0.5]

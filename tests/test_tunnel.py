@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from fuzzyblock.kernel import (
     CLASS_INFINITE,
@@ -7,14 +9,17 @@ from fuzzyblock.kernel import (
     JointPlane,
     Orientation,
     TunnelSection,
+    UnboundedBlockError,
     all_codes,
     block_volume,
+    block_volumes,
     classify_block,
     enumerate_tunnel_blocks,
     joint_pyramid,
     safety_factor,
     sliding_mode,
 )
+from fuzzyblock.kernel.mechanics import code_signs, joint_normals
 from fuzzyblock.kernel.tunnel import GRAVITY_DIR
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
@@ -167,7 +172,6 @@ OCTAGON = TunnelSection(
 
 def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
     """The sweep one record at a time: the reference for the batched sweep."""
-    box = tunnel.section_bbox()
     frictions = [j.friction_deg for j in joints]
     out = []
     for facet in tunnel.facets():
@@ -190,7 +194,7 @@ def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
             halfspaces = [(n, float(n @ seed_point)) for n in jp.normals]
             halfspaces.append(
                 (facet.inward_normal, float(facet.inward_normal @ facet.midpoint)))
-            row[6] = block_volume(halfspaces, box, allow_bbox_clip=True)
+            row[6] = block_volume(halfspaces)
     return out
 
 
@@ -224,3 +228,52 @@ class TestBatchedSweepMatchesPerRecordPath:
         assert any(r.boundary_pyramid for r in records)
         assert any(r.error and r.error.startswith("ModeInconsistencyError") for r in records)
         assert {r.classification for r in records} == {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}
+
+
+def sweep_planes(joints, tunnel, facet_index, code):
+    """Normals (m, 3) and offsets (m,) of the sweep's block for one (facet, code)."""
+    facet = tunnel.facets()[facet_index]
+    seed_point = facet.midpoint + 0.25 * facet.edge_length * facet.inward_normal
+    planes = np.vstack([np.array(code_signs(code))[:, None] * joint_normals(joints),
+                        facet.inward_normal])
+    offsets = [float(n @ seed_point) for n in planes[:-1]]
+    return planes, np.array(offsets + [float(facet.inward_normal @ facet.midpoint)])
+
+
+def halfspace_volume(normals, offsets):
+    """Independent oracle: Qhull's half-space intersection about a Chebyshev centre."""
+    # maximize r subject to n . x - r >= d for the unit normals n
+    res = linprog(np.r_[0.0, 0.0, 0.0, -1.0], A_ub=np.c_[-normals, np.ones(len(normals))],
+                  b_ub=-offsets, bounds=[(None, None)] * 3 + [(0.0, None)], method="highs")
+    assert res.status == 0, res.message
+    assert res.x[3] > 1e-6  # the block has an interior
+    hs = HalfspaceIntersection(np.c_[-normals, offsets], res.x[:3])
+    return ConvexHull(hs.intersections).volume
+
+
+class TestBoxFreeSweepVolumes:
+    def test_positive_volumes_match_halfspace_intersection(self):
+        joints = degenerate_joint_set(8)
+        checked = 0
+        for rec in enumerate_tunnel_blocks(joints, OCTAGON):
+            if rec.volume_m3 is None or rec.volume_m3 == 0.0:
+                continue
+            oracle = halfspace_volume(*sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
+            assert rec.volume_m3 == pytest.approx(oracle, rel=1e-9)
+            checked += 1
+        assert checked >= 50
+
+    def test_guard_agrees_with_classes(self):
+        joints = degenerate_joint_set(8)
+        blocks = {CLASS_INFINITE: [], CLASS_REMOVABLE: []}
+        for rec in enumerate_tunnel_blocks(joints, OCTAGON):
+            if rec.classification in blocks:
+                blocks[rec.classification].append(
+                    sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
+        infinite = [np.array(a) for a in zip(*blocks[CLASS_INFINITE])]
+        removable = [np.array(a) for a in zip(*blocks[CLASS_REMOVABLE])]
+        assert len(infinite[0]) and len(removable[0])
+        with pytest.raises(UnboundedBlockError) as info:
+            block_volumes(*infinite)
+        assert info.value.blocks == tuple(range(len(infinite[0])))
+        assert np.all(block_volumes(*removable) >= 0.0)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
+
+from conftest import principal_frame_monte_carlo
 
 from fuzzyblock.kernel.volume import (
     UnboundedBlockError,
@@ -33,9 +36,6 @@ def cube_halfspaces():
     ]
 
 
-BIG_BOX = ((-3.0, -3.0, -3.0), (4.0, 4.0, 4.0))
-
-
 def loop_vertices(planes, tol):
     """Vertex enumeration one plane triple at a time: the reference for the batched one."""
     normals = np.array([p[0] for p in planes])
@@ -58,7 +58,7 @@ def loop_vertices(planes, tol):
 
 class TestBlockVolume:
     def test_unit_cube(self):
-        assert block_volume(cube_halfspaces(), BIG_BOX) == pytest.approx(1.0, abs=1e-12)
+        assert block_volume(cube_halfspaces()) == pytest.approx(1.0, abs=1e-12)
 
     def test_simplex(self):
         hs = [
@@ -67,21 +67,30 @@ class TestBlockVolume:
             (np.array([0, 0, 1.0]), 0.0),
             (unit([-1, -1, -1]), -1 / math.sqrt(3)),
         ]
-        assert block_volume(hs, BIG_BOX) == pytest.approx(1 / 6, abs=1e-12)
+        assert block_volume(hs) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_empty_region_zero(self):
-        hs = [(np.array([1.0, 0, 0]), 1.0), (np.array([-1.0, 0, 0]), 1.0)]
-        assert block_volume(hs, BIG_BOX) == 0.0
+        # x >= 1 and x <= -1 inside the cube's planes: bounded, and empty
+        hs = cube_halfspaces() + [(np.array([1.0, 0, 0]), 1.0), (np.array([-1.0, 0, 0]), 1.0)]
+        assert block_volume(hs) == 0.0
 
     def test_unbounded_reported(self):
         hs = [(np.array([0, 0, 1.0]), 0.0)]
         with pytest.raises(UnboundedBlockError):
-            block_volume(hs, BIG_BOX)
+            block_volume(hs)
+        with pytest.raises(UnboundedBlockError):
+            block_vertices(hs)
 
-    def test_unbounded_allowed_when_clipping(self):
-        hs = [(np.array([0, 0, 1.0]), 0.0)]
-        vol = block_volume(hs, ((-1, -1, -1), (1, 1, 1)), allow_bbox_clip=True)
-        assert vol == pytest.approx(4.0, abs=1e-9)
+    def test_error_names_every_unbounded_block(self):
+        cube = cube_halfspaces()
+        open_top = cube[:5] + [cube[4]]  # z <= 1 replaced by a repeat of z >= 0
+        normals = np.array([[n for n, _ in hs] for hs in (cube, open_top, cube, open_top)])
+        offsets = np.array([[d for _, d in hs] for hs in (cube, open_top, cube, open_top)])
+        with pytest.raises(UnboundedBlockError) as info:
+            block_volumes(normals, offsets)
+        assert info.value.blocks == (1, 3)
+        assert "[1, 3]" in str(info.value)
+        assert np.array_equal(block_volumes(normals[::2], offsets[::2]), [1.0, 1.0])
 
     def test_vertices_match_per_triple_loop(self):
         # a repeated plane and a parallel copy give singular triples, and the
@@ -92,9 +101,9 @@ class TestBlockVolume:
         centre = np.full(3, 0.5)
         hs = cube_halfspaces() + [(n, float(n @ centre) - 0.3) for n in normals]
         hs += [hs[0], (np.array([1.0, 0, 0]), -0.5)]
-        expected = loop_vertices(hs + bbox_halfspaces(*BIG_BOX), 1e-9)
+        expected = loop_vertices(hs, 1e-9)
         assert len(expected) >= 8
-        assert np.array_equal(block_vertices(hs, BIG_BOX), expected)
+        assert np.array_equal(block_vertices(hs), expected)
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ValueError):
@@ -102,7 +111,6 @@ class TestBlockVolume:
 
     def test_random_five_plane_blocks_match_monte_carlo(self):
         rng = np.random.Generator(np.random.Philox(31))
-        box = ((-2, -2, -2), (2, 2, 2))
         checked = 0
         while checked < 5:
             normals = rng.normal(size=(5, 3))
@@ -111,15 +119,12 @@ class TestBlockVolume:
             offsets = rng.uniform(-0.8, 0.1, size=5)
             hs = [(normals[i], float(offsets[i])) for i in range(5)]
             try:
-                vol = block_volume(hs, box)
+                vol = block_volume(hs)
             except UnboundedBlockError:
                 continue
             if vol < 0.05:
                 continue
-            # tight sampling box keeps the estimator's standard error small
-            verts = block_vertices(hs, box)
-            mc_box = (verts.min(axis=0) - 0.05, verts.max(axis=0) + 0.05)
-            mc = monte_carlo_volume(hs, mc_box, 1_000_000, seed=checked)
+            mc = principal_frame_monte_carlo(hs, block_vertices(hs), 1_000_000, seed=checked)
             assert vol == pytest.approx(mc, rel=0.01)
             checked += 1
 
@@ -134,7 +139,7 @@ class TestBlockVolume:
         apex = np.array([0.0, 0.0, 1.0])
         hs = [(n, float(n @ apex)) for n in normals]
         hs.append((np.array([0, 0, 1.0]), 0.0))
-        vol = block_volume(hs, BIG_BOX)
+        vol = block_volume(hs)
         # exact value: cone of height 1 over the equilateral base triangle
         # with inradius 0.5 / sin(60)
         r = 0.5 / math.sin(math.radians(60))
@@ -154,8 +159,8 @@ _plane = st.tuples(_normal, st.integers(-12, 4).map(lambda k: k / 8.0))
 
 
 @st.composite
-def block_batches(draw):
-    m = draw(st.integers(1, 6))
+def block_batches(draw, max_planes=6):
+    m = draw(st.integers(1, max_planes))
     twist = draw(st.sampled_from(["none", "duplicate", "opposed"]))
     blocks = draw(st.lists(st.lists(_plane, min_size=m, max_size=m), min_size=1, max_size=6))
     normals, offsets = [], []
@@ -170,52 +175,74 @@ def block_batches(draw):
     return np.array(normals), np.array(offsets)
 
 
-def _hull_volume(halfspaces, box):
-    """Independent oracle: per-triple vertices of the box-closed block, then Qhull."""
-    verts = loop_vertices(halfspaces + bbox_halfspaces(*box), 1e-9)
+def boxed(normals, offsets, box=PROPERTY_BOX):
+    """Every block's planes followed by the six planes of box, which bound it."""
+    planes = bbox_halfspaces(*box)
+    B = len(offsets)
+    box_n = np.broadcast_to(np.array([n for n, _ in planes]), (B, 6, 3))
+    box_d = np.broadcast_to(np.array([d for _, d in planes]), (B, 6))
+    return np.concatenate([normals, box_n], axis=1), np.concatenate([offsets, box_d], axis=1)
+
+
+def _hull_volume(halfspaces):
+    """Independent oracle: per-triple vertices of the block, then Qhull."""
+    verts = loop_vertices(halfspaces, 1e-9)
     if len(verts) < 4:
-        return 0.0, verts
+        return 0.0
     try:
-        return ConvexHull(verts).volume, verts
+        return ConvexHull(verts).volume
     except QhullError:  # all vertices coplanar: a flat block
-        return 0.0, verts
+        return 0.0
 
 
-def _touches_box(verts, box):
-    lo, hi = np.asarray(box[0]), np.asarray(box[1])
-    return len(verts) >= 4 and bool(
-        np.any(np.isclose(verts, lo, rtol=0, atol=1e-9) | np.isclose(verts, hi, rtol=0, atol=1e-9))
-    )
+def recession_cone_nonempty(normals):
+    """{v != 0 : N v >= 0} is nonempty, by Stiemke's alternative and linprog.
+
+    With rank(N) = 3 a nonzero v with N v >= 0 exists exactly when no y > 0
+    has N^T y = 0; a rank-deficient N has a nonzero null vector in the cone.
+    """
+    if np.linalg.matrix_rank(normals, tol=1e-9) < 3:
+        return True
+    m = len(normals)
+    res = linprog(np.zeros(m), A_eq=normals.T, b_eq=np.zeros(3),
+                  bounds=[(1.0, None)] * m, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 2
 
 
 class TestBlockVolumesProperties:
     @settings(max_examples=120, deadline=None)
     @given(block_batches())
     def test_one_block_bits_equal_batched(self, batch):
-        normals, offsets = batch
-        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
+        normals, offsets = boxed(*batch)
+        got = block_volumes(normals, offsets)
         for b in range(len(offsets)):
-            hs = list(zip(normals[b], offsets[b]))
-            alone = block_volume(hs, PROPERTY_BOX, allow_bbox_clip=True)
+            alone = block_volume(list(zip(normals[b], offsets[b])))
             assert got[b].tobytes() == np.float64(alone).tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(block_batches())
     def test_matches_convex_hull(self, batch):
-        normals, offsets = batch
-        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
-        touching = []
+        normals, offsets = boxed(*batch)
+        got = block_volumes(normals, offsets)
         for b in range(len(offsets)):
-            hull, verts = _hull_volume(list(zip(normals[b], offsets[b])), PROPERTY_BOX)
+            hull = _hull_volume(list(zip(normals[b], offsets[b])))
             assert got[b] == pytest.approx(hull, rel=1e-9, abs=1e-12)
-            if _touches_box(verts, PROPERTY_BOX):
-                touching.append(b)
-        if touching:
-            with pytest.raises(UnboundedBlockError, match=str(touching)):
-                block_volumes(normals, offsets, PROPERTY_BOX)
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_batches(max_planes=8))
+    def test_raises_exactly_for_nonempty_recession_cones(self, batch):
+        normals, offsets = batch
+        unbounded = tuple(b for b in range(len(offsets)) if recession_cone_nonempty(normals[b]))
+        if unbounded:
+            with pytest.raises(UnboundedBlockError) as info:
+                block_volumes(normals, offsets)
+            assert info.value.blocks == unbounded
         else:
-            clean = block_volumes(normals, offsets, PROPERTY_BOX)
-            assert clean.tobytes() == got.tobytes()
+            got = block_volumes(normals, offsets)
+            for b in range(len(offsets)):
+                hull = _hull_volume(list(zip(normals[b], offsets[b])))
+                assert got[b] == pytest.approx(hull, rel=1e-9, abs=1e-12)
 
     def test_degenerate_kinds(self):
         z = np.array([0.0, 0.0, 1.0])
@@ -232,7 +259,7 @@ class TestBlockVolumesProperties:
             [0.0, -1.0, 0.0, -1.0, 0.3, -0.3, 0.0],
             [0.0, -1.0, 0.0, -1.0, 0.5, -0.25, 0.0],
         ])
-        got = block_volumes(normals, offsets, PROPERTY_BOX)
+        got = block_volumes(normals, offsets)
         assert got[0] == pytest.approx(1.0, abs=1e-12)
         assert got[1] == 0.0 and got[2] == 0.0
         assert str(got[1]) == "0.0"  # not -0.0
@@ -243,11 +270,11 @@ class TestBlockVolumesProperties:
         normals = rng.normal(size=(400, 5, 3))
         normals /= np.linalg.norm(normals, axis=2, keepdims=True)
         offsets = rng.uniform(-0.8, 0.1, size=(400, 5))
-        got = block_volumes(normals, offsets, PROPERTY_BOX, allow_bbox_clip=True)
+        normals, offsets = boxed(normals, offsets)
+        got = block_volumes(normals, offsets)
         for b in range(0, 400, 37):
-            hs = list(zip(normals[b], offsets[b]))
-            assert got[b] == block_volume(hs, PROPERTY_BOX, allow_bbox_clip=True)
+            assert got[b] == block_volume(list(zip(normals[b], offsets[b])))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            block_volumes(np.zeros((2, 3, 3)), np.zeros((2, 4)), PROPERTY_BOX)
+            block_volumes(np.zeros((2, 3, 3)), np.zeros((2, 4)))
