@@ -26,18 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy_numbers import (
-    DeltaVariant,
-    SampledFuzzyNumber,
-    TrapezoidalNumber,
-    exceedance_poss,
-    fit_trapezoid,
-    linear_combine,
-)
+from .fuzzy_numbers import DeltaVariant, TrapezoidalNumber, exceedance_poss, linear_combine
 from .kernel.pyramid import edge_rays
 
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
@@ -101,43 +94,42 @@ def _product_interval(a: tuple[float, float], b: tuple[float, float]) -> tuple[f
     return min(prods), max(prods)
 
 
-def fuzzy_normal(
-    fo: FuzzyOrientation, levels: int = 11
-) -> tuple[SampledFuzzyNumber, SampledFuzzyNumber, SampledFuzzyNumber]:
-    """Componentwise fuzzy upward normal of a fuzzy joint attitude.
+def _normal_box(fo: FuzzyOrientation, alpha: float) -> tuple[tuple[float, float], ...]:
+    """Exact [lo, hi] of each upward-normal component over the alpha-cut box.
 
-    Per alpha level the bounds of each normal component over the (dip, dd)
-    cut box are exact: sin/cos are evaluated on their monotone pieces and the
-    factors vary independently.
+    sin and cos are evaluated on their monotone pieces and the dip and
+    dip-direction factors vary independently over the (dip, dd) cut box.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 alpha levels")
-    px, py, pz = [], [], []
-    for i in range(levels):
-        alpha = i / (levels - 1)
-        dcut = fo.dip.alpha_cut(alpha)
-        tcut = fo.dip_direction.alpha_cut(alpha)
-        sin_dip = (math.sin(math.radians(dcut.lo)), math.sin(math.radians(dcut.hi)))
-        cos_dip = (math.cos(math.radians(dcut.hi)), math.cos(math.radians(dcut.lo)))
-        sin_dd = _interval_sin_deg(tcut.lo, tcut.hi)
-        cos_dd = _interval_cos_deg(tcut.lo, tcut.hi)
-        px.append((alpha, *_product_interval(sin_dip, sin_dd)))
-        py.append((alpha, *_product_interval(sin_dip, cos_dd)))
-        pz.append((alpha, *cos_dip))
+    dcut = fo.dip.alpha_cut(alpha)
+    tcut = fo.dip_direction.alpha_cut(alpha)
+    sin_dip = (math.sin(math.radians(dcut.lo)), math.sin(math.radians(dcut.hi)))
+    cos_dip = (math.cos(math.radians(dcut.hi)), math.cos(math.radians(dcut.lo)))
+    sin_dd = _interval_sin_deg(tcut.lo, tcut.hi)
+    cos_dd = _interval_cos_deg(tcut.lo, tcut.hi)
     return (
-        SampledFuzzyNumber.from_pairs(px),
-        SampledFuzzyNumber.from_pairs(py),
-        SampledFuzzyNumber.from_pairs(pz),
+        _product_interval(sin_dip, sin_dd),
+        _product_interval(sin_dip, cos_dd),
+        cos_dip,
     )
 
 
-CoefficientLike = Union[TrapezoidalNumber, SampledFuzzyNumber]
+def fuzzy_normal(
+    fo: FuzzyOrientation,
+) -> tuple[TrapezoidalNumber, TrapezoidalNumber, TrapezoidalNumber]:
+    """Componentwise fuzzy upward normal of a fuzzy joint attitude.
 
-
-def _as_trapezoid(value: CoefficientLike) -> TrapezoidalNumber:
-    if isinstance(value, SampledFuzzyNumber):
-        return fit_trapezoid(value)
-    return value
+    Each component is the trapezoid whose support and core are its exact
+    ranges over the alpha = 0 and alpha = 1 cut boxes; the cuts in between
+    are linear, so this is the linearized normal that the PBP search reads.
+    """
+    comps = []
+    for (a1, a4), (a2, a3) in zip(_normal_box(fo, 0.0), _normal_box(fo, 1.0)):
+        # clamp sub-ulp rounding so the core nests in the support
+        a2, a3 = max(a2, a1), min(a3, a4)
+        if a2 > a3:
+            a2 = a3 = 0.5 * (a2 + a3)
+        comps.append(TrapezoidalNumber(a1, a2, a3, a4))
+    return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -148,11 +140,12 @@ class FuzzyHalfSpaceConstraint:
     d: TrapezoidalNumber
 
     def __post_init__(self) -> None:
-        coeffs = tuple(_as_trapezoid(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not all(isinstance(v, TrapezoidalNumber) for v in coeffs + (self.d,)):
+            raise TypeError("coefficients and threshold must be TrapezoidalNumber")
         if len(coeffs) not in (2, 3):
             raise ValueError("constraints live in 2 or 3 dimensions")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "d", _as_trapezoid(self.d))
 
     @classmethod
     def crisp(cls, vector: Sequence[float], d: float) -> "FuzzyHalfSpaceConstraint":
@@ -321,11 +314,16 @@ def _standard_sup(
     one batch and keeps the orthants feasible at the new lower end, until
     the bracket closes to float precision.  The first round tests only t = 0
     (orthants with no direction of positive support drop out) and t = 1.
+
+    The witness candidates are the points of every accepted cone, newest
+    first: the final cone may be feasible only within the margin slack, so
+    its points can sit a rounding error outside a crisp row, while an
+    earlier, wider cone holds points strictly inside it.
     """
     lo, hi = 0.0, 1.0
     ts = np.array([0.0, 1.0])
     live = np.arange(len(signs))
-    points = np.zeros((0, signs.shape[1]))
+    points = [np.zeros((0, signs.shape[1]))]
     while len(ts):
         t = ts[None, :, None, None]
         rows = (1.0 - t) * L4[live, None] + t * L3[live, None]
@@ -334,7 +332,8 @@ def _standard_sup(
         found = np.flatnonzero(ok.any(axis=0))
         if len(found):
             k = int(found[-1])
-            lo, points = float(ts[k]), _face_points(rays[:, k], feasible[:, k])
+            lo = float(ts[k])
+            points.insert(0, _face_points(rays[:, k], feasible[:, k]))
             live = live[ok[:, k]]
             if k + 1 < len(ts):
                 hi = float(ts[k + 1])
@@ -342,7 +341,7 @@ def _standard_sup(
             hi = float(ts[0])
         ts = lo + (hi - lo) * np.arange(1, _GRID + 1) / (_GRID + 1)
         ts = np.unique(ts[(ts > lo) & (ts < hi)])
-    return lo, points
+    return lo, np.vstack(points)
 
 
 def _orthant_sup(
@@ -351,7 +350,8 @@ def _orthant_sup(
     """Exact supremum of the min possibility from the knot matrices.
 
     The witness is the best, by the min possibility itself, of the points
-    of the final cones: their edges and one relative-interior point each.
+    of the cones the search accepted: their edges and one relative-interior
+    point each.
     """
     A1, A2, A3, A4 = knots
     # sign vectors of the 2**d closed orthants (quadrants in 2-D)
@@ -425,12 +425,9 @@ def finiteness_label(
     return FINITENESS_LABELS[3]
 
 
-def joint_constraint(
-    fo: FuzzyOrientation, side: str, levels: int = 11
-) -> FuzzyHalfSpaceConstraint:
+def joint_constraint(fo: FuzzyOrientation, side: str) -> FuzzyHalfSpaceConstraint:
     """Homogeneous 3-D constraint for one fuzzy joint and a block side (U or L)."""
-    comps = fuzzy_normal(fo, levels)
-    coeffs = tuple(fit_trapezoid(c) for c in comps)
+    coeffs = fuzzy_normal(fo)
     if side == "L":
         coeffs = tuple(c.negated() for c in coeffs)
     elif side != "U":
@@ -450,13 +447,10 @@ def systems_for_code(
     fuzzy_joints: Sequence[FuzzyOrientation],
     code: str,
     facet_normal: Sequence[float],
-    levels: int = 11,
 ) -> tuple[FuzzySystem, FuzzySystem]:
     """JP and BP fuzzy systems for a block code against one crisp free face."""
     if len(code) != len(fuzzy_joints):
         raise ValueError("code length must match the number of fuzzy joints")
-    jp_constraints = [
-        joint_constraint(fo, side, levels) for fo, side in zip(fuzzy_joints, code)
-    ]
+    jp_constraints = [joint_constraint(fo, side) for fo, side in zip(fuzzy_joints, code)]
     jp_sys = FuzzySystem(tuple(jp_constraints), "joint-pyramid")
     return jp_sys, block_pyramid(jp_sys, facet_normal)

@@ -215,15 +215,13 @@ def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
     dip = _trapezoid(obj["dip_deg"], f"{path}.dip_deg")
     dd = _trapezoid(obj["dip_direction_deg"], f"{path}.dip_direction_deg")
     phi = _trapezoid(obj["friction_deg"], f"{path}.friction_deg")
-    if dip.a1 < 0.0 or dip.a4 > 90.0:
-        raise ProjectSemanticError(f"{path}.dip_deg support must stay within [0, 90]")
-    if dd.a4 - dd.a1 >= 90.0:
-        raise ProjectSemanticError(
-            f"{path}.dip_direction_deg support must be narrower than 90 degrees"
-        )
+    try:
+        fo = FuzzyOrientation(dip, dd)
+    except ValueError as exc:
+        raise ProjectSemanticError(f"{path}: {exc}") from None
     if phi.a1 < 0.0 or phi.a4 >= 90.0:
         raise ProjectSemanticError(f"{path}.friction_deg support must stay within [0, 90)")
-    return FuzzyOrientation(dip, dd)
+    return fo
 
 
 def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection,

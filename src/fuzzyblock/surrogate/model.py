@@ -444,37 +444,34 @@ def bin_angles(lo: float, hi: float, bins: int) -> np.ndarray:
     return lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
 
 
+# the position-angle input a damage map sweeps; model files come from
+# outside the program, so its presence is checked
+_ANGLE_INPUT = "angle_deg"
+
+
 def damage_map(
     model: TskModel,
     angular_bins: int,
-    fixed_inputs: Optional[dict[str, float]] = None,
     per_bin_inputs: Optional[dict[str, Sequence[float]]] = None,
-    angle_name: str = "angle_deg",
 ) -> list[tuple[float, float]]:
     """Predicted safety factor around the section, one value per angular bin.
 
     The position angle varies over the bins, spanning the angle domain seen
     in training (the dataset may parameterize the circle with a branch cut
     anywhere, e.g. 150..510).  Every other input is held at its training
-    median unless overridden: fixed_inputs pins a scalar, per_bin_inputs
-    supplies one value per bin (e.g. kernel block volumes along the
-    boundary).  Predictions are de-normalized back to safety-factor units
-    and angles are reported wrapped to [0, 360).
+    median unless per_bin_inputs supplies one value per bin (e.g. kernel
+    block volumes along the boundary).  Predictions are de-normalized back
+    to safety-factor units and angles are reported wrapped to [0, 360).
     """
     if angular_bins < 8:
         raise ValueError("need at least 8 angular bins")
     if model.normalization is None or model.input_medians is None:
         raise ValueError("model must carry normalization and input medians")
     names = list(model.input_names)
-    if angle_name not in names:
-        raise ValueError(f"model has no input named {angle_name!r}")
-    angle_idx = names.index(angle_name)
-    base = np.array(model.input_medians, dtype=float)
-    for key, value in (fixed_inputs or {}).items():
-        if key not in names:
-            raise ValueError(f"unknown input {key!r}")
-        base[names.index(key)] = float(value)
-    rows = np.tile(base, (angular_bins, 1))
+    if _ANGLE_INPUT not in names:
+        raise ValueError(f"model has no input named {_ANGLE_INPUT!r}")
+    angle_idx = names.index(_ANGLE_INPUT)
+    rows = np.tile(np.array(model.input_medians, dtype=float), (angular_bins, 1))
     angles = bin_angles(
         model.normalization.mins[angle_idx], model.normalization.maxs[angle_idx], angular_bins
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
+from fuzzyblock.fuzzy_numbers import SampledFuzzyNumber, TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
     FINITENESS_LABELS,
     FuzzyHalfSpaceConstraint,
@@ -65,46 +65,78 @@ class TestFuzzyNormal:
 
         n = normal_from_orientation(Orientation(30, 40))
         for comp, val in zip((nx, ny, nz), n):
-            assert comp.support.lo == pytest.approx(val, abs=1e-12)
-            assert comp.support.hi == pytest.approx(val, abs=1e-12)
+            assert comp.a1 == pytest.approx(val, abs=1e-12)
+            assert comp.a4 == pytest.approx(val, abs=1e-12)
 
     def test_z_component_bounds(self):
         fo = FuzzyOrientation(T(25, 30, 30, 35), T.crisp(0))
         _, _, nz = fuzzy_normal(fo)
-        assert nz.support.lo == pytest.approx(math.cos(math.radians(35)))
-        assert nz.support.hi == pytest.approx(math.cos(math.radians(25)))
+        assert nz.a1 == pytest.approx(math.cos(math.radians(35)))
+        assert nz.a4 == pytest.approx(math.cos(math.radians(25)))
 
     def test_y_component_bounds(self):
         fo = FuzzyOrientation(T(25, 30, 30, 35), T.crisp(0))
         _, ny, _ = fuzzy_normal(fo)
-        assert ny.support.lo == pytest.approx(math.sin(math.radians(25)))
-        assert ny.support.hi == pytest.approx(math.sin(math.radians(35)))
+        assert ny.a1 == pytest.approx(math.sin(math.radians(25)))
+        assert ny.a4 == pytest.approx(math.sin(math.radians(35)))
 
     def test_quadrant_crossing_dd(self):
         # dip direction straddling north: sin changes sign, cos peaks at 1
         fo = FuzzyOrientation(T.crisp(45), T(-10, 0, 0, 10))
         nx, ny, _ = fuzzy_normal(fo)
         s = math.sin(math.radians(45))
-        assert nx.support.lo == pytest.approx(-s * math.sin(math.radians(10)))
-        assert nx.support.hi == pytest.approx(s * math.sin(math.radians(10)))
-        assert ny.support.hi == pytest.approx(s)
+        assert nx.a1 == pytest.approx(-s * math.sin(math.radians(10)))
+        assert nx.a4 == pytest.approx(s * math.sin(math.radians(10)))
+        assert ny.a4 == pytest.approx(s)
 
     def test_bounds_contain_samples(self):
+        # support and core hold every normal of the alpha = 0 and 1 cut boxes
         fo = FuzzyOrientation(T(20, 30, 40, 50), T(100, 110, 120, 130))
         comps = fuzzy_normal(fo)
         rng = np.random.Generator(np.random.Philox(3))
         from fuzzyblock.kernel.orientation import normal_from_orientation
 
         for _ in range(500):
-            alpha_level = rng.integers(0, 11) / 10.0
+            alpha_level = float(rng.integers(0, 2))
             dcut = fo.dip.alpha_cut(alpha_level)
             tcut = fo.dip_direction.alpha_cut(alpha_level)
             dip = rng.uniform(dcut.lo, dcut.hi)
             dd = rng.uniform(tcut.lo, tcut.hi)
             n = normal_from_orientation(Orientation(dip, dd % 360.0))
             for comp, val in zip(comps, n):
-                lv = comp.level(alpha_level)
-                assert lv.lo - 1e-9 <= val <= lv.hi + 1e-9
+                lo, hi = comp.support if alpha_level == 0.0 else comp.core
+                assert lo - 1e-9 <= val <= hi + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_knots_are_tight(self, data):
+        # each knot is the min or max of its component over the alpha = 0
+        # (support) or alpha = 1 (core) box, so a dense grid reaches it: at
+        # 0.05 degree spacing a grid point lies within 4e-7 of any extremum
+        def trapezoid(lo, hi, extremes, width):
+            center = data.draw(st.sampled_from(extremes) | st.floats(lo, hi))
+            w = sorted(data.draw(st.lists(st.floats(0.0, width), min_size=2, max_size=2)))
+            knots = [center - w[1], center - w[0], center + w[0], center + w[1]]
+            return T(*np.clip(knots, lo, hi))
+
+        dip = trapezoid(0.0, 90.0, [0.0, 90.0], 20.0)
+        dd = trapezoid(-90.0, 450.0, [0.0, 90.0, 180.0, 270.0, 360.0], 44.0)
+        fo = FuzzyOrientation(dip, dd)
+        comps = fuzzy_normal(fo)
+        for alpha in (0.0, 1.0):
+            d, t = (
+                np.radians(np.linspace(cut.lo, cut.hi, int((cut.hi - cut.lo) / 0.05) + 2))
+                for cut in (dip.alpha_cut(alpha), dd.alpha_cut(alpha))
+            )
+            grid = (
+                np.multiply.outer(np.sin(d), np.sin(t)),
+                np.multiply.outer(np.sin(d), np.cos(t)),
+                np.cos(d),
+            )
+            for comp, values in zip(comps, grid):
+                lo, hi = comp.support if alpha == 0.0 else comp.core
+                assert lo == pytest.approx(values.min(), abs=1e-6)
+                assert hi == pytest.approx(values.max(), abs=1e-6)
 
     def test_wide_dip_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -133,6 +165,17 @@ class TestConstraintPoss:
         c = FuzzyHalfSpaceConstraint.crisp((1, 0, 0), 0.0)
         with pytest.raises(ValueError):
             constraint_poss(c, (1, 0))
+
+    @pytest.mark.parametrize("coeffs, d", [
+        ((T.crisp(1.0), 0.5), T.crisp(0.0)),
+        ((T.crisp(1.0), T.crisp(0.0)), 0.0),
+        ((SampledFuzzyNumber.from_pairs([(0.0, 0.0, 2.0), (1.0, 1.0, 1.0)]), T.crisp(0.0)),
+         T.crisp(0.0)),
+    ])
+    def test_trapezoids_only(self, coeffs, d):
+        # a non-trapezoidal number is rejected, not silently linearized
+        with pytest.raises(TypeError):
+            FuzzyHalfSpaceConstraint(coeffs, d)
 
 
 class TestPjb:
@@ -430,6 +473,24 @@ class TestExactPbp:
             )
         )
         assert pbp(crisp, "paper") == 1.0
+
+    def test_witness_inside_crisp_rows(self):
+        # the supremum 0.625 / 1.625 sits on the ray (-1, -3) / sqrt(10),
+        # the boundary of the last crisp row; the cone at the final t is
+        # feasible only within the margin slack, so the witness must come
+        # from an earlier, wider cone to have possibility 1 on that row
+        r = 1.0 / math.sqrt(10.0)
+        system = FuzzySystem(
+            (
+                FuzzyHalfSpaceConstraint.crisp((0.0, -1.0), 0.0),
+                FuzzyHalfSpaceConstraint.crisp((0.0, -1.0), 0.0),
+                FuzzyHalfSpaceConstraint((T(0.5, 1, 1, 1.5), T(-0.375, 0, 0, 0.375)), T.crisp(0.0)),
+                FuzzyHalfSpaceConstraint.crisp((-3.0 * r, r), 0.0),
+            )
+        )
+        value, witness = _sup_min_poss(system, "standard")
+        assert value == pytest.approx(0.625 / 1.625, abs=1e-11)
+        assert min_poss(system, witness, "standard") >= value - 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_known_interior_value(self, dim):

@@ -115,6 +115,13 @@ class TestParseProject:
         with pytest.raises(ProjectSemanticError, match="90"):
             parse_project_dict(doc)
 
+    @pytest.mark.parametrize("dip", [[-5, 0, 10, 20], [80, 85, 90, 95]])
+    def test_fuzzy_dip_support(self, dip):
+        doc = standard_project_dict()
+        doc["fuzzy_joints"][1]["dip_deg"] = dip
+        with pytest.raises(ProjectSemanticError, match=r"^\$\.fuzzy_joints\[1\]: dip support"):
+            parse_project_dict(doc)
+
     def test_delta_variant_checked(self):
         doc = standard_project_dict()
         doc["delta_variant"] = "classic"
