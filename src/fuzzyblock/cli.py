@@ -32,13 +32,14 @@ from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from .plane_geometry import raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
 from .surrogate.dataset import (
+    DEFAULT_SF_CAP,
     FEATURE_NAMES,
     DatasetSpec,
     dataset_csv_text,
     generate_dataset,
+    joint_cases,
     normalize,
     read_dataset_csv,
-    single_joint_case,
 )
 from .surrogate.model import (
     bin_angles,
@@ -296,20 +297,13 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     record = model.normalization
     angle_idx = list(model.input_names).index("angle_deg")
     angles = bin_angles(record.mins[angle_idx], record.maxs[angle_idx], bins)
-    spec = cfg.dataset
-    seed_offset = spec.seed_offset if spec is not None else cfg.seed_offset_m
-    volumes = [
-        single_joint_case(
-            cfg.tunnel, med["dip_deg"], med["dipdir_deg"], med["phi_deg"], float(a),
-            seed_offset=seed_offset,
-        ).volume_m3
-        for a in angles
-    ]
-    series = damage_map(model, bins, per_bin_inputs={"volume_m3": volumes})
+    draws = [(med["dip_deg"], med["dipdir_deg"], med["phi_deg"], float(a)) for a in angles]
+    cases = joint_cases(cfg.tunnel, draws, seed_offset=cfg.seed_offset_m)
+    series = damage_map(model, bins, per_bin_inputs={"volume_m3": [c.volume_m3 for c in cases]})
     rows = [(repr(a), repr(v)) for a, v in series]
     atomic_write_text(args.out, _csv_text(("angle_deg", "sf_pred"), rows))
     if args.svg:
-        cap = spec.sf_cap if spec is not None else 5.0
+        cap = cfg.dataset.sf_cap if cfg.dataset is not None else DEFAULT_SF_CAP
         atomic_write_text(args.svg, damage_map_svg(cfg.tunnel, series, cap))
     return 0
 

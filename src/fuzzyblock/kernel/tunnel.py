@@ -76,6 +76,10 @@ class TunnelSection:
         verts = tuple((float(u), float(w)) for u, w in self.vertices)
         if len(verts) < 3:
             raise ValueError("section polygon needs at least 3 vertices")
+        for i, v in enumerate(verts):
+            j = (i + 1) % len(verts)
+            if v == verts[j]:
+                raise ValueError(f"section vertices {i} and {j} coincide: zero-length edge")
         if _convexity_sign(verts) < 0:
             verts = tuple(reversed(verts))
             _convexity_sign(verts)
@@ -143,9 +147,9 @@ class TunnelSection:
     def facets_at_angles(self, thetas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Facet index (-1 where none) and hit point of the ray from the centroid at each angle.
 
-        The batched form of ``facet_at_angle``: the same formulas in the
-        same order, elementwise, so each angle gets the same bits alone or
-        in a batch.
+        Every angle is computed elementwise with the same formulas in the
+        same order, so it gets the same bits alone or in any batch.  Callers
+        must treat an index of -1 as an error, never as the last facet.
         """
         cu, cw = self.centroid
         rad = [math.radians(t) for t in thetas]
@@ -167,13 +171,6 @@ class TunnelSection:
         w = cw + t_best * dw
         points = u * self.u_hat + w * self.w_hat + 0.0 * self.axis
         return np.where(hit.any(axis=1), best, -1), points
-
-    def facet_at_angle(self, theta_deg: float) -> tuple[Facet, np.ndarray]:
-        """Facet hit by the ray from the section centroid at theta, plus the hit point."""
-        index, points = self.facets_at_angles([theta_deg])
-        if index[0] < 0:
-            raise ValueError(f"no facet found at angle {theta_deg}")
-        return self.facets()[index[0]], points[0]
 
     def section_bbox(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned world box around the section, padded into the rock.

@@ -252,14 +252,6 @@ def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection,
             kwargs[name] = _pair(obj[name], f"{path}.{name}")
     if "sf_cap" in obj:
         kwargs["sf_cap"] = _number(obj["sf_cap"], f"{path}.sf_cap")
-    if "dip_range" in kwargs:
-        lo, hi = kwargs["dip_range"]
-        if lo < 0.0 or hi > 90.0:
-            raise ProjectSemanticError(f"{path}.dip_range must stay within [0, 90]")
-    if "friction_range" in kwargs:
-        lo, hi = kwargs["friction_range"]
-        if lo < 0.0 or hi >= 90.0:
-            raise ProjectSemanticError(f"{path}.friction_range must stay within [0, 90)")
     try:
         return DatasetSpec(tunnel=tunnel, seed_offset=seed_offset, **kwargs)
     except ValueError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,15 +20,13 @@ from ..kernel.mechanics import safety_factor, sliding_mode
 from ..kernel.orientation import Orientation, normal_from_orientation
 from ..kernel.pyramid import HalfSpaceSystem
 from ..kernel.tunnel import GRAVITY_DIR, Facet, TunnelSection
-from ..kernel.volume import bbox_halfspaces, block_volume, block_volumes
-
-log = logging.getLogger(__name__)
+from ..kernel.volume import bbox_halfspaces, block_volumes
 
 FEATURE_NAMES = ("dip_deg", "dipdir_deg", "phi_deg", "angle_deg", "volume_m3")
 TARGET_NAME = "sf"
 CSV_HEADER = FEATURE_NAMES + (TARGET_NAME,)
 
-_MAX_REDRAWS = 16
+DEFAULT_SF_CAP = 5.0
 _EXIT_TOL = 1e-9
 
 
@@ -44,14 +41,23 @@ class DatasetSpec:
     angle_range: tuple[float, float] = (0.0, 360.0)
     sample_count: int = 283
     seed: int = 0
-    sf_cap: float = 5.0
+    sf_cap: float = DEFAULT_SF_CAP
     seed_offset: Optional[float] = None
 
     def __post_init__(self) -> None:
+        """Reject any range that could draw a sample the kernel cannot analyze."""
         for name in ("dip_range", "dip_direction_range", "friction_range", "angle_range"):
             lo, hi = getattr(self, name)
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"{name} must have finite ends and width, got ({lo}, {hi})")
             if not hi > lo:
                 raise ValueError(f"{name} must be a nonempty range, got ({lo}, {hi})")
+        if self.dip_range[0] < 0.0 or self.dip_range[1] > 90.0:
+            raise ValueError(f"dip_range must stay within [0, 90], got {self.dip_range}")
+        if self.friction_range[0] < 0.0 or self.friction_range[1] >= 90.0:
+            raise ValueError(
+                f"friction_range must stay within [0, 90), got {self.friction_range}"
+            )
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         if self.sf_cap <= 0:
@@ -129,32 +135,55 @@ def _wedge(
     return min(best_sf, sf_cap), normals, offsets
 
 
-def single_joint_case(
+Draw = tuple[float, float, float, float]  # dip, dip direction, friction, position angle
+
+
+def joint_cases(
     tunnel: TunnelSection,
-    dip: float,
-    dd: float,
-    phi: float,
-    theta: float,
-    sf_cap: float = 5.0,
+    draws: Sequence[Draw],
+    sf_cap: float = DEFAULT_SF_CAP,
     seed_offset: Optional[float] = None,
-) -> Sample:
-    """Kinematic analysis of the single-joint block at one boundary position.
+) -> list[Sample]:
+    """Kinematic analysis of the single-joint block of each draw.
 
     Both sides of the joint are checked; a side counts only when its sliding
     direction actually exits the rock through the facet.  The critical
     (lowest) safety factor wins; if neither side can move, the stable
     sentinel (the cap) is used.  The volume is that of the wedge cut by the
     joint through the seed point and the facet, closed by the section box.
+    The facets of all draws are looked up in one ``facets_at_angles`` pass
+    and all volumes come from one ``block_volumes`` call; both give the same
+    bits alone or in any batch, so a sample does not depend on its batch.
+    Any failure propagates.
     """
-    facet, boundary_point = tunnel.facet_at_angle(theta % 360.0)
-    sf, normals, offsets = _wedge(
-        facet, boundary_point, dip, dd, phi, sf_cap, seed_offset, _section_box(tunnel)
-    )
-    volume = block_volume(list(zip(normals, offsets)))
-    return Sample(dip, dd, phi, theta, volume, sf)
+    if not draws:
+        return []
+    facets = tunnel.facets()
+    box = _section_box(tunnel)
+    hit, points = tunnel.facets_at_angles([theta % 360.0 for *_, theta in draws])
+    cases = []
+    for (dip, dd, phi, theta), index, point in zip(draws, hit, points):
+        if index < 0:
+            raise ValueError(f"no facet found at angle {theta}")
+        cases.append(_wedge(facets[index], point, dip, dd, phi, sf_cap, seed_offset, box))
+    volumes = block_volumes(np.array([c[1] for c in cases]), np.array([c[2] for c in cases]))
+    return [Sample(*draw, float(v), sf) for draw, (sf, _, _), v in zip(draws, cases, volumes)]
 
 
-def _draw(spec: DatasetSpec, rng: np.random.Generator) -> tuple[float, float, float, float]:
+def single_joint_case(
+    tunnel: TunnelSection,
+    dip: float,
+    dd: float,
+    phi: float,
+    theta: float,
+    sf_cap: float = DEFAULT_SF_CAP,
+    seed_offset: Optional[float] = None,
+) -> Sample:
+    """``joint_cases`` for one draw: the sample at one boundary position."""
+    return joint_cases(tunnel, [(dip, dd, phi, theta)], sf_cap, seed_offset)[0]
+
+
+def _draw(spec: DatasetSpec, rng: np.random.Generator) -> Draw:
     # angles are kept unwrapped so the position feature stays continuous
     # even when the configured range crosses 360
     dip = rng.uniform(*spec.dip_range)
@@ -170,63 +199,17 @@ def _stream(spec: DatasetSpec, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _first_success(
-    spec: DatasetSpec,
-    index: int,
-    draw: tuple[float, float, float, float],
-    located: Optional[tuple[Facet, np.ndarray]],
-    box: Planes,
-) -> tuple[tuple[float, float, float, float], float, np.ndarray, np.ndarray]:
-    """(draw, sf, normals, offsets) of the first draw whose kinematic analysis succeeds.
-
-    draw is the sample's first draw and located its facet and hit point,
-    when known; box closes the wedge.  Redraws continue the sample's stream
-    after the first draw.
-    """
-    rng: Optional[np.random.Generator] = None
-    last_error: Optional[Exception] = None
-    for attempt in range(_MAX_REDRAWS):
-        if attempt:
-            if rng is None:
-                rng = _stream(spec, index)
-                _draw(spec, rng)  # the first draw, already tried
-            draw, located = _draw(spec, rng), None
-        dip, dd, phi, theta = draw
-        try:
-            facet, point = located or spec.tunnel.facet_at_angle(theta % 360.0)
-            return (draw,) + _wedge(
-                facet, point, dip, dd, phi, spec.sf_cap, spec.seed_offset, box
-            )
-        except Exception as exc:
-            last_error = exc
-            log.warning("sample %d attempt %d failed: %s; redrawing", index, attempt, exc)
-    raise RuntimeError(
-        f"sample {index} failed after {_MAX_REDRAWS} redraws: {last_error}"
-    )
-
-
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     """Generate the dataset; identical output for identical (spec, seed).
 
-    Sample i draws from its own Philox stream keyed by (seed, i), so it does
-    not depend on the sample count.  The facets of all first draws are
-    looked up in one pass; a draw whose kinematic analysis fails is redrawn
-    from the same stream.  All wedge volumes then come from one
-    ``block_volumes`` call, bit-identical to ``single_joint_case``.
+    Sample i is the first draw of its own Philox stream keyed by (seed, i),
+    so it does not depend on the sample count.  ``DatasetSpec`` admits only
+    ranges whose every draw the kernel can analyze, and all draws go through
+    one ``joint_cases`` call, so each sample is bit-identical to
+    ``single_joint_case`` on its draw; a failure propagates.
     """
-    tunnel = spec.tunnel
-    facets = tunnel.facets()
-    box = _section_box(tunnel)
     draws = [_draw(spec, _stream(spec, i)) for i in range(spec.sample_count)]
-    hit, points = tunnel.facets_at_angles([d[3] % 360.0 for d in draws])
-    cases = [
-        _first_success(
-            spec, i, draw, (facets[hit[i]], points[i]) if hit[i] >= 0 else None, box
-        )
-        for i, draw in enumerate(draws)
-    ]
-    volumes = block_volumes(np.array([c[2] for c in cases]), np.array([c[3] for c in cases]))
-    return [Sample(*draw, float(v), sf) for (draw, sf, _, _), v in zip(cases, volumes)]
+    return joint_cases(spec.tunnel, draws, spec.sf_cap, spec.seed_offset)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .dataset import FEATURE_NAMES, NormalizationRecord
 
 _W_TINY = 1e-300
 _RIDGE = 1e-8
+_MAX_RULES = 1024
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -101,7 +102,6 @@ def init_model(
     mfs_per_input: int | Sequence[int],
     X: np.ndarray,
     input_names: Optional[Sequence[str]] = None,
-    max_rules: int = 1024,
 ) -> TskModel:
     """Grid-partition initialization over the observed range of each input.
 
@@ -117,9 +117,9 @@ def init_model(
     if any(k < 2 for k in counts):
         raise ValueError("need at least 2 membership functions per input")
     n_rules = int(np.prod(counts))
-    if n_rules > max_rules:
+    if n_rules > _MAX_RULES:
         raise ValueError(
-            f"rule grid has {n_rules} rules (> {max_rules}); reduce MFs per input "
+            f"rule grid has {n_rules} rules (> {_MAX_RULES}); reduce MFs per input "
             "or split the inputs across models"
         )
     mf_params = []

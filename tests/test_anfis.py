@@ -47,7 +47,7 @@ class TestInit:
 
     def test_rule_count_power(self):
         X = np.zeros((10, 5)) + np.linspace(-1, 1, 10).reshape(-1, 1)
-        m = init_model(5, 3, X, max_rules=1024)
+        m = init_model(5, 3, X)
         assert m.rule_count == 243
 
     def test_centers_equispaced(self):

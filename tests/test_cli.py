@@ -2,9 +2,19 @@ import csv
 import json
 import os
 
+import numpy as np
+
+from fuzzyblock import cli
 from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.project import parse_project
-from fuzzyblock.surrogate import generate_dataset, load_model, save_model, write_dataset_csv
+from fuzzyblock.surrogate import (
+    generate_dataset,
+    load_model,
+    save_model,
+    single_joint_case,
+    write_dataset_csv,
+)
+from fuzzyblock.surrogate.model import bin_angles
 from conftest import standard_project_dict
 
 
@@ -191,6 +201,30 @@ class TestSurrogatePipeline:
         assert mheader == ["angle_deg", "sf_pred"]
         assert len(mrows) == 36
         assert open(map_svg).read().startswith("<svg")
+
+    def test_map_volumes_equal_single_joint_cases(self, tmp_path, monkeypatch):
+        proj = small_project(tmp_path, seed_offset_m=0.7)
+        data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.json")
+        assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
+        assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model]) == 0
+        seen = []
+
+        def recording(model, bins, per_bin_inputs):
+            seen.append(per_bin_inputs["volume_m3"])
+            return real(model, bins, per_bin_inputs=per_bin_inputs)
+
+        real = cli.damage_map
+        monkeypatch.setattr(cli, "damage_map", recording)
+        assert main(["surrogate", "map", "-p", proj, "-m", model,
+                     "-o", str(tmp_path / "map.csv"), "--bins", "24"]) == 0
+        cfg, m = parse_project(proj), load_model(model)
+        dip, dd, phi = m.input_medians[:3]
+        angles = bin_angles(m.normalization.mins[3], m.normalization.maxs[3], 24)
+        expected = [
+            single_joint_case(cfg.tunnel, dip, dd, phi, float(a), seed_offset=0.7).volume_m3
+            for a in angles
+        ]
+        assert np.array(seen[0]).tobytes() == np.array(expected).tobytes()
 
     def test_gen_sample_count_283(self, tmp_path):
         proj = small_project(tmp_path)

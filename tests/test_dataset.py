@@ -11,6 +11,7 @@ from fuzzyblock.surrogate.dataset import (
     NormalizationRecord,
     Sample,
     generate_dataset,
+    joint_cases,
     normalize,
     read_dataset_csv,
     single_joint_case,
@@ -71,33 +72,42 @@ class TestGeneration:
     def test_samples_do_not_depend_on_the_batch(self):
         assert generate_dataset(small_spec(count=60))[:25] == generate_dataset(small_spec(count=25))
 
-    def test_failed_attempt_redraws_only_that_sample(self, monkeypatch):
-        spec = small_spec(count=12)
-        baseline = generate_dataset(spec)
+    def test_kinematic_failure_propagates(self, monkeypatch):
         real = dataset.sliding_mode
         calls = []
 
         def failing_once(jp, r):
             calls.append(1)
-            # every attempt analyzes two sides, so call 11 opens sample 5
+            # every sample analyzes two sides, so call 11 opens sample 5
             if len(calls) == 11:
                 raise RuntimeError("injected failure")
             return real(jp, r)
 
         monkeypatch.setattr(dataset, "sliding_mode", failing_once)
-        redrawn = generate_dataset(spec)
-        monkeypatch.undo()
-        assert [s for k, s in enumerate(redrawn) if k != 5] == baseline[:5] + baseline[6:]
-        assert redrawn[5] != baseline[5]
-        # the redraw is the second draw of sample 5's own stream
-        key = np.array([spec.seed, 5], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        with pytest.raises(RuntimeError, match="injected failure"):
+            generate_dataset(small_spec(count=12))
+
+    def test_missing_facet_is_an_error(self, monkeypatch):
+        # index -1 must not select the last facet
+        monkeypatch.setattr(
+            TunnelSection, "facets_at_angles",
+            lambda self, thetas: (np.full(len(thetas), -1), np.zeros((len(thetas), 3))),
+        )
+        with pytest.raises(ValueError, match="no facet found at angle 90.0"):
+            single_joint_case(OCTAGON, 25.0, 130.0, 20.0, 90.0)
+
+    def test_empty_batch(self):
+        assert joint_cases(OCTAGON, []) == []
+
+    def test_each_sample_is_the_first_draw_of_its_stream(self):
+        spec = small_spec(count=6)
         ranges = (spec.dip_range, spec.dip_direction_range, spec.friction_range, spec.angle_range)
-        first = [rng.uniform(*r) for r in ranges]
-        second = [rng.uniform(*r) for r in ranges]
-        assert [baseline[5].dip_deg, baseline[5].dipdir_deg, baseline[5].phi_deg,
-                baseline[5].angle_deg] == first
-        assert redrawn[5] == single_joint_case(spec.tunnel, *second, spec.sf_cap)
+        for k, s in enumerate(generate_dataset(spec)):
+            key = np.array([spec.seed, k], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            assert [s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg] == [
+                rng.uniform(*r) for r in ranges
+            ]
 
     def test_roof_positions_fall(self):
         # any position on an upward-facing facet admits vertical fall: sf 0
@@ -121,6 +131,31 @@ class TestGeneration:
             DatasetSpec(tunnel=OCTAGON, dip_range=(30, 30))
         with pytest.raises(ValueError):
             DatasetSpec(tunnel=OCTAGON, sf_cap=0.0)
+
+    @pytest.mark.parametrize("dip_range", [(-10, 100), (-0.5, 30), (10, 90.5)])
+    def test_dip_outside_0_90_rejected(self, dip_range):
+        with pytest.raises(ValueError, match=r"dip_range must stay within \[0, 90\]"):
+            DatasetSpec(tunnel=OCTAGON, dip_range=dip_range)
+
+    @pytest.mark.parametrize("friction_range", [(-1, 20), (15, 90), (15, 120)])
+    def test_friction_outside_0_90_rejected(self, friction_range):
+        with pytest.raises(ValueError, match=r"friction_range must stay within \[0, 90\)"):
+            DatasetSpec(tunnel=OCTAGON, friction_range=friction_range)
+
+    @pytest.mark.parametrize("name", ["dip_range", "dip_direction_range", "friction_range",
+                                      "angle_range"])
+    # the last pair has finite ends but a width that overflows
+    @pytest.mark.parametrize(
+        "bad", [(0, math.inf), (-math.inf, 10), (0, math.nan), (-1e308, 1e308)]
+    )
+    def test_non_finite_end_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must have finite ends and width"):
+            DatasetSpec(tunnel=OCTAGON, **{name: bad})
+
+    def test_closed_range_ends_accepted(self):
+        spec = DatasetSpec(tunnel=OCTAGON, sample_count=30, dip_range=(0, 90),
+                           friction_range=(0, 89.999))
+        assert len(generate_dataset(spec)) == 30
 
 
 class TestNormalization:

@@ -103,6 +103,12 @@ class TestParseProject:
         with pytest.raises(ProjectSemanticError, match="convex"):
             parse_project_dict(doc)
 
+    def test_repeated_section_vertex(self):
+        doc = standard_project_dict()
+        doc["tunnel"]["section"] = [[0, 0], [4, 0], [4, 0], [1, 3]]
+        with pytest.raises(ProjectSemanticError, match=r"\$\.tunnel\.section: .*zero-length"):
+            parse_project_dict(doc)
+
     def test_fuzzy_joint_trapezoid_order(self):
         doc = standard_project_dict()
         doc["fuzzy_joints"][0]["dip_deg"] = [65, 60, 60, 55]
@@ -192,7 +198,15 @@ class TestParseProject:
     def test_dataset_ranges_checked(self):
         doc = standard_project_dict()
         doc["dataset"]["dip_range"] = [50, 95]
-        with pytest.raises(ProjectSemanticError, match="dip_range"):
+        with pytest.raises(ProjectSemanticError, match=r"\$\.dataset: dip_range must stay"):
+            parse_project_dict(doc)
+        doc = standard_project_dict()
+        doc["dataset"]["friction_range"] = [15, 90]
+        with pytest.raises(ProjectSemanticError, match=r"\$\.dataset: friction_range must"):
+            parse_project_dict(doc)
+        doc = standard_project_dict()
+        doc["dataset"]["angle_range"] = [0, float("inf")]
+        with pytest.raises(ProjectSemanticError, match=r"\$\.dataset: angle_range must have"):
             parse_project_dict(doc)
 
     def test_anfis_mfs_scalar_broadcast(self):

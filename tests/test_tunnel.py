@@ -55,12 +55,19 @@ class TestTunnelSection:
         assert np.allclose(t.axis, [1, 0, 0], atol=1e-12)
         assert np.allclose(t.u_hat, [0, -1, 0], atol=1e-12)
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="zero-length edge"):
+            TunnelSection(((0, 0), (4, 0), (4, 0), (1, 3)))
+        # a closing copy of the first vertex is a zero-length edge too
+        with pytest.raises(ValueError, match="vertices 3 and 0 coincide"):
+            TunnelSection(((0, 0), (4, 0), (1, 3), (0, 0)))
+
     def test_facet_at_angle(self):
-        facet, point = SQUARE.facet_at_angle(90.0)
-        assert facet.angle_deg == pytest.approx(90.0)
-        assert point[2] == pytest.approx(2.0)
-        facet, _ = SQUARE.facet_at_angle(268.0)
-        assert facet.angle_deg == pytest.approx(270.0)
+        index, points = SQUARE.facets_at_angles([90.0, 268.0])
+        facets = SQUARE.facets()
+        assert facets[index[0]].angle_deg == pytest.approx(90.0)
+        assert points[0][2] == pytest.approx(2.0)
+        assert facets[index[1]].angle_deg == pytest.approx(270.0)
 
     def test_facets_computed_once_and_frozen(self):
         section = TunnelSection(SQUARE.vertices)
@@ -79,10 +86,11 @@ class TestTunnelSection:
         rng = np.random.Generator(np.random.Philox(2))
         thetas = list(rng.uniform(0, 360, 300)) + [0.0, 45.0, 90.0, 180.0, 270.0]
         index, points = octagon.facets_at_angles(thetas)
+        assert (index >= 0).all()
         for k, theta in enumerate(thetas):
-            facet, point = octagon.facet_at_angle(theta)
-            assert facet.index == index[k]
-            assert point.tobytes() == points[k].tobytes()
+            one_index, one_point = octagon.facets_at_angles([theta])
+            assert one_index[0] == index[k]
+            assert one_point[0].tobytes() == points[k].tobytes()
 
     def test_codes_lexicographic(self):
         assert all_codes(2) == ["LL", "LU", "UL", "UU"]
