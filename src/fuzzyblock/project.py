@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -65,7 +66,13 @@ def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]) -> 
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProjectSchemaError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProjectSemanticError(f"{path} must be finite, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -82,7 +89,7 @@ def _pair(value: Any, path: str) -> tuple[float, float]:
 
 def _trapezoid(value: Any, path: str) -> TrapezoidalNumber:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return TrapezoidalNumber.crisp(float(value))
+        return TrapezoidalNumber.crisp(_number(value, path))
     if not isinstance(value, list) or len(value) != 4:
         raise ProjectSchemaError(
             f"{path} must be a number or a 4-element [a1,a2,a3,a4] array"

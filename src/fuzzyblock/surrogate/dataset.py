@@ -2,9 +2,9 @@
 
 Each sample draws one joint attitude, a friction angle, and a position angle
 around the tunnel, then runs the kernel's sliding analysis for the block cut
-by that joint at that position.  Per-sample randomness is counter-based
-(keyed by seed and sample index), so a sample depends only on the seed and
-its index.
+by that joint at that position, for all samples in one numpy pass.
+Per-sample randomness is counter-based (keyed by seed and sample index), so a
+sample depends only on the seed and its index.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kernel.mechanics import safety_factor, sliding_mode
+from ..kernel.mechanics import _FEAS_TOL, ModeInconsistencyError
 from ..kernel.orientation import Orientation, normal_from_orientation
-from ..kernel.pyramid import HalfSpaceSystem
-from ..kernel.tunnel import GRAVITY_DIR, Facet, TunnelSection
+from ..kernel.tunnel import GRAVITY_DIR, TunnelSection
 from ..kernel.volume import bbox_halfspaces, block_volumes
 
 FEATURE_NAMES = ("dip_deg", "dipdir_deg", "phi_deg", "angle_deg", "volume_m3")
@@ -94,48 +93,89 @@ def _section_box(tunnel: TunnelSection) -> Planes:
     return np.array([n for n, _ in planes]), np.array([d for _, d in planes])
 
 
-def _wedge(
-    facet: Facet,
-    boundary_point: np.ndarray,
-    dip: float,
-    dd: float,
-    phi: float,
+Draw = tuple[float, float, float, float]  # dip, dip direction, friction, position angle
+
+
+def _wedges(
+    tunnel: TunnelSection,
+    draws: Sequence[Draw],
     sf_cap: float,
     seed_offset: Optional[float],
-    box: Planes,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Critical safety factor and the wedge's half-spaces (normals, offsets).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Critical safety factor, volume side, and wedge half-spaces of every draw.
 
-    The joint and facet planes come first, then the box planes.
+    Returns sf (N,), upper (N,) (True where the wedge lies on the joint's
+    upper side), normals (N, 8, 3) and offsets (N, 8): the joint and facet
+    planes first, then the six box planes.  A single plane under gravity
+    has two candidate modes per side, falling and plane sliding, so
+    ``sliding_mode`` and ``safety_factor`` reduce to whole-array steps with
+    their tolerances, tie-breaks and reaction check; ``np.vecdot`` gives
+    the bits of their per-vector products and norms.
     """
-    offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
-    seed_point = boundary_point + offset * facet.inward_normal
-    n = normal_from_orientation(Orientation(dip, dd % 360.0))
-    e = facet.inward_normal
-    r = np.asarray(GRAVITY_DIR)
+    facets = tunnel.facets()
+    hit, points = tunnel.facets_at_angles([theta % 360.0 for *_, theta in draws])
+    missing = np.flatnonzero(hit < 0)
+    if missing.size:
+        raise ValueError(f"no facet found at angle {draws[missing[0]][3]}")
+    e = np.array([f.inward_normal for f in facets])[hit]
+    if seed_offset is None:
+        offset = np.array([0.25 * f.edge_length for f in facets])[hit]
+    else:
+        offset = np.full(len(draws), seed_offset)
+    seeds = points + offset[:, None] * e
+    n = np.array([normal_from_orientation(Orientation(dip, dd % 360.0)) for dip, dd, *_ in draws])
+    tan_phi = np.array([math.tan(math.radians(phi)) for _, _, phi, _ in draws])
+    r = np.asarray(GRAVITY_DIR, dtype=float)
+    norm_r = np.linalg.norm(r)
+    rhat = r / norm_r
+    fall_gain = float(rhat @ rhat)
 
-    best_sf = math.inf
-    best_side: Optional[str] = None
-    for side, sign in (("L", -1.0), ("U", 1.0)):
-        jp = HalfSpaceSystem((sign * n).reshape(1, 3))
-        mode = sliding_mode(jp, r)
-        if mode.kind == "safe" or mode.direction is None:
-            continue
-        if float(mode.direction @ e) >= -_EXIT_TOL:
-            continue  # motion stays inside the rock: not a failure through this facet
-        sf = safety_factor(jp, mode, r, [phi])
-        if sf < best_sf:
-            best_sf = sf
-            best_side = side
+    best_sf = np.full(len(draws), math.inf)
+    upper = np.zeros(len(draws), dtype=bool)
+    for sign in (-1.0, 1.0):  # the L side first, so it wins ties
+        m = sign * n
+        # falling: the resultant itself, where the JP admits it
+        falls = np.vecdot(m, rhat) >= -_FEAS_TOL
+        # plane sliding: the resultant projected onto the joint plane
+        u = rhat - np.vecdot(rhat, m)[:, None] * m
+        nu = np.sqrt(np.vecdot(u, u))
+        slides = nu > 1e-12
+        s = u / np.where(slides, nu, 1.0)[:, None]
+        slide_gain = np.vecdot(s, rhat)
+        slides &= np.vecdot(m, s) >= -_FEAS_TOL
+        slides &= ~falls | (slide_gain > fall_gain + 1e-12)
+        gain = np.where(slides, slide_gain, fall_gain)
+        moves = (falls | slides) & (gain > 1e-12)
+        direction = np.where(slides[:, None], s, rhat)
+        moves &= np.vecdot(direction, e) < -_EXIT_TOL  # exits the rock through the facet
 
-    volume_side = best_side if best_side is not None else "L"
-    m = (1.0 if volume_side == "U" else -1.0) * n
-    normals = np.vstack([m, e, box[0]])
-    offsets = np.concatenate([[float(m @ seed_point), float(e @ boundary_point)], box[1]])
-    return min(best_sf, sf_cap), normals, offsets
+        r_m = np.vecdot(r, m)
+        n_force = -r_m
+        bad = np.flatnonzero(moves & slides & (n_force < -1e-9 * norm_r))
+        if bad.size:
+            raise ModeInconsistencyError(
+                f"negative normal reaction {n_force[bad[0]]} on plane 1"
+            )
+        tangential = r - r_m[:, None] * m
+        t_force = np.sqrt(np.vecdot(tangential, tangential))
+        plane_sf = np.full(len(draws), math.inf)
+        np.divide(np.maximum(0.0, n_force) * tan_phi, t_force, out=plane_sf,
+                  where=t_force > 1e-15 * norm_r)
+        sf = np.where(moves, np.where(slides, plane_sf, 0.0), math.inf)
+        wins = sf < best_sf
+        best_sf = np.where(wins, sf, best_sf)
+        upper |= wins & (sign > 0.0)
 
-
-Draw = tuple[float, float, float, float]  # dip, dip direction, friction, position angle
+    m = np.where(upper, 1.0, -1.0)[:, None] * n
+    box_n, box_d = _section_box(tunnel)
+    normals = np.concatenate(
+        [m[:, None], e[:, None], np.broadcast_to(box_n, (len(draws),) + box_n.shape)], axis=1
+    )
+    offsets = np.concatenate(
+        [np.vecdot(m, seeds)[:, None], np.vecdot(e, points)[:, None],
+         np.broadcast_to(box_d, (len(draws),) + box_d.shape)], axis=1
+    )
+    return np.where(sf_cap < best_sf, sf_cap, best_sf), upper, normals, offsets
 
 
 def joint_cases(
@@ -151,23 +191,17 @@ def joint_cases(
     (lowest) safety factor wins; if neither side can move, the stable
     sentinel (the cap) is used.  The volume is that of the wedge cut by the
     joint through the seed point and the facet, closed by the section box.
-    The facets of all draws are looked up in one ``facets_at_angles`` pass
-    and all volumes come from one ``block_volumes`` call; both give the same
-    bits alone or in any batch, so a sample does not depend on its batch.
-    Any failure propagates.
+    The kinematics of all draws run in one numpy pass over the only
+    candidates a single plane under gravity has, falling and plane sliding,
+    and all volumes come from one ``block_volumes`` call; every step is
+    elementwise per draw, so a sample does not depend on its batch.  Any
+    failure propagates.
     """
     if not draws:
         return []
-    facets = tunnel.facets()
-    box = _section_box(tunnel)
-    hit, points = tunnel.facets_at_angles([theta % 360.0 for *_, theta in draws])
-    cases = []
-    for (dip, dd, phi, theta), index, point in zip(draws, hit, points):
-        if index < 0:
-            raise ValueError(f"no facet found at angle {theta}")
-        cases.append(_wedge(facets[index], point, dip, dd, phi, sf_cap, seed_offset, box))
-    volumes = block_volumes(np.array([c[1] for c in cases]), np.array([c[2] for c in cases]))
-    return [Sample(*draw, float(v), sf) for draw, (sf, _, _), v in zip(draws, cases, volumes)]
+    sf, _, normals, offsets = _wedges(tunnel, draws, sf_cap, seed_offset)
+    volumes = block_volumes(normals, offsets)
+    return [Sample(*draw, float(v), float(f)) for draw, v, f in zip(draws, volumes, sf)]
 
 
 def single_joint_case(

@@ -147,19 +147,24 @@ class PremiseState(NamedTuple):
     wbar: np.ndarray
 
 
+def _on_grid(model: TskModel, U: list[np.ndarray], i: int) -> np.ndarray:
+    """Input i's memberships as a view that broadcasts along the (N, k_1, ..., k_d) rule grid."""
+    shape = [1] * model.input_count
+    shape[i] = model.mf_counts[i]
+    return U[i].reshape([len(U[i])] + shape)
+
+
 def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
     """Memberships and firing strengths of the model's current premises on X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = [bell_membership(X[:, i], model.mf_params[i]) for i in range(model.input_count)]
-    idx = model.rule_mf_indices()
-    w = np.ones((X.shape[0], model.rule_count))
+    grid = np.ones((X.shape[0],) + model.mf_counts)
     for i in range(model.input_count):
-        w *= U[i][:, idx[:, i]]
+        grid *= _on_grid(model, U, i)
+    w = grid.reshape(X.shape[0], model.rule_count)
     total = w.sum(axis=1)
-    wbar = np.empty_like(w)
-    ok = total > _W_TINY
-    wbar[ok] = w[ok] / total[ok, None]
-    wbar[~ok] = 1.0 / model.rule_count
+    wbar = np.full_like(w, 1.0 / model.rule_count)
+    np.divide(w, total[:, None], out=wbar, where=(total > _W_TINY)[:, None])
     return PremiseState(U, w, wbar)
 
 
@@ -253,6 +258,10 @@ def premise_gradients(
 
     Returns one (k_i, 3) array per input, aligned with ``mf_params``.  state,
     if given, holds the current premises' memberships and strengths on X.
+    The error times dy/dw of every rule is formed once; each input then
+    divides its own membership out of the strengths, and sums the rules of
+    each of its MFs, in rule order, over a view of the (N, k_1, ..., k_d)
+    rule grid.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -260,31 +269,38 @@ def premise_gradients(
     U, w, wbar = state or premise_state(model, X)
     total = w.sum(axis=1)
     ok = total > _W_TINY
-    idx = model.rule_mf_indices()
     Xa = np.column_stack([X, np.ones(N)])
     f = Xa @ model.consequents.T
     pred = (wbar * f).sum(axis=1)
     err = pred - y
+    # err * dy/dw of every rule, zero on rows whose strengths all underflow
+    err_dydw = np.zeros_like(w)
+    np.subtract(f, pred[:, None], out=err_dydw, where=ok[:, None])
+    np.divide(err_dydw, total[:, None], out=err_dydw, where=ok[:, None])
+    err_dydw *= err[:, None]
+    grid_shape = (N,) + model.mf_counts
+    err_dydw = err_dydw.reshape(grid_shape)
+    w_grid = w.reshape(grid_shape)
+    contrib = np.empty(grid_shape)  # dE/dmu of each rule for one input, up to 2 / N
 
     grads = []
     for i in range(model.input_count):
         params = model.mf_params[i]
         c, a, b = params[:, 0], params[:, 1], params[:, 2]
         Ui = U[i]
-        gathered = Ui[:, idx[:, i]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            partial = w / gathered
-        partial[gathered <= _W_TINY] = 0.0
-        # dE/dmu for each rule column, then grouped per MF of this input
-        dydw = np.zeros_like(w)
-        dydw[ok] = (f[ok] - pred[ok, None]) / total[ok, None]
-        contrib = err[:, None] * dydw * partial  # (N, R)
         k_i = params.shape[0]
-        B = np.zeros((N, k_i))
-        for m in range(k_i):
-            cols = idx[:, i] == m
-            if np.any(cols):
-                B[:, m] = contrib[:, cols].sum(axis=1)
+        mu = _on_grid(model, U, i)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(w_grid, mu, out=contrib)
+        tiny = mu <= _W_TINY
+        if tiny.any():
+            np.copyto(contrib, 0.0, where=tiny)
+        contrib *= err_dydw
+        # each MF's rules are summed one after another in rule order (rule
+        # axis outermost in memory, B in C order for the sums over samples
+        # below): summation order fixes the bits of the trained model
+        by_mf = np.ascontiguousarray(np.moveaxis(contrib, (i + 1, 0), (0, -1)))
+        B = np.ascontiguousarray(by_mf.reshape(k_i, -1, N).sum(axis=1).T)
         z = (X[:, i, None] - c[None, :]) / a[None, :]
         absz = np.abs(z)
         u_pow_b = absz ** (2.0 * b[None, :])

@@ -1,0 +1,87 @@
+"""Loop references for the premise pass, independent of its batched form.
+
+``premise_state`` and ``premise_gradients`` below are the forms that the
+package's functions of the same names replaced: strengths normalized through
+boolean-index copies, and gradients that gather each input's memberships
+onto the rule columns, rebuild dy/dw per input and sum each MF's rules
+through a boolean column mask.  The package must reproduce their bits.
+"""
+from typing import Optional
+
+import numpy as np
+
+from fuzzyblock.surrogate.model import _W_TINY, PremiseState, TskModel, bell_membership
+
+
+def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
+    """Memberships and firing strengths of the model's current premises on X."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    U = [bell_membership(X[:, i], model.mf_params[i]) for i in range(model.input_count)]
+    idx = model.rule_mf_indices()
+    w = np.ones((X.shape[0], model.rule_count))
+    for i in range(model.input_count):
+        w *= U[i][:, idx[:, i]]
+    total = w.sum(axis=1)
+    wbar = np.empty_like(w)
+    ok = total > _W_TINY
+    wbar[ok] = w[ok] / total[ok, None]
+    wbar[~ok] = 1.0 / model.rule_count
+    return PremiseState(U, w, wbar)
+
+
+
+def premise_gradients(
+    model: TskModel, X: np.ndarray, y: np.ndarray, *, state: Optional[PremiseState] = None
+) -> list[np.ndarray]:
+    """Analytic gradient of the mean squared error wrt (center, width, shape).
+
+    Returns one (k_i, 3) array per input, aligned with ``mf_params``.  state,
+    if given, holds the current premises' memberships and strengths on X.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    N = X.shape[0]
+    U, w, wbar = state or premise_state(model, X)
+    total = w.sum(axis=1)
+    ok = total > _W_TINY
+    idx = model.rule_mf_indices()
+    Xa = np.column_stack([X, np.ones(N)])
+    f = Xa @ model.consequents.T
+    pred = (wbar * f).sum(axis=1)
+    err = pred - y
+
+    grads = []
+    for i in range(model.input_count):
+        params = model.mf_params[i]
+        c, a, b = params[:, 0], params[:, 1], params[:, 2]
+        Ui = U[i]
+        gathered = Ui[:, idx[:, i]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            partial = w / gathered
+        partial[gathered <= _W_TINY] = 0.0
+        # dE/dmu for each rule column, then grouped per MF of this input
+        dydw = np.zeros_like(w)
+        dydw[ok] = (f[ok] - pred[ok, None]) / total[ok, None]
+        contrib = err[:, None] * dydw * partial  # (N, R)
+        k_i = params.shape[0]
+        B = np.zeros((N, k_i))
+        for m in range(k_i):
+            cols = idx[:, i] == m
+            if np.any(cols):
+                B[:, m] = contrib[:, cols].sum(axis=1)
+        z = (X[:, i, None] - c[None, :]) / a[None, :]
+        absz = np.abs(z)
+        u_pow_b = absz ** (2.0 * b[None, :])
+        mu2 = Ui**2
+        zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
+        dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
+        dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
+        dmu_db = -mu2 * u_pow_b * log_u
+        g = np.zeros((k_i, 3))
+        g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
+        g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)
+        g[:, 2] = (2.0 / N) * (B * dmu_db).sum(axis=0)
+        grads.append(g)
+    return grads

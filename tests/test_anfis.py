@@ -2,9 +2,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gradient_oracle
 from fuzzyblock.surrogate.dataset import NormalizationRecord
 from fuzzyblock.surrogate.model import (
+    _W_TINY,
     TrainingError,
     TskModel,
     bell_membership,
@@ -21,6 +25,7 @@ from fuzzyblock.surrogate.model import (
     model_json_text,
     model_to_dict,
     premise_gradients,
+    premise_state,
     rmse,
     save_model,
     train,
@@ -178,6 +183,59 @@ class TestTrain:
                     an = grads[i][mf, p]
                     denom = max(abs(fd), abs(an), 1e-8)
                     assert abs(fd - an) / denom < 1e-4
+
+    @staticmethod
+    def random_model(seed, counts, n_rows, masked):
+        """A model with random premises and consequents, and data to take gradients on.
+
+        masked (two inputs or more): every membership of input 0 on row 0
+        and of input 1's last MF on every row lies near 1e-305, at or below
+        ``_W_TINY`` but with |z|^(2b) still finite, so row 0's total
+        strength is at most ``_W_TINY`` too.
+        """
+        rng = np.random.Generator(np.random.Philox(seed))
+        d = len(counts)
+        X = rng.uniform(-1.5, 1.5, size=(n_rows, d))
+        params = [
+            np.column_stack([rng.uniform(-1, 1, k), rng.uniform(0.05, 1.0, k),
+                             rng.uniform(0.1, 50.0, k)])
+            for k in counts
+        ]
+        if masked and d >= 2:
+            params[0][:, 1:] = (1.0, 50.0)  # 1122^100 is about 1e305
+            X[0, 0] = 1122.0
+            params[1][-1] = (1122.0, 1.0, 50.0)
+        consequents = rng.normal(size=(int(np.prod(counts)), d + 1))
+        return TskModel(params, consequents), X, rng.normal(size=n_rows)
+
+    def assert_matches_loop_reference(self, model, X, y):
+        state = premise_state(model, X)
+        ref_state = gradient_oracle.premise_state(model, X)
+        assert [u.tobytes() for u in state.U] == [u.tobytes() for u in ref_state.U]
+        assert state.w.tobytes() == ref_state.w.tobytes()
+        assert state.wbar.tobytes() == ref_state.wbar.tobytes()
+        for shared in (state, None):
+            got = premise_gradients(model, X, y, state=shared)
+            ref = gradient_oracle.premise_gradients(model, X, y, state=shared)
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in ref]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(2, 4), min_size=1, max_size=3),
+        st.integers(2, 40),
+        st.booleans(),
+    )
+    def test_premise_pass_matches_loop_reference(self, seed, counts, n_rows, masked):
+        self.assert_matches_loop_reference(*self.random_model(seed, counts, n_rows, masked))
+
+    def test_premise_pass_matches_loop_reference_on_masked_rows(self):
+        # the paper's grid, with both masked branches taken
+        model, X, y = self.random_model(3, [2, 2, 2, 8, 2], 200, masked=True)
+        U, w, _ = premise_state(model, X)
+        assert w[0].sum() <= _W_TINY < w[1:].sum(axis=1).min()
+        assert np.all(U[1][:, -1] <= _W_TINY)
+        self.assert_matches_loop_reference(model, X, y)
 
     def test_lse_is_optimal_for_frozen_premises(self):
         rng = np.random.Generator(np.random.Philox(11))

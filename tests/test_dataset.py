@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyblock.kernel import TunnelSection
 from fuzzyblock.surrogate import dataset
@@ -17,10 +20,13 @@ from fuzzyblock.surrogate.dataset import (
     single_joint_case,
     write_dataset_csv,
 )
+from kinematics_oracle import wedge
 
 OCTAGON = TunnelSection(
     ((2, -1.2), (2, 1.2), (1.2, 2), (-1.2, 2), (-2, 1.2), (-2, -1.2), (-1.2, -2), (1.2, -2))
 )
+SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
+TRIANGLE = TunnelSection(((0, 0), (4, 0), (1, 3)), axis_trend_deg=33.0)
 
 
 def small_spec(seed=7, count=40):
@@ -73,19 +79,18 @@ class TestGeneration:
         assert generate_dataset(small_spec(count=60))[:25] == generate_dataset(small_spec(count=25))
 
     def test_kinematic_failure_propagates(self, monkeypatch):
-        real = dataset.sliding_mode
-        calls = []
+        real = dataset._wedges
+        batches = []
 
-        def failing_once(jp, r):
-            calls.append(1)
-            # every sample analyzes two sides, so call 11 opens sample 5
-            if len(calls) == 11:
-                raise RuntimeError("injected failure")
-            return real(jp, r)
+        def failing(tunnel, draws, sf_cap, seed_offset):
+            batches.append(len(draws))
+            real(tunnel, draws, sf_cap, seed_offset)
+            raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(dataset, "sliding_mode", failing_once)
+        monkeypatch.setattr(dataset, "_wedges", failing)
         with pytest.raises(RuntimeError, match="injected failure"):
             generate_dataset(small_spec(count=12))
+        assert batches == [12]  # every draw goes through one batched call
 
     def test_missing_facet_is_an_error(self, monkeypatch):
         # index -1 must not select the last facet
@@ -156,6 +161,61 @@ class TestGeneration:
         spec = DatasetSpec(tunnel=OCTAGON, sample_count=30, dip_range=(0, 90),
                            friction_range=(0, 89.999))
         assert len(generate_dataset(spec)) == 30
+
+
+# right-angle dip directions and 45-degree positions put sliding directions
+# and facet normals at right angles, where the exit tolerance decides
+draws = st.tuples(
+    st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 90.0)),
+    st.one_of(st.sampled_from([-720.0, -90.0, 0.0, 90.0, 180.0, 270.0, 360.0]),
+              st.floats(-720.0, 720.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 89.9)),
+    st.one_of(st.integers(-22, 22).map(lambda k: 45.0 * k), st.floats(-1000.0, 1000.0)),
+)
+
+
+class TestBatchedKinematics:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([OCTAGON, SQUARE, TRIANGLE]),
+        st.lists(draws, min_size=1, max_size=12),
+        st.sampled_from([0.5, 5.0]),
+        st.one_of(st.none(), st.floats(0.01, 2.0)),
+    )
+    def test_matches_per_draw_kernel_calls(self, tunnel, batch, sf_cap, seed_offset):
+        # bit for bit against one sliding_mode and safety_factor call per side
+        try:
+            refs = [wedge(tunnel, draw, sf_cap, seed_offset) for draw in batch]
+        except ValueError as exc:  # e.g. a dip direction of -1e-300 wraps to 360.0
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dataset._wedges(tunnel, batch, sf_cap, seed_offset)
+            return
+        sf, upper, normals, offsets = dataset._wedges(tunnel, batch, sf_cap, seed_offset)
+        for k, (ref_sf, side, ref_normals, ref_offsets) in enumerate(refs):
+            assert np.float64(ref_sf).tobytes() == sf[k].tobytes()
+            assert upper[k] == (side == "U")
+            assert ref_normals.tobytes() == normals[k].tobytes()
+            assert ref_offsets.tobytes() == offsets[k].tobytes()
+
+    @pytest.mark.parametrize(
+        "draw, sf, upper",
+        [
+            ((25.0, 130.0, 20.0, 90.0), 0.0, False),  # roof: the lower block falls
+            ((0.0, 0.0, 20.0, 90.0), 0.0, False),  # flat joint over the roof
+            ((90.0, 0.0, 20.0, 90.0), 0.0, False),  # vertical joint over the roof
+            ((30.0, 130.0, 20.0, 180.0), 0.6304149381918094, True),  # left wall slides
+            ((30.0, 270.0, 0.0, 0.0), 0.0, True),  # right wall, frictionless slide
+            ((30.0, 130.0, 20.0, 270.0), 5.0, False),  # floor: nothing moves
+            # striking normal to the wall, the slide runs along it to within
+            # 1e-16, inside the exit tolerance: it does not leave the rock
+            ((30.0, 180.0, 20.0, 180.0), 5.0, False),
+        ],
+    )
+    def test_modes_and_sides(self, draw, sf, upper):
+        got_sf, got_upper, _, _ = dataset._wedges(OCTAGON, [draw], 5.0, None)
+        assert (got_sf[0], got_upper[0]) == (sf, upper)
+        ref_sf, side, _, _ = wedge(OCTAGON, draw, 5.0, None)
+        assert (ref_sf, side == "U") == (sf, upper)
 
 
 class TestNormalization:

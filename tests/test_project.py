@@ -206,8 +206,31 @@ class TestParseProject:
             parse_project_dict(doc)
         doc = standard_project_dict()
         doc["dataset"]["angle_range"] = [0, float("inf")]
-        with pytest.raises(ProjectSemanticError, match=r"\$\.dataset: angle_range must have"):
+        with pytest.raises(ProjectSemanticError,
+                           match=r"\$\.dataset\.angle_range\[1\] must be finite"):
             parse_project_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc.update(seed_offset_m=float("nan")), r"\$\.seed_offset_m"),
+            (lambda doc: doc["tunnel"].update(section=[[float("nan"), -1.2], [2, 1.2], [0, 2]]),
+             r"\$\.tunnel\.section\[0\]\[0\]"),
+            (lambda doc: doc["anfis"].update(learn_rate=float("nan")), r"\$\.anfis\.learn_rate"),
+            (lambda doc: doc["joints"][0].update(dip_deg=-float("inf")),
+             r"\$\.joints\[0\]\.dip_deg"),
+            (lambda doc: doc["joints"][1].update(friction_deg=10**400),
+             r"\$\.joints\[1\]\.friction_deg"),
+        ],
+        ids=["seed_offset_nan", "section_vertex_nan", "learn_rate_nan", "dip_minus_inf",
+             "long_integer"],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, edit, path):
+        # json reads the bare tokens NaN and -Infinity; a long integer overflows a float
+        doc = standard_project_dict()
+        edit(doc)
+        with pytest.raises(ProjectSemanticError, match=path + " must be finite"):
+            parse_project(write(tmp_path, doc))
 
     def test_anfis_mfs_scalar_broadcast(self):
         doc = standard_project_dict()
