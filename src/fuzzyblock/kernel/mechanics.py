@@ -9,7 +9,7 @@ JP is nonempty and the BP is trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ from .orientation import JointPlane
 from .pyramid import HalfSpaceSystem, PyramidResult, SignedCones, signed_cones
 
 _FEAS_TOL = 1e-9
+_KINDS = ("falling", "plane", "wedge", "safe")  # of a sliding mode
 
 CLASS_INFINITE = "infinite"
 CLASS_TAPERED = "tapered"
@@ -108,106 +109,152 @@ class SlidingMode:
         return self.kind
 
 
-def _feasible(m: np.ndarray, s: np.ndarray) -> bool:
-    return bool(np.all(m @ s >= -_FEAS_TOL)) if m.size else True
+@dataclass(frozen=True)
+class BlockMechanics:
+    """Modes and safety factors of a batch of JPs, one entry per row.
+
+    indices name the planes carrying the motion, -1 past them; direction is
+    NaN on safe rows.  A row whose reactions fail has a NaN sf and the text
+    of its ``ModeInconsistencyError`` in error; both are None after a scan.
+    """
+
+    kind: np.ndarray  # (B,) str, one of _KINDS
+    indices: np.ndarray  # (B, 2) int
+    direction: np.ndarray  # (B, 3)
+    potential: np.ndarray  # (B,)
+    sf: Optional[np.ndarray] = None  # (B,)
+    error: Optional[list[Optional[str]]] = None
+
+    def mode(self, k: int) -> SlidingMode:
+        kind = str(self.kind[k])
+        return SlidingMode(kind, tuple(int(i) for i in self.indices[k] if i >= 0),
+                           None if kind == "safe" else self.direction[k].copy(),
+                           float(self.potential[k]))
+
+
+def _scan(normals: np.ndarray, r: np.ndarray) -> BlockMechanics:
+    """The direction in each row's JP that gains the most potential along r.
+
+    The maximizer of s . r over the unit JP cone is one of these, in order:
+    r itself (falling), r projected onto one plane, the edge of two planes
+    turned toward r (wedge).  A later feasible one wins only by more than
+    1e-12; the block is safe if none gains.  Each product is formed as a
+    one-row call forms it, so a row's bits do not depend on its batch.
+    """
+    if np.linalg.norm(r) == 0.0:
+        raise ValueError("resultant force must be nonzero")
+    B, m = normals.shape[:2]
+    if m == 0:
+        raise ValueError("sliding mode needs at least one JP constraint")
+    rhat = r / np.linalg.norm(r)
+    first, second = np.triu_indices(m, 1)
+    kinds = np.repeat([0, 1, 2], [1, m, len(first)])  # positions in _KINDS
+    planes = np.c_[np.r_[-1, np.arange(m), first], np.r_[-1, [-1] * m, second]]
+    cands = np.concatenate([
+        np.broadcast_to(rhat, (B, 1, 3)),
+        rhat - np.vecdot(normals, rhat)[..., None] * normals,
+        np.cross(normals[:, first], normals[:, second]),
+    ], axis=1)
+    length = np.sqrt(np.vecdot(cands, cands))
+    length[:, 0] = 1.0  # r is used as it is
+    feasible = length > 1e-12
+    cands /= np.where(feasible, length, 1.0)[..., None]
+    wedges = cands[:, m + 1:]
+    wedges *= np.where(np.vecdot(wedges, rhat) < 0, -1.0, 1.0)[..., None]
+    # m @ s per candidate as stacked matrix-vector products, which keep the bits of
+    # a one-row call's m @ s (np.vecdot can differ from it in the last bit)
+    feasible &= np.all(np.matmul(normals[:, None], cands[..., None]) >= -_FEAS_TOL, axis=(2, 3))
+    gains = np.vecdot(cands, rhat)
+    best, best_gain = np.full(B, -1), np.full(B, -math.inf)
+    for p in range(len(kinds)):
+        wins = feasible[:, p] & (gains[:, p] > best_gain + 1e-12)
+        best[wins], best_gain[wins] = p, gains[wins, p]
+    safe = (best < 0) | (best_gain <= 1e-12)
+    pick = np.maximum(best, 0)
+    return BlockMechanics(
+        np.array(_KINDS)[np.where(safe, 3, kinds[pick])],
+        np.where(safe[:, None], -1, planes[pick]),
+        np.where(safe[:, None], math.nan, cands[np.arange(B), pick]),
+        np.where(best < 0, 0.0, best_gain),
+    )
+
+
+def _factors(
+    normals: np.ndarray, modes: BlockMechanics, r: np.ndarray, tan_phi: np.ndarray
+) -> tuple[np.ndarray, list[Optional[str]]]:
+    """Frictional SF (0 falling, +inf safe) and error text of each row's given mode.
+
+    Wedge rows solve for their two normal reactions by least squares.
+    """
+    norm_r = np.linalg.norm(r)
+    sf = np.select([modes.kind == "falling", modes.kind == "safe"], [0.0, math.inf], math.nan)
+    error: list[Optional[str]] = [None] * len(sf)
+    rows = np.flatnonzero(modes.kind == "plane")
+    i = modes.indices[rows, 0]
+    n_force = -np.vecdot(r, normals[rows, i])
+    tangential = r + n_force[:, None] * normals[rows, i]  # bits of r - (r . m) m
+    t_force = np.sqrt(np.vecdot(tangential, tangential))
+    # max(0, N) as Python's max takes it: a reaction of -0.0 gives +0.0
+    resist = np.where(n_force > 0.0, n_force, 0.0) * tan_phi[rows, i]
+    sf[rows] = np.divide(resist, t_force, out=np.full(len(rows), math.inf),
+                         where=t_force > 1e-15 * norm_r)
+    for k in np.flatnonzero(n_force < -1e-9 * norm_r):
+        sf[rows[k]] = math.nan
+        error[rows[k]] = f"negative normal reaction {float(n_force[k])} on plane {i[k] + 1}"
+
+    for k in np.flatnonzero(modes.kind == "wedge"):
+        (i, j), s = modes.indices[k], modes.direction[k]
+        t_force = float(r @ s)
+        if t_force <= 1e-15 * norm_r:
+            sf[k] = math.inf
+            continue
+        rhs = r - t_force * s
+        A = np.column_stack([-normals[k, i], -normals[k, j]])
+        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        n1, n2 = float(sol[0]), float(sol[1])
+        if np.linalg.norm(A @ sol - rhs) > 1e-8 * max(1.0, norm_r):
+            error[k] = "wedge decomposition failed to close"
+        elif n1 < -1e-9 * norm_r or n2 < -1e-9 * norm_r:
+            error[k] = f"negative normal reactions N1={n1}, N2={n2} for wedge mode"
+        else:
+            sf[k] = (max(0.0, n1) * tan_phi[k, i] + max(0.0, n2) * tan_phi[k, j]) / t_force
+    return sf, error
+
+
+def block_mechanics(
+    normals: np.ndarray, r: Sequence[float], tan_phi: np.ndarray
+) -> BlockMechanics:
+    """Sliding mode and frictional safety factor of every JP of a batch.
+
+    normals has shape (B, m, 3), one JP per row; tan_phi, the friction of
+    each plane, broadcasts to (B, m).  The SF is invariant under scaling r.
+    A row whose reactions fail gets an error text instead of raising.
+    """
+    normals, r = np.asarray(normals, dtype=float), np.asarray(r, dtype=float)
+    modes = _scan(normals, r)
+    sf, error = _factors(normals, modes, r, np.broadcast_to(tan_phi, normals.shape[:2]))
+    return replace(modes, sf=sf, error=error)
 
 
 def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
-    """Direction in the JP that gains the most potential along the resultant.
-
-    The maximizer of s . r over the unit JP cone lies at one of finitely many
-    candidates: the resultant itself (falling), its projection onto a single
-    constraint plane (plane sliding), or a two-plane edge (wedge sliding).
-    If no candidate gains potential the block is safe.
-    """
-    r = np.asarray(r, dtype=float)
-    norm_r = np.linalg.norm(r)
-    if norm_r == 0.0:
-        raise ValueError("resultant force must be nonzero")
-    if jp.size == 0:
-        raise ValueError("sliding mode needs at least one JP constraint")
-    rhat = r / norm_r
-    m = jp.normals
-
-    candidates: list[tuple[str, tuple[int, ...], np.ndarray]] = []
-    candidates.append(("falling", (), rhat))
-    for i in range(jp.size):
-        u = rhat - (rhat @ m[i]) * m[i]
-        nu = np.linalg.norm(u)
-        if nu > 1e-12:
-            candidates.append(("plane", (i,), u / nu))
-    for i in range(jp.size):
-        for j in range(i + 1, jp.size):
-            t = np.cross(m[i], m[j])
-            nt = np.linalg.norm(t)
-            if nt <= 1e-12:
-                continue
-            t = t / nt
-            if t @ rhat < 0:
-                t = -t
-            candidates.append(("wedge", (i, j), t))
-
-    best: Optional[tuple[str, tuple[int, ...], np.ndarray, float]] = None
-    for kind, idx, s in candidates:
-        if not _feasible(m, s):
-            continue
-        gain = float(s @ rhat)
-        if best is None or gain > best[3] + 1e-12:
-            best = (kind, idx, s, gain)
-
-    if best is None or best[3] <= 1e-12:
-        return SlidingMode("safe", (), None, 0.0 if best is None else best[3])
-    kind, idx, s, gain = best
-    return SlidingMode(kind, idx, s, gain)
+    """The one-row form of the mode scan of ``block_mechanics``."""
+    return _scan(jp.normals[None], np.asarray(r, dtype=float)).mode(0)
 
 
 def safety_factor(
-    jp: HalfSpaceSystem,
-    mode: SlidingMode,
-    r: Sequence[float],
-    friction_deg: Sequence[float],
+    jp: HalfSpaceSystem, mode: SlidingMode, r: Sequence[float], friction_deg: Sequence[float]
 ) -> float:
-    """Frictional safety factor for the given sliding mode.
+    """The one-row form of the SF step of ``block_mechanics``, for any mode of the JP.
 
-    Falling blocks have no frictional resistance (factor 0); safe blocks get
-    the +inf sentinel.  Invariant under positive scaling of the resultant.
+    Raises ``ModeInconsistencyError`` where that step records an error.
     """
-    r = np.asarray(r, dtype=float)
-    if mode.kind == "falling":
-        return 0.0
-    if mode.kind == "safe":
-        return math.inf
-    m = jp.normals
-    if mode.kind == "plane":
-        (i,) = mode.indices
-        n_force = -float(r @ m[i])
-        if n_force < -1e-9 * np.linalg.norm(r):
-            raise ModeInconsistencyError(
-                f"negative normal reaction {n_force} on plane {i + 1}"
-            )
-        tangential = r - (r @ m[i]) * m[i]
-        t_force = float(np.linalg.norm(tangential))
-        if t_force <= 1e-15 * np.linalg.norm(r):
-            return math.inf
-        return max(0.0, n_force) * math.tan(math.radians(friction_deg[i])) / t_force
-    if mode.kind == "wedge":
-        i, j = mode.indices
-        s = mode.direction
-        t_force = float(r @ s)
-        if t_force <= 1e-15 * np.linalg.norm(r):
-            return math.inf
-        rhs = r - t_force * s
-        A = np.column_stack([-m[i], -m[j]])
-        sol, residual, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-        if np.linalg.norm(A @ sol - rhs) > 1e-8 * max(1.0, np.linalg.norm(r)):
-            raise ModeInconsistencyError("wedge decomposition failed to close")
-        n1, n2 = float(sol[0]), float(sol[1])
-        if n1 < -1e-9 * np.linalg.norm(r) or n2 < -1e-9 * np.linalg.norm(r):
-            raise ModeInconsistencyError(
-                f"negative normal reactions N1={n1}, N2={n2} for wedge mode"
-            )
-        resist = max(0.0, n1) * math.tan(math.radians(friction_deg[i])) + max(
-            0.0, n2
-        ) * math.tan(math.radians(friction_deg[j]))
-        return resist / t_force
-    raise ValueError(f"unknown mode kind {mode.kind!r}")
+    if mode.kind not in _KINDS:
+        raise ValueError(f"unknown mode kind {mode.kind!r}")
+    one = BlockMechanics(np.array([mode.kind]), np.array([[*mode.indices, -1, -1][:2]]),
+                         np.full((1, 3), math.nan if mode.direction is None else mode.direction),
+                         np.array([mode.potential]))
+    tan_phi = np.array([[math.tan(math.radians(phi)) for phi in friction_deg]])
+    (sf,), (error,) = _factors(jp.normals[None], one, np.asarray(r, dtype=float), tan_phi)
+    if error is not None:
+        raise ModeInconsistencyError(error)
+    return float(sf)

@@ -27,6 +27,12 @@ class Orientation:
             )
 
 
+def wrap_azimuth(deg: float) -> float:
+    """deg in [0, 360); a tiny negative angle, which % 360 rounds to 360, gives 0."""
+    wrapped = deg % 360.0
+    return 0.0 if wrapped == 360.0 else wrapped
+
+
 def normal_from_orientation(o: Orientation) -> np.ndarray:
     """Upward unit normal of the plane with the given attitude."""
     dip = math.radians(o.dip_deg)

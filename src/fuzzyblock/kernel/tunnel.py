@@ -19,13 +19,12 @@ import numpy as np
 
 from .mechanics import (
     CLASS_REMOVABLE,
+    ModeInconsistencyError,
     SlidingMode,
+    block_mechanics,
     classify_codes,
     code_signs,
     joint_normals,
-    joint_pyramid,
-    safety_factor,
-    sliding_mode,
 )
 from .orientation import JointPlane
 from .pyramid import signed_cones
@@ -214,22 +213,6 @@ def all_codes(n_joints: int) -> list[str]:
     return ["".join(c) for c in itertools.product("LU", repeat=n_joints)]
 
 
-def _mode_and_sf(
-    code: str,
-    joints: Sequence[JointPlane],
-    resultant: Sequence[float],
-    frictions: Sequence[float],
-) -> tuple[Optional[SlidingMode], Optional[float], Optional[str]]:
-    """(mode, safety factor, error) of a removable code; both depend on the code only."""
-    mode = None
-    try:
-        jp = joint_pyramid(code, joints)
-        mode = sliding_mode(jp, resultant)
-        return mode, safety_factor(jp, mode, resultant, frictions), None
-    except Exception as exc:  # per-block failures stay in the record
-        return mode, None, f"{type(exc).__name__}: {exc}"
-
-
 def enumerate_tunnel_blocks(
     joints: Sequence[JointPlane],
     tunnel: TunnelSection,
@@ -238,57 +221,56 @@ def enumerate_tunnel_blocks(
 ) -> list[BlockRecord]:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
-    All codes of a facet are classified in one batched cone test, and the JP
-    test, mode and safety factor of a code are computed once for all facets.
-    Removable blocks get mode, safety factor, and the volume of the block
-    whose joints all pass through a seed point offset into the rock from the
-    facet midpoint (a quarter of the edge length unless overridden).  A
-    removable block's recession cone is its empty block pyramid, so the
-    block is bounded and its volume is exact, with no box; the volumes of
-    all of them come from one ``block_volumes`` call.  A mode or
-    safety-factor failure is recorded on the affected record and never
-    aborts the sweep.
+    All codes of a facet are classified in one batched cone test.  Removable
+    blocks get mode and safety factor, which depend on the code only and
+    come from one ``block_mechanics`` call for all codes, and the volume of
+    the block whose joints all pass through a seed point offset into the
+    rock from the facet midpoint (a quarter of the edge length unless
+    overridden).  That block is bounded, as its recession cone is its empty
+    block pyramid, so all volumes are exact and come from one
+    ``block_volumes`` call, with no box.  A mode or safety-factor failure
+    is recorded on the affected record and never aborts the sweep.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
-    records: list[BlockRecord] = []
-    frictions = [j.friction_deg for j in joints]
     codes = all_codes(len(joints))
     signs = np.array([code_signs(code) for code in codes]).reshape(len(codes), len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
-    by_code: dict[str, tuple[Optional[SlidingMode], Optional[float], Optional[str]]] = {}
-    sized: list[BlockRecord] = []
-    block_normals: list[np.ndarray] = []
-    block_offsets: list[list[float]] = []
-    for facet in tunnel.facets():
-        offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
-        seed_point = facet.midpoint + offset * facet.inward_normal
-        classes, bp = classify_codes(signs, normals, jp, facet.inward_normal)
+    facets = tunnel.facets()
+    classified = [classify_codes(signs, normals, jp, f.inward_normal) for f in facets]
+    removable = np.array([classes == CLASS_REMOVABLE for classes, _ in classified])
+    jp_normals = signs[:, :, None] * normals
+    by_code: dict[int, tuple[SlidingMode, Optional[float], Optional[str]]] = {}
+    moving = np.flatnonzero(removable.any(axis=0))  # codes removable at some facet
+    if len(moving):
+        tan_phi = [math.tan(math.radians(j.friction_deg)) for j in joints]
+        mech = block_mechanics(jp_normals[moving], resultant, tan_phi)
+        for k, c in enumerate(moving):
+            error = mech.error[k] and f"{ModeInconsistencyError.__name__}: {mech.error[k]}"
+            by_code[c] = (mech.mode(k), None if error else float(mech.sf[k]), error)
+
+    records: list[BlockRecord] = []
+    sized: list[tuple[BlockRecord, int, int]] = []  # (record, facet, code)
+    for f, facet in enumerate(facets):
+        classes, bp = classified[f]
         boundary = jp.boundary_only | bp.boundary_only
         for c, code in enumerate(codes):
-            rec = BlockRecord(
-                facet_index=facet.index, facet_angle_deg=facet.angle_deg, code=code
-            )
+            rec = BlockRecord(facet.index, facet.angle_deg, code, str(classes[c]),
+                              boundary_pyramid=bool(boundary[c]))
             records.append(rec)
-            rec.classification = str(classes[c])
-            rec.boundary_pyramid = bool(boundary[c])
-            if rec.classification != CLASS_REMOVABLE:
-                continue
-            if code not in by_code:
-                by_code[code] = _mode_and_sf(code, joints, resultant, frictions)
-            rec.mode, rec.safety_factor, rec.error = by_code[code]
-            if rec.error is not None:
-                continue
-            planes = np.vstack([signs[c][:, None] * normals, facet.inward_normal])
-            sized.append(rec)
-            block_normals.append(planes)
-            block_offsets.append(
-                [float(n @ seed_point) for n in planes[:-1]]
-                + [float(facet.inward_normal @ facet.midpoint)]
-            )
+            if removable[f, c]:
+                rec.mode, rec.safety_factor, rec.error = by_code[c]
+                if rec.error is None:
+                    sized.append((rec, f, c))
     if sized:
-        volumes = block_volumes(np.array(block_normals), np.array(block_offsets))
-        for rec, volume in zip(sized, volumes):
+        f, c = np.array([(f, c) for _, f, c in sized]).T
+        e = np.array([facet.inward_normal for facet in facets])
+        mid = np.array([facet.midpoint for facet in facets])
+        offset = [seed_offset if seed_offset is not None else 0.25 * x.edge_length for x in facets]
+        seeds = mid + np.array(offset)[:, None] * e
+        planes = np.concatenate([jp_normals[c], e[f, None]], axis=1)
+        offsets = np.c_[np.vecdot(jp_normals[c], seeds[f, None]), np.vecdot(e, mid)[f]]
+        for (rec, _, _), volume in zip(sized, block_volumes(planes, offsets)):
             rec.volume_m3 = float(volume)
     return records

@@ -172,10 +172,10 @@ def _edge_values(
     q0 = qk + (_CRISP_SLACK * scale)[:, None, None, None] * _WIDEN  # knots at lambda = 0
     dq = pk - qk  # knot change per unit of lambda
     n = len(px)
-    # lambda at which each knot passes the point; a quotient is only formed
-    # where it lies in [-1, 1], since the rest clip to the 0 and 1 kept anyway
-    # and a tiny divisor would overflow
-    gap = pt - q0
+    # lambda at which each unwidened knot passes the point (at a step it then
+    # lies inside the widened core); a quotient is only formed where it lies in
+    # [-1, 1]: the rest clip to the 0 and 1 kept anyway, and a tiny divisor would overflow
+    gap = pt - qk
     passes = np.divide(
         gap, dq, out=np.zeros(q0.shape), where=(dq != 0.0) & (np.abs(gap) <= np.abs(dq))
     )

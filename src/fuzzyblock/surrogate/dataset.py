@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..kernel.mechanics import _FEAS_TOL, ModeInconsistencyError
-from ..kernel.orientation import Orientation, normal_from_orientation
+from ..kernel.mechanics import ModeInconsistencyError, block_mechanics
+from ..kernel.orientation import Orientation, normal_from_orientation, wrap_azimuth
 from ..kernel.tunnel import GRAVITY_DIR, TunnelSection
 from ..kernel.volume import bbox_halfspaces, block_volumes
 
@@ -106,11 +106,9 @@ def _wedges(
 
     Returns sf (N,), upper (N,) (True where the wedge lies on the joint's
     upper side), normals (N, 8, 3) and offsets (N, 8): the joint and facet
-    planes first, then the six box planes.  A single plane under gravity
-    has two candidate modes per side, falling and plane sliding, so
-    ``sliding_mode`` and ``safety_factor`` reduce to whole-array steps with
-    their tolerances, tie-breaks and reaction check; ``np.vecdot`` gives
-    the bits of their per-vector products and norms.
+    planes first, then the six box planes.  Each side of the joint is a
+    one-plane JP, and one ``block_mechanics`` call, the sweep's routine,
+    gives the modes and SFs of both sides of all draws.
     """
     facets = tunnel.facets()
     hit, points = tunnel.facets_at_angles([theta % 360.0 for *_, theta in draws])
@@ -123,48 +121,21 @@ def _wedges(
     else:
         offset = np.full(len(draws), seed_offset)
     seeds = points + offset[:, None] * e
-    n = np.array([normal_from_orientation(Orientation(dip, dd % 360.0)) for dip, dd, *_ in draws])
-    tan_phi = np.array([math.tan(math.radians(phi)) for _, _, phi, _ in draws])
-    r = np.asarray(GRAVITY_DIR, dtype=float)
-    norm_r = np.linalg.norm(r)
-    rhat = r / norm_r
-    fall_gain = float(rhat @ rhat)
+    n = np.array([normal_from_orientation(Orientation(dip, wrap_azimuth(dd)))
+                  for dip, dd, *_ in draws])
+    tan_phi = np.array([[math.tan(math.radians(phi))] for _, _, phi, _ in draws])
 
-    best_sf = np.full(len(draws), math.inf)
-    upper = np.zeros(len(draws), dtype=bool)
-    for sign in (-1.0, 1.0):  # the L side first, so it wins ties
-        m = sign * n
-        # falling: the resultant itself, where the JP admits it
-        falls = np.vecdot(m, rhat) >= -_FEAS_TOL
-        # plane sliding: the resultant projected onto the joint plane
-        u = rhat - np.vecdot(rhat, m)[:, None] * m
-        nu = np.sqrt(np.vecdot(u, u))
-        slides = nu > 1e-12
-        s = u / np.where(slides, nu, 1.0)[:, None]
-        slide_gain = np.vecdot(s, rhat)
-        slides &= np.vecdot(m, s) >= -_FEAS_TOL
-        slides &= ~falls | (slide_gain > fall_gain + 1e-12)
-        gain = np.where(slides, slide_gain, fall_gain)
-        moves = (falls | slides) & (gain > 1e-12)
-        direction = np.where(slides[:, None], s, rhat)
-        moves &= np.vecdot(direction, e) < -_EXIT_TOL  # exits the rock through the facet
-
-        r_m = np.vecdot(r, m)
-        n_force = -r_m
-        bad = np.flatnonzero(moves & slides & (n_force < -1e-9 * norm_r))
-        if bad.size:
-            raise ModeInconsistencyError(
-                f"negative normal reaction {n_force[bad[0]]} on plane 1"
-            )
-        tangential = r - r_m[:, None] * m
-        t_force = np.sqrt(np.vecdot(tangential, tangential))
-        plane_sf = np.full(len(draws), math.inf)
-        np.divide(np.maximum(0.0, n_force) * tan_phi, t_force, out=plane_sf,
-                  where=t_force > 1e-15 * norm_r)
-        sf = np.where(moves, np.where(slides, plane_sf, 0.0), math.inf)
-        wins = sf < best_sf
-        best_sf = np.where(wins, sf, best_sf)
-        upper |= wins & (sign > 0.0)
+    # the L side of every draw, then the U side
+    mech = block_mechanics(np.concatenate([-n, n])[:, None], GRAVITY_DIR, np.tile(tan_phi, (2, 1)))
+    # a side counts, and its failed reactions raise, only where its sliding
+    # direction exits the rock through the facet
+    exits = (mech.kind != "safe") & (np.vecdot(mech.direction, np.tile(e, (2, 1))) < -_EXIT_TOL)
+    for k in np.flatnonzero(exits):
+        if mech.error[k] is not None:
+            raise ModeInconsistencyError(mech.error[k])
+    sf_l, sf_u = np.where(exits, mech.sf, math.inf).reshape(2, len(draws))
+    upper = sf_u < sf_l  # L wins ties
+    best_sf = np.where(upper, sf_u, sf_l)
 
     m = np.where(upper, 1.0, -1.0)[:, None] * n
     box_n, box_d = _section_box(tunnel)
@@ -191,11 +162,10 @@ def joint_cases(
     (lowest) safety factor wins; if neither side can move, the stable
     sentinel (the cap) is used.  The volume is that of the wedge cut by the
     joint through the seed point and the facet, closed by the section box.
-    The kinematics of all draws run in one numpy pass over the only
-    candidates a single plane under gravity has, falling and plane sliding,
-    and all volumes come from one ``block_volumes`` call; every step is
-    elementwise per draw, so a sample does not depend on its batch.  Any
-    failure propagates.
+    Modes and SFs come from one call of the sweep's batched
+    ``block_mechanics`` (a one-plane JP per side), and volumes from one
+    ``block_volumes`` call; both give a row the bits it gets alone, so a
+    sample does not depend on its batch.  Any failure propagates.
     """
     if not draws:
         return []

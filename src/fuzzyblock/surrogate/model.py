@@ -303,14 +303,16 @@ def premise_gradients(
         B = np.ascontiguousarray(by_mf.reshape(k_i, -1, N).sum(axis=1).T)
         z = (X[:, i, None] - c[None, :]) / a[None, :]
         absz = np.abs(z)
-        u_pow_b = absz ** (2.0 * b[None, :])
         mu2 = Ui**2
-        zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
-        dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
-        dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u_pow_b = absz ** (2.0 * b[None, :])
+            zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
+            dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
+            dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
             log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
-        dmu_db = -mu2 * u_pow_b * log_u
+            dmu_db = -mu2 * u_pow_b * log_u
+        flat = np.isinf(u_pow_b)  # membership underflowed to 0: slope 0, not inf * 0
+        dmu_dc, dmu_da, dmu_db = (np.where(flat, 0.0, d) for d in (dmu_dc, dmu_da, dmu_db))
         g = np.zeros((k_i, 3))
         g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
         g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)

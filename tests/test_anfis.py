@@ -159,6 +159,20 @@ class TestTrain:
         expected = np.linalg.solve(gram, phi.T @ y).reshape(m.consequents.shape)
         assert lse_consequents(m, X, y, 0.01).tobytes() == expected.tobytes()
 
+    def test_underflowed_membership_is_left_alone(self):
+        # b = 50 and a centre 1e7 away from every input: |z|^(2b) overflows, so
+        # the MF's membership is 0 on every row and its gradient must be 0
+        rng = np.random.Generator(np.random.Philox(13))
+        X = rng.uniform(-1, 1, size=(40, 2))
+        y = np.sin(2 * X[:, 0]) + 0.5 * X[:, 1]
+        start = init_model(2, 2, X)
+        start.mf_params[0][1] = [1e7, 1.0, 50.0]
+        grads = premise_gradients(start, X, y)
+        assert np.all(np.isfinite(grads[0])) and grads[0][1].tolist() == [0.0, 0.0, 0.0]
+        model, history = train(start, X, y, epochs=5)
+        assert len(history) == 5 and np.all(np.isfinite(history))
+        assert model.mf_params[0][1].tolist() == [1e7, 1.0, 50.0]
+
     def test_premise_gradients_match_finite_differences(self):
         rng = np.random.Generator(np.random.Philox(7))
         X = rng.uniform(-1, 1, size=(40, 2))

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kinematics_oracle
 from fuzzyblock.kernel import (
     CLASS_INFINITE,
     CLASS_REMOVABLE,
@@ -18,6 +22,7 @@ from fuzzyblock.kernel import (
     safety_factor,
     sliding_mode,
 )
+from fuzzyblock.kernel.mechanics import block_mechanics
 
 GRAVITY = (0.0, 0.0, -1.0)
 
@@ -241,3 +246,85 @@ class TestSafetyFactor:
         # force the wrong resultant: the reaction would have to be negative
         with pytest.raises(ModeInconsistencyError):
             safety_factor(jp, mode, (0, 0, 1.0), [20.0])
+
+
+@st.composite
+def jp_batches(draw):
+    """A batch of JPs with 1 to 8 planes each, frictions and a resultant.
+
+    Planes are drawn with dip 0 and 90 often, and as parallel or opposed
+    copies of earlier planes of the same JP, where wedge edges vanish.
+    """
+    m = draw(st.integers(1, 8))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        rows = []
+        for _ in range(m):
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            if rows and draw(st.booleans()):
+                rows.append(sign * rows[draw(st.integers(0, len(rows) - 1))])
+                continue
+            dip = draw(st.one_of(st.sampled_from([0.0, 90.0]), st.floats(0.0, 90.0)))
+            dd = draw(st.one_of(st.sampled_from([0.0, 90.0, 180.0]),
+                                st.floats(0.0, 360.0, exclude_max=True)))
+            rows.append(sign * normal_from_orientation(Orientation(dip, dd)))
+        batch.append(rows)
+    frictions = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 89.9)),
+                              min_size=m, max_size=m))
+    r = draw(st.one_of(
+        st.sampled_from([GRAVITY, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+        st.integers(0, 2**32 - 1).map(lambda seed: tuple(np.random.default_rng(seed).normal(size=3))),
+    ))
+    return np.array(batch), frictions, r
+
+
+def bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+class TestBlockMechanics:
+    @settings(max_examples=200, deadline=None)
+    @given(jp_batches())
+    def test_rows_match_per_code_reference(self, case):
+        # bit for bit against the per-code scan, alone and in any batch
+        normals, frictions, r = case
+        tan_phi = [math.tan(math.radians(phi)) for phi in frictions]
+        got = block_mechanics(normals, r, tan_phi)
+        for k, rows in enumerate(normals):
+            jp = HalfSpaceSystem(rows)
+            ref = kinematics_oracle.sliding_mode(jp, r)
+            try:
+                ref_sf, ref_error = kinematics_oracle.safety_factor(jp, ref, r, frictions), None
+            except ModeInconsistencyError as exc:
+                ref_sf, ref_error = math.nan, str(exc)
+            alone = block_mechanics(normals[k:k + 1], r, tan_phi)
+            one_row = sliding_mode(jp, r)
+            for mode in (got.mode(k), alone.mode(0), one_row):
+                assert (mode.kind, mode.indices) == (ref.kind, ref.indices)
+                assert bits(mode.direction) == bits(ref.direction)
+                assert bits(mode.potential) == bits(ref.potential)
+            assert got.error[k] == alone.error[0] == ref_error
+            assert bits(got.sf[k]) == bits(alone.sf[0]) == bits(ref_sf)
+            if ref_error is None:
+                assert bits(safety_factor(jp, one_row, r, frictions)) == bits(ref_sf)
+            else:
+                with pytest.raises(ModeInconsistencyError, match=re.escape(ref_error)):
+                    safety_factor(jp, one_row, r, frictions)
+
+    def test_kinds_and_errors(self):
+        # roof tetrahedron falls, a dipping plane (three copies) slides, an uplifted cone is safe
+        roof = joint_pyramid("LLL", roof_tetra_joints()).normals
+        plane = np.repeat([normal_from_orientation(Orientation(30, 0))], 3, axis=0)
+        got = block_mechanics(np.array([roof, plane, -roof]), GRAVITY, math.tan(math.radians(20)))
+        assert list(got.kind) == ["falling", "plane", "safe"]
+        assert [got.mode(k).label() for k in range(3)] == ["falling", "plane(1)", "safe"]
+        assert got.sf[0] == 0.0 and got.sf[2] == math.inf
+        assert got.sf[1] == pytest.approx(math.tan(math.radians(20)) / math.tan(math.radians(30)))
+        assert got.error == [None, None, None]
+
+    def test_batch_arguments_checked(self):
+        with pytest.raises(ValueError, match="resultant force must be nonzero"):
+            block_mechanics(np.zeros((1, 1, 3)) + [0, 0, 1.0], (0, 0, 0), 0.3)
+        with pytest.raises(ValueError, match="at least one JP constraint"):
+            block_mechanics(np.zeros((2, 0, 3)), GRAVITY, 0.3)

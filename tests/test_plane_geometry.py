@@ -257,7 +257,8 @@ class TestMonotoneFeasibilityAndOracleSuite:
 def _mu(knots, x):
     """Trapezoid membership of x for knot arrays (a1, a2, a3, a4), any shape."""
     a1, a2, a3, a4 = knots
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal ramp width overflows the quotient only where x is off the ramp
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rise = np.where(a2 > a1, (x - a1) / (a2 - a1), 0.0)
         fall = np.where(a4 > a3, (a4 - x) / (a4 - a3), 0.0)
     mu = np.where(x < a2, rise, np.where(x > a3, fall, 1.0))
@@ -274,16 +275,19 @@ def lambda_scan(seg, px, py, n=20001):
 
 @st.composite
 def trapezoids(draw):
+    # each ramp is zero-width often, so crisp numbers, crisp intervals and
+    # one-sided steps are drawn as well as symmetric and skewed trapezoids
     c = draw(st.floats(-3.0, 3.0))
-    widths = [draw(st.sampled_from([0.0]) | st.floats(0.001, 0.6)) for _ in range(2)]
-    core, ramp = sorted(widths)
-    return T(c - ramp, c - core, c + core, c + ramp)
+    core = draw(st.sampled_from([0.0]) | st.floats(0.001, 0.6))
+    left, right = (draw(st.sampled_from([0.0]) | st.floats(0.0, 0.6)) for _ in range(2))
+    return T(c - core - left, c - core, c + core, c + core + right)
 
 
 @st.composite
 def segments_and_points(draw):
     p = FuzzyPoint(draw(trapezoids()), draw(trapezoids()))
     q = FuzzyPoint(draw(trapezoids()), draw(trapezoids()))
+    r = FuzzyPoint(draw(trapezoids()), draw(trapezoids()))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         seg = FuzzySegment(p, q)
@@ -291,17 +295,41 @@ def segments_and_points(draw):
     cx = lam * p.x.a2 + (1 - lam) * q.x.a3
     cy = lam * p.y.a3 + (1 - lam) * q.y.a2
     dx, dy = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
-    return seg, cx + dx, cy + dy
+    return seg, FuzzyPolygon([p, q, r]), cx + dx, cy + dy
+
+
+# Q's x trapezoid is a crisp interval, so along the segment the x membership
+# steps from 0 to 1 where Q's left end passes the point; the supremum is at
+# that lambda, where the y membership is 1 - 0.25 / (1 - lambda)
+STEP_P = FuzzyPoint(T.crisp(-1.1025432567072544), T.crisp(0.0))
+STEP_Q = FuzzyPoint(T(2.25, 2.25, 3.25, 3.25), T(-0.5, 0.0, 0.0, 0.5))
+STEP_POINT = (-0.014407442530440795, 0.125)
 
 
 class TestExactSegment:
     @settings(max_examples=200, deadline=None)
     @given(segments_and_points())
     def test_never_exceeded_by_dense_lambda_scan(self, case):
-        seg, px, py = case
+        seg, poly, px, py = case
         value = segment_membership(seg, px, py)
+        scan = lambda_scan(seg, px, py)
         assert 0.0 <= value <= 1.0
-        assert lambda_scan(seg, px, py) <= value
+        assert scan <= value
+        # the polygon's first edge is the segment
+        assert scan <= polygon_membership(poly, px, py) <= 1.0
+
+    def test_step_at_zero_width_ramp(self):
+        px, py = STEP_POINT
+        lam = (2.25 - px) / (2.25 - STEP_P.x.a1)
+        exact = 1.0 - 0.25 / (1.0 - lam)  # 0.2297507..., at lambda = 0.67543
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            seg = FuzzySegment(STEP_P, STEP_Q)
+        poly = FuzzyPolygon([STEP_P, STEP_Q, FuzzyPoint.crisp(0.0, -5.0)])
+        # within the 1e-9 knot widening, above the dense scan
+        assert segment_membership(seg, px, py) == pytest.approx(exact, abs=1e-7)
+        assert polygon_membership(poly, px, py) == pytest.approx(exact, abs=1e-7)
+        assert lambda_scan(seg, px, py) <= segment_membership(seg, px, py)
 
     def test_subnormal_span_reads_without_overflow(self):
         tiny = 2.2250738585e-313

@@ -16,11 +16,10 @@ from fuzzyblock.kernel import (
     classify_block,
     enumerate_tunnel_blocks,
     joint_pyramid,
-    safety_factor,
-    sliding_mode,
 )
 from fuzzyblock.kernel.mechanics import code_signs, joint_normals
 from fuzzyblock.kernel.tunnel import GRAVITY_DIR
+from kinematics_oracle import safety_factor, sliding_mode
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
 
@@ -179,7 +178,11 @@ OCTAGON = TunnelSection(
 
 
 def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
-    """The sweep one record at a time: the reference for the batched sweep."""
+    """The sweep one record at a time: the reference for the batched sweep.
+
+    Modes and safety factors come from the per-code reference, not from
+    the kernel's batched routine.
+    """
     frictions = [j.friction_deg for j in joints]
     out = []
     for facet in tunnel.facets():
