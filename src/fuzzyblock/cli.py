@@ -182,16 +182,11 @@ def _cmd_geom_eval(args: argparse.Namespace) -> int:
     xmin, ymin, xmax, ymax = job.bbox
     dx = (xmax - xmin) / job.nx
     dy = (ymax - ymin) / job.ny
+    xs = [repr(xmin + (i + 0.5) * dx) for i in range(job.nx)]
     rows = []
-    for j in range(job.ny):
-        for i in range(job.nx):
-            rows.append(
-                (
-                    repr(xmin + (i + 0.5) * dx),
-                    repr(ymin + (j + 0.5) * dy),
-                    repr(float(grid[j, i])),
-                )
-            )
+    for j, values in enumerate(grid.tolist()):
+        y = repr(ymin + (j + 0.5) * dy)
+        rows.extend((x, y, repr(v)) for x, v in zip(xs, values))
     atomic_write_text(args.out, _csv_text(("x", "y", "membership"), rows))
     if args.svg:
         atomic_write_text(args.svg, heat_grid_svg(grid, job.bbox))

@@ -90,18 +90,15 @@ def heat_grid_svg(
     ny, nx = grid.shape
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
+    xs = [_fmt(xmin + i * dx) for i in range(nx)]
+    size = f'width="{_fmt(dx)}" height="{_fmt(dy)}"'
     body = []
-    for j in range(ny):
-        for i in range(nx):
-            level = int(round(255 * (1.0 - min(1.0, max(0.0, grid[j, i])))))
-            color = f"rgb({level},{level},{level})"
-            x = xmin + i * dx
-            # SVG y grows downward; flip so the grid renders with y upward
-            y = -(ymin + (j + 1) * dy)
-            body.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(dx)}" '
-                f'height="{_fmt(dy)}" fill="{color}" />'
-            )
+    for j, values in enumerate(grid.tolist()):
+        # SVG y grows downward; flip so the grid renders with y upward
+        y = _fmt(-(ymin + (j + 1) * dy))
+        for x, value in zip(xs, values):
+            level = int(round(255 * (1.0 - min(1.0, max(0.0, value)))))
+            body.append(f'<rect x="{x}" y="{y}" {size} fill="rgb({level},{level},{level})" />')
     viewbox = f"{_fmt(xmin)} {_fmt(-ymax)} {_fmt(xmax - xmin)} {_fmt(ymax - ymin)}"
     return _document(400, 400 * (ymax - ymin) / (xmax - xmin), viewbox, body)
 

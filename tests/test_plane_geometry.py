@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geometry_oracle import edge_values
 from hull_oracle import hull_feasible
 
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.plane_geometry import (
+    _CRISP_SLACK,
     FuzzyLineImplicit,
     FuzzyLineSlope,
     FuzzyPoint,
     FuzzyPolygon,
     FuzzySegment,
+    _edge_values,
     fuzzy_distance,
     line_membership,
     membership_at,
@@ -361,6 +364,80 @@ class TestExactSegment:
             px = lam * a[0] + (1 - lam) * b[0]
             py = lam * a[1] + (1 - lam) * b[1]
             assert segment_membership(seg, px, py) == 1.0
+
+
+@st.composite
+def edges_and_points(draw):
+    """A segment or a closed polygon, and points where the support-box cull decides.
+
+    Per edge: each bound of its support box exactly, then moved out by a
+    fraction of the knot widening w = 1e-9 * scale, by w plus a fraction and
+    by the cull margin 2w and beyond; the other coordinate in the core of the
+    end that attains the bound, so a point in the widening band reads above 0.
+    Also every pairing of the ends' x and y knots, points on the core edges
+    and a few free points, some far enough out to raise the scale.
+    """
+    n = draw(st.sampled_from([2, 3, 5]))
+    verts = [FuzzyPoint(draw(trapezoids()), draw(trapezoids())) for _ in range(n)]
+    ends = list(zip(verts, verts[1:] + verts[:1])) if n > 2 else [tuple(verts)]
+    knots = np.array([[v.x.to_list(), v.y.to_list()] for v in verts])
+    w = _CRISP_SLACK * (1.0 + np.abs(knots).max())
+    f = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    t = draw(st.floats(0.0, 1.0))
+    lam = draw(st.floats(0.0, 1.0))
+    band = []
+    for p, q in ends:
+        for axis in (0, 1):
+            for side, pick, sign in ((0, min, -1.0), (3, max, 1.0)):
+                end = pick((p, q), key=lambda v: (v.x, v.y)[axis].to_list()[side])
+                bound = (end.x, end.y)[axis].to_list()[side]
+                other = (end.y, end.x)[axis]
+                inside = other.a2 + t * (other.a3 - other.a2)
+                for k in (0.0, f, 1.0 + f, 2.0, 2.0 + f, 4.0):
+                    xy = [bound + sign * k * w, inside]
+                    band.append(xy if axis == 0 else xy[::-1])
+    rest = []
+    for p, q in ends:
+        for v in (p, q):
+            rest += [[kx, ky] for kx in v.x.to_list() for ky in v.y.to_list()]
+        for cx in ((p.x.a2, q.x.a2), (p.x.a3, q.x.a3)):
+            for cy in ((p.y.a2, q.y.a2), (p.y.a3, q.y.a3)):
+                rest.append([lam * cx[0] + (1 - lam) * cx[1], lam * cy[0] + (1 - lam) * cy[1]])
+    coord = st.floats(-3.0, 3.0) | st.floats(-60.0, 60.0)
+    rest += draw(st.lists(st.tuples(coord, coord).map(list), max_size=4))
+    return ends, np.array(band), np.array(band + rest)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestSupportBoxCull:
+    @settings(max_examples=200, deadline=None)
+    @given(edges_and_points())
+    def test_bit_equal_to_full_solve(self, case):
+        ends, band, points = case
+        px, py = points.T
+        values = _edge_values(ends, px, py)
+        assert np.array_equal(_bits(values), _bits(edge_values(ends, px, py)))
+        # a point's value does not depend on the other points in its batch;
+        # a stride of 5 over 6 offsets per bound reaches every offset
+        some = range(0, len(band), 5)
+        alone = [_edge_values(ends, band[k : k + 1, 0], band[k : k + 1, 1])[0] for k in some]
+        assert np.array_equal(_bits(alone), _bits(values[list(some)]))
+        flipped = _edge_values(ends, px[::-1], py[::-1])
+        assert np.array_equal(_bits(flipped[::-1]), _bits(values))
+
+    def test_widening_band_is_live(self):
+        # a point below the support box by half the knot widening reads above
+        # 0 (on the widened ramp), so the cull margin must reach past it
+        p = FuzzyPoint(T(0.0, 0.5, 1.0, 1.5), T(-0.5, 0.0, 0.0, 0.5))
+        q = FuzzyPoint(T(2.0, 2.5, 3.0, 3.5), T(-0.5, 0.0, 0.0, 0.5))
+        w = _CRISP_SLACK * (1.0 + 3.5)
+        px, py = np.array([-0.5 * w, -1.5 * w, -2.5 * w]), np.zeros(3)
+        values = _edge_values([(p, q)], px, py)
+        assert values[0] > 0.0 and values[1] == 0.0 and values[2] == 0.0
+        assert np.array_equal(_bits(values), _bits(edge_values([(p, q)], px, py)))
 
 
 class TestFuzzyDistance:
