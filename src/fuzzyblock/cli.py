@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import logging
 import math
@@ -42,6 +41,7 @@ from .surrogate.dataset import (
     read_dataset_csv,
 )
 from .surrogate.model import (
+    TskModel,
     bin_angles,
     damage_map,
     extract_rules,
@@ -201,10 +201,7 @@ def _require_dataset(cfg: ProjectConfig) -> DatasetSpec:
 
 def _cmd_surrogate_gen(args: argparse.Namespace) -> int:
     cfg = parse_project(args.project)
-    spec = _require_dataset(cfg)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    atomic_write_text(args.out, dataset_csv_text(generate_dataset(spec)))
+    atomic_write_text(args.out, dataset_csv_text(generate_dataset(_require_dataset(cfg))))
     return 0
 
 
@@ -214,35 +211,26 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     if not samples:
         raise CliDataError(f"dataset {args.data} has no rows")
     anfis = cfg.anfis
-    value_range = anfis.normalization_range
-    if args.range:
-        try:
-            lo, hi = (float(v) for v in args.range.split(","))
-        except ValueError:
-            raise CliDataError(f"--range must be 'lo,hi', got {args.range!r}")
-        value_range = (lo, hi)
-    X, y, record = normalize(samples, value_range)
-    split_seed = args.seed if args.seed is not None else anfis.split_seed
+    X, y, record = normalize(samples, anfis.normalization_range)
     n_train = int(anfis.train_fraction * len(samples))
     if n_train < 1:
         raise CliDataError("train fraction leaves no training rows")
-    key = np.array([split_seed & 0xFFFFFFFFFFFFFFFF, 999], dtype=np.uint64)
+    key = np.array([anfis.split_seed & 0xFFFFFFFFFFFFFFFF, 999], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     perm = rng.permutation(len(samples))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    epochs = args.epochs if args.epochs is not None else anfis.epochs
     model = init_model(
         len(FEATURE_NAMES), list(anfis.mfs_per_input), X[train_idx],
         input_names=FEATURE_NAMES,
     )
     model, history = train(
-        model, X[train_idx], y[train_idx], epochs, anfis.learn_rate, anfis.ridge
+        model, X[train_idx], y[train_idx], anfis.epochs, anfis.learn_rate, anfis.ridge
     )
     model.normalization = record
     inputs = np.array([s.inputs for s in samples])
     model.input_medians = tuple(float(np.median(inputs[:, k])) for k in range(inputs.shape[1]))
     atomic_write_text(args.out, model_json_text(model))
-    log.info("train rmse %.6f over %d epochs", history[-1], epochs)
+    log.info("train rmse %.6f over %d epochs", history[-1], anfis.epochs)
     if len(test_idx):
         held = model_rmse(model, X[test_idx], y[test_idx])
         log.info("held-out rmse %.6f on %d samples", held, len(test_idx))
@@ -251,29 +239,44 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    if model.normalization is None:
-        raise CliDataError("model carries no normalization record")
-    with open(args.data, newline="", encoding="utf-8") as fh:
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and nonempty rows of a CSV whose every row is as wide as its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise CliDataError(f"{args.data} is empty")
-        header = [h.strip() for h in header]
-        missing = [name for name in FEATURE_NAMES if name not in header]
-        if missing:
-            raise CliDataError(f"{args.data} lacks feature columns: {', '.join(missing)}")
-        idx = [header.index(name) for name in FEATURE_NAMES]
+            raise CliDataError(f"{path} is empty")
         rows = []
-        feats = []
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise CliDataError(f"{path} line {reader.line_num}: expected "
+                                   f"{len(header)} fields, got {len(row)}")
             rows.append(row)
-            feats.append([float(row[i]) for i in idx])
-    if not feats:
-        raise CliDataError(f"{args.data} has no data rows")
+    if not rows:
+        raise CliDataError(f"{path} has no data rows")
+    return [h.strip() for h in header], rows
+
+
+def _load_feature_model(path: str) -> TskModel:
+    """A model over the dataset features, in their order, with its normalization record."""
+    model = load_model(path)
+    if model.normalization is None:
+        raise CliDataError(f"{path}: model carries no normalization record")
+    if tuple(model.input_names) != FEATURE_NAMES:
+        raise CliDataError(f"{path}: inputs must be {', '.join(FEATURE_NAMES)}")
+    return model
+
+
+def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
+    model = _load_feature_model(args.model)
+    header, rows = _read_csv(args.data)
+    missing = [name for name in FEATURE_NAMES if name not in header]
+    if missing:
+        raise CliDataError(f"{args.data} lacks feature columns: {', '.join(missing)}")
+    idx = [header.index(name) for name in FEATURE_NAMES]
+    feats = [[float(row[i]) for i in idx] for row in rows]
     X = model.normalization.apply_features(np.array(feats))
     pred, _ = forward_batch(model, X)
     sf = model.normalization.invert_target(pred)
@@ -284,9 +287,9 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
 
 def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     cfg = parse_project(args.project)
-    model = load_model(args.model)
-    if model.normalization is None or model.input_medians is None:
-        raise CliDataError("model carries no normalization record or medians")
+    model = _load_feature_model(args.model)
+    if model.input_medians is None:
+        raise CliDataError(f"{args.model}: model carries no input medians")
     bins = args.bins
     med = dict(zip(model.input_names, model.input_medians))
     record = model.normalization
@@ -304,15 +307,9 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CliDataError(f"{args.data} is empty")
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
-    if not rows:
-        raise CliDataError(f"{args.data} has no data rows")
+    header, rows = _read_csv(args.data)
+    if len(header) < 2:
+        raise CliDataError(f"{args.data} needs at least two columns to plot")
     if header[:3] == ["x", "y", "membership"]:
         xs = sorted({float(r[0]) for r in rows})
         ys = sorted({float(r[1]) for r in rows})
@@ -373,15 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen = s_sub.add_parser("gen", help="generate the kernel-labeled dataset")
     gen.add_argument("-p", "--project", required=True)
     gen.add_argument("-o", "--out", required=True)
-    gen.add_argument("--seed", type=int)
     gen.set_defaults(func=_cmd_surrogate_gen)
     tr = s_sub.add_parser("train", help="train the TSK model on a dataset CSV")
     tr.add_argument("-p", "--project", required=True)
     tr.add_argument("-d", "--data", required=True)
     tr.add_argument("-o", "--out", required=True)
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--seed", type=int, help="train/test split seed")
-    tr.add_argument("--range", help="normalization range as 'lo,hi'")
     tr.add_argument("--rules", help="also write extracted if-then rules here")
     tr.set_defaults(func=_cmd_surrogate_train)
     pred = s_sub.add_parser("predict", help="predict safety factors for feature rows")

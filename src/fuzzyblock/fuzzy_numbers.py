@@ -212,8 +212,10 @@ def exceedance_poss(
 class SampledFuzzyNumber:
     """Fuzzy number represented by nested alpha-cut intervals.
 
-    Carrier for results whose exact shape is not trapezoidal, such as a fuzzy
-    distance.  Levels must include alpha = 0 and alpha = 1 and be nested.
+    Carrier for sampled results whose exact shape is not trapezoidal.  The
+    fuzzy distance needs no sampling: ``plane_geometry.fuzzy_distance``
+    returns one exact alpha-cut per call.  Levels must include alpha = 0
+    and alpha = 1 and be nested.
     """
 
     levels: tuple[AlphaInterval, ...]
@@ -239,21 +241,6 @@ class SampledFuzzyNumber:
                     f"[{cur.lo}, {cur.hi}] escapes [{prev.lo}, {prev.hi}]"
                 )
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[float, float, float]]) -> "SampledFuzzyNumber":
-        """Build from (alpha, lo, hi) triples, clamping sub-ulp nesting noise."""
-        ordered = sorted(pairs, key=lambda p: p[0])
-        levels: list[AlphaInterval] = []
-        for alpha, lo, hi in ordered:
-            if levels:
-                lo = max(lo, levels[-1].lo)
-                hi = min(hi, levels[-1].hi)
-            if lo > hi:
-                mid = 0.5 * (lo + hi)
-                lo = hi = mid
-            levels.append(AlphaInterval(alpha, lo, hi))
-        return cls(tuple(levels))
-
     @property
     def support(self) -> AlphaInterval:
         return self.levels[0]
@@ -261,13 +248,6 @@ class SampledFuzzyNumber:
     @property
     def core(self) -> AlphaInterval:
         return self.levels[-1]
-
-    def level(self, alpha: float) -> AlphaInterval:
-        """The stored level at exactly ``alpha``."""
-        for lv in self.levels:
-            if lv.alpha == alpha:
-                return lv
-        raise KeyError(f"no stored level at alpha={alpha}")
 
 
 def fit_trapezoid(s: SampledFuzzyNumber) -> TrapezoidalNumber:

@@ -10,7 +10,7 @@ from .mechanics import (
     safety_factor,
     sliding_mode,
 )
-from .orientation import JointPlane, Orientation, downdip_vector, normal_from_orientation
+from .orientation import JointPlane, Orientation, normal_from_orientation
 from .pyramid import (
     HalfSpaceSystem,
     PyramidResult,
@@ -30,7 +30,6 @@ from .volume import (
     block_vertices,
     block_volume,
     block_volumes,
-    monte_carlo_volume,
 )
 
 __all__ = [
@@ -54,10 +53,8 @@ __all__ = [
     "block_volumes",
     "classify_block",
     "cone_nonempty",
-    "downdip_vector",
     "enumerate_tunnel_blocks",
     "joint_pyramid",
-    "monte_carlo_volume",
     "normal_from_orientation",
     "pyramid_nonempty",
     "safety_factor",

@@ -57,12 +57,3 @@ class JointPlane:
     @property
     def normal(self) -> np.ndarray:
         return normal_from_orientation(self.orientation)
-
-
-def downdip_vector(o: Orientation) -> np.ndarray:
-    """Unit vector of steepest descent within the plane."""
-    dip = math.radians(o.dip_deg)
-    dd = math.radians(o.dip_direction_deg)
-    return np.array(
-        [math.cos(dip) * math.sin(dd), math.cos(dip) * math.cos(dd), -math.sin(dip)]
-    )

@@ -277,20 +277,3 @@ def block_volume(halfspaces: Halfspaces) -> float:
     for a batch of one.
     """
     return float(block_volumes(*_one_block(halfspaces))[0])
-
-
-def monte_carlo_volume(
-    halfspaces: Halfspaces,
-    bbox: tuple[Sequence[float], Sequence[float]],
-    n_points: int,
-    seed: int,
-) -> float:
-    """Rejection-sampling volume estimate; the independent check for block_volume."""
-    lo = np.asarray(bbox[0], dtype=float)
-    hi = np.asarray(bbox[1], dtype=float)
-    rng = np.random.Generator(np.random.Philox(seed))
-    pts = rng.uniform(lo, hi, size=(n_points, 3))
-    inside = np.ones(n_points, dtype=bool)
-    for n, d in halfspaces:
-        inside &= pts @ np.asarray(n, dtype=float) >= d
-    return float(np.prod(hi - lo)) * float(np.count_nonzero(inside)) / n_points

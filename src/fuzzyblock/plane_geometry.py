@@ -38,7 +38,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
+from .fuzzy_numbers import AlphaInterval, TrapezoidalNumber
 
 # relative widening of segment knots: the slack of the crisp segment test
 _CRISP_SLACK = 1e-9
@@ -264,12 +264,8 @@ def segment_membership(seg: FuzzySegment, px: float, py: float) -> float:
     return _at(_values, seg, px, py)
 
 
-def polygon_membership(poly: FuzzyPolygon, px: float, py: float) -> float:
-    """Maximum membership over the polygon's closing edges."""
-    return _at(_values, poly, px, py)
-
-
 def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
+    """Membership of (px, py) in any shape; a polygon's is the maximum over its closing edges."""
     return _at(_values, shape, px, py)
 
 
@@ -284,21 +280,16 @@ def _rect_distance_bounds(
     return math.hypot(gap_x, gap_y), math.hypot(far_x, far_y)
 
 
-def fuzzy_distance(p: FuzzyPoint, q: FuzzyPoint, levels: int = 11) -> SampledFuzzyNumber:
-    """Fuzzy Euclidean distance between two fuzzy points.
+def fuzzy_distance(p: FuzzyPoint, q: FuzzyPoint, alpha: float) -> AlphaInterval:
+    """Alpha-cut of the fuzzy Euclidean distance between two fuzzy points.
 
-    At each alpha the cut is the exact [min, max] distance between the two
-    alpha-cut rectangles (closest / farthest corner analysis); the cuts are
-    nested by construction.
+    By the extension principle the cut is the exact [min, max] distance
+    between the points' alpha-cut rectangles.  Cut ends, gaps and spans stay
+    monotone in alpha after rounding, so cuts at alpha1 < alpha2 nest with
+    no slack (``math.hypot`` is near-correctly rounded; the tests check the
+    nesting bit for bit), and swapping p and q gives the same bits.
     """
-    if levels < 2:
-        raise ValueError("need at least 2 alpha levels")
-    pairs = []
-    for i in range(levels):
-        alpha = i / (levels - 1)
-        lo, hi = _rect_distance_bounds(*p.alpha_box(alpha), *q.alpha_box(alpha))
-        pairs.append((alpha, lo, hi))
-    return SampledFuzzyNumber.from_pairs(pairs)
+    return AlphaInterval(alpha, *_rect_distance_bounds(*p.alpha_box(alpha), *q.alpha_box(alpha)))
 
 
 def raster_membership(

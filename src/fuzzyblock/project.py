@@ -2,16 +2,15 @@
 
 Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
-range-checked with a diagnostic naming the offending key path.  Keys that
-schema version 1 accepts and checks but no computation reads
-(``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
-``location``) are logged as ignored; fuzzy ``friction_deg`` is required and
-checked but not read yet.
+range-checked with a diagnostic naming the offending key path.  Every
+accepted key is read by some command, except fuzzy ``friction_deg``, which
+is required and checked but not read yet.  Keys that earlier builds accepted
+and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
+``location``) are rejected as unknown.
 """
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -30,8 +29,6 @@ from .plane_geometry import (
 from .surrogate.dataset import DatasetSpec
 
 SCHEMA_VERSION = 1
-
-log = logging.getLogger(__name__)
 
 
 class ProjectError(Exception):
@@ -136,7 +133,6 @@ class ProjectConfig:
 _TOP_KEYS = {
     "schema_version",
     "tunnel",
-    "unit_weight_kn_m3",
     "joints",
     "fuzzy_joints",
     "dataset",
@@ -144,9 +140,7 @@ _TOP_KEYS = {
     "geometry",
     "delta_variant",
     "label_thresholds",
-    "resolution",
     "seed_offset_m",
-    "bbox_margin_m",
 }
 
 
@@ -183,7 +177,7 @@ def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
     _check_keys(
         obj,
         path,
-        {"id", "dip_deg", "dip_direction_deg", "friction_deg", "location"},
+        {"id", "dip_deg", "dip_direction_deg", "friction_deg"},
         {"dip_deg", "dip_direction_deg", "friction_deg"},
     )
     dip = _number(obj["dip_deg"], f"{path}.dip_deg")
@@ -195,14 +189,6 @@ def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
         raise ProjectSemanticError(f"{path}.dip_direction_deg must lie in [0, 360), got {dd}")
     if not 0.0 <= phi < 90.0:
         raise ProjectSemanticError(f"{path}.friction_deg must lie in [0, 90), got {phi}")
-    location = obj.get("location")
-    if location is not None:
-        if not isinstance(location, list) or len(location) != 3:
-            raise ProjectSchemaError(f"{path}.location must be a 3-element [x, y, z] array")
-        for i, v in enumerate(location):
-            _number(v, f"{path}.location[{i}]")
-        log.warning("%s.location is ignored: the sweep anchors joints at facet seed points",
-                    path)
     return JointPlane(
         id=str(obj.get("id", f"J{index + 1}")),
         orientation=Orientation(dip, dd),
@@ -390,10 +376,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
         )
     tunnel = _parse_tunnel(doc["tunnel"], "$.tunnel")
-    if "unit_weight_kn_m3" in doc:
-        if _number(doc["unit_weight_kn_m3"], "$.unit_weight_kn_m3") <= 0.0:
-            raise ProjectSemanticError("$.unit_weight_kn_m3 must be positive")
-        log.warning("$.unit_weight_kn_m3 is ignored: safety factors are friction-only")
 
     joints = []
     raw_joints = doc.get("joints", [])
@@ -416,11 +398,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         seed_offset = _number(seed_offset, "$.seed_offset_m")
         if seed_offset <= 0.0:
             raise ProjectSemanticError("$.seed_offset_m must be positive")
-    if doc.get("bbox_margin_m") is not None:
-        if _number(doc["bbox_margin_m"], "$.bbox_margin_m") <= 0.0:
-            raise ProjectSemanticError("$.bbox_margin_m must be positive")
-        log.warning("$.bbox_margin_m is ignored: removable blocks are bounded, "
-                    "so volumes need no box")
 
     dataset = None
     if "dataset" in doc:
@@ -439,8 +416,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     thresholds = tuple(_number(v, f"$.label_thresholds[{i}]") for i, v in enumerate(thresholds))
     if not (1.0 >= thresholds[0] > thresholds[1] > thresholds[2] >= 0.0):
         raise ProjectSemanticError("$.label_thresholds must strictly decrease within [0, 1]")
-    if "resolution" in doc:
-        log.warning("$.resolution is ignored: PBP is computed exactly")
 
     return ProjectConfig(
         tunnel=tunnel,

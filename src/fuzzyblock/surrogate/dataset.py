@@ -299,12 +299,14 @@ def read_dataset_csv(path: str) -> list[Sample]:
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
             raise ValueError(
-                f"dataset header must be {','.join(CSV_HEADER)}, got {header}"
+                f"{path}: dataset header must be {','.join(CSV_HEADER)}, got {header}"
             )
         out = []
         for row in reader:
             if not row:
                 continue
-            vals = [float(v) for v in row]
-            out.append(Sample(*vals))
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{path} line {reader.line_num}: expected "
+                                 f"{len(CSV_HEADER)} fields, got {len(row)}")
+            out.append(Sample(*[float(v) for v in row]))
     return out

@@ -181,6 +181,8 @@ def firing_strengths(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
 def forward_batch(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and normalized firing strengths for a batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.input_count:
+        raise ValueError(f"expected {model.input_count} inputs, got shape {X.shape}")
     _, wbar = firing_strengths(model, X)
     return _predict(model, X, wbar), wbar
 
@@ -189,15 +191,6 @@ def _predict(model: TskModel, X: np.ndarray, wbar: np.ndarray) -> np.ndarray:
     Xa = np.column_stack([X, np.ones(X.shape[0])])
     f = Xa @ model.consequents.T
     return (wbar * f).sum(axis=1)
-
-
-def forward(model: TskModel, x: Sequence[float]) -> tuple[float, np.ndarray]:
-    """Prediction and normalized firing strengths at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_count,):
-        raise ValueError(f"expected {model.input_count} inputs, got shape {x.shape}")
-    y, wbar = forward_batch(model, x.reshape(1, -1))
-    return float(y[0]), wbar[0]
 
 
 def rmse(
@@ -417,7 +410,16 @@ def model_to_dict(model: TskModel) -> dict:
     return doc
 
 
+def _require_keys(doc: object, keys: Sequence[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{where} lacks key {missing[0]!r}")
+
+
 def model_from_dict(doc: dict) -> TskModel:
+    _require_keys(doc, ("schema_version", "input_names", "mfs", "consequents"), "model")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported model schema_version {doc.get('schema_version')!r}"
@@ -425,6 +427,7 @@ def model_from_dict(doc: dict) -> TskModel:
     norm = None
     if doc.get("normalization") is not None:
         nd = doc["normalization"]
+        _require_keys(nd, ("feature_names", "mins", "maxs", "range"), "model normalization")
         norm = NormalizationRecord(
             tuple(nd["feature_names"]),
             tuple(nd["mins"]),
@@ -454,7 +457,11 @@ def save_model(model: TskModel, path: str) -> None:
 
 def load_model(path: str) -> TskModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return model_from_dict(doc)
+    except (IndexError, TypeError, ValueError) as exc:  # values of the wrong type or shape
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def bin_angles(lo: float, hi: float, bins: int) -> np.ndarray:

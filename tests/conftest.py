@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fuzzyblock.kernel.volume import monte_carlo_volume
+from volume_oracle import monte_carlo_volume
 
 _ACCEPTANCE_RESULTS = []
 
@@ -17,7 +17,6 @@ def standard_project_dict():
     return {
         "schema_version": 1,
         "tunnel": {"section": OCTAGON_SECTION, "axis_trend_deg": 0.0},
-        "unit_weight_kn_m3": 27.0,
         "joints": [
             {"id": "J1", "dip_deg": 60.0, "dip_direction_deg": 0.0, "friction_deg": 20.0},
             {"id": "J2", "dip_deg": 60.0, "dip_direction_deg": 120.0, "friction_deg": 20.0},

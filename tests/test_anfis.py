@@ -15,7 +15,6 @@ from fuzzyblock.surrogate.model import (
     damage_map,
     extract_rules,
     firing_strengths,
-    forward,
     forward_batch,
     init_model,
     load_model,
@@ -75,9 +74,9 @@ class TestInit:
 class TestForward:
     def test_single_rule_linear(self):
         m = TskModel([np.array([[0.0, 1.0, 2.0]])], np.array([[2.0, 1.0]]), ("x1",))
-        y, wbar = forward(m, [3.0])
-        assert y == pytest.approx(7.0)
-        assert wbar == pytest.approx([1.0])
+        y, wbar = forward_batch(m, [[3.0]])
+        assert y == pytest.approx([7.0])
+        assert wbar[0] == pytest.approx([1.0])
 
     def test_symmetric_two_rule_midpoint(self):
         m = TskModel(
@@ -85,9 +84,9 @@ class TestForward:
             np.array([[0.0, 2.0], [0.0, 4.0]]),
             ("x1",),
         )
-        y, wbar = forward(m, [0.0])
-        assert wbar == pytest.approx([0.5, 0.5])
-        assert y == pytest.approx(3.0)
+        y, wbar = forward_batch(m, [[0.0]])
+        assert wbar[0] == pytest.approx([0.5, 0.5])
+        assert y == pytest.approx([3.0])
 
     def test_normalized_strengths_sum_to_one(self):
         rng = np.random.Generator(np.random.Philox(3))
@@ -99,7 +98,7 @@ class TestForward:
     def test_dimension_checked(self):
         m = init_model(2, 2, np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
-            forward(m, [1.0])
+            forward_batch(m, [[1.0]])
 
     def test_underflow_fallback_uniform(self):
         m = TskModel([np.array([[0.0, 1e-6, 40.0], [0.1, 1e-6, 40.0]])],

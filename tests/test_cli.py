@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from fuzzyblock import cli
 from fuzzyblock.cli import atomic_write_text, main
@@ -74,22 +75,17 @@ class TestKbtCommands:
         assert header == ["facet", "code", "volume"]
         assert all(float(r[2]) >= 0 for r in rows)
 
-    def test_bbox_margin_is_ignored(self, tmp_path, caplog):
-        products = {}
-        for margin in (None, 0.5):
-            doc = standard_project_dict()
-            if margin is not None:
-                doc["bbox_margin_m"] = margin
-            path = tmp_path / f"p{margin}.json"
-            path.write_text(json.dumps(doc))
-            caplog.clear()
-            for cmd in ("analyze", "volume"):
-                out = tmp_path / f"{cmd}{margin}.csv"
-                assert main(["kbt", cmd, "-p", str(path), "-o", str(out)]) == 0
-                products[cmd, margin] = out.read_bytes()
-            assert ("$.bbox_margin_m is ignored" in caplog.text) == (margin is not None)
+    def test_bbox_margin_is_rejected(self, tmp_path, capsys):
+        # no kbt product reads bbox_margin_m, so a project that sets it is a data error
+        doc = standard_project_dict()
+        doc["bbox_margin_m"] = 0.5
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
         for cmd in ("analyze", "volume"):
-            assert products[cmd, 0.5] == products[cmd, None]
+            out = tmp_path / f"{cmd}.csv"
+            assert main(["kbt", cmd, "-p", str(path), "-o", str(out)]) == 2
+            assert "unknown key 'bbox_margin_m' at $" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_no_joints_is_data_error(self, tmp_path):
         doc = standard_project_dict()
@@ -117,6 +113,24 @@ class TestExitCodes:
         doc["joints"][0]["frction"] = 1
         path.write_text(json.dumps(doc))
         assert main(["kbt", "analyze", "-p", str(path), "-o", str(tmp_path / "x.csv")]) == 2
+
+    def test_retired_key_is_data_error(self, tmp_path, capsys):
+        doc = standard_project_dict()
+        doc["joints"][2]["location"] = [0.0, 0.0, 0.0]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["kbt", "analyze", "-p", str(path), "-o", str(tmp_path / "x.csv")]) == 2
+        assert "unknown key 'location' at $.joints[2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["surrogate", "gen", "-p", "p.json", "-o", "d.csv", "--seed", "5"],
+        ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--seed", "5"],
+        ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--epochs", "5"],
+        ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--range", "0,1"],
+    ], ids=["gen_seed", "train_seed", "train_epochs", "train_range"])
+    def test_removed_flag_is_usage_error(self, argv):
+        # each of these once shadowed a project key
+        assert main(argv) == 1
 
 
 class TestFuzzyPbr:
@@ -237,15 +251,18 @@ class TestSurrogatePipeline:
         assert len(rows) == 283
 
     def test_seed_flag_determines_output(self, tmp_path):
-        proj = small_project(tmp_path)
-        a = str(tmp_path / "a.csv")
-        b = str(tmp_path / "b.csv")
-        c = str(tmp_path / "c.csv")
-        main(["surrogate", "gen", "-p", proj, "-o", a, "--seed", "5"])
-        main(["surrogate", "gen", "-p", proj, "-o", b, "--seed", "5"])
-        main(["surrogate", "gen", "-p", proj, "-o", c, "--seed", "6"])
-        assert open(a, "rb").read() == open(b, "rb").read()
-        assert open(a, "rb").read() != open(c, "rb").read()
+        # the dataset seed comes from the project's dataset.seed alone
+        outputs = []
+        for seed in (5, 5, 6):
+            doc = standard_project_dict()
+            doc["dataset"].update(sample_count=60, seed=seed)
+            proj = tmp_path / f"proj{len(outputs)}.json"
+            proj.write_text(json.dumps(doc))
+            out = tmp_path / f"data{len(outputs)}.csv"
+            assert main(["surrogate", "gen", "-p", str(proj), "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
 
     def test_deterministic_retrain_byte_identity(self, tmp_path):
         proj = small_project(tmp_path)
@@ -270,21 +287,78 @@ class TestSurrogatePipeline:
         assert open(model, "rb").read() == open(lib_model, "rb").read()
 
     def test_range_flag(self, tmp_path):
-        proj = small_project(tmp_path)
+        # the normalization range comes from anfis.normalization_range
         data = str(tmp_path / "data.csv")
-        main(["surrogate", "gen", "-p", proj, "-o", data])
+        main(["surrogate", "gen", "-p", small_project(tmp_path), "-o", data])
+        doc = standard_project_dict()
+        doc["dataset"]["sample_count"] = 60
+        doc["anfis"].update(epochs=5, normalization_range=[0, 1])
+        proj = tmp_path / "ranged.json"
+        proj.write_text(json.dumps(doc))
         model = str(tmp_path / "m.json")
-        assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model,
-                     "--range", "0,1"]) == 0
+        assert main(["surrogate", "train", "-p", str(proj), "-d", data, "-o", model]) == 0
         doc = json.load(open(model))
         assert doc["normalization"]["range"] == [0.0, 1.0]
 
-    def test_bad_range_flag(self, tmp_path):
-        proj = small_project(tmp_path)
+    def test_bad_range_flag(self, tmp_path, capsys):
         data = str(tmp_path / "data.csv")
-        main(["surrogate", "gen", "-p", proj, "-o", data])
-        assert main(["surrogate", "train", "-p", proj, "-d", data,
-                     "-o", str(tmp_path / "m.json"), "--range", "zero-one"]) == 2
+        main(["surrogate", "gen", "-p", small_project(tmp_path), "-o", data])
+        doc = standard_project_dict()
+        doc["anfis"]["normalization_range"] = [1, 0]
+        proj = tmp_path / "inverted.json"
+        proj.write_text(json.dumps(doc))
+        assert main(["surrogate", "train", "-p", str(proj), "-d", data,
+                     "-o", str(tmp_path / "m.json")]) == 2
+        assert "$.anfis.normalization_range" in capsys.readouterr().err
+
+
+class TestMalformedInputs:
+    """A malformed input file is a data error naming the file, not a traceback."""
+
+    def test_dataset_short_row(self, tmp_path, capsys):
+        proj = small_project(tmp_path)
+        data = tmp_path / "data.csv"
+        assert main(["surrogate", "gen", "-p", proj, "-o", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["surrogate", "train", "-p", proj, "-d", str(data),
+                     "-o", str(tmp_path / "m.json")]) == 2
+        assert f"{data} line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("mfs"), "model lacks key 'mfs'"),
+        (lambda doc: doc.update(mfs=5), "object is not iterable"),
+        (lambda doc: doc["input_names"].reverse(), "inputs must be dip_deg"),
+    ], ids=["missing_mfs", "mfs_not_list", "inputs_reordered"])
+    def test_malformed_model(self, tmp_path, capsys, edit, message):
+        proj = small_project(tmp_path)
+        data, model = str(tmp_path / "data.csv"), tmp_path / "m.json"
+        assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
+        assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        assert main(["surrogate", "map", "-p", proj, "-m", str(model),
+                     "-o", str(tmp_path / "map.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and message in err
+
+    def test_predict_short_row(self, tmp_path, capsys):
+        proj = small_project(tmp_path)
+        data, model = tmp_path / "data.csv", str(tmp_path / "m.json")
+        assert main(["surrogate", "gen", "-p", proj, "-o", str(data)]) == 0
+        assert main(["surrogate", "train", "-p", proj, "-d", str(data), "-o", model]) == 0
+        data.write_text(data.read_text() + "1.0,2.0\n")
+        assert main(["surrogate", "predict", "-m", model, "-d", str(data),
+                     "-o", str(tmp_path / "pred.csv")]) == 2
+        assert f"{data} line 62" in capsys.readouterr().err
+
+    def test_plot_short_row(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("angle_deg,sf_pred\n0,1\n90\n")
+        assert main(["plot", "-d", str(path), "-o", str(tmp_path / "o.svg")]) == 2
+        assert f"{path} line 3" in capsys.readouterr().err
 
 
 class TestPlot:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzyblock.fuzzy_numbers import SampledFuzzyNumber, TrapezoidalNumber
+from fuzzyblock.fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
     FINITENESS_LABELS,
     FuzzyHalfSpaceConstraint,
@@ -169,7 +169,8 @@ class TestConstraintPoss:
     @pytest.mark.parametrize("coeffs, d", [
         ((T.crisp(1.0), 0.5), T.crisp(0.0)),
         ((T.crisp(1.0), T.crisp(0.0)), 0.0),
-        ((SampledFuzzyNumber.from_pairs([(0.0, 0.0, 2.0), (1.0, 1.0, 1.0)]), T.crisp(0.0)),
+        ((SampledFuzzyNumber((AlphaInterval(0.0, 0.0, 2.0), AlphaInterval(1.0, 1.0, 1.0))),
+          T.crisp(0.0)),
          T.crisp(0.0)),
     ])
     def test_trapezoids_only(self, coeffs, d):

@@ -21,7 +21,6 @@ from fuzzyblock.plane_geometry import (
     fuzzy_distance,
     line_membership,
     membership_at,
-    polygon_membership,
     raster_membership,
     segment_membership,
     slope_line_membership,
@@ -157,14 +156,14 @@ class TestPolygonMembership:
         )
 
     def test_edge_point(self):
-        assert polygon_membership(self._unit_square(), 0, 0.5) == 1.0
+        assert membership_at(self._unit_square(), 0, 0.5) == 1.0
 
     def test_interior_excluded(self):
         # the fuzzy polygon is its edge bundle, not a filled region
-        assert polygon_membership(self._unit_square(), 0.5, 0.5) == 0.0
+        assert membership_at(self._unit_square(), 0.5, 0.5) == 0.0
 
     def test_vertex_point(self):
-        assert polygon_membership(self._unit_square(), 0, 0) == 1.0
+        assert membership_at(self._unit_square(), 0, 0) == 1.0
 
     def test_max_law(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -180,7 +179,7 @@ class TestPolygonMembership:
                 )
             poly = FuzzyPolygon(tuple(verts))
             px, py = rng.uniform(-2.5, 2.5, size=2)
-            pm = polygon_membership(poly, px, py)
+            pm = membership_at(poly, px, py)
             edge_vals = [segment_membership(e, px, py) for e in poly.edges()]
             assert pm >= max(edge_vals) - 1e-12
 
@@ -319,7 +318,7 @@ class TestExactSegment:
         assert 0.0 <= value <= 1.0
         assert scan <= value
         # the polygon's first edge is the segment
-        assert scan <= polygon_membership(poly, px, py) <= 1.0
+        assert scan <= membership_at(poly, px, py) <= 1.0
 
     def test_step_at_zero_width_ramp(self):
         px, py = STEP_POINT
@@ -331,7 +330,7 @@ class TestExactSegment:
         poly = FuzzyPolygon([STEP_P, STEP_Q, FuzzyPoint.crisp(0.0, -5.0)])
         # within the 1e-9 knot widening, above the dense scan
         assert segment_membership(seg, px, py) == pytest.approx(exact, abs=1e-7)
-        assert polygon_membership(poly, px, py) == pytest.approx(exact, abs=1e-7)
+        assert membership_at(poly, px, py) == pytest.approx(exact, abs=1e-7)
         assert lambda_scan(seg, px, py) <= segment_membership(seg, px, py)
 
     def test_subnormal_span_reads_without_overflow(self):
@@ -440,27 +439,34 @@ class TestSupportBoxCull:
         assert np.array_equal(_bits(values), _bits(edge_values([(p, q)], px, py)))
 
 
+def _rect_grid(x, y, k=25):
+    """A k-by-k grid over the rectangle x-by-y, its edges and corners included."""
+    gx, gy = np.meshgrid(np.linspace(x.lo, x.hi, k), np.linspace(y.lo, y.hi, k))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 class TestFuzzyDistance:
     def test_crisp_pythagoras(self):
-        d = fuzzy_distance(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 4))
-        for level in d.levels:
-            assert level.lo == pytest.approx(5.0)
-            assert level.hi == pytest.approx(5.0)
+        for alpha in (0.0, 0.5, 1.0):
+            d = fuzzy_distance(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 4), alpha)
+            assert (d.alpha, d.lo, d.hi) == (alpha, 5.0, 5.0)
 
     def test_interval_example(self):
         p = FuzzyPoint(T(-1, 0, 0, 1), T.crisp(0))
         q = FuzzyPoint.crisp(3, 4)
-        d = fuzzy_distance(p, q)
-        assert d.support.lo == pytest.approx(math.sqrt(20))
-        assert d.support.hi == pytest.approx(math.sqrt(32))
-        assert d.core.lo == pytest.approx(5.0)
-        assert d.core.hi == pytest.approx(5.0)
+        support, half, core = (fuzzy_distance(p, q, alpha) for alpha in (0.0, 0.5, 1.0))
+        assert support.lo == pytest.approx(math.sqrt(20))
+        assert support.hi == pytest.approx(math.sqrt(32))
+        assert half.lo == pytest.approx(math.hypot(2.5, 4))
+        assert half.hi == pytest.approx(math.hypot(3.5, 4))
+        assert core.lo == pytest.approx(5.0)
+        assert core.hi == pytest.approx(5.0)
 
     def test_corner_enumeration_oracle(self):
         rng = np.random.Generator(np.random.Philox(13))
         p = FuzzyPoint(T(-1, 0, 0, 1), T.crisp(0))
         q = FuzzyPoint.crisp(3, 4)
-        d = fuzzy_distance(p, q)
+        d = fuzzy_distance(p, q, 0.0)
         bx, by = p.alpha_box(0.0)
         cx, cy = q.alpha_box(0.0)
         pts1 = np.column_stack(
@@ -470,34 +476,50 @@ class TestFuzzyDistance:
             [np.full(10000, cx.lo), np.full(10000, cy.lo)]
         )
         dists = np.linalg.norm(pts1 - pts2, axis=1)
-        assert d.support.lo <= dists.min() + 1e-9
-        assert d.support.hi >= dists.max() - 1e-9
-        assert d.support.lo == pytest.approx(dists.min(), abs=1e-2)
-        assert d.support.hi == pytest.approx(dists.max(), abs=1e-2)
+        assert d.lo <= dists.min() + 1e-9
+        assert d.hi >= dists.max() - 1e-9
+        assert d.lo == pytest.approx(dists.min(), abs=1e-2)
+        assert d.hi == pytest.approx(dists.max(), abs=1e-2)
 
     def test_overlapping_supports_zero_min(self):
         p = FuzzyPoint(T(-1, 0, 0, 1), T(-1, 0, 0, 1))
         q = FuzzyPoint(T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5))
-        d = fuzzy_distance(p, q)
-        assert d.support.lo == 0.0
+        assert fuzzy_distance(p, q, 0.0).lo == 0.0
+        assert fuzzy_distance(p, q, 1.0).lo == math.sqrt(2)
 
-    def test_symmetry_and_nesting(self):
-        rng = np.random.Generator(np.random.Philox(17))
-        for _ in range(20):
-            p = FuzzyPoint(random_trap(rng), random_trap(rng))
-            q = FuzzyPoint(random_trap(rng), random_trap(rng))
-            d1 = fuzzy_distance(p, q)
-            d2 = fuzzy_distance(q, p)
-            for l1, l2 in zip(d1.levels, d2.levels):
-                assert l1.lo == pytest.approx(l2.lo, abs=1e-12)
-                assert l1.hi == pytest.approx(l2.hi, abs=1e-12)
-            for prev, cur in zip(d1.levels, d1.levels[1:]):
-                assert prev.lo <= cur.lo + 1e-12
-                assert cur.hi <= prev.hi + 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(knots=st.lists(trapezoids(), min_size=4, max_size=4),
+           a1=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0))
+    def test_symmetry_and_nesting(self, knots, a1, a2):
+        p, q = FuzzyPoint(*knots[:2]), FuzzyPoint(*knots[2:])
+        lo_alpha, hi_alpha = sorted((a1, a2))
+        outer, inner = fuzzy_distance(p, q, lo_alpha), fuzzy_distance(p, q, hi_alpha)
+        # no slack: every cut end is monotone in alpha after rounding
+        assert outer.lo <= inner.lo and inner.hi <= outer.hi
+        for alpha in (a1, a2):
+            d, swapped = fuzzy_distance(p, q, alpha), fuzzy_distance(q, p, alpha)
+            assert np.array_equal(_bits([d.lo, d.hi]), _bits([swapped.lo, swapped.hi]))
 
-    def test_levels_validation(self):
-        with pytest.raises(ValueError):
-            fuzzy_distance(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 1), levels=1)
+    @settings(max_examples=100, deadline=None)
+    @given(knots=st.lists(trapezoids(), min_size=4, max_size=4), alpha=st.floats(0.0, 1.0))
+    def test_ends_match_brute_force(self, knots, alpha):
+        p, q = FuzzyPoint(*knots[:2]), FuzzyPoint(*knots[2:])
+        d = fuzzy_distance(p, q, alpha)
+        (bx, by), (cx, cy) = p.alpha_box(alpha), q.alpha_box(alpha)
+        a, b = _rect_grid(bx, by), _rect_grid(cx, cy)
+        dists = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+        # the farthest pair is a pair of corners, which the grids hold; the
+        # nearest grid pair is within one grid step of each rectangle of it
+        assert d.hi == pytest.approx(dists.max(), rel=1e-14)
+        step = math.hypot((bx.hi - bx.lo + cx.hi - cx.lo) / 24, (by.hi - by.lo + cy.hi - cy.lo) / 24)
+        assert d.lo <= dists.min() * (1 + 1e-14)
+        assert dists.min() <= d.lo + step + 1e-12
+
+    def test_alpha_outside_unit_interval_rejected(self):
+        p, q = FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 1)
+        for alpha in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                fuzzy_distance(p, q, alpha)
 
 
 def _fuzzy_pentagon():

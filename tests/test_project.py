@@ -1,5 +1,4 @@
 import json
-import logging
 
 import pytest
 
@@ -140,59 +139,22 @@ class TestParseProject:
         with pytest.raises(ProjectSemanticError):
             parse_project_dict(doc)
 
-    def test_resolution_ignored(self, caplog):
-        # schema version 1 still accepts the retired key, of any value
+    @pytest.mark.parametrize(
+        "edit, path",
+        [
+            (lambda doc: doc.update(resolution=10), r"'resolution' at \$$"),
+            (lambda doc: doc.update(bbox_margin_m=2.5), r"'bbox_margin_m' at \$$"),
+            (lambda doc: doc.update(unit_weight_kn_m3=27.0), r"'unit_weight_kn_m3' at \$$"),
+            (lambda doc: doc["joints"][1].update(location=[1.0, -2.0, 0.5]),
+             r"'location' at \$\.joints\[1\]$"),
+        ],
+        ids=["resolution", "bbox_margin_m", "unit_weight_kn_m3", "joint_location"],
+    )
+    def test_retired_key_rejected(self, edit, path):
+        # no computation reads these keys, so the schema no longer accepts them
         doc = standard_project_dict()
-        doc["resolution"] = 10
-        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
-            cfg = parse_project_dict(doc)
-        assert cfg == parse_project_dict(standard_project_dict())
-        assert "$.resolution is ignored" in caplog.text
-
-    def test_unit_weight_ignored(self, caplog):
-        # SFs are friction-only: the key is checked, logged, and read by nothing
-        bare = standard_project_dict()
-        del bare["unit_weight_kn_m3"]
-        doc = standard_project_dict()
-        doc["unit_weight_kn_m3"] = 19.5
-        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
-            cfg = parse_project_dict(doc)
-        assert cfg == parse_project_dict(bare)
-        assert "$.unit_weight_kn_m3 is ignored" in caplog.text
-        doc["unit_weight_kn_m3"] = -1.0
-        with pytest.raises(ProjectSemanticError, match="unit_weight_kn_m3"):
-            parse_project_dict(doc)
-        doc["unit_weight_kn_m3"] = "heavy"
-        with pytest.raises(ProjectSchemaError, match="unit_weight_kn_m3"):
-            parse_project_dict(doc)
-
-    def test_bbox_margin_ignored(self, caplog):
-        # volumes need no box: the key is checked, logged, and read by nothing
-        doc = standard_project_dict()
-        doc["bbox_margin_m"] = 2.5
-        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
-            cfg = parse_project_dict(doc)
-        assert cfg == parse_project_dict(standard_project_dict())
-        assert "$.bbox_margin_m is ignored" in caplog.text
-        doc["bbox_margin_m"] = 0.0
-        with pytest.raises(ProjectSemanticError, match="bbox_margin_m"):
-            parse_project_dict(doc)
-        doc["bbox_margin_m"] = "wide"
-        with pytest.raises(ProjectSchemaError, match="bbox_margin_m"):
-            parse_project_dict(doc)
-
-    def test_joint_location_ignored(self, caplog):
-        doc = standard_project_dict()
-        doc["joints"][1]["location"] = [1.0, -2.0, 0.5]
-        with caplog.at_level(logging.WARNING, logger="fuzzyblock.project"):
-            cfg = parse_project_dict(doc)
-        assert cfg == parse_project_dict(standard_project_dict())
-        assert "$.joints[1].location is ignored" in caplog.text
-        doc["joints"][1]["location"] = [1.0, -2.0]
-        with pytest.raises(ProjectSchemaError, match=r"joints\[1\]\.location"):
-            parse_project_dict(doc)
-        doc["joints"][1]["location"] = [1.0, -2.0, "up"]
-        with pytest.raises(ProjectSchemaError, match=r"location\[2\]"):
+        edit(doc)
+        with pytest.raises(ProjectSchemaError, match="^unknown key " + path):
             parse_project_dict(doc)
 
     def test_dataset_ranges_checked(self):

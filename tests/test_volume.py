@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from conftest import principal_frame_monte_carlo
+from volume_oracle import monte_carlo_volume
 
 from fuzzyblock.kernel.volume import (
     UnboundedBlockError,
@@ -16,7 +17,6 @@ from fuzzyblock.kernel.volume import (
     block_vertices,
     block_volume,
     block_volumes,
-    monte_carlo_volume,
 )
 
 
