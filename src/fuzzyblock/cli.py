@@ -35,6 +35,7 @@ from .surrogate.dataset import (
     FEATURE_NAMES,
     DatasetSpec,
     dataset_csv_text,
+    finite_rows,
     generate_dataset,
     joint_cases,
     normalize,
@@ -239,14 +240,15 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and nonempty rows of a CSV whose every row is as wide as its header."""
+def _read_csv(path: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Stripped header, nonempty rows and their line numbers, of a CSV whose every row is
+    as wide as its header."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise CliDataError(f"{path} is empty")
-        rows = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
@@ -254,9 +256,10 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
                 raise CliDataError(f"{path} line {reader.line_num}: expected "
                                    f"{len(header)} fields, got {len(row)}")
             rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise CliDataError(f"{path} has no data rows")
-    return [h.strip() for h in header], rows
+    return [h.strip() for h in header], rows, lines
 
 
 def _load_feature_model(path: str) -> TskModel:
@@ -271,12 +274,12 @@ def _load_feature_model(path: str) -> TskModel:
 
 def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     model = _load_feature_model(args.model)
-    header, rows = _read_csv(args.data)
+    header, rows, lines = _read_csv(args.data)
     missing = [name for name in FEATURE_NAMES if name not in header]
     if missing:
         raise CliDataError(f"{args.data} lacks feature columns: {', '.join(missing)}")
     idx = [header.index(name) for name in FEATURE_NAMES]
-    feats = [[float(row[i]) for i in idx] for row in rows]
+    feats = finite_rows([[row[i] for i in idx] for row in rows], FEATURE_NAMES, args.data, lines)
     X = model.normalization.apply_features(np.array(feats))
     pred, _ = forward_batch(model, X)
     sf = model.normalization.invert_target(pred)
@@ -307,7 +310,7 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    header, rows = _read_csv(args.data)
+    header, rows, _ = _read_csv(args.data)
     if len(header) < 2:
         raise CliDataError(f"{args.data} needs at least two columns to plot")
     if header[:3] == ["x", "y", "membership"]:

@@ -293,6 +293,34 @@ def write_dataset_csv(path: str, samples: Sequence[Sample]) -> None:
         fh.write(dataset_csv_text(samples))
 
 
+def _finite(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def finite_rows(
+    rows: Sequence[Sequence[str]], columns: Sequence[str], path: str, lines: Sequence[int]
+) -> list[list[float]]:
+    """CSV fields as floats; ``lines`` holds each row's line number in ``path``.
+
+    A field that is not a finite number is a ValueError naming the file, the
+    line and the column, as project files are checked.
+    """
+    try:
+        table = [[float(v) for v in row] for row in rows]
+        if np.isfinite(table).all():
+            return table
+    except ValueError:
+        pass
+    line, column = next(
+        (line, column) for row, line in zip(rows, lines)
+        for text, column in zip(row, columns) if not _finite(text)
+    )
+    raise ValueError(f"{path} line {line}: {column} must be a finite number")
+
+
 def read_dataset_csv(path: str) -> list[Sample]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -301,12 +329,13 @@ def read_dataset_csv(path: str) -> list[Sample]:
             raise ValueError(
                 f"{path}: dataset header must be {','.join(CSV_HEADER)}, got {header}"
             )
-        out = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path} line {reader.line_num}: expected "
                                  f"{len(CSV_HEADER)} fields, got {len(row)}")
-            out.append(Sample(*[float(v) for v in row]))
-    return out
+            rows.append(row)
+            lines.append(reader.line_num)
+    return [Sample(*values) for values in finite_rows(rows, CSV_HEADER, path, lines)]

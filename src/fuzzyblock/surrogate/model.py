@@ -147,24 +147,28 @@ class PremiseState(NamedTuple):
     wbar: np.ndarray
 
 
-def _on_grid(model: TskModel, U: list[np.ndarray], i: int) -> np.ndarray:
-    """Input i's memberships as a view that broadcasts along the (N, k_1, ..., k_d) rule grid."""
-    shape = [1] * model.input_count
-    shape[i] = model.mf_counts[i]
-    return U[i].reshape([len(U[i])] + shape)
+def _augmented(X: np.ndarray) -> np.ndarray:
+    """X with a column of ones appended, the regressors of the linear consequents."""
+    return np.column_stack([X, np.ones(X.shape[0])])
 
 
 def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
-    """Memberships and firing strengths of the model's current premises on X."""
+    """Memberships and firing strengths of the model's current premises on X.
+
+    The strengths start from input 0's memberships and take in one input at
+    a time as the fastest-varying rule axis, on N-contiguous rows, so each
+    is the product of its memberships in input order (first input slowest).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = [bell_membership(X[:, i], model.mf_params[i]) for i in range(model.input_count)]
-    grid = np.ones((X.shape[0],) + model.mf_counts)
-    for i in range(model.input_count):
-        grid *= _on_grid(model, U, i)
-    w = grid.reshape(X.shape[0], model.rule_count)
+    w = U[0].T
+    for u in U[1:]:
+        w = (w[:, None, :] * np.ascontiguousarray(u.T)).reshape(-1, X.shape[0])
+    w = np.ascontiguousarray(w.T)
     total = w.sum(axis=1)
-    wbar = np.full_like(w, 1.0 / model.rule_count)
-    np.divide(w, total[:, None], out=wbar, where=(total > _W_TINY)[:, None])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        wbar = w / total[:, None]
+    wbar[~(total > _W_TINY)] = 1.0 / model.rule_count  # every strength underflowed, or NaN
     return PremiseState(U, w, wbar)
 
 
@@ -188,8 +192,7 @@ def forward_batch(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _predict(model: TskModel, X: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    Xa = np.column_stack([X, np.ones(X.shape[0])])
-    f = Xa @ model.consequents.T
+    f = _augmented(X) @ model.consequents.T
     return (wbar * f).sum(axis=1)
 
 
@@ -217,31 +220,26 @@ def lse_consequents(
     positive ridge switches to Tikhonov regression, which is what keeps the
     rule grid from interpolating small datasets.  state, if given, holds
     the current premises' strengths on X and saves recomputing them.
+
+    The Tikhonov path forms the Gram matrix phi.T @ phi and phi.T @ y, then
+    frees the (N, P) design matrix phi before the solve, so the solve's LU
+    copy does not stack on it; the ridge goes onto the Gram diagonal in
+    place, so no second (P, P) array is allocated either.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     wbar = (state or premise_state(model, X)).wbar
-    Xa = np.column_stack([X, np.ones(X.shape[0])])
-    phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(X.shape[0], -1)
-    if ridge is not None and ridge > 0.0:
-        theta = _ridge_solve(phi, y, ridge)
-    else:
+    phi = (wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
+    shape = (model.rule_count, model.input_count + 1)
+    if ridge is None or not ridge > 0.0:
         try:
-            theta, *_ = np.linalg.lstsq(phi, y, rcond=None)
+            return np.linalg.lstsq(phi, y, rcond=None)[0].reshape(shape)
         except np.linalg.LinAlgError:
-            theta = _ridge_solve(phi, y, _RIDGE)
-    return theta.reshape(model.rule_count, model.input_count + 1)
-
-
-def _ridge_solve(phi: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Tikhonov solution of phi @ theta = y.
-
-    The ridge goes onto the Gram diagonal in place, so no second (P, P)
-    array is allocated next to phi.
-    """
-    gram = phi.T @ phi
+            ridge = _RIDGE
+    gram, rhs = phi.T @ phi, phi.T @ y
+    del phi
     gram[np.diag_indices_from(gram)] += ridge
-    return np.linalg.solve(gram, phi.T @ y)
+    return np.linalg.solve(gram, rhs).reshape(shape)
 
 
 def premise_gradients(
@@ -251,10 +249,15 @@ def premise_gradients(
 
     Returns one (k_i, 3) array per input, aligned with ``mf_params``.  state,
     if given, holds the current premises' memberships and strengths on X.
-    The error times dy/dw of every rule is formed once; each input then
-    divides its own membership out of the strengths, and sums the rules of
-    each of its MFs, in rule order, over a view of the (N, k_1, ..., k_d)
-    rule grid.
+    The strengths and the error times dy/dw of every rule are copied once
+    into rules-outer (k_1, ..., k_d, N) grids, so each pass runs along
+    N-contiguous rows.  Each input divides its membership out of the
+    strengths straight into a buffer whose leading axis is its MF, and each
+    MF's rules are summed one after another in rule order.  The per-MF sums
+    of all inputs go back to one (N, sum k_i) C-order array, so the sums
+    over samples also add one row after another.  Those two summation
+    orders fix the bits of the trained model; ``tests/gradient_oracle.py``
+    holds the loop they must match.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -262,56 +265,49 @@ def premise_gradients(
     U, w, wbar = state or premise_state(model, X)
     total = w.sum(axis=1)
     ok = total > _W_TINY
-    Xa = np.column_stack([X, np.ones(N)])
-    f = Xa @ model.consequents.T
+    f = _augmented(X) @ model.consequents.T
     pred = (wbar * f).sum(axis=1)
     err = pred - y
+    counts = model.mf_counts
+    w_grid = np.ascontiguousarray(w.T).reshape(counts + (N,))
     # err * dy/dw of every rule, zero on rows whose strengths all underflow
-    err_dydw = np.zeros_like(w)
-    np.subtract(f, pred[:, None], out=err_dydw, where=ok[:, None])
-    np.divide(err_dydw, total[:, None], out=err_dydw, where=ok[:, None])
-    err_dydw *= err[:, None]
-    grid_shape = (N,) + model.mf_counts
-    err_dydw = err_dydw.reshape(grid_shape)
-    w_grid = w.reshape(grid_shape)
-    contrib = np.empty(grid_shape)  # dE/dmu of each rule for one input, up to 2 / N
-
-    grads = []
-    for i in range(model.input_count):
-        params = model.mf_params[i]
-        c, a, b = params[:, 0], params[:, 1], params[:, 2]
-        Ui = U[i]
-        k_i = params.shape[0]
-        mu = _on_grid(model, U, i)
+    err_dydw = np.ascontiguousarray(f.T)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        err_dydw -= pred
+        err_dydw /= total
+    err_dydw[:, ~ok] = 0.0
+    err_dydw *= err
+    buf = np.empty(w.size)  # dE/dmu of each rule for one input, up to 2 / N
+    sums = []  # dE/dmu per MF, up to 2 / N, one (k_i, N) array per input
+    for i, k_i in enumerate(counts):
+        mu = np.ascontiguousarray(U[i].T).reshape((1,) * i + (k_i,) + (1,) * (len(counts) - i - 1) + (N,))
+        by_mf = buf.reshape((k_i,) + counts[:i] + counts[i + 1:] + (N,))
+        contrib = np.moveaxis(by_mf, 0, i)  # by_mf seen on the rule grid
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(w_grid, mu, out=contrib)
         tiny = mu <= _W_TINY
         if tiny.any():
             np.copyto(contrib, 0.0, where=tiny)
-        contrib *= err_dydw
-        # each MF's rules are summed one after another in rule order (rule
-        # axis outermost in memory, B in C order for the sums over samples
-        # below): summation order fixes the bits of the trained model
-        by_mf = np.ascontiguousarray(np.moveaxis(contrib, (i + 1, 0), (0, -1)))
-        B = np.ascontiguousarray(by_mf.reshape(k_i, -1, N).sum(axis=1).T)
-        z = (X[:, i, None] - c[None, :]) / a[None, :]
-        absz = np.abs(z)
-        mu2 = Ui**2
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u_pow_b = absz ** (2.0 * b[None, :])
-            zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
-            dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
-            dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
-            log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
-            dmu_db = -mu2 * u_pow_b * log_u
-        flat = np.isinf(u_pow_b)  # membership underflowed to 0: slope 0, not inf * 0
-        dmu_dc, dmu_da, dmu_db = (np.where(flat, 0.0, d) for d in (dmu_dc, dmu_da, dmu_db))
-        g = np.zeros((k_i, 3))
-        g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
-        g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)
-        g[:, 2] = (2.0 / N) * (B * dmu_db).sum(axis=0)
-        grads.append(g)
-    return grads
+        contrib *= err_dydw.reshape(w_grid.shape)
+        sums.append(by_mf.reshape(k_i, -1, N).sum(axis=1))
+    B = np.ascontiguousarray(np.concatenate(sums).T)  # C order: sums over samples row by row
+
+    # the MF slopes of all inputs side by side, one column per MF
+    params = np.concatenate(model.mf_params)
+    c, a, b = params[:, 0], params[:, 1], params[:, 2]
+    x = X[:, np.repeat(np.arange(len(counts)), counts)]
+    mu2 = np.concatenate(U, axis=1) ** 2
+    z = (x - c) / a
+    absz = np.abs(z)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u_pow_b = absz ** (2.0 * b)
+        zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b - 1.0), 0.0)
+        log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
+        dmu = np.stack([(2.0 * b / a) * zu * mu2, (2.0 * b / a) * u_pow_b * mu2,
+                        -mu2 * u_pow_b * log_u])
+    dmu[:, np.isinf(u_pow_b)] = 0.0  # membership underflowed to 0: slope 0, not inf * 0
+    g = ((2.0 / N) * (B * dmu).sum(axis=1)).T
+    return np.split(g, np.cumsum(counts)[:-1])
 
 
 def train(
@@ -327,7 +323,9 @@ def train(
     Pass 1 of each epoch solves the consequents exactly; pass 2 is one batch
     gradient step on the premises.  The learning rate halves whenever the
     epoch RMSE increases.  Memberships and firing strengths are evaluated
-    once per premise setting and shared by both passes and the RMSE.
+    once per premise setting and shared by both passes and the RMSE.  At
+    most one (N, P) design matrix is alive at a time: ``lse_consequents``
+    frees it before its solve, and the gradient pass works on (N, R) grids.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)

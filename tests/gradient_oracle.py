@@ -1,11 +1,16 @@
-"""Loop references for the premise pass, independent of its batched form.
+"""Loop references for hybrid training, independent of its batched form.
 
 ``premise_state`` and ``premise_gradients`` below are the forms that the
 package's functions of the same names replaced: strengths normalized through
 boolean-index copies, and gradients that gather each input's memberships
 onto the rule columns, rebuild dy/dw per input and sum each MF's rules
-through a boolean column mask.  The package must reproduce their bits.
+through a boolean column mask.  ``train`` is the epoch loop as written
+before strengths were shared: least squares on a broadcast-built design
+matrix, the gradients and the RMSE each evaluate the strengths themselves.
+The package must reproduce their bits.
 """
+import copy
+import math
 from typing import Optional
 
 import numpy as np
@@ -71,17 +76,70 @@ def premise_gradients(
                 B[:, m] = contrib[:, cols].sum(axis=1)
         z = (X[:, i, None] - c[None, :]) / a[None, :]
         absz = np.abs(z)
-        u_pow_b = absz ** (2.0 * b[None, :])
         mu2 = Ui**2
-        zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
-        dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
-        dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u_pow_b = absz ** (2.0 * b[None, :])
+            zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b[None, :] - 1.0), 0.0)
+            dmu_dc = (2.0 * b[None, :] / a[None, :]) * zu * mu2
+            dmu_da = (2.0 * b[None, :] / a[None, :]) * u_pow_b * mu2
             log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
-        dmu_db = -mu2 * u_pow_b * log_u
+            dmu_db = -mu2 * u_pow_b * log_u
+        # a membership that underflowed to 0 (|z|^(2b) overflowed) has slope 0
+        flat = np.isinf(u_pow_b)
+        dmu_dc, dmu_da, dmu_db = (np.where(flat, 0.0, d) for d in (dmu_dc, dmu_da, dmu_db))
         g = np.zeros((k_i, 3))
         g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
         g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)
         g[:, 2] = (2.0 / N) * (B * dmu_db).sum(axis=0)
         grads.append(g)
     return grads
+
+
+def _augmented(X: np.ndarray) -> np.ndarray:
+    return np.column_stack([X, np.ones(X.shape[0])])
+
+
+def lse_consequents(
+    model: TskModel, X: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
+) -> np.ndarray:
+    """Least-squares consequents, from the Gram matrix of phi when ridge > 0."""
+    wbar = premise_state(model, X).wbar
+    Xa = _augmented(X)
+    phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(X.shape[0], -1)
+    if ridge is not None and ridge > 0.0:
+        gram = phi.T @ phi
+        gram[np.diag_indices_from(gram)] += ridge
+        theta = np.linalg.solve(gram, phi.T @ y)
+    else:
+        theta = np.linalg.lstsq(phi, y, rcond=None)[0]
+    return theta.reshape(model.rule_count, model.input_count + 1)
+
+
+def rmse(model: TskModel, X: np.ndarray, y: np.ndarray) -> float:
+    pred = (premise_state(model, X).wbar * (_augmented(X) @ model.consequents.T)).sum(axis=1)
+    return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
+def train(
+    model: TskModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    epochs: int,
+    learn_rate: float = 0.01,
+    ridge: Optional[float] = None,
+) -> tuple[TskModel, list[float]]:
+    """Hybrid training with three evaluations of the strengths per epoch."""
+    model = copy.deepcopy(model)
+    lr, prev, history = learn_rate, math.inf, []
+    for _ in range(epochs):
+        model.consequents = lse_consequents(model, X, y, ridge)
+        for p, g in zip(model.mf_params, premise_gradients(model, X, y)):
+            p[:, 0] -= lr * g[:, 0]
+            p[:, 1] = np.maximum(p[:, 1] - lr * g[:, 1], 1e-6)
+            p[:, 2] = np.clip(p[:, 2] - lr * g[:, 2], 0.1, 50.0)
+        value = rmse(model, X, y)
+        history.append(value)
+        if value > prev:
+            lr *= 0.5
+        prev = value
+    return model, history

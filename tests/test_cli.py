@@ -354,6 +354,25 @@ class TestMalformedInputs:
                      "-o", str(tmp_path / "pred.csv")]) == 2
         assert f"{data} line 62" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_field_not_a_finite_number(self, tmp_path, capsys, command, value):
+        proj = small_project(tmp_path)
+        data, model = tmp_path / "data.csv", str(tmp_path / "m.json")
+        assert main(["surrogate", "gen", "-p", proj, "-o", str(data)]) == 0
+        assert main(["surrogate", "train", "-p", proj, "-d", str(data), "-o", model]) == 0
+        lines = data.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[2] = value  # phi_deg of the second data row, on line 3
+        lines[2] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        argv = {"train": ["surrogate", "train", "-p", proj, "-d", str(data), "-o", out],
+                "predict": ["surrogate", "predict", "-m", model, "-d", str(data), "-o", out]}
+        assert main(argv[command]) == 2
+        assert f"{data} line 3: phi_deg must be a finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_plot_short_row(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         path.write_text("angle_deg,sf_pred\n0,1\n90\n")
