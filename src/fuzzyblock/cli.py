@@ -39,6 +39,7 @@ from .surrogate.dataset import (
     generate_dataset,
     joint_cases,
     normalize,
+    read_csv_rows,
     read_dataset_csv,
 )
 from .surrogate.model import (
@@ -241,22 +242,8 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """Stripped header, nonempty rows and their line numbers, of a CSV whose every row is
-    as wide as its header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CliDataError(f"{path} is empty")
-        rows, lines = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CliDataError(f"{path} line {reader.line_num}: expected "
-                                   f"{len(header)} fields, got {len(row)}")
-            rows.append(row)
-            lines.append(reader.line_num)
+    """Stripped header, rows and line numbers of a CSV with at least one data row."""
+    header, rows, lines = read_csv_rows(path)
     if not rows:
         raise CliDataError(f"{path} has no data rows")
     return [h.strip() for h in header], rows, lines
@@ -310,26 +297,25 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    header, rows, _ = _read_csv(args.data)
+    header, rows, lines = _read_csv(args.data)
     if len(header) < 2:
         raise CliDataError(f"{args.data} needs at least two columns to plot")
     if header[:3] == ["x", "y", "membership"]:
-        xs = sorted({float(r[0]) for r in rows})
-        ys = sorted({float(r[1]) for r in rows})
+        cells = finite_rows([r[:3] for r in rows], header[:3], args.data, lines)
+        xs = sorted({x for x, _, _ in cells})
+        ys = sorted({y for _, y, _ in cells})
         grid = np.zeros((len(ys), len(xs)))
         xi = {v: i for i, v in enumerate(xs)}
         yi = {v: j for j, v in enumerate(ys)}
-        for r in rows:
-            grid[yi[float(r[1])], xi[float(r[0])]] = float(r[2])
+        for x, y, value in cells:
+            grid[yi[y], xi[x]] = value
         dx = xs[1] - xs[0] if len(xs) > 1 else 1.0
         dy = ys[1] - ys[0] if len(ys) > 1 else 1.0
         bbox = (xs[0] - dx / 2, ys[0] - dy / 2, xs[-1] + dx / 2, ys[-1] + dy / 2)
         svg = heat_grid_svg(grid, bbox)
     else:
-        numeric = [[float(v) for v in row[:2]] for row in rows]
-        xs = [r[0] for r in numeric]
-        ys = [r[1] for r in numeric]
-        svg = polyline_svg(xs, ys)
+        points = finite_rows([r[:2] for r in rows], header[:2], args.data, lines)
+        svg = polyline_svg([x for x, _ in points], [y for _, y in points])
     atomic_write_text(args.out, svg)
     return 0
 

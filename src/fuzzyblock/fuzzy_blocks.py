@@ -19,14 +19,15 @@ The ``paper`` variant is a 0/1 indicator decided by one strict test per
 orthant; the ``standard`` variant brackets the largest feasible t by
 batched multisection.  Crisp systems take the same path: with zero spreads
 l3 = l4, the test decides plain cone nonemptiness, and PBP reduces exactly
-to the classical removability theorem.
+to the classical removability theorem.  The search yields the value only,
+not a direction attaining it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -216,36 +217,11 @@ def pjb(
     return min(constraint_poss(c, at, variant) for c in system.constraints)
 
 
-def _knot_matrices(system: FuzzySystem) -> tuple[np.ndarray, ...]:
-    dim = system.dimension
-    n = len(system.constraints)
-    mats = [np.zeros((n, dim)) for _ in range(4)]
-    for i, c in enumerate(system.constraints):
-        for k, t in enumerate(c.coeffs):
-            mats[0][i, k] = t.a1
-            mats[1][i, k] = t.a2
-            mats[2][i, k] = t.a3
-            mats[3][i, k] = t.a4
-    return tuple(mats)
-
-
-def _min_poss_over_dirs(
-    dirs: np.ndarray, knots: tuple[np.ndarray, ...], variant: DeltaVariant
-) -> np.ndarray:
-    """min-over-constraints possibility at each direction, homogeneous d = 0."""
-    A1, A2, A3, A4 = knots
-    pos = dirs >= 0.0
-    # scaled-knot sums: third knot picks a3 for positive and a2 for negative
-    # weights, fourth knot picks a4 / a1
-    l3 = np.where(pos[:, None, :], dirs[:, None, :] * A3, dirs[:, None, :] * A2).sum(axis=2)
-    l4 = np.where(pos[:, None, :], dirs[:, None, :] * A4, dirs[:, None, :] * A1).sum(axis=2)
-    if variant == "paper":
-        poss = np.where(l3 >= 0.0, 1.0, np.where(l4 <= 0.0, 0.0, 1.0))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = np.where(l4 > l3, l4 / (l4 - l3), 1.0)
-        poss = np.where(l3 >= 0.0, 1.0, np.where(l4 <= 0.0, 0.0, np.clip(delta, 0.0, 1.0)))
-    return poss.min(axis=1)
+def _knot_matrices(system: FuzzySystem) -> np.ndarray:
+    """The coefficient knots as four (rows, dim) matrices, a1 to a4."""
+    return np.moveaxis(
+        np.array([[t.to_list() for t in c.coeffs] for c in system.constraints]), -1, 0
+    )
 
 
 def _orthant_edges(
@@ -274,15 +250,7 @@ def _orthant_edges(
     return rays, feasible, margins
 
 
-def _face_points(rays: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Kept rays plus, per orthant, their unit sum (relative interior of their cone)."""
-    total = np.where(keep[..., None], rays, 0.0).sum(axis=-2)[keep.any(axis=-1)]
-    return np.vstack([total / np.linalg.norm(total, axis=-1, keepdims=True), rays[keep]])
-
-
-def _paper_sup(
-    L3: np.ndarray, L4: np.ndarray, signs: np.ndarray
-) -> tuple[float, np.ndarray]:
+def _paper_sup(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> float:
     """0/1 supremum of the paper variant: is some direction possible at all?
 
     With a crisp zero threshold a constraint has possibility 1 exactly where
@@ -300,12 +268,10 @@ def _paper_sup(
         if not drop.any():
             break
         keep &= ~drop
-    return float(keep.any()), _face_points(rays, keep)
+    return float(keep.any())
 
 
-def _standard_sup(
-    L3: np.ndarray, L4: np.ndarray, signs: np.ndarray
-) -> tuple[float, np.ndarray]:
+def _standard_sup(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> float:
     """Largest t whose superlevel cone (1 - t) l4 + t l3 >= 0 is nonempty.
 
     For t in (0, 1] that cone is exactly {min possibility >= t} within an
@@ -314,26 +280,19 @@ def _standard_sup(
     one batch and keeps the orthants feasible at the new lower end, until
     the bracket closes to float precision.  The first round tests only t = 0
     (orthants with no direction of positive support drop out) and t = 1.
-
-    The witness candidates are the points of every accepted cone, newest
-    first: the final cone may be feasible only within the margin slack, so
-    its points can sit a rounding error outside a crisp row, while an
-    earlier, wider cone holds points strictly inside it.
     """
     lo, hi = 0.0, 1.0
     ts = np.array([0.0, 1.0])
     live = np.arange(len(signs))
-    points = [np.zeros((0, signs.shape[1]))]
     while len(ts):
         t = ts[None, :, None, None]
         rows = (1.0 - t) * L4[live, None] + t * L3[live, None]
-        rays, feasible, _ = _orthant_edges(rows, signs[live, None, :])
+        _, feasible, _ = _orthant_edges(rows, signs[live, None, :])
         ok = feasible.any(axis=-1)  # (orthants, ts)
         found = np.flatnonzero(ok.any(axis=0))
         if len(found):
             k = int(found[-1])
             lo = float(ts[k])
-            points.insert(0, _face_points(rays[:, k], feasible[:, k]))
             live = live[ok[:, k]]
             if k + 1 < len(ts):
                 hi = float(ts[k + 1])
@@ -341,51 +300,29 @@ def _standard_sup(
             hi = float(ts[0])
         ts = lo + (hi - lo) * np.arange(1, _GRID + 1) / (_GRID + 1)
         ts = np.unique(ts[(ts > lo) & (ts < hi)])
-    return lo, np.vstack(points)
+    return lo
 
 
-def _orthant_sup(
-    knots: tuple[np.ndarray, ...], variant: DeltaVariant
-) -> tuple[float, Optional[np.ndarray]]:
-    """Exact supremum of the min possibility from the knot matrices.
+def pbp(system: FuzzySystem, variant: DeltaVariant = "paper") -> float:
+    """Possibility that the pyramid of the system is nonempty.
 
-    The witness is the best, by the min possibility itself, of the points
-    of the cones the search accepted: their edges and one relative-interior
-    point each.
+    The exact supremum over unit directions of the min constraint
+    possibility, found orthant by orthant (see the module docstring).
     """
-    A1, A2, A3, A4 = knots
+    if variant not in ("paper", "standard"):
+        raise ValueError(f"unknown delta variant {variant!r}")
+    if not system.is_homogeneous:
+        raise ValueError("direction sweeps require homogeneous systems (d = 0)")
+    A1, A2, A3, A4 = _knot_matrices(system)
     # sign vectors of the 2**d closed orthants (quadrants in 2-D)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=A1.shape[1])))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=system.dimension)))
     pos = signs[:, None, :] > 0.0
     # per orthant, the third knot of the scaled sum picks a3 for positive and
     # a2 for negative weights, the fourth knot a4 / a1
     L3 = np.where(pos, A3, A2)
     L4 = np.where(pos, A4, A1)
     sup = _paper_sup if variant == "paper" else _standard_sup
-    value, points = sup(L3, L4, signs)
-    if value == 0.0:
-        return 0.0, None
-    return value, points[int(np.argmax(_min_poss_over_dirs(points, knots, variant)))]
-
-
-def _sup_min_poss(
-    system: FuzzySystem, variant: DeltaVariant
-) -> tuple[float, Optional[np.ndarray]]:
-    """Supremum over unit directions of the min constraint possibility.
-
-    Returns the value and a unit direction attaining it (None for 0, which
-    every direction attains).
-    """
-    if variant not in ("paper", "standard"):
-        raise ValueError(f"unknown delta variant {variant!r}")
-    if not system.is_homogeneous:
-        raise ValueError("direction sweeps require homogeneous systems (d = 0)")
-    return _orthant_sup(_knot_matrices(system), variant)
-
-
-def pbp(system: FuzzySystem, variant: DeltaVariant = "paper") -> float:
-    """Possibility that the pyramid of the system is nonempty."""
-    return _sup_min_poss(system, variant)[0]
+    return sup(L3, L4, signs)
 
 
 def pbr(

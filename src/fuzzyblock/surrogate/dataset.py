@@ -321,21 +321,30 @@ def finite_rows(
     raise ValueError(f"{path} line {line}: {column} must be a finite number")
 
 
-def read_dataset_csv(path: str) -> list[Sample]:
+def read_csv_rows(
+    path: str, header: Optional[Sequence[str]] = None
+) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header, nonempty rows and their line numbers, of a CSV whose every row
+    is as wide as its header; with ``header`` given, the file's must equal it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ValueError(
-                f"{path}: dataset header must be {','.join(CSV_HEADER)}, got {header}"
-            )
+        found = next(reader, None)
+        if header is not None and (found is None or tuple(found) != tuple(header)):
+            raise ValueError(f"{path}: dataset header must be {','.join(header)}, got {found}")
+        if found is None:
+            raise ValueError(f"{path} is empty")
         rows, lines = [], []
         for row in reader:
             if not row:
                 continue
-            if len(row) != len(CSV_HEADER):
+            if len(row) != len(found):
                 raise ValueError(f"{path} line {reader.line_num}: expected "
-                                 f"{len(CSV_HEADER)} fields, got {len(row)}")
+                                 f"{len(found)} fields, got {len(row)}")
             rows.append(row)
             lines.append(reader.line_num)
+    return found, rows, lines
+
+
+def read_dataset_csv(path: str) -> list[Sample]:
+    _, rows, lines = read_csv_rows(path, CSV_HEADER)
     return [Sample(*values) for values in finite_rows(rows, CSV_HEADER, path, lines)]

@@ -14,6 +14,9 @@ import numpy as np
 
 from .kernel.tunnel import TunnelSection
 
+# outer radius of the damage-map band, in section circumradii
+_BAND_SCALE = 1.2
+
 
 def _fmt(v: float) -> str:
     return f"{v:.3f}"
@@ -44,7 +47,6 @@ def damage_map_svg(
     tunnel: TunnelSection,
     series: Sequence[tuple[float, float]],
     cap: float = 5.0,
-    band_scale: float = 1.2,
 ) -> str:
     """Section outline with a colored band around it, one cell per angle bin.
 
@@ -62,7 +64,7 @@ def damage_map_svg(
         a0 = math.radians(angle - 180.0 / bins)
         a1 = math.radians(angle + 180.0 / bins)
         pts = []
-        for r in (radius * 1.02, radius * band_scale):
+        for r in (radius * 1.02, radius * _BAND_SCALE):
             pts.append((cu + r * math.cos(a0), cw + r * math.sin(a0)))
             pts.append((cu + r * math.cos(a1), cw + r * math.sin(a1)))
         quad = [pts[0], pts[1], pts[3], pts[2]]
@@ -72,7 +74,7 @@ def damage_map_svg(
     body.append(
         f'<polygon points="{outline}" fill="none" stroke="black" stroke-width="0.05" />'
     )
-    extent = radius * band_scale * 1.1
+    extent = radius * _BAND_SCALE * 1.1
     viewbox = (
         f"{_fmt(cu - extent)} {_fmt(-cw - extent)} {_fmt(2 * extent)} {_fmt(2 * extent)}"
     )

@@ -1,0 +1,102 @@
+"""Possibility oracles for PBP tests, independent of the package's search.
+
+``min_poss_over_dirs`` evaluates the min-over-constraints possibility at
+many directions at once; the tests check it against the public
+``constraint_poss``.  ``attains`` decides with scipy ``linprog`` whether some
+direction reaches a claimed PBP value.
+"""
+import itertools
+
+import numpy as np
+from scipy.optimize import linprog
+
+from fuzzyblock.fuzzy_blocks import constraint_poss
+
+# a claimed value counts as attained by a direction whose possibility is at
+# least value - SLACK; a step row (zero spread) counts by its margin
+SLACK = 1e-9
+
+
+def knots(system):
+    """The coefficient knots as four (rows, dim) matrices, a1 to a4."""
+    return np.array(
+        [[[t.a1, t.a2, t.a3, t.a4] for t in c.coeffs] for c in system.constraints]
+    ).transpose(2, 0, 1)
+
+
+def min_poss_over_dirs(dirs, system, variant):
+    """min-over-constraints possibility at each direction, homogeneous d = 0."""
+    A1, A2, A3, A4 = knots(system)
+    pos = dirs >= 0.0
+    # scaled-knot sums: third knot picks a3 for positive and a2 for negative
+    # weights, fourth knot picks a4 / a1
+    l3 = np.where(pos[:, None, :], dirs[:, None, :] * A3, dirs[:, None, :] * A2).sum(axis=2)
+    l4 = np.where(pos[:, None, :], dirs[:, None, :] * A4, dirs[:, None, :] * A1).sum(axis=2)
+    if variant == "paper":
+        poss = np.where(l3 >= 0.0, 1.0, np.where(l4 <= 0.0, 0.0, 1.0))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.where(l4 > l3, l4 / (l4 - l3), 1.0)
+        poss = np.where(l3 >= 0.0, 1.0, np.where(l4 <= 0.0, 0.0, np.clip(delta, 0.0, 1.0)))
+    return poss.min(axis=1)
+
+
+def _unit(rows):
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 1e-12)
+
+
+def _deepest_point(rows, step, signs):
+    """Point of {rows . v >= 0} in one orthant, normalized by sum s_k v_k = 1,
+    whose smallest margin over the non-step rows is largest; the step rows
+    are hard constraints.  Returns (point, margin), or None if infeasible."""
+    dim = len(signs)
+    soft, hard = rows[~step], rows[step]
+    res = linprog(
+        np.r_[np.zeros(dim), -1.0],
+        A_ub=np.vstack([np.c_[-soft, np.ones(len(soft))], np.c_[-hard, np.zeros(len(hard))]]),
+        b_ub=np.zeros(len(rows)),
+        A_eq=np.r_[signs, 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None) if s > 0 else (None, 0.0) for s in signs]
+        + [(None, None) if len(soft) else (0.0, 0.0)],
+        method="highs",
+    )
+    return (res.x[:dim], res.x[dim]) if res.status == 0 else None
+
+
+def attains(system, value, variant):
+    """Whether some unit direction has min possibility value - SLACK or more.
+
+    Within one closed orthant the scaled-knot sums are linear, l3 = L3 v and
+    l4 = L4 v, so the superlevel set just below the value is a cone: rows
+    (1 - t) L4 + t L3 >= 0 at t = value - SLACK for the standard variant,
+    and L4 >= 0 for the paper variant, whose possibility is 1 wherever
+    l4 > 0.  The candidate is the orthant point that ``linprog`` finds
+    deepest inside that cone.  It is scored with ``constraint_poss``, except
+    that a step row (zero spread in the orthant, so its possibility jumps
+    from 0 to 1 at margin 0) is judged by its unit margin within SLACK:
+    on a flat cone (a crisp row and its exact negation) rounding puts every
+    point about 1e-17 outside one of the two.
+    """
+    if value <= SLACK:
+        return True  # every direction has possibility at least 0
+    t = 0.0 if variant == "paper" else value - SLACK
+    A1, A2, A3, A4 = knots(system)
+    best = None  # (point, margin, rows, step) of the deepest orthant point
+    for signs in itertools.product((1.0, -1.0), repeat=system.dimension):
+        signs = np.array(signs)
+        L3, L4 = np.where(signs > 0.0, A3, A2), np.where(signs > 0.0, A4, A1)
+        rows = _unit((1.0 - t) * L4 + t * L3)
+        step = np.all(L4 == L3, axis=1)
+        found = _deepest_point(rows, step, signs)
+        if found is not None and (best is None or found[1] > best[1]):
+            best = found + (rows, step)
+    if best is None:
+        return False
+    v, _, rows, step = best
+    v = v / np.linalg.norm(v)
+    return all(
+        rows[i] @ v >= -SLACK if step[i] else constraint_poss(c, v, variant) >= value - SLACK
+        for i, c in enumerate(system.constraints)
+    )

@@ -404,6 +404,30 @@ class TestPlot:
         path.write_text("a,b\n")
         assert main(["plot", "-d", str(path), "-o", str(tmp_path / "o.svg")]) == 2
 
+    def test_empty_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["plot", "-d", str(path), "-o", str(tmp_path / "o.svg")]) == 2
+        assert f"{path} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_series_field_not_a_finite_number(self, tmp_path, capsys, value):
+        path = tmp_path / "series.csv"
+        path.write_text(f"angle_deg,sf_pred\n0,1\n90,{value}\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "-d", str(path), "-o", str(out)]) == 2
+        assert f"{path} line 3: sf_pred must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_raster_field_not_a_finite_number(self, tmp_path, capsys, value):
+        path = tmp_path / "raster.csv"
+        path.write_text(f"x,y,membership\n0.5,0.5,0\n1.5,0.5,{value}\n0.5,1.5,1\n1.5,1.5,0\n")
+        out = tmp_path / "o.svg"
+        assert main(["plot", "-d", str(path), "-o", str(out)]) == 2
+        assert f"{path} line 3: membership must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("angle_deg,sf_pred\n0,1\n90,2\n180,3\n")

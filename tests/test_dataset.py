@@ -261,6 +261,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("text", ["", "a,b,c\n1,2,3,4,5,6\n"], ids=["empty", "wide_rows"])
+    def test_header_checked_first(self, tmp_path, text):
+        # the header is checked before any row width, and an empty file has none
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{path}: dataset header must be dip_deg,"):
+            read_dataset_csv(str(path))
+
     def test_header_line_present(self, tmp_path):
         samples = generate_dataset(small_spec(count=3))
         path = tmp_path / "data.csv"

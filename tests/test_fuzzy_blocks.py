@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyblock.fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
@@ -21,11 +21,6 @@ from fuzzyblock.fuzzy_blocks import (
     pjb,
     systems_for_code,
 )
-from fuzzyblock.fuzzy_blocks import (
-    _knot_matrices,
-    _min_poss_over_dirs,
-    _sup_min_poss,
-)
 from fuzzyblock.kernel import (
     CLASS_REMOVABLE,
     JointPlane,
@@ -33,6 +28,8 @@ from fuzzyblock.kernel import (
     classify_block,
     cone_nonempty,
 )
+
+from possibility_oracle import attains, min_poss_over_dirs
 
 T = TrapezoidalNumber
 
@@ -231,12 +228,11 @@ class TestPbp:
         assert 0.0 < value < 1.0
         # a dense 10^6-direction sample approaches the exact supremum from below
         rng = np.random.Generator(np.random.Philox(3))
-        knots = _knot_matrices(sys)
         sampled = 0.0
         for _ in range(10):
             dirs = rng.normal(size=(100_000, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            sampled = max(sampled, float(_min_poss_over_dirs(dirs, knots, "standard").max()))
+            sampled = max(sampled, float(min_poss_over_dirs(dirs, sys, "standard").max()))
         assert sampled <= value
         assert value - sampled <= 0.01
 
@@ -329,11 +325,10 @@ class TestPbp:
                     )
                 )
             sys = FuzzySystem(tuple(constraints), "joint-pyramid")
-            knots = _knot_matrices(sys)
             dirs = rng.normal(size=(50, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             for variant in ("paper", "standard"):
-                fast = _min_poss_over_dirs(dirs, knots, variant)
+                fast = min_poss_over_dirs(dirs, sys, variant)
                 for k in range(dirs.shape[0]):
                     slow = min(
                         constraint_poss(c, dirs[k], variant) for c in sys.constraints
@@ -408,26 +403,21 @@ class TestExactPbp:
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # rank the directions with the vectorized evaluator, then score the
         # best ones with constraint_poss itself
-        fast = _min_poss_over_dirs(dirs, _knot_matrices(system), variant)
+        fast = min_poss_over_dirs(dirs, system, variant)
         best = np.argsort(fast)[-32:]
         assert all(value >= min_poss(system, dirs[k], variant) for k in best)
 
     @settings(max_examples=150, deadline=None)
     @given(fuzzy_systems(), VARIANTS)
+    # empty cones are rare among the drawn systems, so the first two examples
+    # have none (a claim of 1 there must fail); the third has a value in (0, 1)
+    @example(crisp_system(TETRA), "paper")
+    @example(fuzzed_tetra(0.05), "paper")
+    @example(fuzzed_tetra(0.25), "standard")
     def test_value_is_attained(self, system, variant):
-        value, witness = _sup_min_poss(system, variant)
+        value = pbp(system, variant)
         assert 0.0 <= value <= 1.0
-        if value == 0.0:
-            assert witness is None  # every direction attains 0
-            return
-        assert np.linalg.norm(witness) == pytest.approx(1.0)
-        a1, a2, _, a4 = _knot_matrices(system)
-        if np.array_equal(a1, a4):  # crisp: every support is one point
-            # a witness on a boundary-only cone: rounding may put it a hair
-            # outside, so check feasibility within a 1e-9 margin
-            assert np.all(a2 @ witness >= -1e-9)
-        else:
-            assert min_poss(system, witness, variant) >= value - 1e-9
+        assert attains(system, value, variant)
 
     @settings(max_examples=100, deadline=None)
     @given(fuzzy_systems(), VARIANTS, st.floats(0.0, 0.3))
@@ -477,9 +467,8 @@ class TestExactPbp:
 
     def test_witness_inside_crisp_rows(self):
         # the supremum 0.625 / 1.625 sits on the ray (-1, -3) / sqrt(10),
-        # the boundary of the last crisp row; the cone at the final t is
-        # feasible only within the margin slack, so the witness must come
-        # from an earlier, wider cone to have possibility 1 on that row
+        # the boundary of the last crisp row, which the attaining direction
+        # must not leave
         r = 1.0 / math.sqrt(10.0)
         system = FuzzySystem(
             (
@@ -489,9 +478,9 @@ class TestExactPbp:
                 FuzzyHalfSpaceConstraint.crisp((-3.0 * r, r), 0.0),
             )
         )
-        value, witness = _sup_min_poss(system, "standard")
+        value = pbp(system, "standard")
         assert value == pytest.approx(0.625 / 1.625, abs=1e-11)
-        assert min_poss(system, witness, "standard") >= value - 1e-9
+        assert attains(system, value, "standard")
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_known_interior_value(self, dim):
@@ -505,10 +494,11 @@ class TestExactPbp:
             (T(-1.0, -0.8, -0.5, 0.25),) + (T.crisp(0.0),) * (dim - 1), T.crisp(0.0)
         )
         system = FuzzySystem(rows + (fuzzy,))
-        value, witness = _sup_min_poss(system, "standard")
+        value = pbp(system, "standard")
         assert value == pytest.approx(1.0 / 3.0, abs=1e-11)
-        assert np.array_equal(witness, e[0])
+        assert attains(system, value, "standard")
         assert pbp(system, "paper") == 1.0
+        assert attains(system, 1.0, "paper")
 
     @pytest.mark.parametrize("dip", [T.crisp(0.0), T(0, 0, 2, 5), T(85, 88, 90, 90), T.crisp(90.0)])
     @pytest.mark.parametrize("variant", ["paper", "standard"])
@@ -519,10 +509,9 @@ class TestExactPbp:
         steep = joint_constraint(FuzzyOrientation(T(55, 60, 60, 65), T(-5, 0, 0, 5)), "L")
         for rows in [(up, low), (up, up, steep), (up, low, steep)]:
             system = FuzzySystem(rows)
-            value, witness = _sup_min_poss(system, variant)
+            value = pbp(system, variant)
             assert 0.0 <= value <= 1.0
-            if value > 0.0:
-                assert min_poss(system, witness, variant) >= value - 1e-9
+            assert attains(system, value, variant)
             for e in np.eye(3):
                 assert pbp(block_pyramid(system, e), variant) <= value
 
