@@ -20,13 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fuzzy_blocks import (
-    FuzzySystem,
-    block_pyramid,
-    finiteness_label,
-    joint_constraint,
-    pbp,
-)
+from .fuzzy_blocks import block_knots, code_knots, finiteness_label, pbps
 from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from .plane_geometry import raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
@@ -142,16 +136,15 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
     if not cfg.fuzzy_joints:
         raise CliDataError("project has no fuzzy joints; add a 'fuzzy_joints' section")
     variant = args.delta_variant or cfg.delta_variant
+    codes = all_codes(len(cfg.fuzzy_joints))
     # the joint pyramid of a code, and so its PJB-sup, is the same on every facet
-    sides = [{side: joint_constraint(fo, side) for side in "UL"} for fo in cfg.fuzzy_joints]
-    joint_pyramids = {}
-    for code in all_codes(len(sides)):
-        jp_sys = FuzzySystem(tuple(s[ch] for s, ch in zip(sides, code)), "joint-pyramid")
-        joint_pyramids[code] = (jp_sys, pbp(jp_sys, variant))
+    jp_knots = code_knots(cfg.fuzzy_joints, codes)
+    pjb_sups = pbps(jp_knots, variant).tolist()
+    facets = cfg.tunnel.facets()
+    bp_values = pbps(block_knots(jp_knots, [f.inward_normal for f in facets]), variant)
     rows = []
-    for facet in cfg.tunnel.facets():
-        for code, (jp_sys, pjb_sup) in joint_pyramids.items():
-            pbp_value = pbp(block_pyramid(jp_sys, facet.inward_normal), variant)
+    for facet, pbp_values in zip(facets, bp_values.reshape(len(facets), len(codes)).tolist()):
+        for code, pjb_sup, pbp_value in zip(codes, pjb_sups, pbp_values):
             pbr_value = min(1.0 - pbp_value, pjb_sup)
             label = finiteness_label(pbp_value, cfg.label_thresholds)
             rows.append(
@@ -296,23 +289,67 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_axis(
+    first: dict[tuple[float, float], int], k: int, path: str
+) -> tuple[list[float], float]:
+    """Sorted values of grid axis k (0 for x, 1 for y) and their even spacing."""
+    name = "xy"[k]
+    axis = sorted({xy[k] for xy in first})
+    step = axis[1] - axis[0] if len(axis) > 1 else 1.0
+    for i, v in enumerate(axis):
+        # a cell more than 1e-6 of a step off the grid is misplaced, while
+        # the reprs of an evenly spaced raster are off by a few ulps at most
+        if abs(v - (axis[0] + i * step)) > 1e-6 * step:
+            line = next(ln for xy, ln in first.items() if xy[k] == v)
+            raise CliDataError(
+                f"{path} line {line}: {name} = {v!r} is off the even grid of "
+                f"spacing {step!r} from {axis[0]!r}"
+            )
+    return axis, step
+
+
+def _heat_grid(
+    cells: Sequence[Sequence[float]], path: str, lines: Sequence[int]
+) -> tuple[np.ndarray, tuple[float, float, float, float]]:
+    """The membership grid and bounding box of x, y, membership rows.
+
+    The rows must fill an evenly spaced grid, each cell exactly once: a
+    duplicate cell, an x or y off the spacing of its first two values, or a
+    missing cell is a data error naming the line.
+    """
+    first: dict[tuple[float, float], int] = {}  # cell -> its line, in line order
+    for (x, y, _), line in zip(cells, lines):
+        if (x, y) in first:
+            raise CliDataError(
+                f"{path} line {line}: duplicate cell x = {x!r}, y = {y!r} "
+                f"(first on line {first[x, y]})"
+            )
+        first[x, y] = line
+    xs, dx = _grid_axis(first, 0, path)
+    ys, dy = _grid_axis(first, 1, path)
+    if len(first) < len(xs) * len(ys):
+        for (_, y), line in first.items():
+            missing = [x for x in xs if (x, y) not in first]
+            if missing:
+                raise CliDataError(
+                    f"{path} line {line}: the grid row y = {y!r} has no cell at x = {missing[0]!r}"
+                )
+    grid = np.zeros((len(ys), len(xs)))
+    xi = {v: i for i, v in enumerate(xs)}
+    yi = {v: j for j, v in enumerate(ys)}
+    for x, y, value in cells:
+        grid[yi[y], xi[x]] = value
+    bbox = (xs[0] - dx / 2, ys[0] - dy / 2, xs[-1] + dx / 2, ys[-1] + dy / 2)
+    return grid, bbox
+
+
 def _cmd_plot(args: argparse.Namespace) -> int:
     header, rows, lines = _read_csv(args.data)
     if len(header) < 2:
         raise CliDataError(f"{args.data} needs at least two columns to plot")
     if header[:3] == ["x", "y", "membership"]:
         cells = finite_rows([r[:3] for r in rows], header[:3], args.data, lines)
-        xs = sorted({x for x, _, _ in cells})
-        ys = sorted({y for _, y, _ in cells})
-        grid = np.zeros((len(ys), len(xs)))
-        xi = {v: i for i, v in enumerate(xs)}
-        yi = {v: j for j, v in enumerate(ys)}
-        for x, y, value in cells:
-            grid[yi[y], xi[x]] = value
-        dx = xs[1] - xs[0] if len(xs) > 1 else 1.0
-        dy = ys[1] - ys[0] if len(ys) > 1 else 1.0
-        bbox = (xs[0] - dx / 2, ys[0] - dy / 2, xs[-1] + dx / 2, ys[-1] + dy / 2)
-        svg = heat_grid_svg(grid, bbox)
+        svg = heat_grid_svg(*_heat_grid(cells, args.data, lines))
     else:
         points = finite_rows([r[:2] for r in rows], header[:2], args.data, lines)
         svg = polyline_svg([x for x, _ in points], [y for _, y in points])

@@ -17,10 +17,17 @@ is feasible; the candidates come from ``kernel.pyramid.edge_rays``, the
 rule the crisp kernel uses too (the orthant argument is stated there).
 The ``paper`` variant is a 0/1 indicator decided by one strict test per
 orthant; the ``standard`` variant brackets the largest feasible t by
-batched multisection.  Crisp systems take the same path: with zero spreads
-l3 = l4, the test decides plain cone nonemptiness, and PBP reduces exactly
-to the classical removability theorem.  The search yields the value only,
-not a direction attaining it.
+multisection.  Crisp systems take the same path: with zero spreads l3 = l4,
+the test decides plain cone nonemptiness, and PBP reduces exactly to the
+classical removability theorem.  The search yields the value only, not a
+direction attaining it.
+
+``pbps`` searches many systems of one shape in lockstep: every (system,
+orthant) pair at once, each system with its own multisection bracket, the
+cone tests of a round in fixed-size chunks so memory stays bounded.  A
+value does not depend on the batch or the chunks around it; ``pbp`` is the
+one-system form, and ``fuzzy pbr`` makes one call for all joint pyramids
+and one for all block pyramids.
 """
 from __future__ import annotations
 
@@ -46,6 +53,11 @@ DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
 _TOL = 1e-12
 # t values tested per multisection round of the standard variant
 _GRID = 16
+# (row, ray, constraint) margin entries per chunk of cone tests: the
+# temporaries of a chunk stay under about 1 MB whatever the batch size;
+# larger chunks raised the peak RSS of a 3-joint ``fuzzy pbr`` at no gain
+# in its speed
+_CHUNK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -250,15 +262,44 @@ def _orthant_edges(
     return rays, feasible, margins
 
 
-def _paper_sup(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> float:
-    """0/1 supremum of the paper variant: is some direction possible at all?
+def _chunks(count: int, m: int, dim: int) -> list[slice]:
+    """Ranges of ``count`` cone tests of m rows with at most ``_CHUNK_ENTRIES`` margins each."""
+    k = m + dim  # the rows and the orthant axes
+    rays = k * (k - 1) // 2 if dim == 3 else k
+    step = max(1, _CHUNK_ENTRIES // (rays * m))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _orthant_sums(
+    knots: np.ndarray, signs: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Knots l3, l4 of the scaled sums and the orthant signs of each pair.
+
+    knots has shape (S, 4, m, d) and signs (O, d); pair p is system p // O
+    in orthant p % O.  A positive weight picks a3 and a4, a negative one a2
+    and a1.
+    """
+    sys_i, orth_i = np.divmod(pairs, len(signs))
+    knots, signs = knots[sys_i], signs[orth_i]
+    pos = signs[:, None, :] > 0.0
+    return (
+        np.where(pos, knots[:, 2], knots[:, 1]),
+        np.where(pos, knots[:, 3], knots[:, 0]),
+        signs,
+    )
+
+
+def _paper_ok(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Per orthant row, is some direction of it possible at all (paper variant)?
 
     With a crisp zero threshold a constraint has possibility 1 exactly where
     l4 > 0 or l3 = l4 = 0, else 0.  Per orthant, the cone l4 >= 0 is cut
     down to the face where every row that is zero on the whole face also
     has l3 = 0 there (its spread l4 - l3 >= 0 vanishes); repeating until no
-    ray is dropped leaves a nonempty face exactly when some direction has
-    possibility 1.  A cone that only touches l4 = 0 therefore counts as 0.
+    ray is dropped anywhere leaves a nonempty face exactly when some
+    direction has possibility 1.  A cone that only touches l4 = 0 therefore
+    counts as 0.  Orthants are independent, so a batch of rows (R, m, d)
+    gives each row the bits it gets alone.
     """
     rays, keep, margins = _orthant_edges(L4, signs)
     spread = rays @ np.swapaxes(L4 - L3, -1, -2)
@@ -268,61 +309,100 @@ def _paper_sup(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> float:
         if not drop.any():
             break
         keep &= ~drop
-    return float(keep.any())
+    return keep.any(axis=-1)
 
 
-def _standard_sup(L3: np.ndarray, L4: np.ndarray, signs: np.ndarray) -> float:
-    """Largest t whose superlevel cone (1 - t) l4 + t l3 >= 0 is nonempty.
+def _paper_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """0/1 supremum of the paper variant for each system of (S, 4, m, d) knots."""
+    pairs = np.arange(len(knots) * len(signs))
+    ok = np.zeros(len(pairs), dtype=bool)
+    for sl in _chunks(len(pairs), *knots.shape[-2:]):
+        ok[sl] = _paper_ok(*_orthant_sums(knots, signs, pairs[sl]))
+    return ok.reshape(len(knots), len(signs)).any(axis=1).astype(float)
+
+
+def _standard_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Largest t whose superlevel cone (1 - t) l4 + t l3 >= 0 is nonempty, per system.
 
     For t in (0, 1] that cone is exactly {min possibility >= t} within an
     orthant, and it shrinks as t grows, so a multisection on t brackets the
-    supremum: each round tests every live orthant at _GRID values of t in
-    one batch and keeps the orthants feasible at the new lower end, until
-    the bracket closes to float precision.  The first round tests only t = 0
-    (orthants with no direction of positive support drop out) and t = 1.
+    supremum.  All systems run in lockstep: each keeps its own bracket
+    [lo, hi], its live orthants and its own grid of up to _GRID values of t
+    (padded to a common width and masked).  A round tests every live
+    (system, orthant, t) row in fixed-size chunks; each system then keeps
+    the orthants feasible at its new lower end and leaves the batch once
+    its grid is empty, when its bracket has closed to float precision.  The
+    first round tests only t = 0 (orthants with no direction of positive
+    support drop out) and t = 1.
     """
-    lo, hi = 0.0, 1.0
-    ts = np.array([0.0, 1.0])
-    live = np.arange(len(signs))
-    while len(ts):
-        t = ts[None, :, None, None]
-        rows = (1.0 - t) * L4[live, None] + t * L3[live, None]
-        _, feasible, _ = _orthant_edges(rows, signs[live, None, :])
-        ok = feasible.any(axis=-1)  # (orthants, ts)
-        found = np.flatnonzero(ok.any(axis=0))
-        if len(found):
-            k = int(found[-1])
-            lo = float(ts[k])
-            live = live[ok[:, k]]
-            if k + 1 < len(ts):
-                hi = float(ts[k + 1])
-        else:
-            hi = float(ts[0])
-        ts = lo + (hi - lo) * np.arange(1, _GRID + 1) / (_GRID + 1)
-        ts = np.unique(ts[(ts > lo) & (ts < hi)])
+    n_sys, n_orth = len(knots), len(signs)
+    lo, hi = np.zeros(n_sys), np.ones(n_sys)
+    live = np.ones((n_sys, n_orth), dtype=bool)
+    ts = np.tile([0.0, 1.0], (n_sys, 1))
+    width = np.full(n_sys, 2)  # valid t per system, packed to the front of ts
+    while ts.shape[1]:
+        n_t = ts.shape[1]
+        todo = np.flatnonzero(live[:, :, None] & (np.arange(n_t) < width[:, None])[:, None, :])
+        ok = np.zeros(n_sys * n_orth * n_t, dtype=bool)
+        for sl in _chunks(len(todo), *knots.shape[-2:]):
+            pair, j = np.divmod(todo[sl], n_t)
+            L3, L4, orthants = _orthant_sums(knots, signs, pair)
+            t = ts[pair // n_orth, j][:, None, None]
+            _, feasible, _ = _orthant_edges((1.0 - t) * L4 + t * L3, orthants)
+            ok[todo[sl]] = feasible.any(axis=-1)
+        ok = ok.reshape(n_sys, n_orth, n_t)
+        hit = ok.any(axis=1)  # (systems, ts)
+        any_hit = hit.any(axis=1)
+        found = np.flatnonzero(any_hit)
+        k = n_t - 1 - np.argmax(hit[found, ::-1], axis=1)  # last feasible t
+        lo[found] = ts[found, k]
+        live[found] &= ok[found, :, k]
+        below = k + 1 < width[found]
+        hi[found[below]] = ts[found[below], k[below] + 1]
+        missed = (width > 0) & ~any_hit
+        hi[missed] = ts[missed, 0]
+        grid = lo[:, None] + (hi - lo)[:, None] * np.arange(1, _GRID + 1) / (_GRID + 1)
+        # the grid is sorted, so dropping repeats of the previous value and
+        # the values outside (lo, hi) is np.unique of the filtered grid
+        keep = (grid > lo[:, None]) & (grid < hi[:, None]) & (width > 0)[:, None]
+        keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+        width = keep.sum(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")
+        ts = np.take_along_axis(grid, order, axis=1)[:, : width.max(initial=0)]
     return lo
+
+
+def pbps(knots: np.ndarray, variant: DeltaVariant = "paper") -> np.ndarray:
+    """PBP of many homogeneous systems in one lockstep search, shape (S,).
+
+    knots has shape (S, 4, m, d): the a1..a4 coefficient knot matrices of S
+    systems of m rows each in d = 2 or 3 dimensions.  Every (system,
+    orthant) pair is searched at once and the cone tests run in chunks of
+    at most ``_CHUNK_ENTRIES`` margins, so memory stays bounded however
+    many systems there are.  A system's value does not depend on the batch
+    around it or on the chunk boundaries: it has the bits of ``pbp``.
+    """
+    if variant not in ("paper", "standard"):
+        raise ValueError(f"unknown delta variant {variant!r}")
+    knots = np.asarray(knots, dtype=float)
+    if knots.ndim != 4 or knots.shape[1] != 4:
+        raise ValueError(f"knots must have shape (S, 4, m, d), got {knots.shape}")
+    # sign vectors of the 2**d closed orthants (quadrants in 2-D)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=knots.shape[-1])))
+    sups = _paper_sups if variant == "paper" else _standard_sups
+    return sups(knots, signs)
 
 
 def pbp(system: FuzzySystem, variant: DeltaVariant = "paper") -> float:
     """Possibility that the pyramid of the system is nonempty.
 
     The exact supremum over unit directions of the min constraint
-    possibility, found orthant by orthant (see the module docstring).
+    possibility, found orthant by orthant (see the module docstring); the
+    one-system form of ``pbps``.
     """
-    if variant not in ("paper", "standard"):
-        raise ValueError(f"unknown delta variant {variant!r}")
     if not system.is_homogeneous:
         raise ValueError("direction sweeps require homogeneous systems (d = 0)")
-    A1, A2, A3, A4 = _knot_matrices(system)
-    # sign vectors of the 2**d closed orthants (quadrants in 2-D)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=system.dimension)))
-    pos = signs[:, None, :] > 0.0
-    # per orthant, the third knot of the scaled sum picks a3 for positive and
-    # a2 for negative weights, the fourth knot a4 / a1
-    L3 = np.where(pos, A3, A2)
-    L4 = np.where(pos, A4, A1)
-    sup = _paper_sup if variant == "paper" else _standard_sup
-    return sup(L3, L4, signs)
+    return float(pbps(_knot_matrices(system)[None], variant)[0])
 
 
 def pbr(
@@ -372,11 +452,14 @@ def joint_constraint(fo: FuzzyOrientation, side: str) -> FuzzyHalfSpaceConstrain
     return FuzzyHalfSpaceConstraint(coeffs, TrapezoidalNumber.crisp(0.0))
 
 
+def _unit(facet_normal: Sequence[float]) -> np.ndarray:
+    e = np.asarray(facet_normal, dtype=float)
+    return e / np.linalg.norm(e)
+
+
 def block_pyramid(jp_system: FuzzySystem, facet_normal: Sequence[float]) -> FuzzySystem:
     """BP fuzzy system: the joint pyramid plus the crisp free-face half-space."""
-    e = np.asarray(facet_normal, dtype=float)
-    e = e / np.linalg.norm(e)
-    facet = FuzzyHalfSpaceConstraint.crisp(e, 0.0)
+    facet = FuzzyHalfSpaceConstraint.crisp(_unit(facet_normal), 0.0)
     return FuzzySystem(jp_system.constraints + (facet,), "block-pyramid")
 
 
@@ -391,3 +474,34 @@ def systems_for_code(
     jp_constraints = [joint_constraint(fo, side) for fo, side in zip(fuzzy_joints, code)]
     jp_sys = FuzzySystem(tuple(jp_constraints), "joint-pyramid")
     return jp_sys, block_pyramid(jp_sys, facet_normal)
+
+
+def code_knots(fuzzy_joints: Sequence[FuzzyOrientation], codes: Sequence[str]) -> np.ndarray:
+    """Knots (C, 4, n, 3) of the joint pyramids of the codes, for ``pbps``.
+
+    Row j of a code's pyramid is joint j's ``joint_constraint`` on the
+    code's side, as in ``systems_for_code``.
+    """
+    if any(len(code) != len(fuzzy_joints) or set(code) - {"U", "L"} for code in codes):
+        raise ValueError("each code needs one side, U or L, per fuzzy joint")
+    sides = np.array(
+        [[[t.to_list() for t in joint_constraint(fo, side).coeffs] for side in "UL"]
+         for fo in fuzzy_joints]
+    )  # (joint, side, component, knot)
+    lower = np.array([[ch == "L" for ch in code] for code in codes], dtype=int)
+    return np.moveaxis(sides[np.arange(len(fuzzy_joints)), lower], -1, 1)
+
+
+def block_knots(jp_knots: np.ndarray, facet_normals: Sequence[Sequence[float]]) -> np.ndarray:
+    """Knots (F * C, 4, n + 1, d) of every joint pyramid against every free face.
+
+    Each of the C joint pyramids of ``jp_knots`` gains the crisp half-space
+    of each facet's unit normal as its last row, as in ``block_pyramid``;
+    the systems run facet by facet, codes inner.
+    """
+    n_codes, _, n, dim = jp_knots.shape
+    faces = np.array([_unit(e) for e in facet_normals]).reshape(-1, dim)
+    out = np.empty((len(faces), n_codes, 4, n + 1, dim))
+    out[:, :, :, :n] = jp_knots
+    out[:, :, :, n] = faces[:, None, None, :]
+    return out.reshape(-1, 4, n + 1, dim)

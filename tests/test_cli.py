@@ -7,6 +7,8 @@ import pytest
 
 from fuzzyblock import cli
 from fuzzyblock.cli import atomic_write_text, main
+from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
+from fuzzyblock.kernel.tunnel import all_codes
 from fuzzyblock.project import parse_project
 from fuzzyblock.surrogate import (
     generate_dataset,
@@ -154,6 +156,42 @@ class TestFuzzyPbr:
         for facet, code, pbp_s, pjb_s, pbr_s, label in pbr_rows:
             assert float(pbr_s) in (0.0, 1.0)
             assert (float(pbr_s) == 1.0) == ((facet, code) in removable)
+
+    @pytest.mark.parametrize("variant", ["paper", "standard"])
+    def test_matches_one_pbp_per_system(self, tmp_path, variant):
+        # a dip-0 core, a dip-90 support edge and a near-parallel pair, whose
+        # opposite sides give near-opposed rows in half the codes
+        doc = standard_project_dict()
+        doc["fuzzy_joints"] = [
+            {"id": "F1", "dip_deg": [0, 0, 0, 5], "dip_direction_deg": [40, 45, 45, 50],
+             "friction_deg": [15, 20, 20, 25]},
+            {"id": "F2", "dip_deg": [80, 85, 88, 90], "dip_direction_deg": [110, 115, 120, 125],
+             "friction_deg": [15, 20, 20, 25]},
+            {"id": "F3", "dip_deg": [55, 60, 60, 65], "dip_direction_deg": [200, 205, 205, 210],
+             "friction_deg": [15, 20, 20, 25]},
+            {"id": "F4", "dip_deg": [56, 60.5, 60.5, 64],
+             "dip_direction_deg": [201, 205.5, 205.5, 209], "friction_deg": [15, 20, 20, 25]},
+        ]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "pbr.csv")
+        assert main(["fuzzy", "pbr", "-p", str(path), "-o", out, "--delta-variant", variant]) == 0
+        cfg = parse_project(str(path))
+        expected = []
+        for facet in cfg.tunnel.facets():
+            for code in all_codes(4):
+                jp, bp = systems_for_code(cfg.fuzzy_joints, code, facet.inward_normal)
+                pbp_value, pjb_sup = pbp(bp, variant), pbp(jp, variant)
+                expected.append([
+                    str(facet.index), code, repr(pbp_value), repr(pjb_sup),
+                    repr(min(1.0 - pbp_value, pjb_sup)),
+                    finiteness_label(pbp_value, cfg.label_thresholds),
+                ])
+        header, rows = read_csv(out)
+        assert header == ["facet", "code", "pbp", "pjb_sup", "pbr", "label"]
+        assert rows == expected
+        if variant == "standard":  # the paper PBP is 0 or 1; this one takes values between
+            assert {r[2] for r in rows} > {"0.0", "1.0"}
 
     def test_table_to_stdout(self, tmp_path, capsys):
         proj = small_project(tmp_path)
@@ -427,6 +465,37 @@ class TestPlot:
         assert main(["plot", "-d", str(path), "-o", str(out)]) == 2
         assert f"{path} line 3: membership must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            # uneven spacing: x = 3 where the grid 0, 1 puts 2
+            ("uneven.csv", "0,0,1\n1,0,0\n3,0,1\n",
+             "line 4: x = 3.0 is off the even grid of spacing 1.0 from 0.0"),
+            # cells (1, 0) and (0, 1) of the 2 x 2 grid are missing
+            ("missing.csv", "0,0,1\n1,1,1\n",
+             "line 2: the grid row y = 0.0 has no cell at x = 1.0"),
+            # the last row repeats the cell of line 2
+            ("duplicate.csv", "0,0,1\n1,0,1\n0,1,1\n1,1,0\n0,0,0.5\n",
+             "line 6: duplicate cell x = 0.0, y = 0.0 (first on line 2)"),
+        ],
+        ids=["uneven", "missing", "duplicate"],
+    )
+    def test_broken_raster_is_data_error(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text("x,y,membership\n" + text)
+        out = tmp_path / "o.svg"
+        assert main(["plot", "-d", str(path), "-o", str(out)]) == 2
+        assert f"{path} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_geom_raster_plots_as_its_grid(self, tmp_path, project_file):
+        # the reprs of a raster's cell centers are evenly spaced to a few ulps
+        raster = str(tmp_path / "raster.csv")
+        assert main(["geom", "eval", "-p", project_file, "-o", raster]) == 0
+        out = str(tmp_path / "plot.svg")
+        assert main(["plot", "-d", raster, "-o", out]) == 0
+        assert open(out).read().count("<rect") == 64
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "series.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuzzyblock import fuzzy_blocks
 from fuzzyblock.fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
     FINITENESS_LABELS,
@@ -17,6 +18,7 @@ from fuzzyblock.fuzzy_blocks import (
     fuzzy_normal,
     joint_constraint,
     pbp,
+    pbps,
     pbr,
     pjb,
     systems_for_code,
@@ -29,6 +31,7 @@ from fuzzyblock.kernel import (
     cone_nonempty,
 )
 
+import pbp_oracle
 from possibility_oracle import attains, min_poss_over_dirs
 
 T = TrapezoidalNumber
@@ -341,7 +344,7 @@ CORE_HALF_WIDTHS = st.sampled_from([0.0]) | st.floats(0.01, 0.2)
 
 
 @st.composite
-def fuzzy_systems(draw, dim=None, crisp=False):
+def fuzzy_systems(draw, dim=None, crisp=False, rows=None):
     """Homogeneous fuzzy systems, degenerate ones included.
 
     Cores are unit vectors of small integer vectors, so degeneracies are
@@ -349,12 +352,13 @@ def fuzzy_systems(draw, dim=None, crisp=False):
     and opposed copies of an earlier core.  Each coefficient is a trapezoid
     around its core value with a core half-width and a ramp width, each 0 or
     at least 0.01; the value may exceed the attained possibility by up to
-    1e-12 / spread, the margin slack of the cone test.
+    1e-12 / spread, the margin slack of the cone test.  ``rows`` fixes the
+    number of constraints.
     """
     dim = draw(st.sampled_from([2, 3])) if dim is None else dim
     vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
     cores = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 4)) if rows is None else rows):
         kind = draw(st.sampled_from(["general", "axis", "parallel", "opposed"]))
         if kind == "axis":
             core = np.eye(dim)[draw(st.integers(0, dim - 1))] * draw(st.sampled_from([1.0, -1.0]))
@@ -365,14 +369,14 @@ def fuzzy_systems(draw, dim=None, crisp=False):
             core = np.array(draw(vec), dtype=float)
             core /= np.linalg.norm(core)
         cores.append(core)
-    rows = []
+    constraints = []
     for core in cores:
         coeffs = []
         for c in core:
             h, w = (0.0, 0.0) if crisp else (draw(CORE_HALF_WIDTHS), draw(SPREADS))
             coeffs.append(T(c - h - w, c - h, c + h, c + h + w))
-        rows.append(FuzzyHalfSpaceConstraint(tuple(coeffs), T.crisp(0.0)))
-    return FuzzySystem(tuple(rows), "joint-pyramid")
+        constraints.append(FuzzyHalfSpaceConstraint(tuple(coeffs), T.crisp(0.0)))
+    return FuzzySystem(tuple(constraints), "joint-pyramid")
 
 
 def min_poss(system, v, variant):
@@ -514,6 +518,69 @@ class TestExactPbp:
             assert attains(system, value, variant)
             for e in np.eye(3):
                 assert pbp(block_pyramid(system, e), variant) <= value
+
+
+@st.composite
+def system_batches(draw):
+    """Lists of 1 to 8 drawn systems that share their row count and dimension."""
+    dim, rows = draw(st.sampled_from([2, 3])), draw(st.integers(1, 4))
+    return draw(st.lists(fuzzy_systems(dim=dim, rows=rows), min_size=1, max_size=8))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBatchedPbp:
+    """``pbps`` against the one-system search it replaced (``pbp_oracle``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(system_batches(), VARIANTS)
+    @example([crisp_system(TETRA), fuzzed_tetra(0.05), fuzzed_tetra(0.25)], "standard")
+    def test_matches_per_system_search(self, systems, variant):
+        knots = np.array([pbp_oracle._knot_matrices(s) for s in systems])
+        assert bits(pbps(knots, variant)) == bits(pbp_oracle.pbp(s, variant) for s in systems)
+        assert bits(pbp(s, variant) for s in systems) == bits(pbps(knots, variant))
+
+    @settings(max_examples=100, deadline=None)
+    @given(system_batches(), VARIANTS, st.integers(1, 400), st.data())
+    def test_independent_of_position_and_chunks(self, systems, variant, entries, data):
+        # each system alone, against the batch in any order with chunks of a
+        # few (row, ray, constraint) margins, often one cone test per chunk
+        alone = [pbps(pbp_oracle._knot_matrices(s)[None], variant)[0] for s in systems]
+        order = data.draw(st.permutations(range(len(systems))))
+        knots = np.array([pbp_oracle._knot_matrices(systems[k]) for k in order])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fuzzy_blocks, "_CHUNK_ENTRIES", entries)
+            batched = pbps(knots, variant)
+        assert bits(batched) == bits(alone[k] for k in order)
+
+    def test_empty_batch(self):
+        for variant in ("paper", "standard"):
+            assert pbps(np.zeros((0, 4, 2, 3)), variant).shape == (0,)
+
+    def test_malformed_input_rejected(self):
+        with pytest.raises(ValueError, match="unknown delta variant"):
+            pbps(np.zeros((1, 4, 1, 3)), "median")
+        with pytest.raises(ValueError, match=r"shape \(S, 4, m, d\)"):
+            pbps(np.zeros((4, 1, 3)))
+
+    def test_code_and_block_knots_match_systems_for_code(self):
+        joints = [
+            FuzzyOrientation(T(0, 0, 0, 5), T(40, 45, 45, 50)),
+            FuzzyOrientation(T(80, 85, 88, 90), T(110, 115, 120, 125)),
+        ]
+        codes = ["LL", "LU", "UL", "UU"]
+        normals = [(1.0, 0.0, 0.0), (0.3, -2.0, 0.5)]
+        jp = fuzzy_blocks.code_knots(joints, codes)
+        bp = fuzzy_blocks.block_knots(jp, normals).reshape(len(normals), len(codes), 4, 3, 3)
+        for c, code in enumerate(codes):
+            for f, e in enumerate(normals):
+                jp_sys, bp_sys = systems_for_code(joints, code, e)
+                assert bits(jp[c].ravel()) == bits(pbp_oracle._knot_matrices(jp_sys).ravel())
+                assert bits(bp[f, c].ravel()) == bits(pbp_oracle._knot_matrices(bp_sys).ravel())
+        with pytest.raises(ValueError, match="one side"):
+            fuzzy_blocks.code_knots(joints, ["UX"])
 
 
 class TestPbr:
