@@ -61,11 +61,19 @@ class CliDataError(RuntimeError):
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write ``path`` through a temp file and a rename, with a plain ``open``'s mode.
+
+    ``mkstemp`` creates the temp file 0600; the product gets 0666 less the
+    umask, as a file made by ``open`` does.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fuzzyblock-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,7 +100,7 @@ def _fmtnum(v: Optional[float]) -> str:
 def _sweep(cfg: ProjectConfig):
     if not cfg.joints:
         raise CliDataError("project has no crisp joints; add a 'joints' section")
-    return enumerate_tunnel_blocks(cfg.joints, cfg.tunnel, seed_offset=cfg.seed_offset_m)
+    return enumerate_tunnel_blocks(cfg.joints, cfg.tunnel)
 
 
 def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
@@ -279,7 +287,7 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     angle_idx = list(model.input_names).index("angle_deg")
     angles = bin_angles(record.mins[angle_idx], record.maxs[angle_idx], bins)
     draws = [(med["dip_deg"], med["dipdir_deg"], med["phi_deg"], float(a)) for a in angles]
-    cases = joint_cases(cfg.tunnel, draws, seed_offset=cfg.seed_offset_m)
+    cases = joint_cases(cfg.tunnel, draws)
     series = damage_map(model, bins, per_bin_inputs={"volume_m3": [c.volume_m3 for c in cases]})
     rows = [(repr(a), repr(v)) for a, v in series]
     atomic_write_text(args.out, _csv_text(("angle_deg", "sf_pred"), rows))

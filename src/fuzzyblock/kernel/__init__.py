@@ -15,7 +15,6 @@ from .pyramid import (
     HalfSpaceSystem,
     PyramidResult,
     cone_nonempty,
-    pyramid_nonempty,
 )
 from .tunnel import (
     BlockRecord,
@@ -56,7 +55,6 @@ __all__ = [
     "enumerate_tunnel_blocks",
     "joint_pyramid",
     "normal_from_orientation",
-    "pyramid_nonempty",
     "safety_factor",
     "sliding_mode",
 ]

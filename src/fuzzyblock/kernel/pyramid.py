@@ -163,7 +163,3 @@ def cone_nonempty(normals: np.ndarray) -> PyramidResult:
         normals = np.zeros((0, normals.shape[1] or 3))
     return signed_cones(normals, np.ones((1, len(normals)))).result(0)
 
-
-def pyramid_nonempty(sys: HalfSpaceSystem) -> PyramidResult:
-    """Emptiness test for a half-space pyramid, with a witness when nonempty."""
-    return cone_nonempty(sys.normals)

@@ -217,19 +217,17 @@ def enumerate_tunnel_blocks(
     joints: Sequence[JointPlane],
     tunnel: TunnelSection,
     resultant: Sequence[float] = GRAVITY_DIR,
-    seed_offset: Optional[float] = None,
 ) -> list[BlockRecord]:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
     All codes of a facet are classified in one batched cone test.  Removable
     blocks get mode and safety factor, which depend on the code only and
     come from one ``block_mechanics`` call for all codes, and the volume of
-    the block whose joints all pass through a seed point offset into the
-    rock from the facet midpoint (a quarter of the edge length unless
-    overridden).  That block is bounded, as its recession cone is its empty
-    block pyramid, so all volumes are exact and come from one
-    ``block_volumes`` call, with no box.  A mode or safety-factor failure
-    is recorded on the affected record and never aborts the sweep.
+    the block that ``seeded_halfspaces`` seeds at the facet midpoint.  That
+    block is bounded, as its recession cone is its empty block pyramid, so
+    all volumes are exact and come from one ``block_volumes`` call, with no
+    box.  A mode or safety-factor failure is recorded on the affected record
+    and never aborts the sweep.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
@@ -265,12 +263,28 @@ def enumerate_tunnel_blocks(
                     sized.append((rec, f, c))
     if sized:
         f, c = np.array([(f, c) for _, f, c in sized]).T
-        e = np.array([facet.inward_normal for facet in facets])
         mid = np.array([facet.midpoint for facet in facets])
-        offset = [seed_offset if seed_offset is not None else 0.25 * x.edge_length for x in facets]
-        seeds = mid + np.array(offset)[:, None] * e
-        planes = np.concatenate([jp_normals[c], e[f, None]], axis=1)
-        offsets = np.c_[np.vecdot(jp_normals[c], seeds[f, None]), np.vecdot(e, mid)[f]]
+        planes, offsets = seeded_halfspaces(jp_normals[c], facets, f, mid[f])
         for (rec, _, _), volume in zip(sized, block_volumes(planes, offsets)):
             rec.volume_m3 = float(volume)
     return records
+
+
+def seeded_halfspaces(
+    jp_normals: np.ndarray, facets: Sequence[Facet], which: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spaces of the block that each row seeds at a point of its facet.
+
+    Row b's joint planes, ``jp_normals[b]`` (m, 3) facing into the block,
+    pass through the seed point, a quarter of the edge length of facet
+    ``which[b]`` into the rock from ``points[b]``; that facet's plane through
+    ``points[b]`` closes the block.  The quarter is a convention, not a
+    property of the rock.  Returns normals (B, m+1, 3) and offsets (B, m+1),
+    the facet plane last; every row is computed elementwise, so it gets the
+    bits it gets alone.
+    """
+    e = np.array([f.inward_normal for f in facets])[which]
+    seeds = points + np.array([0.25 * f.edge_length for f in facets])[which][:, None] * e
+    normals = np.concatenate([jp_normals, e[:, None]], axis=1)
+    offsets = np.c_[np.vecdot(jp_normals, seeds[:, None]), np.vecdot(e, points)]
+    return normals, offsets

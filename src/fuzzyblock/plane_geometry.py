@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -245,28 +245,9 @@ def _values(shape: FuzzyShape, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported shape {type(shape).__name__}")
 
 
-def _at(values: Callable, shape: FuzzyShape, px: float, py: float) -> float:
-    return float(values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
-
-
-def line_membership(line: FuzzyLineImplicit, px: float, py: float) -> float:
-    """Membership of (px, py) in the implicit fuzzy line."""
-    return _at(_line_values, line, px, py)
-
-
-def slope_line_membership(line: FuzzyLineSlope, px: float, py: float) -> float:
-    """Membership of (px, py) in the slope-form fuzzy line y = m*x + b."""
-    return _at(_slope_values, line, px, py)
-
-
-def segment_membership(seg: FuzzySegment, px: float, py: float) -> float:
-    """Membership of (px, py) in the fuzzy segment."""
-    return _at(_values, seg, px, py)
-
-
 def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
     """Membership of (px, py) in any shape; a polygon's is the maximum over its closing edges."""
-    return _at(_values, shape, px, py)
+    return float(_values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
 
 
 def _rect_distance_bounds(

@@ -6,7 +6,9 @@ range-checked with a diagnostic naming the offending key path.  Every
 accepted key is read by some command, except fuzzy ``friction_deg``, which
 is required and checked but not read yet.  Keys that earlier builds accepted
 and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
-``location``) are rejected as unknown.
+``location``) are rejected as unknown, and so is the seed-point override of
+earlier builds: every sized block is seeded by the one rule of
+``kernel.tunnel.seeded_halfspaces``.
 """
 from __future__ import annotations
 
@@ -127,7 +129,6 @@ class ProjectConfig:
     geometry: Optional[GeometryJob] = None
     delta_variant: str = "paper"
     label_thresholds: tuple[float, float, float] = DEFAULT_LABEL_THRESHOLDS
-    seed_offset_m: Optional[float] = None
 
 
 _TOP_KEYS = {
@@ -140,7 +141,6 @@ _TOP_KEYS = {
     "geometry",
     "delta_variant",
     "label_thresholds",
-    "seed_offset_m",
 }
 
 
@@ -217,8 +217,7 @@ def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
     return fo
 
 
-def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection,
-                   seed_offset: Optional[float]) -> DatasetSpec:
+def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection) -> DatasetSpec:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(
@@ -246,7 +245,7 @@ def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection,
     if "sf_cap" in obj:
         kwargs["sf_cap"] = _number(obj["sf_cap"], f"{path}.sf_cap")
     try:
-        return DatasetSpec(tunnel=tunnel, seed_offset=seed_offset, **kwargs)
+        return DatasetSpec(tunnel=tunnel, **kwargs)
     except ValueError as exc:
         raise ProjectSemanticError(f"{path}: {exc}") from None
 
@@ -289,10 +288,14 @@ def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
             raise ProjectSemanticError(f"{path}.epochs must be >= 1")
     if "learn_rate" in obj:
         kwargs["learn_rate"] = _number(obj["learn_rate"], f"{path}.learn_rate")
+        if kwargs["learn_rate"] <= 0.0:
+            raise ProjectSemanticError(f"{path}.learn_rate must be positive")
     if "ridge" in obj:
         kwargs["ridge"] = (
             None if obj["ridge"] is None else _number(obj["ridge"], f"{path}.ridge")
         )
+        if kwargs["ridge"] is not None and kwargs["ridge"] < 0.0:
+            raise ProjectSemanticError(f"{path}.ridge must be >= 0 or null")
     if "train_fraction" in obj:
         kwargs["train_fraction"] = _number(obj["train_fraction"], f"{path}.train_fraction")
         if not 0.0 < kwargs["train_fraction"] <= 1.0:
@@ -393,15 +396,9 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         _parse_fuzzy_joint(obj, f"$.fuzzy_joints[{i}]") for i, obj in enumerate(raw_fuzzy)
     ]
 
-    seed_offset = doc.get("seed_offset_m")
-    if seed_offset is not None:
-        seed_offset = _number(seed_offset, "$.seed_offset_m")
-        if seed_offset <= 0.0:
-            raise ProjectSemanticError("$.seed_offset_m must be positive")
-
     dataset = None
     if "dataset" in doc:
-        dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel, seed_offset)
+        dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel)
     anfis = _parse_anfis(doc.get("anfis", {}), "$.anfis")
     geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
 
@@ -426,7 +423,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         geometry=geometry,
         delta_variant=variant,
         label_thresholds=thresholds,
-        seed_offset_m=seed_offset,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..kernel.mechanics import ModeInconsistencyError, block_mechanics
 from ..kernel.orientation import Orientation, normal_from_orientation, wrap_azimuth
-from ..kernel.tunnel import GRAVITY_DIR, TunnelSection
+from ..kernel.tunnel import GRAVITY_DIR, TunnelSection, seeded_halfspaces
 from ..kernel.volume import bbox_halfspaces, block_volumes
 
 FEATURE_NAMES = ("dip_deg", "dipdir_deg", "phi_deg", "angle_deg", "volume_m3")
@@ -41,7 +41,6 @@ class DatasetSpec:
     sample_count: int = 283
     seed: int = 0
     sf_cap: float = DEFAULT_SF_CAP
-    seed_offset: Optional[float] = None
 
     def __post_init__(self) -> None:
         """Reject any range that could draw a sample the kernel cannot analyze."""
@@ -100,15 +99,15 @@ def _wedges(
     tunnel: TunnelSection,
     draws: Sequence[Draw],
     sf_cap: float,
-    seed_offset: Optional[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Critical safety factor, volume side, and wedge half-spaces of every draw.
 
     Returns sf (N,), upper (N,) (True where the wedge lies on the joint's
     upper side), normals (N, 8, 3) and offsets (N, 8): the joint and facet
-    planes first, then the six box planes.  Each side of the joint is a
-    one-plane JP, and one ``block_mechanics`` call, the sweep's routine,
-    gives the modes and SFs of both sides of all draws.
+    planes of ``seeded_halfspaces`` at the hit point first, then the six box
+    planes.  Each side of the joint is a one-plane JP, and one
+    ``block_mechanics`` call, the sweep's routine, gives the modes and SFs of
+    both sides of all draws.
     """
     facets = tunnel.facets()
     hit, points = tunnel.facets_at_angles([theta % 360.0 for *_, theta in draws])
@@ -116,11 +115,6 @@ def _wedges(
     if missing.size:
         raise ValueError(f"no facet found at angle {draws[missing[0]][3]}")
     e = np.array([f.inward_normal for f in facets])[hit]
-    if seed_offset is None:
-        offset = np.array([0.25 * f.edge_length for f in facets])[hit]
-    else:
-        offset = np.full(len(draws), seed_offset)
-    seeds = points + offset[:, None] * e
     n = np.array([normal_from_orientation(Orientation(dip, wrap_azimuth(dd)))
                   for dip, dd, *_ in draws])
     tan_phi = np.array([[math.tan(math.radians(phi))] for _, _, phi, _ in draws])
@@ -138,13 +132,13 @@ def _wedges(
     best_sf = np.where(upper, sf_u, sf_l)
 
     m = np.where(upper, 1.0, -1.0)[:, None] * n
+    wedge_n, wedge_d = seeded_halfspaces(m[:, None], facets, hit, points)
     box_n, box_d = _section_box(tunnel)
     normals = np.concatenate(
-        [m[:, None], e[:, None], np.broadcast_to(box_n, (len(draws),) + box_n.shape)], axis=1
+        [wedge_n, np.broadcast_to(box_n, (len(draws),) + box_n.shape)], axis=1
     )
     offsets = np.concatenate(
-        [np.vecdot(m, seeds)[:, None], np.vecdot(e, points)[:, None],
-         np.broadcast_to(box_d, (len(draws),) + box_d.shape)], axis=1
+        [wedge_d, np.broadcast_to(box_d, (len(draws),) + box_d.shape)], axis=1
     )
     return np.where(sf_cap < best_sf, sf_cap, best_sf), upper, normals, offsets
 
@@ -153,7 +147,6 @@ def joint_cases(
     tunnel: TunnelSection,
     draws: Sequence[Draw],
     sf_cap: float = DEFAULT_SF_CAP,
-    seed_offset: Optional[float] = None,
 ) -> list[Sample]:
     """Kinematic analysis of the single-joint block of each draw.
 
@@ -161,15 +154,16 @@ def joint_cases(
     direction actually exits the rock through the facet.  The critical
     (lowest) safety factor wins; if neither side can move, the stable
     sentinel (the cap) is used.  The volume is that of the wedge cut by the
-    joint through the seed point and the facet, closed by the section box.
-    Modes and SFs come from one call of the sweep's batched
-    ``block_mechanics`` (a one-plane JP per side), and volumes from one
-    ``block_volumes`` call; both give a row the bits it gets alone, so a
-    sample does not depend on its batch.  Any failure propagates.
+    joint through the seed point of ``seeded_halfspaces`` and the facet,
+    closed by the section box.  Modes and SFs come from one call of the
+    sweep's batched ``block_mechanics`` (a one-plane JP per side), and
+    volumes from one ``block_volumes`` call; both give a row the bits it
+    gets alone, so a sample does not depend on its batch.  Any failure
+    propagates.
     """
     if not draws:
         return []
-    sf, _, normals, offsets = _wedges(tunnel, draws, sf_cap, seed_offset)
+    sf, _, normals, offsets = _wedges(tunnel, draws, sf_cap)
     volumes = block_volumes(normals, offsets)
     return [Sample(*draw, float(v), float(f)) for draw, v, f in zip(draws, volumes, sf)]
 
@@ -181,10 +175,9 @@ def single_joint_case(
     phi: float,
     theta: float,
     sf_cap: float = DEFAULT_SF_CAP,
-    seed_offset: Optional[float] = None,
 ) -> Sample:
     """``joint_cases`` for one draw: the sample at one boundary position."""
-    return joint_cases(tunnel, [(dip, dd, phi, theta)], sf_cap, seed_offset)[0]
+    return joint_cases(tunnel, [(dip, dd, phi, theta)], sf_cap)[0]
 
 
 def _draw(spec: DatasetSpec, rng: np.random.Generator) -> Draw:
@@ -213,7 +206,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     ``single_joint_case`` on its draw; a failure propagates.
     """
     draws = [_draw(spec, _stream(spec, i)) for i in range(spec.sample_count)]
-    return joint_cases(spec.tunnel, draws, spec.sf_cap, spec.seed_offset)
+    return joint_cases(spec.tunnel, draws, spec.sf_cap)
 
 
 @dataclass(frozen=True)
@@ -286,11 +279,6 @@ def dataset_csv_text(samples: Sequence[Sample]) -> str:
         values = (s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg, s.volume_m3, s.sf)
         writer.writerow([repr(v) for v in values])
     return buf.getvalue()
-
-
-def write_dataset_csv(path: str, samples: Sequence[Sample]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(dataset_csv_text(samples))
 
 
 def _finite(text: str) -> bool:

@@ -172,22 +172,12 @@ def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
     return PremiseState(U, w, wbar)
 
 
-def firing_strengths(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and normalized rule firing strengths, shapes (N, R).
-
-    Normalized strengths sum to 1; if every rule underflows to zero the
-    fallback is uniform weighting.
-    """
-    _, w, wbar = premise_state(model, X)
-    return w, wbar
-
-
 def forward_batch(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and normalized firing strengths for a batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_count:
         raise ValueError(f"expected {model.input_count} inputs, got shape {X.shape}")
-    _, wbar = firing_strengths(model, X)
+    wbar = premise_state(model, X).wbar
     return _predict(model, X, wbar), wbar
 
 
@@ -446,11 +436,6 @@ def model_from_dict(doc: dict) -> TskModel:
 def model_json_text(model: TskModel) -> str:
     """The model file: sorted-key JSON with one-space indent and a final newline."""
     return json.dumps(model_to_dict(model), sort_keys=True, indent=1) + "\n"
-
-
-def save_model(model: TskModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_json_text(model))
 
 
 def load_model(path: str) -> TskModel:

@@ -136,7 +136,6 @@ def wedge(
     tunnel: TunnelSection,
     draw: tuple[float, float, float, float],
     sf_cap: float,
-    seed_offset: Optional[float],
 ) -> tuple[float, Optional[str], np.ndarray, np.ndarray]:
     """(sf, best side or None, normals (8, 3), offsets (8,)) of one draw.
 
@@ -150,8 +149,7 @@ def wedge(
     if index < 0:
         raise ValueError(f"no facet found at angle {theta}")
     facet = tunnel.facets()[index]
-    offset = seed_offset if seed_offset is not None else 0.25 * facet.edge_length
-    seed_point = boundary_point + offset * facet.inward_normal
+    seed_point = boundary_point + 0.25 * facet.edge_length * facet.inward_normal
     n = normal_from_orientation(Orientation(dip, wrap_azimuth(dd)))
     e = facet.inward_normal
     r = np.asarray(GRAVITY_DIR)

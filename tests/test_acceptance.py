@@ -13,6 +13,7 @@ import numpy as np
 from conftest import principal_frame_monte_carlo, record_acceptance
 from hull_oracle import hull_feasible
 
+from fuzzyblock.cli import atomic_write_text
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
     FINITENESS_LABELS,
@@ -29,8 +30,8 @@ from fuzzyblock.kernel import (
     Orientation,
     TunnelSection,
     classify_block,
+    cone_nonempty,
     joint_pyramid,
-    pyramid_nonempty,
     safety_factor,
     sliding_mode,
 )
@@ -41,9 +42,7 @@ from fuzzyblock.plane_geometry import (
     FuzzyLineSlope,
     FuzzyPoint,
     FuzzySegment,
-    line_membership,
-    segment_membership,
-    slope_line_membership,
+    membership_at,
 )
 from fuzzyblock.surrogate.dataset import (
     FEATURE_NAMES,
@@ -56,9 +55,9 @@ from fuzzyblock.surrogate.model import (
     damage_map,
     forward_batch,
     init_model,
+    model_json_text,
     premise_gradients,
     rmse as model_rmse,
-    save_model,
     train,
 )
 
@@ -129,7 +128,7 @@ def test_criterion_2_geometry_oracle_suite():
             blo, bhi = interval_mul(b.lo, b.hi, py)
             return alo + blo <= c.hi and c.lo <= ahi + bhi
 
-        worst = max(worst, abs(line_membership(line, px, py) - grid_sup(feas)))
+        worst = max(worst, abs(membership_at(line, px, py) - grid_sup(feas)))
         count += 1
     for _ in range(30):
         line = FuzzyLineSlope(random_trap(), random_trap())
@@ -140,7 +139,7 @@ def test_criterion_2_geometry_oracle_suite():
             mlo, mhi = interval_mul(m.lo, m.hi, px)
             return mlo + b.lo <= py <= mhi + b.hi
 
-        worst = max(worst, abs(slope_line_membership(line, px, py) - grid_sup(feas)))
+        worst = max(worst, abs(membership_at(line, px, py) - grid_sup(feas)))
         count += 1
     for _ in range(30):
         with warnings.catch_warnings():
@@ -154,7 +153,7 @@ def test_criterion_2_geometry_oracle_suite():
         def feas(alpha):
             return hull_feasible(seg, px, py, alpha)
 
-        worst = max(worst, abs(segment_membership(seg, px, py) - grid_sup(feas)))
+        worst = max(worst, abs(membership_at(seg, px, py) - grid_sup(feas)))
         count += 1
 
     crisp_line = FuzzyLineImplicit.crisp(1, 1, 2)
@@ -162,10 +161,10 @@ def test_criterion_2_geometry_oracle_suite():
     checks = [
         (count >= 100, f"only {count} randomized shapes checked"),
         (worst <= 2e-3, f"worst closed-form-vs-grid deviation {worst:.2e} exceeds 2e-3"),
-        (line_membership(crisp_line, 1, 1) == 1.0, "crisp line on-point must be exactly 1"),
-        (line_membership(crisp_line, 0, 0) == 0.0, "crisp line off-point must be exactly 0"),
-        (segment_membership(crisp_seg, 0.5, 0) == 1.0, "crisp segment on-point must be 1"),
-        (segment_membership(crisp_seg, 0.5, 0.1) == 0.0, "crisp segment off-point must be 0"),
+        (membership_at(crisp_line, 1, 1) == 1.0, "crisp line on-point must be exactly 1"),
+        (membership_at(crisp_line, 0, 0) == 0.0, "crisp line off-point must be exactly 0"),
+        (membership_at(crisp_seg, 0.5, 0) == 1.0, "crisp segment on-point must be 1"),
+        (membership_at(crisp_seg, 0.5, 0.1) == 0.0, "crisp segment off-point must be 0"),
     ]
     _finish("criterion 2: fuzzy-geometry oracle suite", 30.0, started, checks)
 
@@ -185,7 +184,7 @@ def test_criterion_3_pyramid_oracle_suite():
         if -1e-2 < sampled <= 1e-3:
             continue
         compared += 1
-        if pyramid_nonempty(HalfSpaceSystem(normals)).nonempty != (sampled > 0):
+        if cone_nonempty(normals).nonempty != (sampled > 0):
             disagreements += 1
     checks = [
         (compared >= 800, f"only {compared} systems had a decisive sampled margin"),
@@ -334,9 +333,9 @@ def test_criterion_6_anfis_suite(tmp_path):
     p1 = tmp_path / "retrain1.json"
     p2 = tmp_path / "retrain2.json"
     m_a, _ = train(init_model(3, 2, Xr), Xr, yr, epochs=10)
-    save_model(m_a, str(p1))
+    atomic_write_text(str(p1), model_json_text(m_a))
     m_b, _ = train(init_model(3, 2, Xr), Xr, yr, epochs=10)
-    save_model(m_b, str(p2))
+    atomic_write_text(str(p2), model_json_text(m_b))
     checks.append((p1.read_bytes() == p2.read_bytes(), "retrain model files differ"))
 
     _finish("criterion 6: ANFIS suite", 120.0, started, checks)

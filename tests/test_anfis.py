@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradient_oracle
+from fuzzyblock.cli import atomic_write_text
 from fuzzyblock.surrogate.dataset import NormalizationRecord
 from fuzzyblock.surrogate.model import (
     _W_TINY,
@@ -14,7 +15,6 @@ from fuzzyblock.surrogate.model import (
     bell_membership,
     damage_map,
     extract_rules,
-    firing_strengths,
     forward_batch,
     init_model,
     load_model,
@@ -26,7 +26,6 @@ from fuzzyblock.surrogate.model import (
     premise_gradients,
     premise_state,
     rmse,
-    save_model,
     train,
 )
 
@@ -92,7 +91,7 @@ class TestForward:
         rng = np.random.Generator(np.random.Philox(3))
         X = rng.uniform(-1, 1, size=(100, 2))
         m = init_model(2, 3, X)
-        _, wbar = firing_strengths(m, X)
+        wbar = premise_state(m, X).wbar
         assert np.allclose(wbar.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_checked(self):
@@ -103,7 +102,7 @@ class TestForward:
     def test_underflow_fallback_uniform(self):
         m = TskModel([np.array([[0.0, 1e-6, 40.0], [0.1, 1e-6, 40.0]])],
                      np.array([[1.0, 0.0], [2.0, 0.0]]), ("x1",))
-        _, wbar = firing_strengths(m, np.array([[1e8]]))
+        wbar = premise_state(m, np.array([[1e8]])).wbar
         assert np.allclose(wbar, 0.5)
 
 
@@ -177,7 +176,7 @@ class TestTrain:
         X = rng.uniform(-1, 1, size=(50, 2))
         y = np.cos(3 * X[:, 0]) * X[:, 1]
         m = init_model(2, 3, X)
-        _, wbar = firing_strengths(m, X)
+        wbar = premise_state(m, X).wbar
         Xa = np.column_stack([X, np.ones(len(X))])
         phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(len(X), -1)
         gram = phi.T @ phi + 0.01 * np.eye(phi.shape[1])
@@ -349,13 +348,13 @@ class TestRulesAndSerialization:
         )
         model.input_medians = (0.25, -0.5)
         path = tmp_path / "model.json"
-        save_model(model, str(path))
+        atomic_write_text(str(path), model_json_text(model))
         again = load_model(str(path))
         assert extract_rules(again) == extract_rules(model)
         assert np.array_equal(again.consequents, model.consequents)
         for p, q in zip(again.mf_params, model.mf_params):
             assert np.array_equal(p, q)
-        save_model(again, str(tmp_path / "model2.json"))
+        atomic_write_text(str(tmp_path / "model2.json"), model_json_text(again))
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
     def test_schema_version_checked(self):
@@ -371,7 +370,7 @@ class TestRulesAndSerialization:
 
         def run(path):
             m, _ = train(init_model(3, 2, X), X, y, epochs=10)
-            save_model(m, str(path))
+            atomic_write_text(str(path), model_json_text(m))
 
         run(tmp_path / "a.json")
         run(tmp_path / "b.json")

@@ -10,14 +10,9 @@ from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
 from fuzzyblock.kernel.tunnel import all_codes
 from fuzzyblock.project import parse_project
-from fuzzyblock.surrogate import (
-    generate_dataset,
-    load_model,
-    save_model,
-    single_joint_case,
-    write_dataset_csv,
-)
-from fuzzyblock.surrogate.model import bin_angles
+from fuzzyblock.surrogate import generate_dataset, load_model, single_joint_case
+from fuzzyblock.surrogate.dataset import dataset_csv_text
+from fuzzyblock.surrogate.model import bin_angles, model_json_text
 from conftest import standard_project_dict
 
 
@@ -255,7 +250,7 @@ class TestSurrogatePipeline:
         assert open(map_svg).read().startswith("<svg")
 
     def test_map_volumes_equal_single_joint_cases(self, tmp_path, monkeypatch):
-        proj = small_project(tmp_path, seed_offset_m=0.7)
+        proj = small_project(tmp_path)
         data, model = str(tmp_path / "data.csv"), str(tmp_path / "model.json")
         assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model]) == 0
@@ -273,7 +268,7 @@ class TestSurrogatePipeline:
         dip, dd, phi = m.input_medians[:3]
         angles = bin_angles(m.normalization.mins[3], m.normalization.maxs[3], 24)
         expected = [
-            single_joint_case(cfg.tunnel, dip, dd, phi, float(a), seed_offset=0.7).volume_m3
+            single_joint_case(cfg.tunnel, dip, dd, phi, float(a)).volume_m3
             for a in angles
         ]
         assert np.array(seen[0]).tobytes() == np.array(expected).tobytes()
@@ -318,10 +313,11 @@ class TestSurrogatePipeline:
         data, lib_data = str(tmp_path / "data.csv"), str(tmp_path / "lib_data.csv")
         model, lib_model = str(tmp_path / "m.json"), str(tmp_path / "lib_m.json")
         assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
-        write_dataset_csv(lib_data, generate_dataset(parse_project(proj).dataset))
+        samples = generate_dataset(parse_project(proj).dataset)
+        atomic_write_text(lib_data, dataset_csv_text(samples))
         assert open(data, "rb").read() == open(lib_data, "rb").read()
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model]) == 0
-        save_model(load_model(model), lib_model)
+        atomic_write_text(lib_model, model_json_text(load_model(model)))
         assert open(model, "rb").read() == open(lib_model, "rb").read()
 
     def test_range_flag(self, tmp_path):
@@ -520,6 +516,16 @@ class TestAtomicWrites:
         atomic_write_text(str(target), "one\n")
         atomic_write_text(str(target), "two\n")
         assert target.read_text() == "two\n"
+
+    def test_product_mode_follows_umask(self, tmp_path):
+        # a product gets the mode a plain open() would give it, not mkstemp's 0600
+        out = tmp_path / "blocks.csv"
+        old = os.umask(0o022)
+        try:
+            assert main(["kbt", "analyze", "-p", small_project(tmp_path), "-o", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o644
 
     def test_products_consumable_round_trip(self, tmp_path):
         # CSV written by gen feeds train without transformation, and the map

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzyblock.cli import atomic_write_text
 from fuzzyblock.kernel import TunnelSection
 from fuzzyblock.surrogate import dataset
 from fuzzyblock.surrogate.dataset import (
@@ -12,12 +13,12 @@ from fuzzyblock.surrogate.dataset import (
     DatasetSpec,
     NormalizationRecord,
     Sample,
+    dataset_csv_text,
     generate_dataset,
     joint_cases,
     normalize,
     read_dataset_csv,
     single_joint_case,
-    write_dataset_csv,
 )
 from kinematics_oracle import wedge
 
@@ -81,9 +82,9 @@ class TestGeneration:
         real = dataset._wedges
         batches = []
 
-        def failing(tunnel, draws, sf_cap, seed_offset):
+        def failing(tunnel, draws, sf_cap):
             batches.append(len(draws))
-            real(tunnel, draws, sf_cap, seed_offset)
+            real(tunnel, draws, sf_cap)
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(dataset, "_wedges", failing)
@@ -179,12 +180,11 @@ class TestBatchedKinematics:
         st.sampled_from([OCTAGON, SQUARE, TRIANGLE]),
         st.lists(draws, min_size=1, max_size=12),
         st.sampled_from([0.5, 5.0]),
-        st.one_of(st.none(), st.floats(0.01, 2.0)),
     )
-    def test_matches_per_draw_kernel_calls(self, tunnel, batch, sf_cap, seed_offset):
+    def test_matches_per_draw_kernel_calls(self, tunnel, batch, sf_cap):
         # bit for bit against one per-code sliding_mode and safety_factor call per side
-        refs = [wedge(tunnel, draw, sf_cap, seed_offset) for draw in batch]
-        sf, upper, normals, offsets = dataset._wedges(tunnel, batch, sf_cap, seed_offset)
+        refs = [wedge(tunnel, draw, sf_cap) for draw in batch]
+        sf, upper, normals, offsets = dataset._wedges(tunnel, batch, sf_cap)
         for k, (ref_sf, side, ref_normals, ref_offsets) in enumerate(refs):
             assert np.float64(ref_sf).tobytes() == sf[k].tobytes()
             assert upper[k] == (side == "U")
@@ -215,9 +215,9 @@ class TestBatchedKinematics:
         ],
     )
     def test_modes_and_sides(self, draw, sf, upper):
-        got_sf, got_upper, _, _ = dataset._wedges(OCTAGON, [draw], 5.0, None)
+        got_sf, got_upper, _, _ = dataset._wedges(OCTAGON, [draw], 5.0)
         assert (got_sf[0], got_upper[0]) == (sf, upper)
-        ref_sf, side, _, _ = wedge(OCTAGON, draw, 5.0, None)
+        ref_sf, side, _, _ = wedge(OCTAGON, draw, 5.0)
         assert (ref_sf, side == "U") == (sf, upper)
 
 
@@ -251,7 +251,7 @@ class TestCsvRoundTrip:
     def test_write_read(self, tmp_path):
         samples = generate_dataset(small_spec(count=30))
         path = tmp_path / "data.csv"
-        write_dataset_csv(str(path), samples)
+        atomic_write_text(str(path), dataset_csv_text(samples))
         again = read_dataset_csv(str(path))
         assert again == samples
 
@@ -272,6 +272,6 @@ class TestCsvRoundTrip:
     def test_header_line_present(self, tmp_path):
         samples = generate_dataset(small_spec(count=3))
         path = tmp_path / "data.csv"
-        write_dataset_csv(str(path), samples)
+        atomic_write_text(str(path), dataset_csv_text(samples))
         first = path.read_text().splitlines()[0]
         assert first == ",".join(FEATURE_NAMES + ("sf",))

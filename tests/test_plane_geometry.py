@@ -19,11 +19,8 @@ from fuzzyblock.plane_geometry import (
     FuzzySegment,
     _edge_values,
     fuzzy_distance,
-    line_membership,
     membership_at,
     raster_membership,
-    segment_membership,
-    slope_line_membership,
 )
 
 T = TrapezoidalNumber
@@ -85,17 +82,17 @@ def grid_sup_alpha(feasible, n=1000):
 class TestLineMembership:
     def test_crisp_line_indicator(self):
         line = FuzzyLineImplicit.crisp(1, 1, 2)
-        assert line_membership(line, 1, 1) == 1.0
-        assert line_membership(line, 0, 0) == 0.0
+        assert membership_at(line, 1, 1) == 1.0
+        assert membership_at(line, 0, 0) == 0.0
 
     def test_core_point_full_membership(self):
         line = FuzzyLineImplicit(T(0.9, 1, 1, 1.1), T(0.9, 1, 1, 1.1), T(1.8, 2, 2, 2.2))
-        assert line_membership(line, 1, 1) == 1.0
+        assert membership_at(line, 1, 1) == 1.0
 
     def test_off_core_point_matches_exact_sup(self):
         line = FuzzyLineImplicit(T(0.9, 1, 1, 1.1), T(0.9, 1, 1, 1.1), T(1.8, 2, 2, 2.2))
         # cut intervals separate when 1.89 + 0.21a > 2.2 - 0.2a, at a = 0.31/0.41
-        value = line_membership(line, 1.05, 1.05)
+        value = membership_at(line, 1.05, 1.05)
         assert value == pytest.approx(0.31 / 0.41, abs=1e-5)
         oracle = grid_sup_alpha(lambda a: line_feasible_oracle(line, 1.05, 1.05, a))
         assert value == pytest.approx(oracle, abs=2e-3)
@@ -108,15 +105,15 @@ class TestLineMembership:
 class TestSlopeLineMembership:
     def test_crisp(self):
         line = FuzzyLineSlope(T.crisp(1), T.crisp(0))
-        assert slope_line_membership(line, 2, 2) == 1.0
+        assert membership_at(line, 2, 2) == 1.0
 
     def test_core_slope(self):
         line = FuzzyLineSlope(T(0, 1, 1, 2), T.crisp(0))
-        assert slope_line_membership(line, 1, 1) == 1.0
+        assert membership_at(line, 1, 1) == 1.0
 
     def test_half_membership(self):
         line = FuzzyLineSlope(T(0, 1, 1, 2), T.crisp(0))
-        value = slope_line_membership(line, 1, 1.5)
+        value = membership_at(line, 1, 1.5)
         assert value == pytest.approx(0.5, abs=1e-5)
         oracle = grid_sup_alpha(lambda a: slope_feasible_oracle(line, 1, 1.5, a))
         assert value == pytest.approx(oracle, abs=2e-3)
@@ -125,15 +122,15 @@ class TestSlopeLineMembership:
 class TestSegmentMembership:
     def test_crisp_segment_indicator(self):
         seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 0))
-        assert segment_membership(seg, 0.5, 0) == 1.0
-        assert segment_membership(seg, 0.5, 0.1) == 0.0
+        assert membership_at(seg, 0.5, 0) == 1.0
+        assert membership_at(seg, 0.5, 0.1) == 0.0
 
     def test_fuzzy_band(self):
         seg = FuzzySegment(
             FuzzyPoint(T.crisp(0), T(-0.1, 0, 0, 0.1)),
             FuzzyPoint(T.crisp(1), T(-0.1, 0, 0, 0.1)),
         )
-        value = segment_membership(seg, 0.5, 0.05)
+        value = membership_at(seg, 0.5, 0.05)
         assert value == pytest.approx(0.5, abs=1e-5)
         assert segment_feasible_oracle(seg, 0.5, 0.05, value - 1e-3)
 
@@ -142,7 +139,7 @@ class TestSegmentMembership:
             FuzzyPoint(T.crisp(0), T(-0.1, 0, 0, 0.1)),
             FuzzyPoint(T.crisp(1), T(-0.1, 0, 0, 0.1)),
         )
-        assert segment_membership(seg, 0.0, -0.1) <= 1e-6
+        assert membership_at(seg, 0.0, -0.1) <= 1e-6
 
     def test_overlapping_cores_warn(self):
         with pytest.warns(UserWarning):
@@ -180,7 +177,7 @@ class TestPolygonMembership:
             poly = FuzzyPolygon(tuple(verts))
             px, py = rng.uniform(-2.5, 2.5, size=2)
             pm = membership_at(poly, px, py)
-            edge_vals = [segment_membership(e, px, py) for e in poly.edges()]
+            edge_vals = [membership_at(e, px, py) for e in poly.edges()]
             assert pm >= max(edge_vals) - 1e-12
 
 
@@ -230,14 +227,14 @@ class TestMonotoneFeasibilityAndOracleSuite:
         for _ in range(40):
             line = FuzzyLineImplicit(random_trap(rng), random_trap(rng), random_trap(rng))
             px, py = rng.uniform(-4, 4, size=2)
-            value = line_membership(line, px, py)
+            value = membership_at(line, px, py)
             oracle = grid_sup_alpha(lambda a: line_feasible_oracle(line, px, py, a))
             assert value == pytest.approx(oracle, abs=2e-3)
             checked += 1
         for _ in range(40):
             slope = FuzzyLineSlope(random_trap(rng), random_trap(rng))
             px, py = rng.uniform(-4, 4, size=2)
-            value = slope_line_membership(slope, px, py)
+            value = membership_at(slope, px, py)
             oracle = grid_sup_alpha(lambda a: slope_feasible_oracle(slope, px, py, a))
             assert value == pytest.approx(oracle, abs=2e-3)
             checked += 1
@@ -249,7 +246,7 @@ class TestMonotoneFeasibilityAndOracleSuite:
                     FuzzyPoint(random_trap(rng), random_trap(rng)),
                 )
             px, py = rng.uniform(-4, 4, size=2)
-            value = segment_membership(seg, px, py)
+            value = membership_at(seg, px, py)
             oracle = grid_sup_alpha(lambda a: hull_feasible(seg, px, py, a))
             assert value == pytest.approx(oracle, abs=2e-3)
             checked += 1
@@ -313,7 +310,7 @@ class TestExactSegment:
     @given(segments_and_points())
     def test_never_exceeded_by_dense_lambda_scan(self, case):
         seg, poly, px, py = case
-        value = segment_membership(seg, px, py)
+        value = membership_at(seg, px, py)
         scan = lambda_scan(seg, px, py)
         assert 0.0 <= value <= 1.0
         assert scan <= value
@@ -329,25 +326,25 @@ class TestExactSegment:
             seg = FuzzySegment(STEP_P, STEP_Q)
         poly = FuzzyPolygon([STEP_P, STEP_Q, FuzzyPoint.crisp(0.0, -5.0)])
         # within the 1e-9 knot widening, above the dense scan
-        assert segment_membership(seg, px, py) == pytest.approx(exact, abs=1e-7)
+        assert membership_at(seg, px, py) == pytest.approx(exact, abs=1e-7)
         assert membership_at(poly, px, py) == pytest.approx(exact, abs=1e-7)
-        assert lambda_scan(seg, px, py) <= segment_membership(seg, px, py)
+        assert lambda_scan(seg, px, py) <= membership_at(seg, px, py)
 
     def test_subnormal_span_reads_without_overflow(self):
         tiny = 2.2250738585e-313
         seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(0, tiny))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert segment_membership(seg, 0.0, 0.5) == 0.0
-            assert segment_membership(seg, 0.0, 0.0) == 1.0
+            assert membership_at(seg, 0.0, 0.5) == 0.0
+            assert membership_at(seg, 0.0, 0.0) == 1.0
 
     def test_crisp_skew_segment(self):
         seg = FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 1))
-        assert segment_membership(seg, 1, 1 / 3) == 1.0
-        assert segment_membership(seg, 0.3, 0.1) == 1.0
-        assert segment_membership(seg, 3, 1) == 1.0
-        assert segment_membership(seg, 1, 0.34) == 0.0
-        assert segment_membership(seg, 3.3, 1.1) == 0.0
+        assert membership_at(seg, 1, 1 / 3) == 1.0
+        assert membership_at(seg, 0.3, 0.1) == 1.0
+        assert membership_at(seg, 3, 1) == 1.0
+        assert membership_at(seg, 1, 0.34) == 0.0
+        assert membership_at(seg, 3.3, 1.1) == 0.0
 
     def test_core_hull_points_read_one(self):
         rng = np.random.Generator(np.random.Philox(29))
@@ -362,7 +359,7 @@ class TestExactSegment:
             b = [rng.uniform(*q.x.core), rng.uniform(*q.y.core)]
             px = lam * a[0] + (1 - lam) * b[0]
             py = lam * a[1] + (1 - lam) * b[1]
-            assert segment_membership(seg, px, py) == 1.0
+            assert membership_at(seg, px, py) == 1.0
 
 
 @st.composite

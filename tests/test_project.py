@@ -147,8 +147,10 @@ class TestParseProject:
             (lambda doc: doc.update(unit_weight_kn_m3=27.0), r"'unit_weight_kn_m3' at \$$"),
             (lambda doc: doc["joints"][1].update(location=[1.0, -2.0, 0.5]),
              r"'location' at \$\.joints\[1\]$"),
+            (lambda doc: doc.update(seed_offset_m=0.7), r"'seed_offset_m' at \$$"),
         ],
-        ids=["resolution", "bbox_margin_m", "unit_weight_kn_m3", "joint_location"],
+        ids=["resolution", "bbox_margin_m", "unit_weight_kn_m3", "joint_location",
+             "seed_offset_m"],
     )
     def test_retired_key_rejected(self, edit, path):
         # no computation reads these keys, so the schema no longer accepts them
@@ -175,7 +177,8 @@ class TestParseProject:
     @pytest.mark.parametrize(
         "edit, path",
         [
-            (lambda doc: doc.update(seed_offset_m=float("nan")), r"\$\.seed_offset_m"),
+            (lambda doc: doc.update(label_thresholds=[float("nan"), 0.5, 0.1]),
+             r"\$\.label_thresholds\[0\]"),
             (lambda doc: doc["tunnel"].update(section=[[float("nan"), -1.2], [2, 1.2], [0, 2]]),
              r"\$\.tunnel\.section\[0\]\[0\]"),
             (lambda doc: doc["anfis"].update(learn_rate=float("nan")), r"\$\.anfis\.learn_rate"),
@@ -184,7 +187,7 @@ class TestParseProject:
             (lambda doc: doc["joints"][1].update(friction_deg=10**400),
              r"\$\.joints\[1\]\.friction_deg"),
         ],
-        ids=["seed_offset_nan", "section_vertex_nan", "learn_rate_nan", "dip_minus_inf",
+        ids=["label_threshold_nan", "section_vertex_nan", "learn_rate_nan", "dip_minus_inf",
              "long_integer"],
     )
     def test_non_finite_numbers_rejected(self, tmp_path, edit, path):
@@ -205,6 +208,25 @@ class TestParseProject:
         doc["anfis"]["ridge"] = None
         cfg = parse_project_dict(doc)
         assert cfg.anfis.ridge is None
+        doc["anfis"]["ridge"] = 0
+        assert parse_project_dict(doc).anfis.ridge == 0.0
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ridge", -1, r"\$\.anfis\.ridge must be >= 0 or null"),
+            ("learn_rate", -0.5, r"\$\.anfis\.learn_rate must be positive"),
+            ("learn_rate", 0, r"\$\.anfis\.learn_rate must be positive"),
+        ],
+        ids=["ridge_negative", "learn_rate_negative", "learn_rate_zero"],
+    )
+    def test_anfis_step_sizes_checked(self, key, value, message):
+        # a negative ridge would silently take the minimum-norm path, and a
+        # learn rate <= 0 would climb the premise error
+        doc = standard_project_dict()
+        doc["anfis"][key] = value
+        with pytest.raises(ProjectSemanticError, match=message):
+            parse_project_dict(doc)
 
     def test_geometry_segment_and_polygon(self):
         doc = standard_project_dict()

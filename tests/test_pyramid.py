@@ -8,7 +8,6 @@ from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
     cone_nonempty,
     edge_rays,
-    pyramid_nonempty,
     signed_cones,
 )
 
@@ -62,7 +61,7 @@ class TestHalfSpaceSystem:
 
 class TestPyramidNonempty:
     def test_single_halfspace(self):
-        res = pyramid_nonempty(HalfSpaceSystem(np.array([[0.0, 0.0, 1.0]])))
+        res = cone_nonempty(np.array([[0.0, 0.0, 1.0]]))
         assert res.nonempty
         assert res.witness @ np.array([0, 0, 1.0]) > 0
         assert np.allclose(res.witness, [0, 0, 1.0], atol=1e-9)
@@ -72,27 +71,27 @@ class TestPyramidNonempty:
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
             dtype=float,
         )
-        res = pyramid_nonempty(HalfSpaceSystem(normals))
+        res = cone_nonempty(normals)
         assert not res.nonempty
 
     def test_tetrahedron_empty_matches_sampling(self):
         normals = unit_rows(
             np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
         )
-        res = pyramid_nonempty(HalfSpaceSystem(normals))
+        res = cone_nonempty(normals)
         assert not res.nonempty
         rng = np.random.Generator(np.random.Philox(3))
         dirs = unit_rows(rng.normal(size=(100000, 3)))
         assert sampling_oracle(normals, dirs) < -1e-3
 
     def test_no_constraints_nonempty(self):
-        res = pyramid_nonempty(HalfSpaceSystem(np.zeros((0, 3))))
+        res = cone_nonempty(np.zeros((0, 3)))
         assert res.nonempty
 
     def test_boundary_only_plane(self):
         # opposite normals leave only the equatorial plane: boundary rays count
         normals = np.array([[0, 0, 1], [0, 0, -1]], dtype=float)
-        res = pyramid_nonempty(HalfSpaceSystem(normals))
+        res = cone_nonempty(normals)
         assert res.nonempty
         assert res.boundary_only
         assert abs(res.witness[2]) < 1e-9
@@ -102,7 +101,7 @@ class TestPyramidNonempty:
         for _ in range(50):
             n = rng.integers(1, 7)
             normals = unit_rows(rng.normal(size=(n, 3)))
-            res = pyramid_nonempty(HalfSpaceSystem(normals))
+            res = cone_nonempty(normals)
             if res.nonempty:
                 assert np.all(normals @ res.witness >= -1e-6)
                 assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-9)
@@ -112,7 +111,7 @@ class TestPyramidNonempty:
         for _ in range(200):
             n = rng.integers(1, 8)
             normals = unit_rows(rng.normal(size=(n, 3)))
-            assert pyramid_nonempty(HalfSpaceSystem(normals)).nonempty == scipy_cone_nonempty(
+            assert cone_nonempty(normals).nonempty == scipy_cone_nonempty(
                 normals
             )
 
@@ -132,7 +131,7 @@ class TestPyramidNonempty:
             if -1e-2 < margin <= 1e-3:
                 continue
             decided += 1
-            lp = pyramid_nonempty(HalfSpaceSystem(normals)).nonempty
+            lp = cone_nonempty(normals).nonempty
             if lp != (margin > 0):
                 disagreements += 1
         assert decided > 800
