@@ -9,8 +9,6 @@ logging is already configured.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import os
@@ -21,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fuzzy_blocks import block_knots, code_knots, finiteness_label, pbps
+from .fuzzy_numbers import DELTA_VARIANTS
 from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from .plane_geometry import raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
@@ -28,6 +27,7 @@ from .surrogate.dataset import (
     DEFAULT_SF_CAP,
     FEATURE_NAMES,
     DatasetSpec,
+    csv_text,
     dataset_csv_text,
     finite_rows,
     generate_dataset,
@@ -81,14 +81,6 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _fmtnum(v: Optional[float]) -> str:
     if v is None:
         return ""
@@ -121,7 +113,7 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
         for r in records
     ]
     header = ("facet", "code", "class", "mode", "sf", "volume", "angle", "boundary", "error")
-    text = _csv_text(header, rows)
+    text = csv_text(header, rows)
     atomic_write_text(args.out, text)
     return 0
 
@@ -134,7 +126,7 @@ def _cmd_kbt_volume(args: argparse.Namespace) -> int:
         for r in records
         if r.volume_m3 is not None
     ]
-    text = _csv_text(("facet", "code", "volume"), rows)
+    text = csv_text(("facet", "code", "volume"), rows)
     atomic_write_text(args.out, text)
     return 0
 
@@ -167,7 +159,7 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
             )
     header = ("facet", "code", "pbp", "pjb_sup", "pbr", "label")
     if args.out:
-        atomic_write_text(args.out, _csv_text(header, rows))
+        atomic_write_text(args.out, csv_text(header, rows))
     else:
         widths = (5, 8, 22, 22, 22, 20)
         print(" ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -190,7 +182,7 @@ def _cmd_geom_eval(args: argparse.Namespace) -> int:
     for j, values in enumerate(grid.tolist()):
         y = repr(ymin + (j + 0.5) * dy)
         rows.extend((x, y, repr(v)) for x, v in zip(xs, values))
-    atomic_write_text(args.out, _csv_text(("x", "y", "membership"), rows))
+    atomic_write_text(args.out, csv_text(("x", "y", "membership"), rows))
     if args.svg:
         atomic_write_text(args.svg, heat_grid_svg(grid, job.bbox))
     return 0
@@ -272,7 +264,7 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
     pred, _ = forward_batch(model, X)
     sf = model.normalization.invert_target(pred)
     out_rows = [tuple(row) + (repr(float(v)),) for row, v in zip(rows, sf)]
-    atomic_write_text(args.out, _csv_text(tuple(header) + ("sf_pred",), out_rows))
+    atomic_write_text(args.out, csv_text(tuple(header) + ("sf_pred",), out_rows))
     return 0
 
 
@@ -290,7 +282,7 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     cases = joint_cases(cfg.tunnel, draws)
     series = damage_map(model, bins, per_bin_inputs={"volume_m3": [c.volume_m3 for c in cases]})
     rows = [(repr(a), repr(v)) for a, v in series]
-    atomic_write_text(args.out, _csv_text(("angle_deg", "sf_pred"), rows))
+    atomic_write_text(args.out, csv_text(("angle_deg", "sf_pred"), rows))
     if args.svg:
         cap = cfg.dataset.sf_cap if cfg.dataset is not None else DEFAULT_SF_CAP
         atomic_write_text(args.svg, damage_map_svg(cfg.tunnel, series, cap))
@@ -388,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     pbr_cmd = fuzzy_sub.add_parser("pbr", help="PBP / PJB / PBR table per facet and code")
     pbr_cmd.add_argument("-p", "--project", required=True)
     pbr_cmd.add_argument("-o", "--out")
-    pbr_cmd.add_argument("--delta-variant", choices=("paper", "standard"))
+    pbr_cmd.add_argument("--delta-variant", choices=DELTA_VARIANTS)
     pbr_cmd.set_defaults(func=_cmd_fuzzy_pbr)
 
     geom = sub.add_parser("geom", help="fuzzy plane geometry commands")

@@ -38,7 +38,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .fuzzy_numbers import DeltaVariant, TrapezoidalNumber, exceedance_poss, linear_combine
+from .fuzzy_numbers import (
+    DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber, exceedance_poss, linear_combine,
+)
 from .kernel.pyramid import edge_rays
 
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
@@ -326,23 +328,25 @@ def _standard_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
     For t in (0, 1] that cone is exactly {min possibility >= t} within an
     orthant, and it shrinks as t grows, so a multisection on t brackets the
-    supremum.  All systems run in lockstep: each keeps its own bracket
-    [lo, hi], its live orthants and its own grid of up to _GRID values of t
-    (padded to a common width and masked).  A round tests every live
-    (system, orthant, t) row in fixed-size chunks; each system then keeps
-    the orthants feasible at its new lower end and leaves the batch once
-    its grid is empty, when its bracket has closed to float precision.  The
-    first round tests only t = 0 (orthants with no direction of positive
-    support drop out) and t = 1.
+    supremum.  All systems run in lockstep, each with its own bracket
+    [lo, hi], live orthants and grid of _GRID values of t, of which those
+    inside (lo, hi) that repeat no earlier value are valid.  A round tests
+    every live orthant at every valid t in fixed-size chunks and makes one
+    update: with k the last feasible valid t, if any, lo = t_k and the live
+    orthants narrow to those feasible there; hi falls to the first valid t
+    after k.  A system with no valid t left has closed its bracket to float
+    precision.  The first round tests only t = 0 (orthants with no
+    direction of positive support drop out) and t = 1.
     """
     n_sys, n_orth = len(knots), len(signs)
     lo, hi = np.zeros(n_sys), np.ones(n_sys)
     live = np.ones((n_sys, n_orth), dtype=bool)
     ts = np.tile([0.0, 1.0], (n_sys, 1))
-    width = np.full(n_sys, 2)  # valid t per system, packed to the front of ts
-    while ts.shape[1]:
+    valid = np.ones(ts.shape, dtype=bool)
+    sys_i = np.arange(n_sys)
+    while valid.any():
         n_t = ts.shape[1]
-        todo = np.flatnonzero(live[:, :, None] & (np.arange(n_t) < width[:, None])[:, None, :])
+        todo = np.flatnonzero(live[:, :, None] & valid[:, None, :])
         ok = np.zeros(n_sys * n_orth * n_t, dtype=bool)
         for sl in _chunks(len(todo), *knots.shape[-2:]):
             pair, j = np.divmod(todo[sl], n_t)
@@ -351,24 +355,16 @@ def _standard_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
             _, feasible, _ = _orthant_edges((1.0 - t) * L4 + t * L3, orthants)
             ok[todo[sl]] = feasible.any(axis=-1)
         ok = ok.reshape(n_sys, n_orth, n_t)
-        hit = ok.any(axis=1)  # (systems, ts)
-        any_hit = hit.any(axis=1)
-        found = np.flatnonzero(any_hit)
-        k = n_t - 1 - np.argmax(hit[found, ::-1], axis=1)  # last feasible t
-        lo[found] = ts[found, k]
-        live[found] &= ok[found, :, k]
-        below = k + 1 < width[found]
-        hi[found[below]] = ts[found[below], k[below] + 1]
-        missed = (width > 0) & ~any_hit
-        hi[missed] = ts[missed, 0]
-        grid = lo[:, None] + (hi - lo)[:, None] * np.arange(1, _GRID + 1) / (_GRID + 1)
-        # the grid is sorted, so dropping repeats of the previous value and
-        # the values outside (lo, hi) is np.unique of the filtered grid
-        keep = (grid > lo[:, None]) & (grid < hi[:, None]) & (width > 0)[:, None]
-        keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
-        width = keep.sum(axis=1)
-        order = np.argsort(~keep, axis=1, kind="stable")
-        ts = np.take_along_axis(grid, order, axis=1)[:, : width.max(initial=0)]
+        hit = ok.any(axis=1)  # (systems, ts), false wherever t is not valid
+        k = np.where(hit.any(axis=1), n_t - 1 - np.argmax(hit[:, ::-1], axis=1), -1)
+        lo = np.where(k >= 0, ts[sys_i, k], lo)
+        live &= ok[sys_i, :, k] | (k < 0)[:, None]
+        after = valid & (np.arange(n_t) > k[:, None])
+        hi = np.minimum(hi, np.where(after, ts, np.inf).min(axis=1))
+        ts = lo[:, None] + (hi - lo)[:, None] * np.arange(1, _GRID + 1) / (_GRID + 1)
+        # the grid is sorted, so a repeat can only follow its equal
+        valid = (ts > lo[:, None]) & (ts < hi[:, None])
+        valid[:, 1:] &= ts[:, 1:] != ts[:, :-1]
     return lo
 
 
@@ -382,7 +378,7 @@ def pbps(knots: np.ndarray, variant: DeltaVariant = "paper") -> np.ndarray:
     many systems there are.  A system's value does not depend on the batch
     around it or on the chunk boundaries: it has the bits of ``pbp``.
     """
-    if variant not in ("paper", "standard"):
+    if variant not in DELTA_VARIANTS:
         raise ValueError(f"unknown delta variant {variant!r}")
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 4 or knots.shape[1] != 4:

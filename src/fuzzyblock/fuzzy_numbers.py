@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 DeltaVariant = Literal["paper", "standard"]
-
-_VARIANTS = ("paper", "standard")
+DELTA_VARIANTS: tuple[str, ...] = get_args(DeltaVariant)
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,8 @@ def exceedance_poss(
     [0, 1]; ``variant="standard"`` uses the ramp-intersection height
     (b4-r3) / ((b4-r3) + (r4-b3)).
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown delta variant {variant!r}; expected one of {_VARIANTS}")
+    if variant not in DELTA_VARIANTS:
+        raise ValueError(f"unknown delta variant {variant!r}; expected one of {DELTA_VARIANTS}")
     if b.a3 >= r.a4:
         return 1.0
     if b.a4 <= r.a3:

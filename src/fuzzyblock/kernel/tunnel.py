@@ -26,7 +26,7 @@ from .mechanics import (
     code_signs,
     joint_normals,
 )
-from .orientation import JointPlane
+from .orientation import JointPlane, wrap_azimuth
 from .pyramid import signed_cones
 from .volume import block_volumes
 
@@ -75,6 +75,10 @@ class TunnelSection:
         verts = tuple((float(u), float(w)) for u, w in self.vertices)
         if len(verts) < 3:
             raise ValueError("section polygon needs at least 3 vertices")
+        if not all(math.isfinite(c) for v in verts for c in v):
+            raise ValueError(f"section vertices must be finite, got {verts}")
+        if not math.isfinite(self.axis_trend_deg):
+            raise ValueError(f"axis trend must be finite, got {self.axis_trend_deg}")
         for i, v in enumerate(verts):
             j = (i + 1) % len(verts)
             if v == verts[j]:
@@ -125,7 +129,7 @@ class TunnelSection:
             # rotated clockwise
             nu, nw = dw / length, -du / length
             mid_u, mid_w = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            angle = math.degrees(math.atan2(mid_w - cw, mid_u - cu)) % 360.0
+            angle = wrap_azimuth(math.degrees(math.atan2(mid_w - cw, mid_u - cu)))
             e3 = nu * self.u_hat + nw * self.w_hat
             normal = e3 / np.linalg.norm(e3)
             midpoint = self.to_world(mid_u, mid_w)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .fuzzy_numbers import TrapezoidalNumber
+from .fuzzy_numbers import DELTA_VARIANTS, TrapezoidalNumber
 from .fuzzy_blocks import DEFAULT_LABEL_THRESHOLDS, FuzzyOrientation
 from .kernel.orientation import JointPlane, Orientation
 from .kernel.tunnel import TunnelSection
@@ -29,6 +29,7 @@ from .plane_geometry import (
     FuzzyShape,
 )
 from .surrogate.dataset import DatasetSpec
+from .surrogate.model import check_step_sizes
 
 SCHEMA_VERSION = 1
 
@@ -171,40 +172,27 @@ def _parse_tunnel(obj: Any, path: str) -> TunnelSection:
         raise ProjectSemanticError(f"{path}.section: {exc}") from None
 
 
+# the keys of a crisp and of a fuzzy joint; only the id is optional
+_JOINT_KEYS = {"id", "dip_deg", "dip_direction_deg", "friction_deg"}
+
+
 def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(
-        obj,
-        path,
-        {"id", "dip_deg", "dip_direction_deg", "friction_deg"},
-        {"dip_deg", "dip_direction_deg", "friction_deg"},
-    )
+    _check_keys(obj, path, _JOINT_KEYS, _JOINT_KEYS - {"id"})
     dip = _number(obj["dip_deg"], f"{path}.dip_deg")
     dd = _number(obj["dip_direction_deg"], f"{path}.dip_direction_deg")
     phi = _number(obj["friction_deg"], f"{path}.friction_deg")
-    if not 0.0 <= dip <= 90.0:
-        raise ProjectSemanticError(f"{path}.dip_deg must lie in [0, 90], got {dip}")
-    if not 0.0 <= dd < 360.0:
-        raise ProjectSemanticError(f"{path}.dip_direction_deg must lie in [0, 360), got {dd}")
-    if not 0.0 <= phi < 90.0:
-        raise ProjectSemanticError(f"{path}.friction_deg must lie in [0, 90), got {phi}")
-    return JointPlane(
-        id=str(obj.get("id", f"J{index + 1}")),
-        orientation=Orientation(dip, dd),
-        friction_deg=phi,
-    )
+    try:
+        return JointPlane(str(obj.get("id", f"J{index + 1}")), Orientation(dip, dd), phi)
+    except ValueError as exc:
+        raise ProjectSemanticError(f"{path}: {exc}") from None
 
 
 def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(
-        obj,
-        path,
-        {"id", "dip_deg", "dip_direction_deg", "friction_deg"},
-        {"dip_deg", "dip_direction_deg", "friction_deg"},
-    )
+    _check_keys(obj, path, _JOINT_KEYS, _JOINT_KEYS - {"id"})
     dip = _trapezoid(obj["dip_deg"], f"{path}.dip_deg")
     dd = _trapezoid(obj["dip_direction_deg"], f"{path}.dip_direction_deg")
     phi = _trapezoid(obj["friction_deg"], f"{path}.friction_deg")
@@ -288,14 +276,14 @@ def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
             raise ProjectSemanticError(f"{path}.epochs must be >= 1")
     if "learn_rate" in obj:
         kwargs["learn_rate"] = _number(obj["learn_rate"], f"{path}.learn_rate")
-        if kwargs["learn_rate"] <= 0.0:
-            raise ProjectSemanticError(f"{path}.learn_rate must be positive")
     if "ridge" in obj:
         kwargs["ridge"] = (
             None if obj["ridge"] is None else _number(obj["ridge"], f"{path}.ridge")
         )
-        if kwargs["ridge"] is not None and kwargs["ridge"] < 0.0:
-            raise ProjectSemanticError(f"{path}.ridge must be >= 0 or null")
+    try:
+        check_step_sizes(kwargs.get("learn_rate"), kwargs.get("ridge"))
+    except ValueError as exc:
+        raise ProjectSemanticError(f"{path}.{exc}") from None
     if "train_fraction" in obj:
         kwargs["train_fraction"] = _number(obj["train_fraction"], f"{path}.train_fraction")
         if not 0.0 < kwargs["train_fraction"] <= 1.0:
@@ -403,10 +391,9 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
 
     variant = doc.get("delta_variant", "paper")
-    if variant not in ("paper", "standard"):
-        raise ProjectSemanticError(
-            f"$.delta_variant must be 'paper' or 'standard', got {variant!r}"
-        )
+    if variant not in DELTA_VARIANTS:
+        names = " or ".join(map(repr, DELTA_VARIANTS))
+        raise ProjectSemanticError(f"$.delta_variant must be {names}, got {variant!r}")
     thresholds = doc.get("label_thresholds", list(DEFAULT_LABEL_THRESHOLDS))
     if not isinstance(thresholds, list) or len(thresholds) != 3:
         raise ProjectSchemaError("$.label_thresholds must be a 3-element array")

@@ -249,9 +249,6 @@ def normalize(
     samples: Sequence[Sample], value_range: tuple[float, float] = (-1.0, 1.0)
 ) -> tuple[np.ndarray, np.ndarray, NormalizationRecord]:
     """Map every variable affinely onto value_range; returns (X, y, record)."""
-    lo, hi = value_range
-    if not hi > lo:
-        raise ValueError("normalization range must be nonempty")
     X = np.array([s.inputs for s in samples], dtype=float)
     y = np.array([s.sf for s in samples], dtype=float)
     mins, maxs = [], []
@@ -266,18 +263,25 @@ def normalize(
         raise ValueError("target column is constant; cannot normalize")
     mins.append(t_min)
     maxs.append(t_max)
-    record = NormalizationRecord(FEATURE_NAMES, tuple(mins), tuple(maxs), lo, hi)
+    record = NormalizationRecord(FEATURE_NAMES, tuple(mins), tuple(maxs), *value_range)
     return record.apply_features(X), record.apply_target(y), record
 
 
 def dataset_csv_text(samples: Sequence[Sample]) -> str:
     """The dataset CSV: header plus one row of repr() values per sample."""
+    rows = [
+        [repr(v) for v in (s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg, s.volume_m3, s.sf)]
+        for s in samples
+    ]
+    return csv_text(CSV_HEADER, rows)
+
+
+def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """A product CSV: the header, then the rows, with bare newlines between lines."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for s in samples:
-        values = (s.dip_deg, s.dipdir_deg, s.phi_deg, s.angle_deg, s.volume_m3, s.sf)
-        writer.writerow([repr(v) for v in values])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

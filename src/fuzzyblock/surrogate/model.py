@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ..kernel.orientation import wrap_azimuth
 from .dataset import FEATURE_NAMES, NormalizationRecord
 
 _W_TINY = 1e-300
@@ -195,6 +196,15 @@ def rmse(
     return float(np.sqrt(np.mean((pred - np.asarray(y, dtype=float)) ** 2)))
 
 
+def check_step_sizes(learn_rate: Optional[float] = None, ridge: Optional[float] = None) -> None:
+    """The step sizes ``train`` takes: a positive finite learn rate, and a ridge
+    that is None or 0 (minimum-norm least squares) or positive and finite."""
+    if learn_rate is not None and not 0.0 < learn_rate < math.inf:
+        raise ValueError("learn_rate must be positive")
+    if ridge is not None and not 0.0 <= ridge < math.inf:
+        raise ValueError("ridge must be >= 0 or null")
+
+
 def lse_consequents(
     model: TskModel,
     X: np.ndarray,
@@ -205,7 +215,7 @@ def lse_consequents(
 ) -> np.ndarray:
     """Globally optimal consequents for the current premises.
 
-    With ridge=None: minimum-norm least squares via orthogonal factorization,
+    With ridge None or 0: minimum-norm least squares via orthogonal factorization,
     falling back to a tiny ridge when the factorization itself fails.  A
     positive ridge switches to Tikhonov regression, which is what keeps the
     rule grid from interpolating small datasets.  state, if given, holds
@@ -216,12 +226,13 @@ def lse_consequents(
     copy does not stack on it; the ridge goes onto the Gram diagonal in
     place, so no second (P, P) array is allocated either.
     """
+    check_step_sizes(ridge=ridge)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     wbar = (state or premise_state(model, X)).wbar
     phi = (wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
     shape = (model.rule_count, model.input_count + 1)
-    if ridge is None or not ridge > 0.0:
+    if not ridge:
         try:
             return np.linalg.lstsq(phi, y, rcond=None)[0].reshape(shape)
         except np.linalg.LinAlgError:
@@ -323,6 +334,7 @@ def train(
         raise ValueError("training data must be nonempty")
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
+    check_step_sizes(learn_rate, ridge)
     model = copy.deepcopy(model)
     lr = learn_rate
     history: list[float] = []
@@ -494,4 +506,4 @@ def damage_map(
     Xn = model.normalization.apply_features(rows)
     pred, _ = forward_batch(model, Xn)
     sf = model.normalization.invert_target(pred)
-    return [(float(a % 360.0), float(v)) for a, v in zip(angles, sf)]
+    return [(wrap_azimuth(float(a)), float(v)) for a, v in zip(angles, sf)]

@@ -316,6 +316,31 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(m, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), epochs=0)
 
+    @pytest.mark.parametrize("learn_rate", [float("nan"), -0.5, 0.0, float("inf")])
+    def test_bad_learn_rate_rejected(self, learn_rate):
+        # a NaN rate leaves NaN MF parameters behind a finite-looking
+        # history, and a negative one climbs the error
+        X = grid_2d(5)
+        with pytest.raises(ValueError, match="^learn_rate must be positive$"):
+            train(init_model(2, 2, X), X, X[:, 0] * X[:, 1], epochs=2, learn_rate=learn_rate)
+
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_bad_ridge_rejected(self, ridge):
+        # a negative or NaN ridge would silently take the minimum-norm path
+        X = grid_2d(5)
+        y = X[:, 0] * X[:, 1]
+        m = init_model(2, 2, X)
+        with pytest.raises(ValueError, match="^ridge must be >= 0 or null$"):
+            train(m, X, y, epochs=2, ridge=ridge)
+        with pytest.raises(ValueError, match="^ridge must be >= 0 or null$"):
+            lse_consequents(m, X, y, ridge)
+
+    def test_zero_ridge_is_minimum_norm(self):
+        X = grid_2d(5)
+        y = X[:, 0] * X[:, 1]
+        m = init_model(2, 2, X)
+        assert lse_consequents(m, X, y, 0.0).tobytes() == lse_consequents(m, X, y).tobytes()
+
     def test_nonfinite_loss_diagnosed(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1e300])
@@ -405,6 +430,18 @@ class TestDamageMap:
         series = damage_map(m, 36)
         assert len(series) == 36
         assert all(0.0 <= a < 360.0 for a, _ in series)
+
+    def test_angles_wrap_into_range(self):
+        # the second bin centre over (-0.9, 3.9) is -1.1e-16, which % 360
+        # rounds up to 360
+        m = self._model_with_metadata()
+        rec = m.normalization
+        mins, maxs = list(rec.mins), list(rec.maxs)
+        mins[3], maxs[3] = -0.9, 3.9
+        m.normalization = NormalizationRecord(rec.feature_names, tuple(mins), tuple(maxs))
+        angles = [a for a, _ in damage_map(m, 8)]
+        assert angles[1] == 0.0
+        assert all(0.0 <= a < 360.0 for a in angles)
 
     def test_denormalization_round_trip(self):
         m = self._model_with_metadata()

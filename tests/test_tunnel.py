@@ -61,6 +61,28 @@ class TestTunnelSection:
         with pytest.raises(ValueError, match="vertices 3 and 0 coincide"):
             TunnelSection(((0, 0), (4, 0), (1, 3), (0, 0)))
 
+    @pytest.mark.parametrize(
+        "vertices, trend, message",
+        [
+            (((0, 0), (4, 0), (float("nan"), 3)), 0.0, "section vertices must be finite"),
+            (((0, 0), (4, 0), (1, float("inf"))), 0.0, "section vertices must be finite"),
+            (((0, 0), (4, 0), (1, 3)), float("inf"), "axis trend must be finite"),
+            (((0, 0), (4, 0), (1, 3)), float("nan"), "axis trend must be finite"),
+        ],
+        ids=["nan_vertex", "inf_vertex", "inf_trend", "nan_trend"],
+    )
+    def test_non_finite_input_rejected(self, vertices, trend, message):
+        # a NaN vertex gave NaN facet angles, and an infinite trend failed
+        # only later, in .axis
+        with pytest.raises(ValueError, match=message):
+            TunnelSection(vertices, trend)
+
+    def test_facet_angles_wrap_into_range(self):
+        # the right edge's midpoint lies a rounding error below the
+        # centroid, and % 360 rounds its tiny negative angle up to 360
+        section = TunnelSection(((-1, -1), (1, -0.9), (1, 0.9), (-1, 1)))
+        assert [f.angle_deg for f in section.facets()] == [270.0, 0.0, 90.0, 180.0]
+
     def test_facet_at_angle(self):
         index, points = SQUARE.facets_at_angles([90.0, 268.0])
         facets = SQUARE.facets()
