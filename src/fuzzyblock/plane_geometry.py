@@ -27,7 +27,10 @@ it, of the box spanned by the supports of its two ends.  A point outside
 that box by more than twice the widening therefore reads exactly 0 on the
 edge, and such (point, edge) pairs skip the candidate solve: the result
 is the full computation's bit for bit.  Every function works on arrays of
-points; ``raster_membership`` evaluates one grid row per call.
+points; ``raster_membership`` evaluates the whole grid in one call, whose
+live (point, edge) pairs are solved ``_CHUNK_PAIRS`` at a time.  The chunks
+only bound the temporaries: no step before the per-point maximum mixes two
+pairs, so the chunking changes no bit.
 """
 from __future__ import annotations
 
@@ -43,6 +46,9 @@ from .fuzzy_numbers import AlphaInterval, TrapezoidalNumber
 # relative widening of segment knots: the slack of the crisp segment test
 _CRISP_SLACK = 1e-9
 _WIDEN = np.array([-1.0, -1.0, 1.0, 1.0])
+# (point, edge) pairs solved per numpy pass: it bounds the (2, 4, pairs, 35)
+# knot array and its temporaries of a large raster, and changes no bit
+_CHUNK_PAIRS = 128
 
 
 @dataclass(frozen=True)
@@ -163,11 +169,8 @@ def _edge_values(
 ) -> np.ndarray:
     """Largest membership over the fuzzy segments joining each pair in ``ends``.
 
-    The x and y trapezoids of the segment point at lambda have knots
-    q + lambda * (p - q), so the point's membership at lambda is the smaller
-    of two piecewise linear-fractional functions of lambda; their largest
-    value is attained at one of the candidates evaluated here.  Only the
-    (point, edge) pairs inside the edge's widened support box are solved.
+    Only the (point, edge) pairs inside the edge's widened support box are
+    solved, ``_CHUNK_PAIRS`` at a time, by ``_pair_values``.
     """
     pk = np.array([[_knots(p.x), _knots(p.y)] for p, _ in ends])  # (E, 2, 4)
     qk = np.array([[_knots(q.x), _knots(q.y)] for _, q in ends])
@@ -175,33 +178,54 @@ def _edge_values(
     biggest = max(np.abs(pk).max(), np.abs(qk).max())
     scale = 1.0 + np.maximum(np.maximum(np.abs(px), np.abs(py)), biggest)
     # a pair whose point lies outside the support box by twice the widening
-    # reads exactly 0 (see the module docstring); only the K live pairs are solved
+    # reads exactly 0 (see the module docstring); only the live pairs are solved
     margin = (2.0 * _CRISP_SLACK * scale)[:, None, None]
     outside = (pt[:, None] < np.minimum(pk, qk)[..., 0] - margin) | (
         pt[:, None] > np.maximum(pk, qk)[..., 3] + margin
     )
     point, edge = np.nonzero(~outside.any(axis=-1))
-    pt, pk, qk = pt[point][..., None], pk[edge], qk[edge]  # (K, 2, 1), (K, 2, 4)
-    q0 = qk + (_CRISP_SLACK * scale[point])[:, None, None] * _WIDEN  # knots at lambda = 0
+    # pair axis last: (coord, knot, pair) and (coord, pair)
+    pk, qk, pt = pk.transpose(1, 2, 0), qk.transpose(1, 2, 0), pt.T
+    best = np.empty(len(point))
+    for lo in range(0, len(point), _CHUNK_PAIRS):
+        k = slice(lo, lo + _CHUNK_PAIRS)
+        p, e = point[k], edge[k]
+        best[k] = _pair_values(pt[:, p], scale[p], pk[..., e], qk[..., e])
+    value = np.zeros(len(px))
+    np.maximum.at(value, point, best)
+    return value
+
+
+def _pair_values(
+    pt: np.ndarray, scale: np.ndarray, pk: np.ndarray, qk: np.ndarray
+) -> np.ndarray:
+    """Segment membership of K (point, edge) pairs: pt (2, K), knots (2, 4, K).
+
+    The x and y trapezoids of the segment point at lambda have knots
+    q + lambda * (p - q), so the point's membership at lambda is the smaller
+    of two piecewise linear-fractional functions of lambda; their largest
+    value is attained at one of the candidates evaluated here.
+    """
+    q0 = qk + (_CRISP_SLACK * scale) * _WIDEN[:, None]  # knots at lambda = 0
     dq = pk - qk  # knot change per unit of lambda
-    n = len(point)
+    n = len(scale)
     # lambda at which each unwidened knot passes the point (at a step it then
     # lies inside the widened core); a quotient is only formed where it lies in
     # [-1, 1]: the rest clip to the 0 and 1 kept anyway, and a tiny divisor would overflow
-    gap = pt - qk
+    gap = pt[:, None] - qk
     passes = np.divide(
         gap, dq, out=np.zeros(q0.shape), where=(dq != 0.0) & (np.abs(gap) <= np.abs(dq))
     )
-    # rising and falling ramps as (n0 + n1 l) / (d0 + d1 l), axes (K, coord, ramp)
-    n0 = np.stack([pt[..., 0] - q0[..., 0], q0[..., 3] - pt[..., 0]], axis=-1)
-    n1 = np.stack([-dq[..., 0], dq[..., 3]], axis=-1)
-    d0 = np.stack([q0[..., 1] - q0[..., 0], q0[..., 3] - q0[..., 2]], axis=-1)
-    d1 = np.stack([dq[..., 1] - dq[..., 0], dq[..., 3] - dq[..., 2]], axis=-1)
+    # rising and falling ramps as (n0 + n1 l) / (d0 + d1 l), axes (ramp, coord, K)
+    n0 = np.stack([pt - q0[:, 0], q0[:, 3] - pt])
+    n1 = np.stack([-dq[:, 0], dq[:, 3]])
+    d0 = np.stack([q0[:, 1] - q0[:, 0], q0[:, 3] - q0[:, 2]])
+    d1 = np.stack([dq[:, 1] - dq[:, 0], dq[:, 3] - dq[:, 2]])
     # an x ramp crosses a y ramp where nx * dy - ny * dx = a l^2 + b l + c = 0
-    n0x, n0y = n0[..., 0, :, None], n0[..., 1, None, :]
-    n1x, n1y = n1[..., 0, :, None], n1[..., 1, None, :]
-    d0x, d0y = d0[..., 0, :, None], d0[..., 1, None, :]
-    d1x, d1y = d1[..., 0, :, None], d1[..., 1, None, :]
+    n0x, n0y = n0[:, None, 0], n0[None, :, 1]
+    n1x, n1y = n1[:, None, 0], n1[None, :, 1]
+    d0x, d0y = d0[:, None, 0], d0[None, :, 1]
+    d1x, d1y = d1[:, None, 0], d1[None, :, 1]
     a = n1x * d1y - n1y * d1x
     b = n0x * d1y + n1x * d0y - n0y * d1x - n1y * d0x
     c = n0x * d0y - n0y * d0x
@@ -214,22 +238,18 @@ def _edge_values(
     root2 = np.divide(
         c, h, out=np.zeros(h.shape), where=real & (h != 0.0) & (np.abs(c) <= np.abs(h))
     )
-    cand = np.concatenate(
-        [
-            np.broadcast_to([0.0, 1.0], (n, 2)),
-            passes.reshape(n, 8),
-            root1.reshape(n, 4),
-            root2.reshape(n, 4),
-        ],
-        axis=-1,
-    )
+    # the candidates in a fixed order: the sort leaves 0.0 and -0.0, which
+    # compare equal, in an order that depends on it
+    cand = np.empty((n, 18))
+    cand[:, 0], cand[:, 1] = 0.0, 1.0
+    cand[:, 2:10] = passes.reshape(8, n).T
+    cand[:, 10:14] = root1.reshape(4, n).T
+    cand[:, 14:] = root2.reshape(4, n).T
     cand = np.sort(np.clip(cand, 0.0, 1.0), axis=-1)
-    lam = np.concatenate([cand, 0.5 * (cand[..., 1:] + cand[..., :-1])], axis=-1)
-    knots = q0[:, None] + lam[..., None, None] * dq[:, None]  # (K, L, 2, 4)
-    mu = _membership(knots, pt[:, None, :, 0])
-    value = np.zeros(len(px))
-    np.maximum.at(value, point, mu.min(axis=-1).max(axis=-1))
-    return value
+    lam = np.concatenate([cand, 0.5 * (cand[:, 1:] + cand[:, :-1])], axis=-1)  # (K, L)
+    knots = q0[..., None] + lam * dq[..., None]  # (2, 4, K, L)
+    mu = _membership(np.moveaxis(knots, 1, -1), pt[..., None])
+    return np.minimum(mu[0], mu[1]).max(axis=-1)
 
 
 def _values(shape: FuzzyShape, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -281,12 +301,14 @@ def raster_membership(
 ) -> np.ndarray:
     """Membership sampled at cell centers of an nx-by-ny grid over bbox.
 
-    Returns an (ny, nx) array, rows ordered by increasing y.  Each row is
-    one array evaluation, and every cell equals ``membership_at`` at its
-    center bit for bit.  For segments and polygons a row solves only the
-    cells inside an edge's support box widened by 2e-9 * scale; the others
-    read 0 on that edge, exactly as the full solve gives, since rounding
-    moves a knot by far less than the 1e-9 * scale knot widening.
+    Returns an (ny, nx) array, rows ordered by increasing y.  The whole grid
+    is one array evaluation, and every cell equals ``membership_at`` at its
+    center bit for bit.  For segments and polygons only the (cell, edge)
+    pairs inside the edge's support box widened by 2e-9 * scale are solved,
+    ``_CHUNK_PAIRS`` pairs per numpy pass; the others read 0 on that edge,
+    exactly as the full solve gives, since rounding moves a knot by far less
+    than the 1e-9 * scale knot widening.  A pair's value depends on that
+    pair alone, so the chunk boundaries change no bit.
     """
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
@@ -296,7 +318,5 @@ def raster_membership(
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
     xs = xmin + (np.arange(nx) + 0.5) * dx
-    grid = np.zeros((ny, nx), dtype=float)
-    for j in range(ny):
-        grid[j] = _values(shape, xs, np.full(nx, ymin + (j + 0.5) * dy))
-    return grid
+    ys = ymin + (np.arange(ny) + 0.5) * dy
+    return _values(shape, np.tile(xs, ny), np.repeat(ys, nx)).reshape(ny, nx)

@@ -249,6 +249,8 @@ def normalize(
     samples: Sequence[Sample], value_range: tuple[float, float] = (-1.0, 1.0)
 ) -> tuple[np.ndarray, np.ndarray, NormalizationRecord]:
     """Map every variable affinely onto value_range; returns (X, y, record)."""
+    if len(samples) == 0:
+        raise ValueError("cannot normalize an empty sample list")
     X = np.array([s.inputs for s in samples], dtype=float)
     y = np.array([s.sf for s in samples], dtype=float)
     mins, maxs = [], []

@@ -16,6 +16,8 @@ from .kernel.tunnel import TunnelSection
 
 # outer radius of the damage-map band, in section circumradii
 _BAND_SCALE = 1.2
+# fill of each heat-grid gray level, 0 black to 255 white
+_GRAYS = [f"rgb({k},{k},{k})" for k in range(256)]
 
 
 def _fmt(v: float) -> str:
@@ -94,13 +96,13 @@ def heat_grid_svg(
     dy = (ymax - ymin) / ny
     xs = [_fmt(xmin + i * dx) for i in range(nx)]
     size = f'width="{_fmt(dx)}" height="{_fmt(dy)}"'
+    # values clamp to [0, 1], NaN to 0; round half to even, as round() does
+    levels = np.rint(255.0 * (1.0 - np.fmin(np.fmax(grid, 0.0), 1.0))).astype(int)
     body = []
-    for j, values in enumerate(grid.tolist()):
+    for j, row in enumerate(levels.tolist()):
         # SVG y grows downward; flip so the grid renders with y upward
         y = _fmt(-(ymin + (j + 1) * dy))
-        for x, value in zip(xs, values):
-            level = int(round(255 * (1.0 - min(1.0, max(0.0, value)))))
-            body.append(f'<rect x="{x}" y="{y}" {size} fill="rgb({level},{level},{level})" />')
+        body.extend(f'<rect x="{x}" y="{y}" {size} fill="{_GRAYS[k]}" />' for x, k in zip(xs, row))
     viewbox = f"{_fmt(xmin)} {_fmt(-ymax)} {_fmt(xmax - xmin)} {_fmt(ymax - ymin)}"
     return _document(400, 400 * (ymax - ymin) / (xmax - xmin), viewbox, body)
 

@@ -241,6 +241,10 @@ class TestNormalization:
         with pytest.raises(ValueError, match="phi_deg|dip"):
             normalize(samples)
 
+    def test_empty_sample_list_rejected(self):
+        with pytest.raises(ValueError, match="empty sample list"):
+            normalize([])
+
     def test_custom_range(self):
         samples = generate_dataset(small_spec(count=60))
         X, y, rec = normalize(samples, (0.0, 1.0))

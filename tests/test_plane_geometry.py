@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geometry_oracle import edge_values
+import geometry_oracle
+from geometry_oracle import edge_values, row_edge_values
 from hull_oracle import hull_feasible
 
+from fuzzyblock import plane_geometry
 from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.plane_geometry import (
     _CRISP_SLACK,
@@ -434,6 +436,126 @@ class TestSupportBoxCull:
         values = _edge_values([(p, q)], px, py)
         assert values[0] > 0.0 and values[1] == 0.0 and values[2] == 0.0
         assert np.array_equal(_bits(values), _bits(edge_values([(p, q)], px, py)))
+
+
+def _assert_same_bits(values, reference):
+    assert np.array_equal(np.signbit(values), np.signbit(reference))
+    assert values.tobytes() == reference.tobytes()
+
+
+class TestPairChunks:
+    """Pair chunks and the pair-last layout reproduce the per-row solve's bits."""
+
+    @pytest.mark.parametrize("chunk", [3, 10**6])
+    @settings(max_examples=30, deadline=None)
+    @given(case=edges_and_points())
+    def test_bit_equal_to_row_solve(self, case, chunk):
+        ends, _, points = case
+        # each point again with either coordinate a signed zero
+        points = np.vstack([points, points * [0.0, 1.0], points * [-0.0, 1.0],
+                            points * [1.0, -0.0]])
+        px, py = points.T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plane_geometry, "_CHUNK_PAIRS", chunk)
+            values = _edge_values(ends, px, py)
+        _assert_same_bits(values, row_edge_values(ends, px, py))
+
+    def test_negative_zero_survives(self):
+        # x's left knot is exactly +0.0 at every lambda (both ends start at
+        # the widening w, scale 4), so at x = -0.0 the x ramp reads -0.0 and
+        # so does every lambda's min: the point's value is -0.0, and +0.0 at x = +0.0
+        w = _CRISP_SLACK * 4.0
+        q = FuzzyPoint(T(w, 1.0, 2.0, 3.0), T(-1.0, 0.0, 0.0, 1.0))
+        p = FuzzyPoint(T(w, 2.0, 2.5, 3.0), T(-1.0, 0.0, 0.0, 1.0))
+        px, py = np.array([-0.0, 0.0]), np.array([0.5, 0.5])
+        for chunk in (1, 10**6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(plane_geometry, "_CHUNK_PAIRS", chunk)
+                values = _edge_values([(p, q)], px, py)
+            assert list(np.signbit(values)) == [True, False]
+            _assert_same_bits(values, row_edge_values([(p, q)], px, py))
+
+    def test_signed_zero_fold_over_many_edges(self):
+        # ten vertices share x's left knot w, so every edge reads -0.0 or
+        # +0.0 at x = -0.0: the per-point fold meets both signs, many times
+        w = _CRISP_SLACK * 4.0
+        ys = [-2.5, -1.0, 0.5, 1.0, 2.5, 2.0, 0.0, -0.5, -2.0, 1.5]
+        verts = [FuzzyPoint(T(w, 1.0 + 0.1 * k, 2.0, 3.0), T(y - 0.5, y, y, y + 0.5))
+                 for k, y in enumerate(ys)]
+        ends = list(zip(verts, verts[1:] + verts[:1]))
+        py = np.linspace(-2.9, 2.9, 25)
+        px = np.full(len(py), -0.0)
+        for chunk in (1, 3, 10**6):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(plane_geometry, "_CHUNK_PAIRS", chunk)
+                values = _edge_values(ends, px, py)
+            _assert_same_bits(values, row_edge_values(ends, px, py))
+        assert np.signbit(values).any() and not np.signbit(values).all()
+
+
+@st.composite
+def coordinates(draw):
+    """A crisp, a zero-ramp (crisp interval) or a wide trapezoidal coordinate."""
+    c = draw(st.floats(-3.0, 3.0))
+    kind = draw(st.sampled_from(["crisp", "zero-ramp", "wide", "any"]))
+    if kind == "crisp":
+        return T.crisp(c)
+    if kind == "any":
+        return draw(trapezoids())
+    core = draw(st.floats(0.001, 0.6))
+    if kind == "zero-ramp":
+        return T(c - core, c - core, c + core, c + core)
+    left, right = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    return T(c - core - left, c - core, c + core, c + core + right)
+
+
+@st.composite
+def rasters(draw):
+    """A segment or polygon and an nx-by-ny grid whose bbox straddles or touches 0."""
+    n = draw(st.sampled_from([2, 3, 5, 9]))
+    verts = [FuzzyPoint(draw(coordinates()), draw(coordinates())) for _ in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shape = FuzzySegment(*verts) if n == 2 else FuzzyPolygon(verts)
+    bounds = []
+    for _ in range(2):
+        lo = draw(st.sampled_from([0.0, -0.0]) | st.floats(-4.0, -0.1))
+        hi = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.1, 4.0))
+        if hi == lo:  # both are zeros
+            hi = 2.5
+        bounds.append((lo, hi))
+    (xmin, xmax), (ymin, ymax) = bounds
+    nx, ny = draw(st.integers(2, 24)), draw(st.integers(2, 24))
+    return shape, (xmin, ymin, xmax, ymax), nx, ny
+
+
+class TestWholeGridRaster:
+    """One whole-grid evaluation reproduces the per-row raster bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None, 10**6])
+    @settings(max_examples=40, deadline=None)
+    @given(case=rasters())
+    def test_bit_equal_to_row_raster(self, case, chunk):
+        shape, bbox, nx, ny = case
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(plane_geometry, "_CHUNK_PAIRS", chunk)
+            grid = raster_membership(shape, bbox, nx, ny)
+        _assert_same_bits(grid, geometry_oracle.raster_membership(shape, bbox, nx, ny))
+
+    def test_live_pairs_span_many_chunks(self, monkeypatch):
+        calls = []
+        solve = plane_geometry._pair_values
+
+        def counted(pt, *rest):
+            calls.append(pt.shape[1])
+            return solve(pt, *rest)
+
+        monkeypatch.setattr(plane_geometry, "_pair_values", counted)
+        bbox = (-2.2, -0.0, 2.2, 2.2)
+        grid = raster_membership(_fuzzy_pentagon(), bbox, 60, 30)
+        assert len(calls) >= 4 and max(calls) == plane_geometry._CHUNK_PAIRS
+        _assert_same_bits(grid, geometry_oracle.raster_membership(_fuzzy_pentagon(), bbox, 60, 30))
 
 
 def _rect_grid(x, y, k=25):

@@ -1,12 +1,36 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svg_oracle import heat_grid_svg as heat_grid_oracle
 
 from fuzzyblock.kernel import TunnelSection
 from fuzzyblock.svg_out import damage_map_svg, heat_color, heat_grid_svg, polyline_svg
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
+
+
+def _half_levels():
+    """Values v, within 3 ulps of 1 - (k + 0.5) / 255, with 255 * (1 - v) == k + 0.5."""
+    found = []
+    for k in range(255):
+        v = 1.0 - (k + 0.5) / 255
+        near = [v]
+        for toward in (0.0, 1.0):
+            u = v
+            for _ in range(3):
+                u = math.nextafter(u, toward)
+                near.append(u)
+        found += [u for u in near if 255 * (1.0 - u) == k + 0.5]
+    return found
+
+
+# gray levels that a tie decides: round() and np.rint both go to the even one
+HALF_LEVELS = _half_levels()
 
 
 class TestHeatColor:
@@ -61,6 +85,31 @@ class TestHeatGridSvg:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             heat_grid_svg(np.zeros((0, 0)), (0, 0, 1, 1))
+
+    def test_half_levels_cover_both_parities(self):
+        ties = [int(255 * (1.0 - v)) for v in HALF_LEVELS]
+        assert len(ties) > 100
+        assert {k % 2 for k in ties} == {0, 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        values=st.lists(
+            st.sampled_from([0.0, 1.0, -0.0, -1e-300, 1.0 + 2**-52, -3.5, 7.25])
+            | st.sampled_from([math.nan, math.inf, -math.inf])
+            | st.sampled_from(HALF_LEVELS)
+            | st.floats(-2.0, 3.0),
+            min_size=1,
+        ),
+        corner=st.tuples(st.sampled_from([-2.2, -0.0, 0.0, 1.5]), st.sampled_from([-1.0, 0.0, 3.0])),
+        extent=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    )
+    def test_equal_to_per_cell_emitter(self, shape, values, corner, extent):
+        grid = np.resize(np.array(values), shape)
+        bbox = (corner[0], corner[1], corner[0] + extent[0], corner[1] + extent[1])
+        svg, ref = heat_grid_svg(grid, bbox), heat_grid_oracle(grid, bbox)
+        same = svg == ref  # a bare == of two long strings makes pytest diff them slowly
+        assert same, next(pair for pair in zip(svg.splitlines(), ref.splitlines()) if pair[0] != pair[1])
 
 
 class TestPolylineSvg:
