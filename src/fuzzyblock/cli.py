@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -21,7 +20,7 @@ import numpy as np
 from .fuzzy_blocks import block_knots, code_knots, finiteness_label, pbps
 from .fuzzy_numbers import DELTA_VARIANTS
 from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
-from .plane_geometry import raster_membership
+from .plane_geometry import cell_centers, raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
 from .surrogate.dataset import (
     DEFAULT_SF_CAP,
@@ -35,15 +34,16 @@ from .surrogate.dataset import (
     normalize,
     read_csv_rows,
     read_dataset_csv,
+    stream,
 )
 from .surrogate.model import (
     TskModel,
-    bin_angles,
     damage_map,
     extract_rules,
     forward_batch,
     init_model,
     load_model,
+    map_angles,
     model_json_text,
     rmse as model_rmse,
     train,
@@ -84,8 +84,6 @@ def atomic_write_text(path: str, text: str) -> None:
 def _fmtnum(v: Optional[float]) -> str:
     if v is None:
         return ""
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
     return repr(float(v))
 
 
@@ -135,13 +133,12 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
     cfg = parse_project(args.project)
     if not cfg.fuzzy_joints:
         raise CliDataError("project has no fuzzy joints; add a 'fuzzy_joints' section")
-    variant = args.delta_variant or cfg.delta_variant
     codes = all_codes(len(cfg.fuzzy_joints))
     # the joint pyramid of a code, and so its PJB-sup, is the same on every facet
     jp_knots = code_knots(cfg.fuzzy_joints, codes)
-    pjb_sups = pbps(jp_knots, variant).tolist()
+    pjb_sups = pbps(jp_knots, args.delta_variant).tolist()
     facets = cfg.tunnel.facets()
-    bp_values = pbps(block_knots(jp_knots, [f.inward_normal for f in facets]), variant)
+    bp_values = pbps(block_knots(jp_knots, [f.inward_normal for f in facets]), args.delta_variant)
     rows = []
     for facet, pbp_values in zip(facets, bp_values.reshape(len(facets), len(codes)).tolist()):
         for code, pjb_sup, pbp_value in zip(codes, pjb_sups, pbp_values):
@@ -174,13 +171,10 @@ def _cmd_geom_eval(args: argparse.Namespace) -> int:
         raise CliDataError("project has no 'geometry' section to evaluate")
     job = cfg.geometry
     grid = raster_membership(job.shape, job.bbox, job.nx, job.ny)
-    xmin, ymin, xmax, ymax = job.bbox
-    dx = (xmax - xmin) / job.nx
-    dy = (ymax - ymin) / job.ny
-    xs = [repr(xmin + (i + 0.5) * dx) for i in range(job.nx)]
+    xs, ys = cell_centers(job.bbox, job.nx, job.ny)
+    xs, ys = [repr(x) for x in xs.tolist()], [repr(y) for y in ys.tolist()]
     rows = []
-    for j, values in enumerate(grid.tolist()):
-        y = repr(ymin + (j + 0.5) * dy)
+    for y, values in zip(ys, grid.tolist()):
         rows.extend((x, y, repr(v)) for x, v in zip(xs, values))
     atomic_write_text(args.out, csv_text(("x", "y", "membership"), rows))
     if args.svg:
@@ -210,9 +204,7 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     n_train = int(anfis.train_fraction * len(samples))
     if n_train < 1:
         raise CliDataError("train fraction leaves no training rows")
-    key = np.array([anfis.split_seed & 0xFFFFFFFFFFFFFFFF, 999], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    perm = rng.permutation(len(samples))
+    perm = stream(anfis.split_seed, 999).permutation(len(samples))
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     model = init_model(
         len(FEATURE_NAMES), list(anfis.mfs_per_input), X[train_idx],
@@ -273,16 +265,14 @@ def _cmd_surrogate_map(args: argparse.Namespace) -> int:
     model = _load_feature_model(args.model)
     if model.input_medians is None:
         raise CliDataError(f"{args.model}: model carries no input medians")
-    bins = args.bins
     med = dict(zip(model.input_names, model.input_medians))
-    record = model.normalization
-    angle_idx = list(model.input_names).index("angle_deg")
-    angles = bin_angles(record.mins[angle_idx], record.maxs[angle_idx], bins)
+    angle_idx, angles = map_angles(model, args.bins)
     draws = [(med["dip_deg"], med["dipdir_deg"], med["phi_deg"], float(a)) for a in angles]
     cases = joint_cases(cfg.tunnel, draws)
-    series = damage_map(model, bins, per_bin_inputs={"volume_m3": [c.volume_m3 for c in cases]})
+    series = damage_map(model, args.bins,
+                        per_bin_inputs={"volume_m3": [c.volume_m3 for c in cases]})
     rows = [(repr(a), repr(v)) for a, v in series]
-    atomic_write_text(args.out, csv_text(("angle_deg", "sf_pred"), rows))
+    atomic_write_text(args.out, csv_text((model.input_names[angle_idx], "sf_pred"), rows))
     if args.svg:
         cap = cfg.dataset.sf_cap if cfg.dataset is not None else DEFAULT_SF_CAP
         atomic_write_text(args.svg, damage_map_svg(cfg.tunnel, series, cap))
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pbr_cmd = fuzzy_sub.add_parser("pbr", help="PBP / PJB / PBR table per facet and code")
     pbr_cmd.add_argument("-p", "--project", required=True)
     pbr_cmd.add_argument("-o", "--out")
-    pbr_cmd.add_argument("--delta-variant", choices=DELTA_VARIANTS)
+    pbr_cmd.add_argument("--delta-variant", choices=DELTA_VARIANTS, default="paper")
     pbr_cmd.set_defaults(func=_cmd_fuzzy_pbr)
 
     geom = sub.add_parser("geom", help="fuzzy plane geometry commands")

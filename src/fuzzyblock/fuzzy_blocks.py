@@ -41,6 +41,7 @@ import numpy as np
 from .fuzzy_numbers import (
     DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber, exceedance_poss, linear_combine,
 )
+from .kernel.mechanics import code_signs
 from .kernel.pyramid import edge_rays
 
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
@@ -465,8 +466,7 @@ def systems_for_code(
     facet_normal: Sequence[float],
 ) -> tuple[FuzzySystem, FuzzySystem]:
     """JP and BP fuzzy systems for a block code against one crisp free face."""
-    if len(code) != len(fuzzy_joints):
-        raise ValueError("code length must match the number of fuzzy joints")
+    code_signs([code], len(fuzzy_joints))  # the one check of a code
     jp_constraints = [joint_constraint(fo, side) for fo, side in zip(fuzzy_joints, code)]
     jp_sys = FuzzySystem(tuple(jp_constraints), "joint-pyramid")
     return jp_sys, block_pyramid(jp_sys, facet_normal)
@@ -478,13 +478,11 @@ def code_knots(fuzzy_joints: Sequence[FuzzyOrientation], codes: Sequence[str]) -
     Row j of a code's pyramid is joint j's ``joint_constraint`` on the
     code's side, as in ``systems_for_code``.
     """
-    if any(len(code) != len(fuzzy_joints) or set(code) - {"U", "L"} for code in codes):
-        raise ValueError("each code needs one side, U or L, per fuzzy joint")
+    lower = (code_signs(codes, len(fuzzy_joints)) < 0).astype(int)
     sides = np.array(
         [[[t.to_list() for t in joint_constraint(fo, side).coeffs] for side in "UL"]
          for fo in fuzzy_joints]
     )  # (joint, side, component, knot)
-    lower = np.array([[ch == "L" for ch in code] for code in codes], dtype=int)
     return np.moveaxis(sides[np.arange(len(fuzzy_joints)), lower], -1, 1)
 
 

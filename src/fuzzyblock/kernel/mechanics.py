@@ -29,16 +29,12 @@ class ModeInconsistencyError(ValueError):
     """A reaction force came out negative for the proposed sliding mode."""
 
 
-def code_signs(code: str) -> list[float]:
-    signs = []
-    for ch in code:
-        if ch == "U":
-            signs.append(1.0)
-        elif ch == "L":
-            signs.append(-1.0)
-        else:
-            raise ValueError(f"block code digits must be 'U' or 'L', got {ch!r}")
-    return signs
+def code_signs(codes: Sequence[str], n: int) -> np.ndarray:
+    """Sign rows (C, n) of block codes over n joints, +1 for U and -1 for L; the one code check."""
+    joined = "".join(codes)
+    if any(len(code) != n for code in codes) or set(joined) - {"U", "L"}:
+        raise ValueError(f"each code needs one side, U or L, for each of its {n} joints")
+    return np.array([1.0 if ch == "U" else -1.0 for ch in joined]).reshape(len(codes), n)
 
 
 def joint_normals(joints: Sequence[JointPlane]) -> np.ndarray:
@@ -47,9 +43,7 @@ def joint_normals(joints: Sequence[JointPlane]) -> np.ndarray:
 
 
 def joint_pyramid(code: str, joints: Sequence[JointPlane]) -> HalfSpaceSystem:
-    if len(code) != len(joints):
-        raise ValueError(f"code length {len(code)} != joint count {len(joints)}")
-    return HalfSpaceSystem(np.array(code_signs(code))[:, None] * joint_normals(joints))
+    return HalfSpaceSystem(code_signs([code], len(joints))[0][:, None] * joint_normals(joints))
 
 
 def classify_codes(
@@ -79,9 +73,7 @@ def classify_block(
     Returns (classification, jp_result, bp_result); classification is one of
     "infinite", "tapered", "removable".
     """
-    if len(code) != len(joints):
-        raise ValueError(f"code length {len(code)} != joint count {len(joints)}")
-    signs = np.array([code_signs(code)]).reshape(1, len(joints))
+    signs = code_signs([code], len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
     classes, bp = classify_codes(signs, normals, jp, facet_normal)

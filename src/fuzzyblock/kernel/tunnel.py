@@ -172,8 +172,7 @@ class TunnelSection:
         t_best = t[rows, best][:, None]
         u = cu + t_best * du
         w = cw + t_best * dw
-        points = u * self.u_hat + w * self.w_hat + 0.0 * self.axis
-        return np.where(hit.any(axis=1), best, -1), points
+        return np.where(hit.any(axis=1), best, -1), self.to_world(u, w)
 
     def section_bbox(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned world box around the section, padded into the rock.
@@ -236,7 +235,7 @@ def enumerate_tunnel_blocks(
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
     codes = all_codes(len(joints))
-    signs = np.array([code_signs(code) for code in codes]).reshape(len(codes), len(joints))
+    signs = code_signs(codes, len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
     facets = tunnel.facets()

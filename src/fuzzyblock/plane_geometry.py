@@ -293,6 +293,18 @@ def fuzzy_distance(p: FuzzyPoint, q: FuzzyPoint, alpha: float) -> AlphaInterval:
     return AlphaInterval(alpha, *_rect_distance_bounds(*p.alpha_box(alpha), *q.alpha_box(alpha)))
 
 
+def cell_centers(bbox: Sequence[float], nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """x (nx,) and y (ny,) of the cell centers of an nx-by-ny grid over bbox."""
+    xmin, ymin, xmax, ymax = bbox
+    if not (xmax > xmin and ymax > ymin):
+        raise ValueError(f"degenerate bbox {bbox}")
+    if nx < 2 or ny < 2:
+        raise ValueError("nx and ny must be at least 2")
+    dx = (xmax - xmin) / nx
+    dy = (ymax - ymin) / ny
+    return xmin + (np.arange(nx) + 0.5) * dx, ymin + (np.arange(ny) + 0.5) * dy
+
+
 def raster_membership(
     shape: FuzzyShape,
     bbox: tuple[float, float, float, float],
@@ -310,13 +322,5 @@ def raster_membership(
     than the 1e-9 * scale knot widening.  A pair's value depends on that
     pair alone, so the chunk boundaries change no bit.
     """
-    xmin, ymin, xmax, ymax = bbox
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"degenerate bbox {bbox}")
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must be at least 2")
-    dx = (xmax - xmin) / nx
-    dy = (ymax - ymin) / ny
-    xs = xmin + (np.arange(nx) + 0.5) * dx
-    ys = ymin + (np.arange(ny) + 0.5) * dy
+    xs, ys = cell_centers(bbox, nx, ny)
     return _values(shape, np.tile(xs, ny), np.repeat(ys, nx)).reshape(ny, nx)

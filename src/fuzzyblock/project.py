@@ -6,9 +6,9 @@ range-checked with a diagnostic naming the offending key path.  Every
 accepted key is read by some command, except fuzzy ``friction_deg``, which
 is required and checked but not read yet.  Keys that earlier builds accepted
 and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
-``location``) are rejected as unknown, and so is the seed-point override of
-earlier builds: every sized block is seeded by the one rule of
-``kernel.tunnel.seeded_halfspaces``.
+``location``) are rejected as unknown, and so are two with another source:
+the seed-point override (``kernel.tunnel.seeded_halfspaces`` seeds every
+block) and ``delta_variant`` (the ``--delta-variant`` flag of ``fuzzy pbr``).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .fuzzy_numbers import DELTA_VARIANTS, TrapezoidalNumber
+from .fuzzy_numbers import TrapezoidalNumber
 from .fuzzy_blocks import DEFAULT_LABEL_THRESHOLDS, FuzzyOrientation
 from .kernel.orientation import JointPlane, Orientation
 from .kernel.tunnel import TunnelSection
@@ -28,7 +28,7 @@ from .plane_geometry import (
     FuzzySegment,
     FuzzyShape,
 )
-from .surrogate.dataset import DatasetSpec
+from .surrogate.dataset import FEATURE_NAMES, DatasetSpec
 from .surrogate.model import check_step_sizes
 
 SCHEMA_VERSION = 1
@@ -128,7 +128,6 @@ class ProjectConfig:
     dataset: Optional[DatasetSpec] = None
     anfis: AnfisConfig = AnfisConfig()
     geometry: Optional[GeometryJob] = None
-    delta_variant: str = "paper"
     label_thresholds: tuple[float, float, float] = DEFAULT_LABEL_THRESHOLDS
 
 
@@ -140,7 +139,6 @@ _TOP_KEYS = {
     "dataset",
     "anfis",
     "geometry",
-    "delta_variant",
     "label_thresholds",
 }
 
@@ -259,14 +257,14 @@ def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
     if "mfs_per_input" in obj:
         raw = obj["mfs_per_input"]
         if isinstance(raw, int) and not isinstance(raw, bool):
-            kwargs["mfs_per_input"] = (raw,) * 5
-        elif isinstance(raw, list) and len(raw) == 5:
+            kwargs["mfs_per_input"] = (raw,) * len(FEATURE_NAMES)
+        elif isinstance(raw, list) and len(raw) == len(FEATURE_NAMES):
             kwargs["mfs_per_input"] = tuple(
                 _integer(v, f"{path}.mfs_per_input[{i}]") for i, v in enumerate(raw)
             )
         else:
             raise ProjectSchemaError(
-                f"{path}.mfs_per_input must be an integer or a 5-element list"
+                f"{path}.mfs_per_input must be an integer or a {len(FEATURE_NAMES)}-element list"
             )
         if any(k < 2 for k in kwargs["mfs_per_input"]):
             raise ProjectSemanticError(f"{path}.mfs_per_input entries must be >= 2")
@@ -390,10 +388,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     anfis = _parse_anfis(doc.get("anfis", {}), "$.anfis")
     geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
 
-    variant = doc.get("delta_variant", "paper")
-    if variant not in DELTA_VARIANTS:
-        names = " or ".join(map(repr, DELTA_VARIANTS))
-        raise ProjectSemanticError(f"$.delta_variant must be {names}, got {variant!r}")
     thresholds = doc.get("label_thresholds", list(DEFAULT_LABEL_THRESHOLDS))
     if not isinstance(thresholds, list) or len(thresholds) != 3:
         raise ProjectSchemaError("$.label_thresholds must be a 3-element array")
@@ -408,7 +402,6 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
         dataset=dataset,
         anfis=anfis,
         geometry=geometry,
-        delta_variant=variant,
         label_thresholds=thresholds,
     )
 

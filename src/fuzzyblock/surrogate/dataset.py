@@ -190,9 +190,9 @@ def _draw(spec: DatasetSpec, rng: np.random.Generator) -> Draw:
     return dip, dd, phi, theta
 
 
-def _stream(spec: DatasetSpec, index: int) -> np.random.Generator:
-    """Sample index's own random stream, keyed by (seed, index)."""
-    key = np.array([spec.seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+def stream(seed: int, index: int) -> np.random.Generator:
+    """The random stream keyed by (seed, index): a dataset sample's, or the train/test split's."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -205,7 +205,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     one ``joint_cases`` call, so each sample is bit-identical to
     ``single_joint_case`` on its draw; a failure propagates.
     """
-    draws = [_draw(spec, _stream(spec, i)) for i in range(spec.sample_count)]
+    draws = [_draw(spec, stream(spec.seed, i)) for i in range(spec.sample_count)]
     return joint_cases(spec.tunnel, draws, spec.sf_cap)
 
 

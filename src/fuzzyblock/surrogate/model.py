@@ -469,6 +469,18 @@ def bin_angles(lo: float, hi: float, bins: int) -> np.ndarray:
 _ANGLE_INPUT = "angle_deg"
 
 
+def map_angles(model: TskModel, angular_bins: int) -> tuple[int, np.ndarray]:
+    """Position of the angle input and the unwrapped bin centers of a damage map."""
+    if angular_bins < 8:
+        raise ValueError("need at least 8 angular bins")
+    if model.normalization is None or model.input_medians is None:
+        raise ValueError("model must carry normalization and input medians")
+    if _ANGLE_INPUT not in model.input_names:
+        raise ValueError(f"model has no input named {_ANGLE_INPUT!r}")
+    k = model.input_names.index(_ANGLE_INPUT)
+    return k, bin_angles(model.normalization.mins[k], model.normalization.maxs[k], angular_bins)
+
+
 def damage_map(
     model: TskModel,
     angular_bins: int,
@@ -483,18 +495,9 @@ def damage_map(
     block volumes along the boundary).  Predictions are de-normalized back
     to safety-factor units and angles are reported wrapped to [0, 360).
     """
-    if angular_bins < 8:
-        raise ValueError("need at least 8 angular bins")
-    if model.normalization is None or model.input_medians is None:
-        raise ValueError("model must carry normalization and input medians")
+    angle_idx, angles = map_angles(model, angular_bins)
     names = list(model.input_names)
-    if _ANGLE_INPUT not in names:
-        raise ValueError(f"model has no input named {_ANGLE_INPUT!r}")
-    angle_idx = names.index(_ANGLE_INPUT)
     rows = np.tile(np.array(model.input_medians, dtype=float), (angular_bins, 1))
-    angles = bin_angles(
-        model.normalization.mins[angle_idx], model.normalization.maxs[angle_idx], angular_bins
-    )
     rows[:, angle_idx] = angles
     for key, values in (per_bin_inputs or {}).items():
         if key not in names:

@@ -47,7 +47,6 @@ def standard_project_dict():
             "nx": 8,
             "ny": 8,
         },
-        "delta_variant": "paper",
     }
 
 

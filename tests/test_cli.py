@@ -9,6 +9,7 @@ from fuzzyblock import cli
 from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
 from fuzzyblock.kernel.tunnel import all_codes
+from fuzzyblock.plane_geometry import cell_centers
 from fuzzyblock.project import parse_project
 from fuzzyblock.surrogate import generate_dataset, load_model, single_joint_case
 from fuzzyblock.surrogate.dataset import dataset_csv_text
@@ -188,6 +189,19 @@ class TestFuzzyPbr:
         if variant == "standard":  # the paper PBP is 0 or 1; this one takes values between
             assert {r[2] for r in rows} > {"0.0", "1.0"}
 
+    def test_paper_is_the_default_variant(self, tmp_path):
+        proj = small_project(tmp_path)
+        plain, flagged = str(tmp_path / "plain.csv"), str(tmp_path / "flagged.csv")
+        assert main(["fuzzy", "pbr", "-p", proj, "-o", plain]) == 0
+        assert main(["fuzzy", "pbr", "-p", proj, "-o", flagged, "--delta-variant", "paper"]) == 0
+        assert open(plain, "rb").read() == open(flagged, "rb").read()
+
+    def test_variant_key_is_data_error(self, tmp_path, capsys):
+        # the flag is the one source of the variant; the project key is retired
+        proj = small_project(tmp_path, delta_variant="standard")
+        assert main(["fuzzy", "pbr", "-p", proj, "-o", str(tmp_path / "pbr.csv")]) == 2
+        assert "unknown key 'delta_variant' at $" in capsys.readouterr().err
+
     def test_table_to_stdout(self, tmp_path, capsys):
         proj = small_project(tmp_path)
         assert main(["fuzzy", "pbr", "-p", proj]) == 0
@@ -206,6 +220,16 @@ class TestGeomEval:
         assert len(rows) == 8 * 8
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
         assert open(svg).read().startswith("<svg")
+
+    def test_csv_cells_are_the_cell_centers(self, tmp_path):
+        proj = small_project(tmp_path)
+        out = str(tmp_path / "raster.csv")
+        assert main(["geom", "eval", "-p", proj, "-o", out]) == 0
+        job = parse_project(proj).geometry
+        xs, ys = cell_centers(job.bbox, job.nx, job.ny)
+        _, rows = read_csv(out)
+        assert np.array([float(r[0]) for r in rows]).tobytes() == np.tile(xs, job.ny).tobytes()
+        assert np.array([float(r[1]) for r in rows]).tobytes() == np.repeat(ys, job.nx).tobytes()
 
     def test_missing_geometry_section(self, tmp_path):
         doc = standard_project_dict()

@@ -29,6 +29,7 @@ from fuzzyblock.kernel import (
     Orientation,
     classify_block,
     cone_nonempty,
+    joint_pyramid,
 )
 
 import pbp_oracle
@@ -581,6 +582,26 @@ class TestBatchedPbp:
                 assert bits(bp[f, c].ravel()) == bits(pbp_oracle._knot_matrices(bp_sys).ravel())
         with pytest.raises(ValueError, match="one side"):
             fuzzy_blocks.code_knots(joints, ["UX"])
+
+
+class TestBlockCodeRule:
+    @pytest.mark.parametrize("code", ["UL", "ULLU", "UXL", "ulu", ""])
+    def test_crisp_and_fuzzy_readers_reject_a_bad_code_alike(self, code):
+        crisp = [JointPlane(f"J{i + 1}", Orientation(60, dd), 20.0)
+                 for i, dd in enumerate((0, 120, 240))]
+        fuzzy = [FuzzyOrientation(T.crisp(60), T.crisp(dd)) for dd in (0, 120, 240)]
+        readers = [
+            lambda: joint_pyramid(code, crisp),
+            lambda: classify_block(code, crisp, (0, 0, 1)),
+            lambda: systems_for_code(fuzzy, code, (0, 0, 1)),
+            lambda: fuzzy_blocks.code_knots(fuzzy, [code]),
+        ]
+        messages = set()
+        for read in readers:
+            with pytest.raises(ValueError, match="one side") as info:
+                read()
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestPbr:

@@ -29,7 +29,6 @@ class TestParseProject:
             ],
         }
         cfg = parse_project(write(tmp_path, doc))
-        assert cfg.delta_variant == "paper"
         assert cfg.label_thresholds == (0.95, 0.7, 0.3)
         assert cfg.anfis.epochs == 30
         assert cfg.dataset is None
@@ -128,9 +127,10 @@ class TestParseProject:
             parse_project_dict(doc)
 
     def test_delta_variant_checked(self):
+        # the --delta-variant flag checks the variant; a project cannot set it
         doc = standard_project_dict()
         doc["delta_variant"] = "classic"
-        with pytest.raises(ProjectSemanticError, match="delta_variant"):
+        with pytest.raises(ProjectSchemaError, match=r"^unknown key 'delta_variant' at \$$"):
             parse_project_dict(doc)
 
     def test_label_thresholds_checked(self):
@@ -148,12 +148,14 @@ class TestParseProject:
             (lambda doc: doc["joints"][1].update(location=[1.0, -2.0, 0.5]),
              r"'location' at \$\.joints\[1\]$"),
             (lambda doc: doc.update(seed_offset_m=0.7), r"'seed_offset_m' at \$$"),
+            (lambda doc: doc.update(delta_variant="paper"), r"'delta_variant' at \$$"),
         ],
         ids=["resolution", "bbox_margin_m", "unit_weight_kn_m3", "joint_location",
-             "seed_offset_m"],
+             "seed_offset_m", "delta_variant"],
     )
     def test_retired_key_rejected(self, edit, path):
-        # no computation reads these keys, so the schema no longer accepts them
+        # no computation reads these keys, or another source sets them, so the
+        # schema no longer accepts them
         doc = standard_project_dict()
         edit(doc)
         with pytest.raises(ProjectSchemaError, match="^unknown key " + path):

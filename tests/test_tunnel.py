@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
@@ -17,7 +19,10 @@ from fuzzyblock.kernel import (
     enumerate_tunnel_blocks,
     joint_pyramid,
 )
+from fuzzyblock.fuzzy_blocks import FuzzyOrientation, block_knots, code_knots, pbps
+from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.kernel.mechanics import code_signs, joint_normals
+from fuzzyblock.kernel.orientation import wrap_azimuth
 from fuzzyblock.kernel.tunnel import GRAVITY_DIR
 from kinematics_oracle import safety_factor, sliding_mode
 
@@ -267,7 +272,7 @@ def sweep_planes(joints, tunnel, facet_index, code):
     """Normals (m, 3) and offsets (m,) of the sweep's block for one (facet, code)."""
     facet = tunnel.facets()[facet_index]
     seed_point = facet.midpoint + 0.25 * facet.edge_length * facet.inward_normal
-    planes = np.vstack([np.array(code_signs(code))[:, None] * joint_normals(joints),
+    planes = np.vstack([code_signs([code], len(joints))[0][:, None] * joint_normals(joints),
                         facet.inward_normal])
     offsets = [float(n @ seed_point) for n in planes[:-1]]
     return planes, np.array(offsets + [float(facet.inward_normal @ facet.midpoint)])
@@ -310,3 +315,58 @@ class TestBoxFreeSweepVolumes:
             block_volumes(*infinite)
         assert info.value.blocks == tuple(range(len(infinite[0])))
         assert np.all(block_volumes(*removable) >= 0.0)
+
+
+# attitudes on a half-degree grid: two joints are either parallel or well apart,
+# since a block between planes a microdegree apart is ill-conditioned in any frame
+HALF_DEGREES = st.integers(0, 719).map(lambda k: k / 2)
+
+
+@st.composite
+def joint_sets(draw):
+    """Joint sets of 1-4 general joints plus any of dip 0, dip 90 and a parallel copy."""
+    general = [Orientation(draw(st.integers(10, 160)) / 2, draw(HALF_DEGREES))
+               for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        general.append(Orientation(0.0, draw(HALF_DEGREES)))
+    if draw(st.booleans()):
+        general.append(Orientation(90.0, draw(HALF_DEGREES)))
+    if draw(st.booleans()):
+        general.append(general[0])
+    return [JointPlane(f"J{i + 1}", o, draw(st.floats(10.0, 40.0)))
+            for i, o in enumerate(general)]
+
+
+def rotated(joints, theta):
+    return [JointPlane(j.id, Orientation(j.orientation.dip_deg,
+                                         wrap_azimuth(j.orientation.dip_direction_deg + theta)),
+                       j.friction_deg) for j in joints]
+
+
+def zero_spread_values(joints, tunnel):
+    fuzzy = [FuzzyOrientation(TrapezoidalNumber.crisp(j.orientation.dip_deg),
+                              TrapezoidalNumber.crisp(j.orientation.dip_direction_deg))
+             for j in joints]
+    jp = code_knots(fuzzy, all_codes(len(joints)))
+    bp = block_knots(jp, [f.inward_normal for f in tunnel.facets()])
+    return [pbps(k, variant).tolist() for k in (jp, bp) for variant in ("paper", "standard")]
+
+
+class TestRotationInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(joint_sets(), st.floats(0.0, 359.0))
+    def test_rotated_world_gives_the_same_roof_physics(self, joints, theta):
+        # turning the tunnel axis and every dip direction by theta turns the
+        # whole problem about the vertical: gravity and the section stay put
+        tunnel = TunnelSection(OCTAGON.vertices, axis_trend_deg=theta)
+        turned = rotated(joints, theta)
+        records = enumerate_tunnel_blocks(joints, OCTAGON)
+        for a, b in zip(records, enumerate_tunnel_blocks(turned, tunnel), strict=True):
+            assert (a.facet_index, a.code, a.classification, a.mode_label, a.boundary_pyramid,
+                    a.error is None) == (b.facet_index, b.code, b.classification, b.mode_label,
+                                         b.boundary_pyramid, b.error is None)
+            for x, y in ((a.safety_factor, b.safety_factor), (a.volume_m3, b.volume_m3)):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert y == pytest.approx(x, rel=1e-9)
+        assert zero_spread_values(joints, OCTAGON) == zero_spread_values(turned, tunnel)
