@@ -2,8 +2,8 @@
 
 Subpackages and modules:
 
-- ``fuzzy_numbers``: trapezoidal fuzzy numbers, alpha-cuts, possibility
-  measures, strict exceedance ranking.
+- ``fuzzy_numbers``: trapezoidal fuzzy numbers, alpha-cuts, strict
+  exceedance ranking.
 - ``plane_geometry``: fuzzy points, lines, segments, polygons, fuzzy distance.
 - ``kernel``: crisp key-block theory (pyramids, modes, safety factors,
   volumes, tunnel sweep).
@@ -18,8 +18,6 @@ from .fuzzy_numbers import (
     exceedance_poss,
     fit_trapezoid,
     linear_combine,
-    poss_measure_crisp,
-    poss_measure_fuzzy,
 )
 
 __version__ = "0.1.0"
@@ -31,7 +29,5 @@ __all__ = [
     "exceedance_poss",
     "fit_trapezoid",
     "linear_combine",
-    "poss_measure_crisp",
-    "poss_measure_fuzzy",
     "__version__",
 ]

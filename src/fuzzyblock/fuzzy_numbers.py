@@ -1,4 +1,4 @@
-"""Trapezoidal fuzzy numbers, alpha-cut interval arithmetic, and possibility measures.
+"""Trapezoidal fuzzy numbers, alpha-cut interval arithmetic, and strict-exceedance ranking.
 
 A trapezoidal number (a1, a2, a3, a4) has membership 0 outside [a1, a4],
 membership 1 on the core [a2, a3], and linear ramps in between.  The
@@ -127,60 +127,6 @@ def linear_combine(
         acc[2] += part.a3
         acc[3] += part.a4
     return TrapezoidalNumber(*acc)
-
-
-def poss_measure_crisp(dist: TrapezoidalNumber, set_lo: float, set_hi: float) -> float:
-    """Possibility that a value restricted by ``dist`` falls in [set_lo, set_hi].
-
-    Equals the supremum of the membership of ``dist`` over the interval; the
-    membership is unimodal, so the supremum sits at the interval end closest
-    to the core.
-    """
-    if set_lo > set_hi:
-        raise ValueError(f"inverted interval [{set_lo}, {set_hi}]")
-    if set_hi < dist.a2:
-        return dist.membership(set_hi)
-    if set_lo > dist.a3:
-        return dist.membership(set_lo)
-    return 1.0
-
-
-def _ramps(t: TrapezoidalNumber) -> list[tuple[float, float, float, float]]:
-    """Non-degenerate linear pieces as (x0, y0, x1, y1)."""
-    out = []
-    if t.a2 > t.a1:
-        out.append((t.a1, 0.0, t.a2, 1.0))
-    if t.a4 > t.a3:
-        out.append((t.a3, 1.0, t.a4, 0.0))
-    return out
-
-
-def poss_measure_fuzzy(dist: TrapezoidalNumber, a: TrapezoidalNumber) -> float:
-    """Sup-min possibility of fuzzy event ``a`` under distribution ``dist``.
-
-    Computed exactly: the pointwise minimum of two piecewise-linear
-    memberships attains its supremum at a knot of either number or at a
-    crossing of two ramp segments, so it suffices to evaluate finitely many
-    candidates.
-    """
-    if max(dist.a2, a.a2) <= min(dist.a3, a.a3):
-        return 1.0
-    candidates = [dist.a1, dist.a2, dist.a3, dist.a4, a.a1, a.a2, a.a3, a.a4]
-    for x0, y0, x1, y1 in _ramps(dist):
-        s1 = (y1 - y0) / (x1 - x0)
-        for u0, v0, u1, v1 in _ramps(a):
-            s2 = (v1 - v0) / (u1 - u0)
-            if s1 == s2:
-                continue
-            x = (v0 - y0 + s1 * x0 - s2 * u0) / (s1 - s2)
-            if max(x0, u0) <= x <= min(x1, u1):
-                candidates.append(x)
-    best = 0.0
-    for x in candidates:
-        m = min(dist.membership(x), a.membership(x))
-        if m > best:
-            best = m
-    return best
 
 
 def exceedance_poss(

@@ -3,7 +3,10 @@
 ``min_poss_over_dirs`` evaluates the min-over-constraints possibility at
 many directions at once; the tests check it against the public
 ``constraint_poss``.  ``attains`` decides with scipy ``linprog`` whether some
-direction reaches a claimed PBP value.
+direction reaches a claimed PBP value.  ``poss_measure_crisp`` and
+``poss_measure_fuzzy`` are the sup-min possibility of a crisp interval and of
+a fuzzy event under a trapezoidal distribution; the second, with the event
+"at least r", checks the ``standard`` exceedance.
 """
 import itertools
 
@@ -11,6 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from fuzzyblock.fuzzy_blocks import constraint_poss
+from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 
 # a claimed value counts as attained by a direction whose possibility is at
 # least value - SLACK; a step row (zero spread) counts by its margin
@@ -100,3 +104,57 @@ def attains(system, value, variant):
         rows[i] @ v >= -SLACK if step[i] else constraint_poss(c, v, variant) >= value - SLACK
         for i, c in enumerate(system.constraints)
     )
+
+
+def poss_measure_crisp(dist: TrapezoidalNumber, set_lo: float, set_hi: float) -> float:
+    """Possibility that a value restricted by ``dist`` falls in [set_lo, set_hi].
+
+    Equals the supremum of the membership of ``dist`` over the interval; the
+    membership is unimodal, so the supremum sits at the interval end closest
+    to the core.
+    """
+    if set_lo > set_hi:
+        raise ValueError(f"inverted interval [{set_lo}, {set_hi}]")
+    if set_hi < dist.a2:
+        return dist.membership(set_hi)
+    if set_lo > dist.a3:
+        return dist.membership(set_lo)
+    return 1.0
+
+
+def _ramps(t: TrapezoidalNumber) -> list[tuple[float, float, float, float]]:
+    """Non-degenerate linear pieces as (x0, y0, x1, y1)."""
+    out = []
+    if t.a2 > t.a1:
+        out.append((t.a1, 0.0, t.a2, 1.0))
+    if t.a4 > t.a3:
+        out.append((t.a3, 1.0, t.a4, 0.0))
+    return out
+
+
+def poss_measure_fuzzy(dist: TrapezoidalNumber, a: TrapezoidalNumber) -> float:
+    """Sup-min possibility of fuzzy event ``a`` under distribution ``dist``.
+
+    Computed exactly: the pointwise minimum of two piecewise-linear
+    memberships attains its supremum at a knot of either number or at a
+    crossing of two ramp segments, so it suffices to evaluate finitely many
+    candidates.
+    """
+    if max(dist.a2, a.a2) <= min(dist.a3, a.a3):
+        return 1.0
+    candidates = [dist.a1, dist.a2, dist.a3, dist.a4, a.a1, a.a2, a.a3, a.a4]
+    for x0, y0, x1, y1 in _ramps(dist):
+        s1 = (y1 - y0) / (x1 - x0)
+        for u0, v0, u1, v1 in _ramps(a):
+            s2 = (v1 - v0) / (u1 - u0)
+            if s1 == s2:
+                continue
+            x = (v0 - y0 + s1 * x0 - s2 * u0) / (s1 - s2)
+            if max(x0, u0) <= x <= min(x1, u1):
+                candidates.append(x)
+    best = 0.0
+    for x in candidates:
+        m = min(dist.membership(x), a.membership(x))
+        if m > best:
+            best = m
+    return best

@@ -9,9 +9,8 @@ from fuzzyblock.fuzzy_numbers import (
     exceedance_poss,
     fit_trapezoid,
     linear_combine,
-    poss_measure_crisp,
-    poss_measure_fuzzy,
 )
+from possibility_oracle import poss_measure_crisp, poss_measure_fuzzy
 
 T = TrapezoidalNumber
 
@@ -217,6 +216,14 @@ class TestExceedance:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             exceedance_poss(T.crisp(0), T.crisp(0), "bogus")
+
+    @given(trapezoids(-10, 10), trapezoids(-10, 10))
+    def test_standard_is_possibility_of_at_least_r(self, b, r):
+        # "at least r" rises over r's right spread and stays at 1 past b
+        top = max(b.a4, r.a4) + 1.0
+        at_least_r = T(r.a3, r.a4, top, top)
+        assert exceedance_poss(b, r, "standard") == pytest.approx(
+            poss_measure_fuzzy(b, at_least_r), abs=1e-9)
 
     @given(trapezoids(-10, 10))
     def test_self_exceedance(self, b):

@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-from conftest import principal_frame_monte_carlo
+import vertex_oracle
+from conftest import OCTAGON_SECTION, principal_frame_monte_carlo
 from volume_oracle import monte_carlo_volume
 
+from fuzzyblock.kernel import Orientation, TunnelSection
+from fuzzyblock.kernel.mechanics import ModeInconsistencyError
+from fuzzyblock.kernel.orientation import normal_from_orientation
+from fuzzyblock.kernel.pyramid import cones_nonempty
+from fuzzyblock.surrogate import dataset
 from fuzzyblock.kernel.volume import (
     UnboundedBlockError,
     bbox_halfspaces,
@@ -278,3 +284,126 @@ class TestBlockVolumesProperties:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             block_volumes(np.zeros((2, 3, 3)), np.zeros((2, 4)))
+
+
+def assert_matches_vertex_oracle(normals, offsets, vertex_blocks=16):
+    """block_volumes, and block_vertices of the first blocks, equal the
+    all-pairs merge bit for bit."""
+    got = block_volumes(normals, offsets)
+    assert got.tobytes() == vertex_oracle.block_volumes(normals, offsets).tobytes()
+    for b in range(min(len(offsets), vertex_blocks)):
+        verts = block_vertices(list(zip(normals[b], offsets[b])))
+        assert verts.tobytes() == vertex_oracle.block_vertices(normals[b], offsets[b]).tobytes()
+
+
+HALF_DEGREES = st.integers(0, 719).map(lambda k: k / 2)
+
+
+@st.composite
+def seeded_pyramids(draw):
+    """Every bounded block of 3-8 joints through one seed point, capped by one plane.
+
+    The joints are 1-5 general attitudes plus any of dip 0, dip 90 and a
+    parallel copy of the first (opposed, under the codes that flip it).
+    """
+    attitudes = [(draw(st.integers(10, 160)) / 2, draw(HALF_DEGREES))
+                 for _ in range(draw(st.integers(1, 5)))]
+    for extra in [(0.0, 35.0), (90.0, 250.0), attitudes[0]]:
+        if draw(st.booleans()):
+            attitudes.append(extra)
+    if len(attitudes) < 3:
+        attitudes += [(0.0, 35.0), (90.0, 250.0)][: 3 - len(attitudes)]
+    n = np.array([normal_from_orientation(Orientation(dip, dd)) for dip, dd in attitudes])
+    seed = np.array([draw(st.integers(-8, 8)) / 8 for _ in range(3)])
+    cap = unit(draw(_normal))
+    height = draw(st.sampled_from([0.25, 1.0, 2.0]))
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(n))))
+    rows = signs[:, :, None] * n
+    normals = np.concatenate([rows, np.broadcast_to(cap, (len(signs), 1, 3))], axis=1)
+    offsets = np.concatenate([rows @ seed, np.full((len(signs), 1), cap @ seed - height)], axis=1)
+    bounded = ~cones_nonempty(normals)
+    return normals[bounded], offsets[bounded]
+
+
+def corner_cut(corner, spacing):
+    """The plane cutting the unit cube's corner at distance spacing[k] along edge k.
+
+    Its three vertices, one per edge, lie sqrt(spacing[i]**2 + spacing[j]**2) apart.
+    """
+    q = np.array(corner, dtype=float)
+    sigma = 1.0 - 2.0 * q  # the inward direction of each edge from the corner
+    n = sigma / np.asarray(spacing)
+    length = np.linalg.norm(n)
+    return n / length, float((1.0 + n @ q) / length)
+
+
+# vertex spacings in units of 1e-7 * 2, the merge tolerance at scale 2 (the
+# cube's): a cut at a far corner raises the scale to at most 1 + sqrt(3)
+_SPACING = st.sampled_from([0.1, 0.5, 0.75, 1.0, 1.5])
+
+
+class TestFirstComeMerge:
+    @settings(max_examples=40, deadline=None)
+    @given(seeded_pyramids())
+    def test_seeded_pyramids_match_oracle(self, batch):
+        normals, offsets = batch
+        assume(len(offsets))  # a pyramid with a line in it has no bounded code
+        assert_matches_vertex_oracle(normals, offsets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(20, 160).map(lambda k: k / 2), HALF_DEGREES,
+                              st.integers(30, 50).map(lambda k: k / 2), HALF_DEGREES),
+                    min_size=1, max_size=12))
+    def test_surrogate_wedges_match_oracle(self, draws):
+        tunnel = TunnelSection(tuple(map(tuple, OCTAGON_SECTION)))
+        try:
+            _, _, normals, offsets = dataset._wedges(tunnel, draws, dataset.DEFAULT_SF_CAP)
+        except ModeInconsistencyError:
+            reject()
+        assert_matches_vertex_oracle(normals, offsets)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 7), st.tuples(_SPACING, _SPACING, _SPACING)),
+                    min_size=1, max_size=3))
+    def test_vertex_chains_match_oracle(self, cuts):
+        planes = cube_halfspaces()
+        for c, spacing in cuts:
+            corner = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
+            planes.append(corner_cut(corner, np.array(spacing) * 1e-7 * 2.0))
+        normals = np.array([[n for n, _ in planes]])
+        offsets = np.array([[d for _, d in planes]])
+        assert_matches_vertex_oracle(normals, offsets)
+
+    def test_vertex_close_only_to_a_dropped_one_is_kept(self):
+        # the cut's vertices come in triple order a = (0, 0, 0.75), b = (0, 0.1, 0)
+        # and c = (0.75, 0, 0), in units of 1e-7 * scale: a-b and b-c are 0.76
+        # apart and a-c 1.06, so b goes with a and c stays
+        delta = 1e-7 * 2.0  # scale = 1 + max |offset| = 2
+        planes = cube_halfspaces() + [corner_cut((0, 0, 0), np.array([0.75, 0.1, 0.75]) * delta)]
+        verts = block_vertices(planes)
+        near = verts[np.linalg.norm(verts, axis=1) < 1e-6] / delta
+        assert near == pytest.approx(np.array([[0.0, 0.0, 0.75], [0.75, 0.0, 0.0]]), abs=1e-6)
+        normals = np.array([[n for n, _ in planes]])
+        offsets = np.array([[d for _, d in planes]])
+        assert verts.tobytes() == vertex_oracle.block_vertices(normals[0], offsets[0]).tobytes()
+
+    def test_fourteen_planes_through_one_apex(self):
+        # a pyramid over a regular 14-gon: 364 of its 455 plane triples solve
+        # to the apex, the width the all-pairs merge had to sub-chunk
+        sides, radius, height = 14, 1.3, 1.7
+        centre = np.array([0.25, -0.4, 0.0])
+        apex = centre + [0.0, 0.0, height]
+        angles = 2 * np.pi * np.arange(sides + 1) / sides
+        base = centre + radius * np.stack([np.cos(angles), np.sin(angles), 0 * angles], axis=1)
+        planes = []
+        for p, q in zip(base[:-1], base[1:]):
+            n = unit(np.cross(apex - p, q - p))  # inward: the centre lies on its positive side
+            planes.append((n, float(n @ apex)))
+        planes.append((np.array([0.0, 0.0, 1.0]), 0.0))
+        normals = np.array([[n for n, _ in planes]])
+        offsets = np.array([[d for _, d in planes]])
+        exact = sides / 2 * radius**2 * math.sin(2 * math.pi / sides) * height / 3
+        vol = block_volume(planes)
+        assert vol == pytest.approx(exact, rel=1e-12)
+        assert len(block_vertices(planes)) == sides + 1
+        assert_matches_vertex_oracle(normals, offsets)
