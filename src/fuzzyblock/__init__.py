@@ -9,7 +9,11 @@ Subpackages and modules:
   volumes, tunnel sweep).
 - ``fuzzy_blocks``: fuzzy half-space systems and PJB / PBP / PBR.
 - ``surrogate``: dataset generation and the TSK surrogate with damage maps.
-- ``cli``: project files, command dispatch, CSV / SVG emitters.
+- ``csv_io``: product CSV text and checked CSV reading (standard library and
+  numpy only).
+- ``svg_out``: SVG emitters.
+- ``project``, ``cli``: project files and command dispatch; each command
+  loads only the layers its project and its work need.
 """
 from .fuzzy_numbers import (
     AlphaInterval,

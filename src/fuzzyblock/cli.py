@@ -5,6 +5,12 @@ file is written atomically (temp file plus rename), so an interrupted run
 never leaves a truncated CSV or SVG behind.  Diagnostics go through
 ``logging``; ``main`` shows INFO and above on stderr as bare messages unless
 logging is already configured.
+
+The module loads only what every command uses: the project parser, the
+crisp tunnel sweep and the CSV helpers.  Each other command imports its own
+layer when it runs (``fuzzy_blocks``, ``plane_geometry``, ``surrogate``,
+``svg_out``), so a ``kbt`` command never loads the fuzzy, geometry,
+surrogate or SVG code.
 """
 from __future__ import annotations
 
@@ -13,42 +19,18 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .fuzzy_blocks import block_knots, code_knots, finiteness_label, pbps
+from .csv_io import csv_text, finite_rows, read_csv_rows
 from .fuzzy_numbers import DELTA_VARIANTS
 from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
-from .plane_geometry import cell_centers, raster_membership
 from .project import ProjectConfig, ProjectError, parse_project
-from .surrogate.dataset import (
-    DEFAULT_SF_CAP,
-    FEATURE_NAMES,
-    DatasetSpec,
-    csv_text,
-    dataset_csv_text,
-    finite_rows,
-    generate_dataset,
-    joint_cases,
-    normalize,
-    read_csv_rows,
-    read_dataset_csv,
-    stream,
-)
-from .surrogate.model import (
-    TskModel,
-    damage_map,
-    extract_rules,
-    forward_batch,
-    init_model,
-    load_model,
-    map_angles,
-    model_json_text,
-    rmse as model_rmse,
-    train,
-)
-from .svg_out import damage_map_svg, heat_grid_svg, polyline_svg
+
+if TYPE_CHECKING:
+    from .surrogate.dataset import DatasetSpec
+    from .surrogate.model import TskModel
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -130,6 +112,8 @@ def _cmd_kbt_volume(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
+    from .fuzzy_blocks import block_knots, code_knots, finiteness_label, pbps
+
     cfg = parse_project(args.project)
     if not cfg.fuzzy_joints:
         raise CliDataError("project has no fuzzy joints; add a 'fuzzy_joints' section")
@@ -166,6 +150,9 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
 
 
 def _cmd_geom_eval(args: argparse.Namespace) -> int:
+    from .plane_geometry import cell_centers, raster_membership
+    from .svg_out import heat_grid_svg
+
     cfg = parse_project(args.project)
     if cfg.geometry is None:
         raise CliDataError("project has no 'geometry' section to evaluate")
@@ -189,12 +176,17 @@ def _require_dataset(cfg: ProjectConfig) -> DatasetSpec:
 
 
 def _cmd_surrogate_gen(args: argparse.Namespace) -> int:
+    from .surrogate.dataset import dataset_csv_text, generate_dataset
+
     cfg = parse_project(args.project)
     atomic_write_text(args.out, dataset_csv_text(generate_dataset(_require_dataset(cfg))))
     return 0
 
 
 def _cmd_surrogate_train(args: argparse.Namespace) -> int:
+    from .surrogate.dataset import FEATURE_NAMES, normalize, read_dataset_csv, stream
+    from .surrogate.model import extract_rules, init_model, model_json_text, rmse, train
+
     cfg = parse_project(args.project)
     samples = read_dataset_csv(args.data)
     if not samples:
@@ -219,7 +211,7 @@ def _cmd_surrogate_train(args: argparse.Namespace) -> int:
     atomic_write_text(args.out, model_json_text(model))
     log.info("train rmse %.6f over %d epochs", history[-1], anfis.epochs)
     if len(test_idx):
-        held = model_rmse(model, X[test_idx], y[test_idx])
+        held = rmse(model, X[test_idx], y[test_idx])
         log.info("held-out rmse %.6f on %d samples", held, len(test_idx))
     if args.rules:
         atomic_write_text(args.rules, "\n".join(extract_rules(model)) + "\n")
@@ -236,6 +228,9 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]], list[int]]:
 
 def _load_feature_model(path: str) -> TskModel:
     """A model over the dataset features, in their order, with its normalization record."""
+    from .surrogate.dataset import FEATURE_NAMES
+    from .surrogate.model import load_model
+
     model = load_model(path)
     if model.normalization is None:
         raise CliDataError(f"{path}: model carries no normalization record")
@@ -245,6 +240,9 @@ def _load_feature_model(path: str) -> TskModel:
 
 
 def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
+    from .surrogate.dataset import FEATURE_NAMES
+    from .surrogate.model import forward_batch
+
     model = _load_feature_model(args.model)
     header, rows, lines = _read_csv(args.data)
     missing = [name for name in FEATURE_NAMES if name not in header]
@@ -261,6 +259,10 @@ def _cmd_surrogate_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_surrogate_map(args: argparse.Namespace) -> int:
+    from .surrogate.dataset import DEFAULT_SF_CAP, joint_cases
+    from .surrogate.model import damage_map, map_angles
+    from .svg_out import damage_map_svg
+
     cfg = parse_project(args.project)
     model = _load_feature_model(args.model)
     if model.input_medians is None:
@@ -334,6 +336,8 @@ def _heat_grid(
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .svg_out import heat_grid_svg, polyline_svg
+
     header, rows, lines = _read_csv(args.data)
     if len(header) < 2:
         raise CliDataError(f"{args.data} needs at least two columns to plot")

@@ -39,7 +39,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .fuzzy_numbers import (
-    DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber, exceedance_poss, linear_combine,
+    DEFAULT_LABEL_THRESHOLDS, DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber, exceedance_poss,
+    linear_combine,
 )
 from .kernel.mechanics import code_signs
 from .kernel.pyramid import edge_rays
@@ -47,7 +48,6 @@ from .kernel.pyramid import edge_rays
 SystemKind = Literal["joint-pyramid", "block-pyramid"]
 
 FINITENESS_LABELS = ("finite", "quasi finite", "not so very finite", "infinite")
-DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
 
 # margin slack for unit rows against unit rays, and the norm below which a
 # row counts as zero (``edge_rays`` drops cross products at the same 1e-12):
@@ -384,6 +384,9 @@ def pbps(knots: np.ndarray, variant: DeltaVariant = "paper") -> np.ndarray:
     knots = np.asarray(knots, dtype=float)
     if knots.ndim != 4 or knots.shape[1] != 4:
         raise ValueError(f"knots must have shape (S, 4, m, d), got {knots.shape}")
+    bad = np.flatnonzero(~np.isfinite(knots).all(axis=(1, 2, 3)))
+    if len(bad):
+        raise ValueError(f"system(s) {bad.tolist()} have non-finite knots")
     # sign vectors of the 2**d closed orthants (quadrants in 2-D)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=knots.shape[-1])))
     sups = _paper_sups if variant == "paper" else _standard_sups

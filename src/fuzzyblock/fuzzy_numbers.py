@@ -13,6 +13,9 @@ from typing import Literal, Sequence, get_args
 
 DeltaVariant = Literal["paper", "standard"]
 DELTA_VARIANTS: tuple[str, ...] = get_args(DeltaVariant)
+# the finiteness bands of ``fuzzy_blocks.finiteness_label``; kept here, where
+# a project parse can read them without loading the fuzzy block layer
+DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
 
 
 @dataclass(frozen=True)

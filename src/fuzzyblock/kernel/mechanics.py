@@ -124,6 +124,16 @@ class BlockMechanics:
                            float(self.potential[k]))
 
 
+def _resultant(r: Sequence[float]) -> np.ndarray:
+    """r as a float array; a non-finite or zero resultant is a ValueError."""
+    r = np.asarray(r, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError(f"resultant force must be finite, got {r.tolist()}")
+    if np.linalg.norm(r) == 0.0:
+        raise ValueError("resultant force must be nonzero")
+    return r
+
+
 def _scan(normals: np.ndarray, r: np.ndarray) -> BlockMechanics:
     """The direction in each row's JP that gains the most potential along r.
 
@@ -133,8 +143,6 @@ def _scan(normals: np.ndarray, r: np.ndarray) -> BlockMechanics:
     1e-12; the block is safe if none gains.  Each product is formed as a
     one-row call forms it, so a row's bits do not depend on its batch.
     """
-    if np.linalg.norm(r) == 0.0:
-        raise ValueError("resultant force must be nonzero")
     B, m = normals.shape[:2]
     if m == 0:
         raise ValueError("sliding mode needs at least one JP constraint")
@@ -176,8 +184,12 @@ def _factors(
 ) -> tuple[np.ndarray, list[Optional[str]]]:
     """Frictional SF (0 falling, +inf safe) and error text of each row's given mode.
 
-    Wedge rows solve for their two normal reactions by least squares.
+    Wedge rows solve for their two normal reactions by least squares.  A
+    friction tan_phi that is not finite and nonnegative is a ValueError.
     """
+    bad = np.flatnonzero(~(np.isfinite(tan_phi) & (tan_phi >= 0.0)).all(axis=1))
+    if len(bad):
+        raise ValueError(f"tan_phi of row(s) {bad.tolist()} must be finite and nonnegative")
     norm_r = np.linalg.norm(r)
     sf = np.select([modes.kind == "falling", modes.kind == "safe"], [0.0, math.inf], math.nan)
     error: list[Optional[str]] = [None] * len(sf)
@@ -222,7 +234,7 @@ def block_mechanics(
     each plane, broadcasts to (B, m).  The SF is invariant under scaling r.
     A row whose reactions fail gets an error text instead of raising.
     """
-    normals, r = np.asarray(normals, dtype=float), np.asarray(r, dtype=float)
+    normals, r = np.asarray(normals, dtype=float), _resultant(r)
     modes = _scan(normals, r)
     sf, error = _factors(normals, modes, r, np.broadcast_to(tan_phi, normals.shape[:2]))
     return replace(modes, sf=sf, error=error)
@@ -230,7 +242,7 @@ def block_mechanics(
 
 def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
     """The one-row form of the mode scan of ``block_mechanics``."""
-    return _scan(jp.normals[None], np.asarray(r, dtype=float)).mode(0)
+    return _scan(jp.normals[None], _resultant(r)).mode(0)
 
 
 def safety_factor(
@@ -246,7 +258,7 @@ def safety_factor(
                          np.full((1, 3), math.nan if mode.direction is None else mode.direction),
                          np.array([mode.potential]))
     tan_phi = np.array([[math.tan(math.radians(phi)) for phi in friction_deg]])
-    (sf,), (error,) = _factors(jp.normals[None], one, np.asarray(r, dtype=float), tan_phi)
+    (sf,), (error,) = _factors(jp.normals[None], one, _resultant(r), tan_phi)
     if error is not None:
         raise ModeInconsistencyError(error)
     return float(sf)

@@ -104,7 +104,10 @@ def _candidates(normals: np.ndarray) -> np.ndarray:
 
     normals has shape (..., m, d); returns (..., K, d), NaN where a ray is
     undefined.  This is the candidate set that meets every nonempty cone.
+    A non-finite normal is a ValueError: no ray could be tested against it.
     """
+    if not np.isfinite(normals).all():
+        raise ValueError("cone normals must be finite")
     d = normals.shape[-1]
     axes = np.broadcast_to(np.eye(d), normals.shape[:-2] + (d, d))
     k = edge_rays(np.concatenate([normals, axes], axis=-2))

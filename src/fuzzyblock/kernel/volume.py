@@ -234,6 +234,9 @@ def _as_batch(normals, offsets) -> tuple[np.ndarray, np.ndarray]:
     D = np.asarray(offsets, dtype=float)
     if N.ndim != 3 or N.shape[2] != 3 or D.shape != N.shape[:2]:
         raise ValueError(f"need normals (B, m, 3) and offsets (B, m), got {N.shape}, {D.shape}")
+    bad = np.flatnonzero(~(np.isfinite(N).all(axis=(1, 2)) & np.isfinite(D).all(axis=1)))
+    if len(bad):
+        raise ValueError(f"block(s) {bad.tolist()} have a non-finite normal or offset")
     return N, D
 
 
@@ -269,7 +272,7 @@ def block_volumes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _one_block(halfspaces: Halfspaces) -> tuple[np.ndarray, np.ndarray]:
     normals = np.array([np.asarray(n, dtype=float) for n, _ in halfspaces]).reshape(1, -1, 3)
     offsets = np.array([float(d) for _, d in halfspaces]).reshape(1, -1)
-    return normals, offsets
+    return _as_batch(normals, offsets)
 
 
 def block_vertices(halfspaces: Halfspaces) -> np.ndarray:

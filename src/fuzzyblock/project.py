@@ -9,27 +9,28 @@ and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
 ``location``) are rejected as unknown, and so are two with another source:
 the seed-point override (``kernel.tunnel.seeded_halfspaces`` seeds every
 block) and ``delta_variant`` (the ``--delta-variant`` flag of ``fuzzy pbr``).
+
+Each section parser imports the types of its own section, so a parse loads
+a domain module only when the project holds its section: ``fuzzy_joints``
+loads ``fuzzy_blocks``, ``geometry`` loads ``plane_geometry``, and
+``dataset`` or ``anfis`` loads ``surrogate``.  A crisp project loads the
+kernel and ``fuzzy_numbers`` alone.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from .fuzzy_numbers import TrapezoidalNumber
-from .fuzzy_blocks import DEFAULT_LABEL_THRESHOLDS, FuzzyOrientation
+from .fuzzy_numbers import DEFAULT_LABEL_THRESHOLDS, TrapezoidalNumber
 from .kernel.orientation import JointPlane, Orientation
 from .kernel.tunnel import TunnelSection
-from .plane_geometry import (
-    FuzzyLineImplicit,
-    FuzzyPoint,
-    FuzzyPolygon,
-    FuzzySegment,
-    FuzzyShape,
-)
-from .surrogate.dataset import FEATURE_NAMES, DatasetSpec
-from .surrogate.model import check_step_sizes
+
+if TYPE_CHECKING:
+    from .fuzzy_blocks import FuzzyOrientation
+    from .plane_geometry import FuzzyPoint, FuzzyShape
+    from .surrogate.dataset import DatasetSpec
 
 SCHEMA_VERSION = 1
 
@@ -188,6 +189,8 @@ def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
 
 
 def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
+    from .fuzzy_blocks import FuzzyOrientation
+
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(obj, path, _JOINT_KEYS, _JOINT_KEYS - {"id"})
@@ -204,6 +207,8 @@ def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
 
 
 def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection) -> DatasetSpec:
+    from .surrogate.dataset import DatasetSpec
+
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(
@@ -237,6 +242,9 @@ def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection) -> DatasetSpec:
 
 
 def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
+    from .surrogate.dataset import FEATURE_NAMES
+    from .surrogate.model import check_step_sizes
+
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(
@@ -297,6 +305,8 @@ def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
 
 
 def _parse_fuzzy_point(obj: Any, path: str) -> FuzzyPoint:
+    from .plane_geometry import FuzzyPoint
+
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(obj, path, {"x", "y"}, {"x", "y"})
@@ -304,6 +314,8 @@ def _parse_fuzzy_point(obj: Any, path: str) -> FuzzyPoint:
 
 
 def _parse_geometry(obj: Any, path: str) -> GeometryJob:
+    from .plane_geometry import FuzzyLineImplicit, FuzzyPolygon, FuzzySegment
+
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
     _check_keys(obj, path, {"shape", "bbox", "nx", "ny"}, {"shape", "bbox"})
@@ -385,7 +397,7 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     dataset = None
     if "dataset" in doc:
         dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel)
-    anfis = _parse_anfis(doc.get("anfis", {}), "$.anfis")
+    anfis = _parse_anfis(doc["anfis"], "$.anfis") if "anfis" in doc else AnfisConfig()
     geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
 
     thresholds = doc.get("label_thresholds", list(DEFAULT_LABEL_THRESHOLDS))

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from fuzzyblock import cli
 from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
 from fuzzyblock.kernel.tunnel import all_codes
@@ -13,6 +12,7 @@ from fuzzyblock.plane_geometry import cell_centers
 from fuzzyblock.project import parse_project
 from fuzzyblock.surrogate import generate_dataset, load_model, single_joint_case
 from fuzzyblock.surrogate.dataset import dataset_csv_text
+from fuzzyblock.surrogate import model as surrogate_model
 from fuzzyblock.surrogate.model import bin_angles, model_json_text
 from conftest import standard_project_dict
 
@@ -284,8 +284,9 @@ class TestSurrogatePipeline:
             seen.append(per_bin_inputs["volume_m3"])
             return real(model, bins, per_bin_inputs=per_bin_inputs)
 
-        real = cli.damage_map
-        monkeypatch.setattr(cli, "damage_map", recording)
+        # ``surrogate map`` imports damage_map from its module when it runs
+        real = surrogate_model.damage_map
+        monkeypatch.setattr(surrogate_model, "damage_map", recording)
         assert main(["surrogate", "map", "-p", proj, "-m", model,
                      "-o", str(tmp_path / "map.csv"), "--bins", "24"]) == 0
         cfg, m = parse_project(proj), load_model(model)

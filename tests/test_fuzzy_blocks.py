@@ -566,6 +566,15 @@ class TestBatchedPbp:
         with pytest.raises(ValueError, match=r"shape \(S, 4, m, d\)"):
             pbps(np.zeros((4, 1, 3)))
 
+    @pytest.mark.parametrize("variant", ["paper", "standard"])
+    def test_non_finite_knots_rejected(self, variant):
+        # all-NaN knots once gave PBP 1.0
+        knots = np.zeros((3, 4, 2, 3)) + [0.0, 0.0, 1.0]
+        knots[1] = np.nan
+        knots[2, 3, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"system\(s\) \[1, 2\] have non-finite knots"):
+            pbps(knots, variant)
+
     def test_code_and_block_knots_match_systems_for_code(self):
         joints = [
             FuzzyOrientation(T(0, 0, 0, 5), T(40, 45, 45, 50)),

@@ -323,8 +323,29 @@ class TestBlockMechanics:
         assert got.sf[1] == pytest.approx(math.tan(math.radians(20)) / math.tan(math.radians(30)))
         assert got.error == [None, None, None]
 
+    @pytest.mark.parametrize("tan_phi", [math.nan, math.inf, -1.0])
+    def test_bad_friction_rejected(self, tan_phi):
+        # a NaN friction once gave SF NaN and a negative one a negative SF on a plane mode
+        plane = np.repeat([normal_from_orientation(Orientation(30, 0))], 3, axis=0)
+        frictions = np.full((2, 3), 0.3)
+        frictions[1, 2] = tan_phi
+        with pytest.raises(ValueError, match=r"tan_phi of row\(s\) \[1\] must be finite"):
+            block_mechanics(np.array([plane, plane]), GRAVITY, frictions)
+        jp = HalfSpaceSystem(plane[:1])
+        mode = sliding_mode(jp, GRAVITY)
+        assert mode.kind == "plane"
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            safety_factor(jp, mode, GRAVITY, [-45.0])
+
     def test_batch_arguments_checked(self):
         with pytest.raises(ValueError, match="resultant force must be nonzero"):
             block_mechanics(np.zeros((1, 1, 3)) + [0, 0, 1.0], (0, 0, 0), 0.3)
+        with pytest.raises(ValueError, match="resultant force must be finite"):
+            block_mechanics(np.zeros((1, 1, 3)) + [0, 0, 1.0], (math.nan, 0, -1.0), 0.3)
+        jp = HalfSpaceSystem([[0, 0, 1.0]])
+        with pytest.raises(ValueError, match="resultant force must be finite"):
+            sliding_mode(jp, (0, math.inf, -1.0))
+        with pytest.raises(ValueError, match="resultant force must be finite"):
+            safety_factor(jp, sliding_mode(jp, GRAVITY), (math.nan, 0, -1.0), [20.0])
         with pytest.raises(ValueError, match="at least one JP constraint"):
             block_mechanics(np.zeros((2, 0, 3)), GRAVITY, 0.3)

@@ -7,6 +7,7 @@ from scipy.optimize import linprog
 from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
     cone_nonempty,
+    cones_nonempty,
     edge_rays,
     signed_cones,
 )
@@ -65,6 +66,17 @@ class TestPyramidNonempty:
         assert res.nonempty
         assert res.witness @ np.array([0, 0, 1.0]) > 0
         assert np.allclose(res.witness, [0, 0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_normal_rejected(self, value):
+        # a NaN normal once passed every candidate ray, so the cone read nonempty
+        normals = np.array([[value, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="cone normals must be finite"):
+            cone_nonempty(normals)
+        with pytest.raises(ValueError, match="cone normals must be finite"):
+            signed_cones(normals, np.ones((1, 1)))
+        with pytest.raises(ValueError, match="cone normals must be finite"):
+            cones_nonempty(normals[None])
 
     def test_box_of_six_is_empty(self):
         normals = np.array(

@@ -80,6 +80,23 @@ class TestBlockVolume:
         hs = cube_halfspaces() + [(np.array([1.0, 0, 0]), 1.0), (np.array([-1.0, 0, 0]), 1.0)]
         assert block_volume(hs) == 0.0
 
+    @pytest.mark.parametrize("where", ["normal", "offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, where, value):
+        # a non-finite value once made the unit cube a block of volume 0.0
+        normals = np.array([[n for n, _ in cube_halfspaces()]] * 3)
+        offsets = np.array([[d for _, d in cube_halfspaces()]] * 3)
+        if where == "normal":
+            normals[1, 2, 0] = normals[2, 4, 1] = value
+        else:
+            offsets[1, 2] = offsets[2, 5] = value
+        with pytest.raises(ValueError, match=r"block\(s\) \[1, 2\] have a non-finite"):
+            block_volumes(normals, offsets)
+        with pytest.raises(ValueError, match="non-finite normal or offset"):
+            block_volume(list(zip(normals[1], offsets[1])))
+        with pytest.raises(ValueError, match="non-finite normal or offset"):
+            block_vertices(list(zip(normals[2], offsets[2])))
+
     def test_unbounded_reported(self):
         hs = [(np.array([0, 0, 1.0]), 0.0)]
         with pytest.raises(UnboundedBlockError):
