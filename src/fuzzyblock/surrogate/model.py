@@ -37,7 +37,7 @@ _LABEL_SETS = {
 
 
 class TrainingError(RuntimeError):
-    """Raised when the loss stops being finite during training."""
+    """Raised when the loss or the premise gradient stops being finite during training."""
 
 
 @dataclass
@@ -258,7 +258,8 @@ def premise_gradients(
     of all inputs go back to one (N, sum k_i) C-order array, so the sums
     over samples also add one row after another.  Those two summation
     orders fix the bits of the trained model; ``tests/gradient_oracle.py``
-    holds the loop they must match.
+    holds the loop they must match.  A dy/dw that overflows leaves the
+    gradient non-finite, without a warning; ``train`` stops on it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -276,21 +277,20 @@ def premise_gradients(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         err_dydw -= pred
         err_dydw /= total
-    err_dydw[:, ~ok] = 0.0
-    err_dydw *= err
-    buf = np.empty(w.size)  # dE/dmu of each rule for one input, up to 2 / N
-    sums = []  # dE/dmu per MF, up to 2 / N, one (k_i, N) array per input
-    for i, k_i in enumerate(counts):
-        mu = np.ascontiguousarray(U[i].T).reshape((1,) * i + (k_i,) + (1,) * (len(counts) - i - 1) + (N,))
-        by_mf = buf.reshape((k_i,) + counts[:i] + counts[i + 1:] + (N,))
-        contrib = np.moveaxis(by_mf, 0, i)  # by_mf seen on the rule grid
-        with np.errstate(divide="ignore", invalid="ignore"):
+        err_dydw[:, ~ok] = 0.0
+        err_dydw *= err
+        buf = np.empty(w.size)  # dE/dmu of each rule for one input, up to 2 / N
+        sums = []  # dE/dmu per MF, up to 2 / N, one (k_i, N) array per input
+        for i, k_i in enumerate(counts):
+            mu = np.ascontiguousarray(U[i].T).reshape((1,) * i + (k_i,) + (1,) * (len(counts) - i - 1) + (N,))
+            by_mf = buf.reshape((k_i,) + counts[:i] + counts[i + 1:] + (N,))
+            contrib = np.moveaxis(by_mf, 0, i)  # by_mf seen on the rule grid
             np.divide(w_grid, mu, out=contrib)
-        tiny = mu <= _W_TINY
-        if tiny.any():
-            np.copyto(contrib, 0.0, where=tiny)
-        contrib *= err_dydw.reshape(w_grid.shape)
-        sums.append(by_mf.reshape(k_i, -1, N).sum(axis=1))
+            tiny = mu <= _W_TINY
+            if tiny.any():
+                np.copyto(contrib, 0.0, where=tiny)
+            contrib *= err_dydw.reshape(w_grid.shape)
+            sums.append(by_mf.reshape(k_i, -1, N).sum(axis=1))
     B = np.ascontiguousarray(np.concatenate(sums).T)  # C order: sums over samples row by row
 
     # the MF slopes of all inputs side by side, one column per MF
@@ -307,7 +307,8 @@ def premise_gradients(
         dmu = np.stack([(2.0 * b / a) * zu * mu2, (2.0 * b / a) * u_pow_b * mu2,
                         -mu2 * u_pow_b * log_u])
     dmu[:, np.isinf(u_pow_b)] = 0.0  # membership underflowed to 0: slope 0, not inf * 0
-    g = ((2.0 / N) * (B * dmu).sum(axis=1)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = ((2.0 / N) * (B * dmu).sum(axis=1)).T
     return np.split(g, np.cumsum(counts)[:-1])
 
 
@@ -327,6 +328,8 @@ def train(
     once per premise setting and shared by both passes and the RMSE.  At
     most one (N, P) design matrix is alive at a time: ``lse_consequents``
     frees it before its solve, and the gradient pass works on (N, R) grids.
+    A non-finite premise gradient or epoch RMSE raises TrainingError, so no
+    model with non-finite MF parameters comes back.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -343,6 +346,10 @@ def train(
     for epoch in range(epochs):
         model.consequents = lse_consequents(model, X, y, ridge, state=state)
         grads = premise_gradients(model, X, y, state=state)
+        if not all(np.isfinite(g).all() for g in grads):
+            raise TrainingError(
+                f"non-finite premise gradient at epoch {epoch + 1} (learn rate {lr})"
+            )
         for i, g in enumerate(grads):
             p = model.mf_params[i]
             p[:, 0] -= lr * g[:, 0]

@@ -64,16 +64,18 @@ def premise_gradients(
         with np.errstate(divide="ignore", invalid="ignore"):
             partial = w / gathered
         partial[gathered <= _W_TINY] = 0.0
-        # dE/dmu for each rule column, then grouped per MF of this input
+        # dE/dmu for each rule column, then grouped per MF of this input; an
+        # overflowing dy/dw leaves the gradient non-finite, as in the package
         dydw = np.zeros_like(w)
-        dydw[ok] = (f[ok] - pred[ok, None]) / total[ok, None]
-        contrib = err[:, None] * dydw * partial  # (N, R)
         k_i = params.shape[0]
         B = np.zeros((N, k_i))
-        for m in range(k_i):
-            cols = idx[:, i] == m
-            if np.any(cols):
-                B[:, m] = contrib[:, cols].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dydw[ok] = (f[ok] - pred[ok, None]) / total[ok, None]
+            contrib = err[:, None] * dydw * partial  # (N, R)
+            for m in range(k_i):
+                cols = idx[:, i] == m
+                if np.any(cols):
+                    B[:, m] = contrib[:, cols].sum(axis=1)
         z = (X[:, i, None] - c[None, :]) / a[None, :]
         absz = np.abs(z)
         mu2 = Ui**2
@@ -88,9 +90,10 @@ def premise_gradients(
         flat = np.isinf(u_pow_b)
         dmu_dc, dmu_da, dmu_db = (np.where(flat, 0.0, d) for d in (dmu_dc, dmu_da, dmu_db))
         g = np.zeros((k_i, 3))
-        g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
-        g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)
-        g[:, 2] = (2.0 / N) * (B * dmu_db).sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g[:, 0] = (2.0 / N) * (B * dmu_dc).sum(axis=0)
+            g[:, 1] = (2.0 / N) * (B * dmu_da).sum(axis=0)
+            g[:, 2] = (2.0 / N) * (B * dmu_db).sum(axis=0)
         grads.append(g)
     return grads
 
@@ -128,12 +131,20 @@ def train(
     learn_rate: float = 0.01,
     ridge: Optional[float] = None,
 ) -> tuple[TskModel, list[float]]:
-    """Hybrid training with three evaluations of the strengths per epoch."""
+    """Hybrid training with three evaluations of the strengths per epoch.
+
+    A non-finite premise gradient ends the history with a NaN, where the
+    package raises TrainingError.
+    """
     model = copy.deepcopy(model)
     lr, prev, history = learn_rate, math.inf, []
     for _ in range(epochs):
         model.consequents = lse_consequents(model, X, y, ridge)
-        for p, g in zip(model.mf_params, premise_gradients(model, X, y)):
+        grads = premise_gradients(model, X, y)
+        if not all(np.isfinite(g).all() for g in grads):
+            history.append(math.nan)
+            break
+        for p, g in zip(model.mf_params, grads):
             p[:, 0] -= lr * g[:, 0]
             p[:, 1] = np.maximum(p[:, 1] - lr * g[:, 1], 1e-6)
             p[:, 2] = np.clip(p[:, 2] - lr * g[:, 2], 0.1, 50.0)
