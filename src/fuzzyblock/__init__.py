@@ -4,7 +4,7 @@ Subpackages and modules:
 
 - ``fuzzy_numbers``: trapezoidal fuzzy numbers, alpha-cuts, strict
   exceedance ranking.
-- ``plane_geometry``: fuzzy points, lines, segments, polygons, fuzzy distance.
+- ``plane_geometry``: fuzzy points, lines, segments, polygons.
 - ``kernel``: crisp key-block theory (pyramids, modes, safety factors,
   volumes, tunnel sweep).
 - ``fuzzy_blocks``: fuzzy half-space systems and PJB / PBP / PBR.

@@ -160,10 +160,8 @@ def exceedance_poss(
 class SampledFuzzyNumber:
     """Fuzzy number represented by nested alpha-cut intervals.
 
-    Carrier for sampled results whose exact shape is not trapezoidal.  The
-    fuzzy distance needs no sampling: ``plane_geometry.fuzzy_distance``
-    returns one exact alpha-cut per call.  Levels must include alpha = 0
-    and alpha = 1 and be nested.
+    Carrier for sampled results whose exact shape is not trapezoidal.
+    Levels must include alpha = 0 and alpha = 1 and be nested.
     """
 
     levels: tuple[AlphaInterval, ...]

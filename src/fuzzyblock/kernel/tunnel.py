@@ -219,15 +219,15 @@ def all_codes(n_joints: int) -> list[str]:
 def enumerate_tunnel_blocks(
     joints: Sequence[JointPlane],
     tunnel: TunnelSection,
-    resultant: Sequence[float] = GRAVITY_DIR,
 ) -> list[BlockRecord]:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
     All codes of a facet are classified in one batched cone test.  Removable
-    blocks get mode and safety factor, which depend on the code only and
-    come from one ``block_mechanics`` call for all codes, and the volume of
-    the block that ``seeded_halfspaces`` seeds at the facet midpoint.  That
-    block is bounded, as its recession cone is its empty block pyramid, so
+    blocks get mode and safety factor under gravity (``GRAVITY_DIR``, the
+    only load), which depend on the code only and come from one
+    ``block_mechanics`` call for all codes, and the volume of the block
+    that ``seeded_halfspaces`` seeds at the facet midpoint.  That block is
+    bounded, as its recession cone is its empty block pyramid, so
     all volumes are exact and come from one ``block_volumes`` call, with no
     box.  A mode or safety-factor failure is recorded on the affected record
     and never aborts the sweep.
@@ -246,7 +246,7 @@ def enumerate_tunnel_blocks(
     moving = np.flatnonzero(removable.any(axis=0))  # codes removable at some facet
     if len(moving):
         tan_phi = [math.tan(math.radians(j.friction_deg)) for j in joints]
-        mech = block_mechanics(jp_normals[moving], resultant, tan_phi)
+        mech = block_mechanics(jp_normals[moving], GRAVITY_DIR, tan_phi)
         for k, c in enumerate(moving):
             error = mech.error[k] and f"{ModeInconsistencyError.__name__}: {mech.error[k]}"
             by_code[c] = (mech.mode(k), None if error else float(mech.sf[k]), error)

@@ -1,4 +1,4 @@
-"""Fuzzy plane geometry: points, lines, segments, polygons, and fuzzy distance.
+"""Fuzzy plane geometry: points, lines, segments and polygons.
 
 Every shape is a family of crisp sets indexed by alpha, and the membership
 of a plane point is the largest alpha whose crisp set contains it.  By the
@@ -34,7 +34,6 @@ pairs, so the chunking changes no bit.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -121,15 +120,6 @@ class FuzzyPolygon:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         if len(self.vertices) < 3:
             raise ValueError("a fuzzy polygon needs at least 3 vertices")
-
-    def edges(self) -> list[FuzzySegment]:
-        n = len(self.vertices)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return [
-                FuzzySegment(self.vertices[i], self.vertices[(i + 1) % n])
-                for i in range(n)
-            ]
 
 
 FuzzyShape = Union[FuzzyLineImplicit, FuzzyLineSlope, FuzzySegment, FuzzyPolygon]
@@ -268,29 +258,6 @@ def _values(shape: FuzzyShape, px: np.ndarray, py: np.ndarray) -> np.ndarray:
 def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
     """Membership of (px, py) in any shape; a polygon's is the maximum over its closing edges."""
     return float(_values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
-
-
-def _rect_distance_bounds(
-    bx: AlphaInterval, by: AlphaInterval, cx: AlphaInterval, cy: AlphaInterval
-) -> tuple[float, float]:
-    """Exact [min, max] Euclidean distance between two axis-aligned rectangles."""
-    gap_x = max(0.0, cx.lo - bx.hi, bx.lo - cx.hi)
-    gap_y = max(0.0, cy.lo - by.hi, by.lo - cy.hi)
-    far_x = max(abs(bx.lo - cx.hi), abs(bx.hi - cx.lo))
-    far_y = max(abs(by.lo - cy.hi), abs(by.hi - cy.lo))
-    return math.hypot(gap_x, gap_y), math.hypot(far_x, far_y)
-
-
-def fuzzy_distance(p: FuzzyPoint, q: FuzzyPoint, alpha: float) -> AlphaInterval:
-    """Alpha-cut of the fuzzy Euclidean distance between two fuzzy points.
-
-    By the extension principle the cut is the exact [min, max] distance
-    between the points' alpha-cut rectangles.  Cut ends, gaps and spans stay
-    monotone in alpha after rounding, so cuts at alpha1 < alpha2 nest with
-    no slack (``math.hypot`` is near-correctly rounded; the tests check the
-    nesting bit for bit), and swapping p and q gives the same bits.
-    """
-    return AlphaInterval(alpha, *_rect_distance_bounds(*p.alpha_box(alpha), *q.alpha_box(alpha)))
 
 
 def cell_centers(bbox: Sequence[float], nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:

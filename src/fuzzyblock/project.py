@@ -6,9 +6,11 @@ range-checked with a diagnostic naming the offending key path.  Every
 accepted key is read by some command, except fuzzy ``friction_deg``, which
 is required and checked but not read yet.  Keys that earlier builds accepted
 and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
-``location``) are rejected as unknown, and so are two with another source:
-the seed-point override (``kernel.tunnel.seeded_halfspaces`` seeds every
-block) and ``delta_variant`` (the ``--delta-variant`` flag of ``fuzzy pbr``).
+``location``) are rejected as unknown, and so are ``axis_plunge_deg``, which
+admitted only 0 (every tunnel axis is horizontal), and two with another
+source: the seed-point override (``kernel.tunnel.seeded_halfspaces`` seeds
+every block) and ``delta_variant`` (the ``--delta-variant`` flag of ``fuzzy
+pbr``).
 
 Each section parser imports the types of its own section, so a parse loads
 a domain module only when the project holds its section: ``fuzzy_joints``
@@ -147,7 +149,7 @@ _TOP_KEYS = {
 def _parse_tunnel(obj: Any, path: str) -> TunnelSection:
     if not isinstance(obj, dict):
         raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, {"section", "axis_trend_deg", "axis_plunge_deg"}, {"section"})
+    _check_keys(obj, path, {"section", "axis_trend_deg"}, {"section"})
     section = obj["section"]
     if not isinstance(section, list) or len(section) < 3:
         raise ProjectSchemaError(f"{path}.section must list at least 3 [u, w] vertices")
@@ -158,11 +160,6 @@ def _parse_tunnel(obj: Any, path: str) -> TunnelSection:
         verts.append((_number(v[0], f"{path}.section[{i}][0]"),
                       _number(v[1], f"{path}.section[{i}][1]")))
     trend = _number(obj.get("axis_trend_deg", 0.0), f"{path}.axis_trend_deg")
-    plunge = _number(obj.get("axis_plunge_deg", 0.0), f"{path}.axis_plunge_deg")
-    if plunge != 0.0:
-        raise ProjectSemanticError(
-            f"{path}.axis_plunge_deg must be 0 (only horizontal tunnel axes are modeled)"
-        )
     if not 0.0 <= trend < 360.0:
         raise ProjectSemanticError(f"{path}.axis_trend_deg must lie in [0, 360)")
     try:
@@ -371,7 +368,7 @@ def parse_project_dict(doc: Any) -> ProjectConfig:
     if not isinstance(doc, dict):
         raise ProjectSchemaError("project root must be a JSON object")
     _check_keys(doc, "$", _TOP_KEYS, {"schema_version", "tunnel"})
-    version = doc["schema_version"]
+    version = _integer(doc["schema_version"], "$.schema_version")
     if version != SCHEMA_VERSION:
         raise ProjectSchemaError(
             f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"

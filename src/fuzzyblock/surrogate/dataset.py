@@ -208,6 +208,17 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     return joint_cases(spec.tunnel, draws, spec.sf_cap)
 
 
+def check_finite_numbers(values: Sequence, what: str) -> None:
+    """ValueError unless every value is a finite int or float (a bool is not).
+
+    Model files come from outside the program, so their numbers are checked
+    when a model or record is built, not when a command first uses them.
+    """
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"{what} must be finite numbers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class NormalizationRecord:
     """Per-variable affine maps onto a common range, invertible."""
@@ -221,6 +232,12 @@ class NormalizationRecord:
     def __post_init__(self) -> None:
         if len(self.mins) != len(self.maxs) or len(self.mins) != len(self.feature_names) + 1:
             raise ValueError("record needs one (min, max) per feature plus the target")
+        check_finite_numbers((*self.mins, *self.maxs), "normalization mins and maxs")
+        for name, lo, hi in zip((*self.feature_names, TARGET_NAME), self.mins, self.maxs):
+            if not hi > lo:
+                raise ValueError(f"{name} is constant or reversed: its normalization "
+                                 f"max {hi!r} must exceed its min {lo!r}")
+        check_finite_numbers((self.lo, self.hi), "normalization range ends")
         if not self.hi > self.lo:
             raise ValueError("normalization range must be nonempty")
 
@@ -247,24 +264,17 @@ class NormalizationRecord:
 def normalize(
     samples: Sequence[Sample], value_range: tuple[float, float] = (-1.0, 1.0)
 ) -> tuple[np.ndarray, np.ndarray, NormalizationRecord]:
-    """Map every variable affinely onto value_range; returns (X, y, record)."""
+    """Map every variable affinely onto value_range; returns (X, y, record).
+
+    A constant variable cannot be mapped: the record names it in a ValueError.
+    """
     if len(samples) == 0:
         raise ValueError("cannot normalize an empty sample list")
     X = np.array([s.inputs for s in samples], dtype=float)
     y = np.array([s.sf for s in samples], dtype=float)
-    mins, maxs = [], []
-    for k, name in enumerate(FEATURE_NAMES):
-        col_min, col_max = float(X[:, k].min()), float(X[:, k].max())
-        if col_max == col_min:
-            raise ValueError(f"column {name} is constant; cannot normalize")
-        mins.append(col_min)
-        maxs.append(col_max)
-    t_min, t_max = float(y.min()), float(y.max())
-    if t_max == t_min:
-        raise ValueError("target column is constant; cannot normalize")
-    mins.append(t_min)
-    maxs.append(t_max)
-    record = NormalizationRecord(FEATURE_NAMES, tuple(mins), tuple(maxs), *value_range)
+    mins = tuple(float(column.min()) for column in (*X.T, y))
+    maxs = tuple(float(column.max()) for column in (*X.T, y))
+    record = NormalizationRecord(FEATURE_NAMES, mins, maxs, *value_range)
     return record.apply_features(X), record.apply_target(y), record
 
 

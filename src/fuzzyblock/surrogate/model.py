@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..kernel.orientation import wrap_azimuth
-from .dataset import FEATURE_NAMES, NormalizationRecord
+from .dataset import FEATURE_NAMES, NormalizationRecord, check_finite_numbers
 
 _W_TINY = 1e-300
 _RIDGE = 1e-8
@@ -59,6 +59,8 @@ class TskModel:
         for p in self.mf_params:
             if p.ndim != 2 or p.shape[1] != 3:
                 raise ValueError("each input needs an (k, 3) MF parameter array")
+            if not np.isfinite(p).all():
+                raise ValueError("MF parameters must be finite")
             if np.any(p[:, 1] <= 0.0):
                 raise ValueError("MF widths must be positive")
         self.consequents = np.array(self.consequents, dtype=float)
@@ -68,6 +70,14 @@ class TskModel:
             raise ValueError(
                 f"consequents must have shape ({n_rules}, {len(self.mf_params) + 1})"
             )
+        if not np.isfinite(self.consequents).all():
+            raise ValueError("consequents must be finite")
+        if len(self.input_names) != len(self.mf_params):
+            raise ValueError(f"need one input name per input ({len(self.mf_params)})")
+        if self.input_medians is not None:
+            if len(self.input_medians) != len(self.mf_params):
+                raise ValueError(f"need one input median per input ({len(self.mf_params)})")
+            check_finite_numbers(self.input_medians, "input medians")
 
     @property
     def input_count(self) -> int:
@@ -427,10 +437,9 @@ def _require_keys(doc: object, keys: Sequence[str], where: str) -> None:
 
 def model_from_dict(doc: dict) -> TskModel:
     _require_keys(doc, ("schema_version", "input_names", "mfs", "consequents"), "model")
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported model schema_version {doc.get('schema_version')!r}"
-        )
+    version = doc["schema_version"]
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:  # True == 1 and 1.0 == 1
+        raise ValueError(f"unsupported model schema_version {version!r}")
     norm = None
     if doc.get("normalization") is not None:
         nd = doc["normalization"]

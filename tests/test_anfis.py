@@ -244,7 +244,8 @@ class TestTrain:
             X[0, 0] = 1122.0
             params[1][-1] = (1122.0, 1.0, 50.0)
         consequents = rng.normal(size=(int(np.prod(counts)), d + 1))
-        return TskModel(params, consequents), X, rng.normal(size=n_rows)
+        names = tuple(f"x{i + 1}" for i in range(d))
+        return TskModel(params, consequents, names), X, rng.normal(size=n_rows)
 
     def assert_matches_loop_reference(self, model, X, y):
         state = premise_state(model, X)
@@ -386,6 +387,14 @@ class TestRulesAndSerialization:
         doc = model_to_dict(init_model(1, 2, np.array([[0.0], [1.0]])))
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_integer_one(self, version):
+        # True == 1 and 1.0 == 1 in Python, so equality alone admits them
+        doc = model_to_dict(init_model(1, 2, np.array([[0.0], [1.0]])))
+        doc["schema_version"] = version
+        with pytest.raises(ValueError, match="unsupported model schema_version"):
             model_from_dict(doc)
 
     def test_deterministic_retrain(self, tmp_path):

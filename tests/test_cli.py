@@ -403,6 +403,41 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(model) in err and message in err
 
+    @pytest.mark.parametrize("edit, command, message", [
+        (lambda doc: doc.update(input_medians=doc["input_medians"][:1]), "map",
+         "need one input median per input (5)"),
+        (lambda doc: doc["normalization"]["mins"].__setitem__(0, "abc"), "map",
+         "normalization mins and maxs must be finite numbers, got 'abc'"),
+        (lambda doc: doc["normalization"]["mins"].__setitem__(0, "abc"), "predict",
+         "normalization mins and maxs must be finite numbers, got 'abc'"),
+        (lambda doc: doc["input_medians"].__setitem__(2, None), "map",
+         "input medians must be finite numbers, got None"),
+        (lambda doc: doc["consequents"][0].__setitem__(0, float("inf")), "predict",
+         "consequents must be finite"),
+        (lambda doc: doc["mfs"][0][0].__setitem__(0, float("nan")), "predict",
+         "MF parameters must be finite"),
+        (lambda doc: doc["normalization"]["maxs"].__setitem__(
+            0, doc["normalization"]["mins"][0]), "map",
+         "dip_deg is constant or reversed: its normalization max"),
+    ], ids=["medians_short", "min_string_map", "min_string_predict", "median_null",
+            "consequent_inf", "center_nan", "max_equals_min"])
+    def test_bad_model_number(self, tmp_path, capsys, edit, command, message):
+        # each of these once crashed with a traceback or wrote non-finite or
+        # wrong values; the model file is now rejected when it is loaded
+        proj = small_project(tmp_path)
+        data, model = str(tmp_path / "data.csv"), tmp_path / "m.json"
+        assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
+        assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.csv")
+        argv = {"map": ["surrogate", "map", "-p", proj, "-m", str(model), "-o", out],
+                "predict": ["surrogate", "predict", "-m", str(model), "-d", data, "-o", out]}
+        assert main(argv[command]) == 2
+        assert f"{model}: {message}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_predict_short_row(self, tmp_path, capsys):
         proj = small_project(tmp_path)
         data, model = tmp_path / "data.csv", str(tmp_path / "m.json")

@@ -20,7 +20,6 @@ from fuzzyblock.plane_geometry import (
     FuzzyPolygon,
     FuzzySegment,
     _edge_values,
-    fuzzy_distance,
     membership_at,
     raster_membership,
 )
@@ -179,7 +178,10 @@ class TestPolygonMembership:
             poly = FuzzyPolygon(tuple(verts))
             px, py = rng.uniform(-2.5, 2.5, size=2)
             pm = membership_at(poly, px, py)
-            edge_vals = [membership_at(e, px, py) for e in poly.edges()]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                edges = [FuzzySegment(p, q) for p, q in zip(verts, verts[1:] + verts[:1])]
+            edge_vals = [membership_at(e, px, py) for e in edges]
             assert pm >= max(edge_vals) - 1e-12
 
 
@@ -556,89 +558,6 @@ class TestWholeGridRaster:
         grid = raster_membership(_fuzzy_pentagon(), bbox, 60, 30)
         assert len(calls) >= 4 and max(calls) == plane_geometry._CHUNK_PAIRS
         _assert_same_bits(grid, geometry_oracle.raster_membership(_fuzzy_pentagon(), bbox, 60, 30))
-
-
-def _rect_grid(x, y, k=25):
-    """A k-by-k grid over the rectangle x-by-y, its edges and corners included."""
-    gx, gy = np.meshgrid(np.linspace(x.lo, x.hi, k), np.linspace(y.lo, y.hi, k))
-    return np.column_stack([gx.ravel(), gy.ravel()])
-
-
-class TestFuzzyDistance:
-    def test_crisp_pythagoras(self):
-        for alpha in (0.0, 0.5, 1.0):
-            d = fuzzy_distance(FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(3, 4), alpha)
-            assert (d.alpha, d.lo, d.hi) == (alpha, 5.0, 5.0)
-
-    def test_interval_example(self):
-        p = FuzzyPoint(T(-1, 0, 0, 1), T.crisp(0))
-        q = FuzzyPoint.crisp(3, 4)
-        support, half, core = (fuzzy_distance(p, q, alpha) for alpha in (0.0, 0.5, 1.0))
-        assert support.lo == pytest.approx(math.sqrt(20))
-        assert support.hi == pytest.approx(math.sqrt(32))
-        assert half.lo == pytest.approx(math.hypot(2.5, 4))
-        assert half.hi == pytest.approx(math.hypot(3.5, 4))
-        assert core.lo == pytest.approx(5.0)
-        assert core.hi == pytest.approx(5.0)
-
-    def test_corner_enumeration_oracle(self):
-        rng = np.random.Generator(np.random.Philox(13))
-        p = FuzzyPoint(T(-1, 0, 0, 1), T.crisp(0))
-        q = FuzzyPoint.crisp(3, 4)
-        d = fuzzy_distance(p, q, 0.0)
-        bx, by = p.alpha_box(0.0)
-        cx, cy = q.alpha_box(0.0)
-        pts1 = np.column_stack(
-            [rng.uniform(bx.lo, bx.hi, 10000), rng.uniform(by.lo, max(by.hi, by.lo + 1e-12), 10000)]
-        )
-        pts2 = np.column_stack(
-            [np.full(10000, cx.lo), np.full(10000, cy.lo)]
-        )
-        dists = np.linalg.norm(pts1 - pts2, axis=1)
-        assert d.lo <= dists.min() + 1e-9
-        assert d.hi >= dists.max() - 1e-9
-        assert d.lo == pytest.approx(dists.min(), abs=1e-2)
-        assert d.hi == pytest.approx(dists.max(), abs=1e-2)
-
-    def test_overlapping_supports_zero_min(self):
-        p = FuzzyPoint(T(-1, 0, 0, 1), T(-1, 0, 0, 1))
-        q = FuzzyPoint(T(0.5, 1, 1, 1.5), T(0.5, 1, 1, 1.5))
-        assert fuzzy_distance(p, q, 0.0).lo == 0.0
-        assert fuzzy_distance(p, q, 1.0).lo == math.sqrt(2)
-
-    @settings(max_examples=300, deadline=None)
-    @given(knots=st.lists(trapezoids(), min_size=4, max_size=4),
-           a1=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0))
-    def test_symmetry_and_nesting(self, knots, a1, a2):
-        p, q = FuzzyPoint(*knots[:2]), FuzzyPoint(*knots[2:])
-        lo_alpha, hi_alpha = sorted((a1, a2))
-        outer, inner = fuzzy_distance(p, q, lo_alpha), fuzzy_distance(p, q, hi_alpha)
-        # no slack: every cut end is monotone in alpha after rounding
-        assert outer.lo <= inner.lo and inner.hi <= outer.hi
-        for alpha in (a1, a2):
-            d, swapped = fuzzy_distance(p, q, alpha), fuzzy_distance(q, p, alpha)
-            assert np.array_equal(_bits([d.lo, d.hi]), _bits([swapped.lo, swapped.hi]))
-
-    @settings(max_examples=100, deadline=None)
-    @given(knots=st.lists(trapezoids(), min_size=4, max_size=4), alpha=st.floats(0.0, 1.0))
-    def test_ends_match_brute_force(self, knots, alpha):
-        p, q = FuzzyPoint(*knots[:2]), FuzzyPoint(*knots[2:])
-        d = fuzzy_distance(p, q, alpha)
-        (bx, by), (cx, cy) = p.alpha_box(alpha), q.alpha_box(alpha)
-        a, b = _rect_grid(bx, by), _rect_grid(cx, cy)
-        dists = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-        # the farthest pair is a pair of corners, which the grids hold; the
-        # nearest grid pair is within one grid step of each rectangle of it
-        assert d.hi == pytest.approx(dists.max(), rel=1e-14)
-        step = math.hypot((bx.hi - bx.lo + cx.hi - cx.lo) / 24, (by.hi - by.lo + cy.hi - cy.lo) / 24)
-        assert d.lo <= dists.min() * (1 + 1e-14)
-        assert dists.min() <= d.lo + step + 1e-12
-
-    def test_alpha_outside_unit_interval_rejected(self):
-        p, q = FuzzyPoint.crisp(0, 0), FuzzyPoint.crisp(1, 1)
-        for alpha in (-0.1, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                fuzzy_distance(p, q, alpha)
 
 
 def _fuzzy_pentagon():

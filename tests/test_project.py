@@ -71,6 +71,14 @@ class TestParseProject:
         with pytest.raises(ProjectSchemaError, match="schema_version"):
             parse_project_dict(doc)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_schema_version_must_be_integer_one(self, version):
+        # True == 1 and 1.0 == 1 in Python, so equality alone admits them
+        doc = standard_project_dict()
+        doc["schema_version"] = version
+        with pytest.raises(ProjectSchemaError, match=r"^\$\.schema_version must be an integer"):
+            parse_project_dict(doc)
+
     def test_dip_out_of_range_cites_bound(self):
         doc = standard_project_dict()
         doc["joints"][0]["dip_deg"] = 95
@@ -87,12 +95,6 @@ class TestParseProject:
         doc = standard_project_dict()
         doc["joints"][1]["id"] = "J1"
         with pytest.raises(ProjectSemanticError, match="unique"):
-            parse_project_dict(doc)
-
-    def test_plunge_must_be_zero(self):
-        doc = standard_project_dict()
-        doc["tunnel"]["axis_plunge_deg"] = 5.0
-        with pytest.raises(ProjectSemanticError, match="plunge"):
             parse_project_dict(doc)
 
     def test_nonconvex_section(self):
@@ -149,9 +151,11 @@ class TestParseProject:
              r"'location' at \$\.joints\[1\]$"),
             (lambda doc: doc.update(seed_offset_m=0.7), r"'seed_offset_m' at \$$"),
             (lambda doc: doc.update(delta_variant="paper"), r"'delta_variant' at \$$"),
+            (lambda doc: doc["tunnel"].update(axis_plunge_deg=0),
+             r"'axis_plunge_deg' at \$\.tunnel$"),
         ],
         ids=["resolution", "bbox_margin_m", "unit_weight_kn_m3", "joint_location",
-             "seed_offset_m", "delta_variant"],
+             "seed_offset_m", "delta_variant", "axis_plunge_deg"],
     )
     def test_retired_key_rejected(self, edit, path):
         # no computation reads these keys, or another source sets them, so the
