@@ -122,13 +122,13 @@ def poss_measure_crisp(dist: TrapezoidalNumber, set_lo: float, set_hi: float) ->
     return 1.0
 
 
-def _ramps(t: TrapezoidalNumber) -> list[tuple[float, float, float, float]]:
-    """Non-degenerate linear pieces as (x0, y0, x1, y1)."""
+def _ramps(t: TrapezoidalNumber) -> list[tuple[float, float]]:
+    """Non-degenerate linear pieces as (x at height 0, x at height 1)."""
     out = []
     if t.a2 > t.a1:
-        out.append((t.a1, 0.0, t.a2, 1.0))
+        out.append((t.a1, t.a2))
     if t.a4 > t.a3:
-        out.append((t.a3, 1.0, t.a4, 0.0))
+        out.append((t.a4, t.a3))
     return out
 
 
@@ -143,15 +143,16 @@ def poss_measure_fuzzy(dist: TrapezoidalNumber, a: TrapezoidalNumber) -> float:
     if max(dist.a2, a.a2) <= min(dist.a3, a.a3):
         return 1.0
     candidates = [dist.a1, dist.a2, dist.a3, dist.a4, a.a1, a.a2, a.a3, a.a4]
-    for x0, y0, x1, y1 in _ramps(dist):
-        s1 = (y1 - y0) / (x1 - x0)
-        for u0, v0, u1, v1 in _ramps(a):
-            s2 = (v1 - v0) / (u1 - u0)
-            if s1 == s2:
+    # ramps meet at the height h where x0 + h (x1 - x0) = u0 + h (u1 - u0);
+    # solving for h never divides by a ramp width, which may be subnormal
+    for x0, x1 in _ramps(dist):
+        for u0, u1 in _ramps(a):
+            den = (x1 - x0) - (u1 - u0)
+            if den == 0.0:
                 continue
-            x = (v0 - y0 + s1 * x0 - s2 * u0) / (s1 - s2)
-            if max(x0, u0) <= x <= min(x1, u1):
-                candidates.append(x)
+            h = (u0 - x0) / den
+            if 0.0 <= h <= 1.0:
+                candidates.append(x0 + h * (x1 - x0))
     best = 0.0
     for x in candidates:
         m = min(dist.membership(x), a.membership(x))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyblock.fuzzy_numbers import (
@@ -218,6 +218,8 @@ class TestExceedance:
             exceedance_poss(T.crisp(0), T.crisp(0), "bogus")
 
     @given(trapezoids(-10, 10), trapezoids(-10, 10))
+    # subnormal spreads: the ramps meet at height 0.5
+    @example(T(0.0, 0.0, 0.0, 2.225073858507203e-309), T(0.0, 0.0, 0.0, 2.225073858507203e-309))
     def test_standard_is_possibility_of_at_least_r(self, b, r):
         # "at least r" rises over r's right spread and stays at 1 past b
         top = max(b.a4, r.a4) + 1.0
