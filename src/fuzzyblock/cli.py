@@ -236,6 +236,10 @@ def _load_feature_model(path: str) -> TskModel:
         raise CliDataError(f"{path}: model carries no normalization record")
     if tuple(model.input_names) != FEATURE_NAMES:
         raise CliDataError(f"{path}: inputs must be {', '.join(FEATURE_NAMES)}")
+    if model.normalization.feature_names != model.input_names:
+        raise CliDataError(f"{path}: normalization feature_names "
+                           f"{list(model.normalization.feature_names)} differ from "
+                           f"input_names {list(model.input_names)}")
     return model
 
 

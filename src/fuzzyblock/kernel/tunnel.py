@@ -256,11 +256,13 @@ def enumerate_tunnel_blocks(
     for f, facet in enumerate(facets):
         classes, bp = classified[f]
         boundary = jp.boundary_only | bp.boundary_only
-        for c, code in enumerate(codes):
-            rec = BlockRecord(facet.index, facet.angle_deg, code, str(classes[c]),
-                              boundary_pyramid=bool(boundary[c]))
+        for c, (code, cls, on_boundary, moves) in enumerate(
+            zip(codes, classes.tolist(), boundary.tolist(), removable[f].tolist())
+        ):
+            rec = BlockRecord(facet.index, facet.angle_deg, code, cls,
+                              boundary_pyramid=on_boundary)
             records.append(rec)
-            if removable[f, c]:
+            if moves:
                 rec.mode, rec.safety_factor, rec.error = by_code[c]
                 if rec.error is None:
                     sized.append((rec, f, c))

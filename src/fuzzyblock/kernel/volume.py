@@ -9,8 +9,12 @@ candidates and tolerance of the crisp classification) and raises
 ``UnboundedBlockError`` naming every unbounded block.  Then, for all blocks
 at once, it
 
-1. solves every plane triple (``np.linalg.solve``, one 3x3 system at a time
-   inside LAPACK) and keeps the solutions that satisfy every plane;
+1. marks the regular plane triples (|det| >= 1e-12), puts the identity in
+   place of every other triple's matrix, solves all triples in one
+   ``np.linalg.solve`` call (one 3x3 system at a time inside LAPACK, so a
+   regular triple's solution does not depend on its neighbours), and keeps
+   the regular solutions that satisfy every plane, testing one plane at a
+   time;
 2. packs each block's feasible vertices, in triple order, to the front of a
    padded array and merges them by a first-come scan: each round keeps
    every block's first pending vertex and drops the block's pending
@@ -29,10 +33,13 @@ bit: the packed width varies with the batch, but every sum over the vertex
 axis runs in vertex order, so padding adds exact zeros, and per-block
 contractions are elementwise products in a fixed order rather than BLAS
 calls.  ``block_volume`` and ``block_vertices`` are the one-block form of
-the same routine.  Blocks are processed in chunks whose (block, plane
-triple, plane) feasibility array has at most ``_CHUNK_ENTRIES`` entries, so
-the temporary arrays stay near 1.1 MB whatever the batch size (the peak
-tracemalloc reports for full chunks of 9-plane seeded blocks, 43 to a chunk).
+the same routine.  Blocks are processed in chunks of at most
+``_CHUNK_ENTRIES`` (block, plane triple, plane) feasibility tests, which
+bounds every temporary whatever the batch size.  Under tracemalloc a full
+chunk of 9-plane seeded blocks (86 to a chunk) peaks just under 1.1 MB,
+most of it the boundedness cone test's (86, 132, 9) margins, and a full
+chunk of the surrogate's 8-plane boxed wedges (146 to a chunk) peaks near
+2.0 MB, in the face step.
 """
 from __future__ import annotations
 
@@ -48,7 +55,7 @@ FEAS_TOL = 1e-9
 _VERTEX_TOL = 1e-7  # vertices closer than this (times scale) are one vertex
 _FACE_TOL = 1e-6  # a vertex this close (times scale) to a plane lies on its face
 _PLANE_TOL = 1e-9  # planes closer than this are one face
-_CHUNK_ENTRIES = 1 << 15
+_CHUNK_ENTRIES = 1 << 16
 
 Halfspaces = Sequence[tuple[np.ndarray, float]]
 
@@ -158,11 +165,12 @@ def _vertices(N: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 + np.max(np.abs(D), axis=1)
     A = N[:, triples]
     regular = np.abs(np.linalg.det(A)) >= 1e-12
-    x = np.zeros(A.shape[:2] + (3,))
-    x[regular] = np.linalg.solve(A[regular], D[:, triples][regular][..., None])[..., 0]
-    lhs = _dot(x[:, :, None, :], N[:, None, :, :])
+    A[~regular] = np.eye(3)  # solvable stand-ins; their solutions are never feasible
+    x = np.linalg.solve(A, D[:, triples][..., None])[..., 0]
     floor = D - FEAS_TOL * scale[:, None]
-    feasible = regular & np.all(lhs >= floor[:, None, :], axis=2)
+    feasible = regular
+    for p in range(D.shape[1]):
+        feasible &= _dot(x, N[:, None, p]) >= floor[:, None, p]
     verts, count = _pack(x, feasible)
     # >3 planes through one point give that vertex several times: keep the
     # first, and drop any vertex close to an earlier kept one
@@ -261,7 +269,7 @@ def block_volumes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """
     N, D = _as_batch(normals, offsets)
     B, m = D.shape
-    chunks = _slices(B, len(_triples(m)) * m)  # the (block, triple, plane) feasibility array
+    chunks = _slices(B, len(_triples(m)) * m)  # (block, triple, plane) feasibility tests
     _require_bounded(N, chunks)
     out = np.zeros(len(D))
     for sl in chunks:

@@ -234,7 +234,11 @@ def lse_consequents(
     The Tikhonov path forms the Gram matrix phi.T @ phi and phi.T @ y, then
     frees the (N, P) design matrix phi before the solve, so the solve's LU
     copy does not stack on it; the ridge goes onto the Gram diagonal in
-    place, so no second (P, P) array is allocated either.
+    place, so no second (P, P) array is allocated either.  numpy forms
+    phi.T @ phi with one symmetric rank-k update and mirrors its triangle,
+    so the Gram matrix is exactly symmetric and its transpose is the same
+    matrix: the solve takes that F-ordered view, whose copy into LAPACK's
+    column-major layout reads contiguous columns, and gets the same bits.
     """
     check_step_sizes(ridge=ridge)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -250,7 +254,7 @@ def lse_consequents(
     gram, rhs = phi.T @ phi, phi.T @ y
     del phi
     gram[np.diag_indices_from(gram)] += ridge
-    return np.linalg.solve(gram, rhs).reshape(shape)
+    return np.linalg.solve(gram.T, rhs).reshape(shape)
 
 
 def premise_gradients(

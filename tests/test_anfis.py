@@ -183,6 +183,14 @@ class TestTrain:
         expected = np.linalg.solve(gram, phi.T @ y).reshape(m.consequents.shape)
         assert lse_consequents(m, X, y, 0.01).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows, cols", [(50, 27), (283, 96), (2000, 768)])
+    def test_gram_is_exactly_symmetric(self, rows, cols):
+        # lse_consequents solves through gram.T, which is the same matrix only
+        # while numpy forms phi.T @ phi with a symmetric update
+        phi = np.random.Generator(np.random.Philox(rows)).uniform(0, 1, size=(rows, cols))
+        gram = phi.T @ phi
+        assert np.array_equal(gram, gram.T)
+
     def test_underflowed_membership_is_left_alone(self):
         # b = 50 and a centre 1e7 away from every input: |z|^(2b) overflows, so
         # the MF's membership is 0 on every row and its gradient must be 0

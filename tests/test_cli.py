@@ -419,8 +419,17 @@ class TestMalformedInputs:
         (lambda doc: doc["normalization"]["maxs"].__setitem__(
             0, doc["normalization"]["mins"][0]), "map",
          "dip_deg is constant or reversed: its normalization max"),
+        # the record once went unread: predict wrote the real model's pred.csv
+        (lambda doc: doc["normalization"]["feature_names"].__setitem__(0, "a"), "predict",
+         "normalization feature_names ['a', 'dipdir_deg', 'phi_deg', 'angle_deg', 'volume_m3']"
+         " differ from input_names ['dip_deg', 'dipdir_deg', 'phi_deg', 'angle_deg',"
+         " 'volume_m3']"),
+        (lambda doc: doc["normalization"]["feature_names"].reverse(), "map",
+         "normalization feature_names ['volume_m3', 'angle_deg', 'phi_deg', 'dipdir_deg',"
+         " 'dip_deg'] differ from input_names"),
     ], ids=["medians_short", "min_string_map", "min_string_predict", "median_null",
-            "consequent_inf", "center_nan", "max_equals_min"])
+            "consequent_inf", "center_nan", "max_equals_min", "feature_name_predict",
+            "feature_names_reversed_map"])
     def test_bad_model_number(self, tmp_path, capsys, edit, command, message):
         # each of these once crashed with a traceback or wrote non-finite or
         # wrong values; the model file is now rejected when it is loaded

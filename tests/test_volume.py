@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import vertex_oracle
 from conftest import OCTAGON_SECTION, principal_frame_monte_carlo
 from volume_oracle import monte_carlo_volume
 
-from fuzzyblock.kernel import Orientation, TunnelSection
+from fuzzyblock.kernel import Orientation, TunnelSection, volume
 from fuzzyblock.kernel.mechanics import ModeInconsistencyError
 from fuzzyblock.kernel.orientation import normal_from_orientation
 from fuzzyblock.kernel.pyramid import cones_nonempty
@@ -424,3 +425,75 @@ class TestFirstComeMerge:
         assert vol == pytest.approx(exact, rel=1e-12)
         assert len(block_vertices(planes)) == sides + 1
         assert_matches_vertex_oracle(normals, offsets)
+
+
+def nine_plane_blocks(seed, count):
+    """count 9-plane blocks: a nonempty pyramid of 8 joints, closed by one plane.
+
+    The joints are 5 general attitudes plus dip 0, dip 90 and a parallel copy
+    of the first, so every block has singular plane triples.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    normals, offsets = [], []
+    while sum(map(len, offsets)) < count:
+        attitudes = [(rng.uniform(5, 80), rng.uniform(0, 360)) for _ in range(5)]
+        attitudes += [(0.0, 35.0), (90.0, 250.0), attitudes[0]]
+        n = np.array([normal_from_orientation(Orientation(dip, dd)) for dip, dd in attitudes])
+        seed_point = rng.uniform(-1, 1, size=3)
+        cap = unit(rng.normal(size=3))
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=len(n))))
+        rows = signs[:, :, None] * n
+        N = np.concatenate([rows, np.broadcast_to(cap, (len(signs), 1, 3))], axis=1)
+        D = np.concatenate([rows @ seed_point, np.full((len(signs), 1), cap @ seed_point - 1.0)],
+                           axis=1)
+        kept = cones_nonempty(rows) & ~cones_nonempty(N)  # a pyramid that the cap closes
+        normals.append(N[kept])
+        offsets.append(D[kept])
+    return np.concatenate(normals)[:count], np.concatenate(offsets)[:count]
+
+
+def boxed_wedges(seed, count):
+    """count surrogate wedges: a joint and a facet plane, closed by the section box."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = [(rng.uniform(10, 80), rng.uniform(0, 360), rng.uniform(15, 25), rng.uniform(0, 360))
+             for _ in range(count)]
+    _, _, normals, offsets = dataset._wedges(
+        TunnelSection(tuple(map(tuple, OCTAGON_SECTION))), draws, dataset.DEFAULT_SF_CAP)
+    return normals, offsets
+
+
+class TestChunking:
+    """Chunk boundaries never change a bit, and a full chunk stays inside its memory figure."""
+
+    @pytest.mark.parametrize("blocks", [nine_plane_blocks, boxed_wedges],
+                             ids=["nine_plane_pyramids", "boxed_wedges"])
+    @pytest.mark.parametrize("per_chunk", [1, 3, None], ids=["one", "three", "single_chunk"])
+    def test_any_chunk_size_matches_oracle(self, monkeypatch, blocks, per_chunk):
+        normals, offsets = blocks(11, 40)
+        B, m = offsets.shape
+        singular = np.abs(np.linalg.det(normals[:, volume._triples(m)])) < 1e-12
+        assert singular.any(axis=1).all()  # every block takes the identity stand-in
+        per_block = len(volume._triples(m)) * m
+        monkeypatch.setattr(volume, "_CHUNK_ENTRIES", per_block * (per_chunk or B))
+        assert len(volume._slices(B, per_block)) == -(-B // (per_chunk or B))
+        got = block_volumes(normals, offsets)
+        assert got.tobytes() == vertex_oracle.block_volumes(normals, offsets).tobytes()
+        for b in range(B):
+            alone = block_volume(list(zip(normals[b], offsets[b])))
+            assert got[b].tobytes() == np.float64(alone).tobytes()
+        assert np.count_nonzero(got) > B // 2
+
+    def test_full_chunk_peak_memory(self):
+        # the module docstring's figure for a full chunk of 9-plane seeded blocks
+        per_block = len(volume._triples(9)) * 9
+        full = volume._CHUNK_ENTRIES // per_block
+        assert full == 86
+        normals, offsets = nine_plane_blocks(3, full)
+        block_volumes(normals[:1], offsets[:1])  # the cached triple table is not a temporary
+        tracemalloc.start()
+        try:
+            block_volumes(normals, offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6
