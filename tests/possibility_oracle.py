@@ -9,6 +9,7 @@ a fuzzy event under a trapezoidal distribution; the second, with the event
 "at least r", checks the ``standard`` exceedance.
 """
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -122,13 +123,13 @@ def poss_measure_crisp(dist: TrapezoidalNumber, set_lo: float, set_hi: float) ->
     return 1.0
 
 
-def _ramps(t: TrapezoidalNumber) -> list[tuple[float, float]]:
-    """Non-degenerate linear pieces as (x at height 0, x at height 1)."""
+def _ramps(t: TrapezoidalNumber) -> list[tuple[Fraction, Fraction]]:
+    """Non-degenerate linear pieces as exact (x at height 0, x at height 1)."""
     out = []
     if t.a2 > t.a1:
-        out.append((t.a1, t.a2))
+        out.append((Fraction(t.a1), Fraction(t.a2)))
     if t.a4 > t.a3:
-        out.append((t.a4, t.a3))
+        out.append((Fraction(t.a4), Fraction(t.a3)))
     return out
 
 
@@ -142,20 +143,19 @@ def poss_measure_fuzzy(dist: TrapezoidalNumber, a: TrapezoidalNumber) -> float:
     """
     if max(dist.a2, a.a2) <= min(dist.a3, a.a3):
         return 1.0
-    candidates = [dist.a1, dist.a2, dist.a3, dist.a4, a.a1, a.a2, a.a3, a.a4]
-    # ramps meet at the height h where x0 + h (x1 - x0) = u0 + h (u1 - u0);
-    # solving for h never divides by a ramp width, which may be subnormal
+    best = 0.0
+    for x in (dist.a1, dist.a2, dist.a3, dist.a4, a.a1, a.a2, a.a3, a.a4):
+        best = max(best, min(dist.membership(x), a.membership(x)))
+    # ramps meet at the height h where x0 + h (x1 - x0) = u0 + h (u1 - u0),
+    # and both memberships there are h. It is solved in exact rationals: a
+    # rounded h can fall inside [0, 1] when the true one does not, and a
+    # rounded crossing point can miss a crossing that lies between two floats
     for x0, x1 in _ramps(dist):
         for u0, u1 in _ramps(a):
             den = (x1 - x0) - (u1 - u0)
-            if den == 0.0:
+            if den == 0:
                 continue
             h = (u0 - x0) / den
-            if 0.0 <= h <= 1.0:
-                candidates.append(x0 + h * (x1 - x0))
-    best = 0.0
-    for x in candidates:
-        m = min(dist.membership(x), a.membership(x))
-        if m > best:
-            best = m
+            if 0 <= h <= 1:
+                best = max(best, float(h))
     return best

@@ -155,6 +155,9 @@ class TestPossibilityMeasures:
         assert value == pytest.approx(oracle, abs=1e-4)
 
     @given(trapezoids(-10, 10), trapezoids(-10, 10))
+    # a steep ramp crossing a shallow one: the crossing point rounds
+    # differently along each ramp
+    @example(T(0.0, 0.0, 0.0, 1e-06), T(-1.0, 0.5, 1.0, 1.0))
     def test_fuzzy_symmetry(self, a, b):
         assert poss_measure_fuzzy(a, b) == pytest.approx(poss_measure_fuzzy(b, a), abs=1e-12)
 
@@ -220,6 +223,8 @@ class TestExceedance:
     @given(trapezoids(-10, 10), trapezoids(-10, 10))
     # subnormal spreads: the ramps meet at height 0.5
     @example(T(0.0, 0.0, 0.0, 2.225073858507203e-309), T(0.0, 0.0, 0.0, 2.225073858507203e-309))
+    # the ramps meet at height 0.5 between two adjacent floats
+    @example(T(0.0, 0.0, 9.999999999999998, 10.0), T(0.0, 0.0, 9.999999999999998, 10.0))
     def test_standard_is_possibility_of_at_least_r(self, b, r):
         # "at least r" rises over r's right spread and stays at 1 past b
         top = max(b.a4, r.a4) + 1.0
