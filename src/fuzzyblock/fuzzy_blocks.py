@@ -39,8 +39,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .fuzzy_numbers import (
-    DEFAULT_LABEL_THRESHOLDS, DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber, exceedance_poss,
-    linear_combine,
+    DEFAULT_LABEL_THRESHOLDS, DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber,
+    check_label_thresholds, exceedance_poss, linear_combine,
 )
 from .kernel.mechanics import code_signs
 from .kernel.pyramid import edge_rays
@@ -429,9 +429,8 @@ def finiteness_label(
     """
     if not 0.0 <= pbp_value <= 1.0:
         raise ValueError(f"pbp value must lie in [0, 1], got {pbp_value}")
+    check_label_thresholds(thresholds)
     t_finite, t_quasi, t_not_so = thresholds
-    if not (1.0 >= t_finite > t_quasi > t_not_so >= 0.0):
-        raise ValueError(f"thresholds must decrease within [0, 1], got {thresholds}")
     finiteness = 1.0 - pbp_value
     if finiteness >= t_finite:
         return FINITENESS_LABELS[0]

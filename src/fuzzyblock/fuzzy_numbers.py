@@ -13,9 +13,16 @@ from typing import Literal, Sequence, get_args
 
 DeltaVariant = Literal["paper", "standard"]
 DELTA_VARIANTS: tuple[str, ...] = get_args(DeltaVariant)
-# the finiteness bands of ``fuzzy_blocks.finiteness_label``; kept here, where
-# a project parse can read them without loading the fuzzy block layer
+# the finiteness bands of ``fuzzy_blocks.finiteness_label`` and their rule, kept
+# here, where a project parse can read them without loading the fuzzy block layer
 DEFAULT_LABEL_THRESHOLDS = (0.95, 0.7, 0.3)
+
+
+def check_label_thresholds(thresholds: Sequence[float]) -> None:
+    """The finiteness bands (t0, t1, t2) must satisfy 1 >= t0 > t1 > t2 >= 0."""
+    t0, t1, t2 = thresholds
+    if not 1.0 >= t0 > t1 > t2 >= 0.0:
+        raise ValueError("label_thresholds must strictly decrease within [0, 1]")
 
 
 @dataclass(frozen=True)

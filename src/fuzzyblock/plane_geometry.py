@@ -260,13 +260,20 @@ def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
     return float(_values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
 
 
-def cell_centers(bbox: Sequence[float], nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """x (nx,) and y (ny,) of the cell centers of an nx-by-ny grid over bbox."""
+def check_grid(bbox: Sequence[float], nx: int, ny: int) -> None:
+    """A raster grid needs a bbox of positive width and height, and nx, ny >= 2."""
     xmin, ymin, xmax, ymax = bbox
     if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"degenerate bbox {bbox}")
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must be at least 2")
+        raise ValueError(f"bbox is degenerate: {list(bbox)}")
+    for name, count in (("nx", nx), ("ny", ny)):
+        if count < 2:
+            raise ValueError(f"{name} must be at least 2")
+
+
+def cell_centers(bbox: Sequence[float], nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """x (nx,) and y (ny,) of the cell centers of an nx-by-ny grid over bbox."""
+    check_grid(bbox, nx, ny)
+    xmin, ymin, xmax, ymax = bbox
     dx = (xmax - xmin) / nx
     dy = (ymax - ymin) / ny
     return xmin + (np.arange(nx) + 0.5) * dx, ymin + (np.arange(ny) + 0.5) * dy

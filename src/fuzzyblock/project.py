@@ -4,28 +4,36 @@ Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
 range-checked with a diagnostic naming the offending key path.  Every
 accepted key is read by some command, except fuzzy ``friction_deg``, which
-is required and checked but not read yet.  Keys that earlier builds accepted
-and ignored (``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint
-``location``) are rejected as unknown, and so are ``axis_plunge_deg``, which
-admitted only 0 (every tunnel axis is horizontal), and two with another
-source: the seed-point override (``kernel.tunnel.seeded_halfspaces`` seeds
-every block) and ``delta_variant`` (the ``--delta-variant`` flag of ``fuzzy
-pbr``).
+is required and checked but not read yet.  Retired keys are unknown ones:
+``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint ``location``,
+``axis_plunge_deg`` (every tunnel axis is horizontal), ``seed_offset_m``
+and ``delta_variant`` (the ``--delta-variant`` flag sets it).
 
-Each section parser imports the types of its own section, so a parse loads
+Each kind of object has one table that names each of its keys once with the
+reader of its value, and ``_fields`` reads an object through its table.  It
+names the first fault it meets: the first unknown key in the file's order,
+then the first missing required key in the table's order, then the first bad
+value, read in the table's order (the root's: schema_version, tunnel, joints,
+fuzzy_joints, dataset, anfis, geometry, label_thresholds).  A rule on several
+keys is checked once their object is read.  Each rule has one owner, whose
+``ValueError`` the parser restates at the key path: the class it builds, or
+``surrogate.model.check_step_sizes`` and ``check_training_shape``,
+``plane_geometry.check_grid`` and ``fuzzy_numbers.check_label_thresholds``.
+
+Each section reader imports the types of its own section, so a parse loads
 a domain module only when the project holds its section: ``fuzzy_joints``
 loads ``fuzzy_blocks``, ``geometry`` loads ``plane_geometry``, and
-``dataset`` or ``anfis`` loads ``surrogate``.  A crisp project loads the
-kernel and ``fuzzy_numbers`` alone.
+``dataset`` or ``anfis`` loads ``surrogate``.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .fuzzy_numbers import DEFAULT_LABEL_THRESHOLDS, TrapezoidalNumber
+from .fuzzy_numbers import DEFAULT_LABEL_THRESHOLDS, TrapezoidalNumber, check_label_thresholds
 from .kernel.orientation import JointPlane, Orientation
 from .kernel.tunnel import TunnelSection
 
@@ -35,6 +43,8 @@ if TYPE_CHECKING:
     from .surrogate.dataset import DatasetSpec
 
 SCHEMA_VERSION = 1
+
+Reader = Callable[[Any, str], Any]
 
 
 class ProjectError(Exception):
@@ -57,13 +67,33 @@ class ProjectSemanticError(ProjectError):
     pass
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]) -> None:
+def _fields(obj: Any, path: str, readers: dict[str, Reader], required: tuple[str, ...] = (),
+            fields: Optional[dict[str, Any]] = None) -> dict[str, Any]:
+    """The keys of object ``obj`` at ``path``: names the first unknown key, then the
+    first missing one of ``required``, then reads in the table's order into
+    ``fields``, where a reader finds the values read before its own."""
+    if not isinstance(obj, dict):
+        raise ProjectSchemaError(f"{path} must be an object")
     for key in obj:
-        if key not in allowed:
+        if key not in readers:
             raise ProjectSchemaError(f"unknown key {key!r} at {path}")
     for key in required:
         if key not in obj:
             raise ProjectSchemaError(f"missing required key {key!r} at {path}")
+    fields = {} if fields is None else fields
+    for key, read in readers.items():
+        if key in obj:
+            fields[key] = read(obj[key], f"{path}.{key}")
+    return fields
+
+
+def _owned(path: str, make: Callable[..., Any], *args: Any, sep: str = ": ", **kwargs: Any):
+    """``make(*args, **kwargs)``, its ValueError restated at ``path``; ``sep`` "."
+    joins the path to a message that starts with the key it names."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ProjectSemanticError(f"{path}{sep}{exc}") from None
 
 
 def _number(value: Any, path: str) -> float:
@@ -78,30 +108,45 @@ def _number(value: Any, path: str) -> float:
     return number
 
 
+def _where(read: Reader, test: Callable[[Any], bool], rule: str) -> Reader:
+    """``read``, then the ``rule`` that ``test`` checks on what it read."""
+    def checked(value: Any, path: str) -> Any:
+        value = read(value, path)
+        if not test(value):
+            raise ProjectSemanticError(f"{path} {rule}")
+        return value
+    return checked
+
+
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProjectSchemaError(f"{path} must be an integer, got {value!r}")
     return value
 
 
-def _pair(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ProjectSchemaError(f"{path} must be a [lo, hi] pair")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+def _numbers(value: Any, path: str, count: int, form: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != count:
+        raise ProjectSchemaError(f"{path} must be {form}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+_pair = partial(_numbers, count=2, form="a [lo, hi] pair")
+
+
+def _array_of(read: Callable[[Any, str, int], Any]) -> Reader:
+    """A reader of an array whose item i at ``path[i]`` ``read`` reads."""
+    def read_all(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ProjectSchemaError(f"{path} must be an array")
+        return tuple(read(item, f"{path}[{i}]", i) for i, item in enumerate(value))
+    return read_all
 
 
 def _trapezoid(value: Any, path: str) -> TrapezoidalNumber:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return TrapezoidalNumber.crisp(_number(value, path))
-    if not isinstance(value, list) or len(value) != 4:
-        raise ProjectSchemaError(
-            f"{path} must be a number or a 4-element [a1,a2,a3,a4] array"
-        )
-    knots = [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    try:
-        return TrapezoidalNumber(*knots)
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}: {exc}") from None
+    knots = _numbers(value, path, 4, "a number or a 4-element [a1,a2,a3,a4] array")
+    return _owned(path, TrapezoidalNumber, *knots)
 
 
 @dataclass(frozen=True)
@@ -134,285 +179,175 @@ class ProjectConfig:
     label_thresholds: tuple[float, float, float] = DEFAULT_LABEL_THRESHOLDS
 
 
-_TOP_KEYS = {
-    "schema_version",
-    "tunnel",
-    "joints",
-    "fuzzy_joints",
-    "dataset",
-    "anfis",
-    "geometry",
-    "label_thresholds",
+def _section(value: Any, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, list) or len(value) < 3:
+        raise ProjectSchemaError(f"{path} must list at least 3 [u, w] vertices")
+    return tuple(_numbers(v, f"{path}[{i}]", 2, "a [u, w] pair") for i, v in enumerate(value))
+
+
+_TUNNEL = {  # in TunnelSection's argument order
+    "section": _section,
+    "axis_trend_deg": _where(_number, lambda t: 0.0 <= t < 360.0, "must lie in [0, 360)"),
 }
 
 
-def _parse_tunnel(obj: Any, path: str) -> TunnelSection:
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, {"section", "axis_trend_deg"}, {"section"})
-    section = obj["section"]
-    if not isinstance(section, list) or len(section) < 3:
-        raise ProjectSchemaError(f"{path}.section must list at least 3 [u, w] vertices")
-    verts = []
-    for i, v in enumerate(section):
-        if not isinstance(v, list) or len(v) != 2:
-            raise ProjectSchemaError(f"{path}.section[{i}] must be a [u, w] pair")
-        verts.append((_number(v[0], f"{path}.section[{i}][0]"),
-                      _number(v[1], f"{path}.section[{i}][1]")))
-    trend = _number(obj.get("axis_trend_deg", 0.0), f"{path}.axis_trend_deg")
-    if not 0.0 <= trend < 360.0:
-        raise ProjectSemanticError(f"{path}.axis_trend_deg must lie in [0, 360)")
-    try:
-        return TunnelSection(tuple(verts), trend)
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}.section: {exc}") from None
+def _tunnel(obj: Any, path: str) -> TunnelSection:
+    fields = _fields(obj, path, _TUNNEL, ("section",))
+    return _owned(f"{path}.section", TunnelSection, *fields.values())
 
 
-# the keys of a crisp and of a fuzzy joint; only the id is optional
-_JOINT_KEYS = {"id", "dip_deg", "dip_direction_deg", "friction_deg"}
+# the keys of a crisp and of a fuzzy joint; all but the id are required
+_JOINT_KEYS = ("dip_deg", "dip_direction_deg", "friction_deg")
+_JOINT = {"id": lambda value, path: str(value), **dict.fromkeys(_JOINT_KEYS, _number)}
+_FUZZY_JOINT = {**_JOINT, **dict.fromkeys(_JOINT_KEYS, _trapezoid)}
 
 
-def _parse_joint(obj: Any, path: str, index: int) -> JointPlane:
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, _JOINT_KEYS, _JOINT_KEYS - {"id"})
-    dip = _number(obj["dip_deg"], f"{path}.dip_deg")
-    dd = _number(obj["dip_direction_deg"], f"{path}.dip_direction_deg")
-    phi = _number(obj["friction_deg"], f"{path}.friction_deg")
-    try:
-        return JointPlane(str(obj.get("id", f"J{index + 1}")), Orientation(dip, dd), phi)
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}: {exc}") from None
+def _joint(obj: Any, path: str, index: int) -> JointPlane:
+    fields = _fields(obj, path, _JOINT, _JOINT_KEYS)
+    dip, dip_direction, friction = (fields[key] for key in _JOINT_KEYS)
+    orientation = _owned(path, Orientation, dip, dip_direction)
+    return _owned(path, JointPlane, fields.get("id", f"J{index + 1}"), orientation, friction)
 
 
-def _parse_fuzzy_joint(obj: Any, path: str) -> FuzzyOrientation:
+def _fuzzy_joint(obj: Any, path: str, index: int) -> FuzzyOrientation:
     from .fuzzy_blocks import FuzzyOrientation
 
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, _JOINT_KEYS, _JOINT_KEYS - {"id"})
-    dip = _trapezoid(obj["dip_deg"], f"{path}.dip_deg")
-    dd = _trapezoid(obj["dip_direction_deg"], f"{path}.dip_direction_deg")
-    phi = _trapezoid(obj["friction_deg"], f"{path}.friction_deg")
-    try:
-        fo = FuzzyOrientation(dip, dd)
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}: {exc}") from None
-    if phi.a1 < 0.0 or phi.a4 >= 90.0:
+    fields = _fields(obj, path, _FUZZY_JOINT, _JOINT_KEYS)
+    dip, dip_direction, friction = (fields[key] for key in _JOINT_KEYS)
+    orientation = _owned(path, FuzzyOrientation, dip, dip_direction)
+    if friction.a1 < 0.0 or friction.a4 >= 90.0:
         raise ProjectSemanticError(f"{path}.friction_deg support must stay within [0, 90)")
-    return fo
+    return orientation
 
 
-def _parse_dataset(obj: Any, path: str, tunnel: TunnelSection) -> DatasetSpec:
-    from .surrogate.dataset import DatasetSpec
-
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(
-        obj,
-        path,
-        {
-            "sample_count",
-            "seed",
-            "dip_range",
-            "dip_direction_range",
-            "friction_range",
-            "angle_range",
-            "sf_cap",
-        },
-        set(),
-    )
-    kwargs: dict[str, Any] = {}
-    if "sample_count" in obj:
-        kwargs["sample_count"] = _integer(obj["sample_count"], f"{path}.sample_count")
-    if "seed" in obj:
-        kwargs["seed"] = _integer(obj["seed"], f"{path}.seed")
-    for name in ("dip_range", "dip_direction_range", "friction_range", "angle_range"):
-        if name in obj:
-            kwargs[name] = _pair(obj[name], f"{path}.{name}")
-    if "sf_cap" in obj:
-        kwargs["sf_cap"] = _number(obj["sf_cap"], f"{path}.sf_cap")
-    try:
-        return DatasetSpec(tunnel=tunnel, **kwargs)
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}: {exc}") from None
+_DATASET = {
+    "sample_count": _integer,
+    "seed": _integer,
+    **dict.fromkeys(("dip_range", "dip_direction_range", "friction_range", "angle_range"), _pair),
+    "sf_cap": _number,
+}
 
 
-def _parse_anfis(obj: Any, path: str) -> AnfisConfig:
+def _mf_counts(value: Any, path: str) -> tuple[int, ...]:
     from .surrogate.dataset import FEATURE_NAMES
-    from .surrogate.model import check_step_sizes
 
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(
-        obj,
-        path,
-        {
-            "mfs_per_input",
-            "epochs",
-            "learn_rate",
-            "ridge",
-            "train_fraction",
-            "split_seed",
-            "normalization_range",
-        },
-        set(),
-    )
-    kwargs: dict[str, Any] = {}
-    if "mfs_per_input" in obj:
-        raw = obj["mfs_per_input"]
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            kwargs["mfs_per_input"] = (raw,) * len(FEATURE_NAMES)
-        elif isinstance(raw, list) and len(raw) == len(FEATURE_NAMES):
-            kwargs["mfs_per_input"] = tuple(
-                _integer(v, f"{path}.mfs_per_input[{i}]") for i, v in enumerate(raw)
-            )
-        else:
-            raise ProjectSchemaError(
-                f"{path}.mfs_per_input must be an integer or a {len(FEATURE_NAMES)}-element list"
-            )
-        if any(k < 2 for k in kwargs["mfs_per_input"]):
-            raise ProjectSemanticError(f"{path}.mfs_per_input entries must be >= 2")
-    if "epochs" in obj:
-        kwargs["epochs"] = _integer(obj["epochs"], f"{path}.epochs")
-        if kwargs["epochs"] < 1:
-            raise ProjectSemanticError(f"{path}.epochs must be >= 1")
-    if "learn_rate" in obj:
-        kwargs["learn_rate"] = _number(obj["learn_rate"], f"{path}.learn_rate")
-    if "ridge" in obj:
-        kwargs["ridge"] = (
-            None if obj["ridge"] is None else _number(obj["ridge"], f"{path}.ridge")
-        )
-    try:
-        check_step_sizes(kwargs.get("learn_rate"), kwargs.get("ridge"))
-    except ValueError as exc:
-        raise ProjectSemanticError(f"{path}.{exc}") from None
-    if "train_fraction" in obj:
-        kwargs["train_fraction"] = _number(obj["train_fraction"], f"{path}.train_fraction")
-        if not 0.0 < kwargs["train_fraction"] <= 1.0:
-            raise ProjectSemanticError(f"{path}.train_fraction must lie in (0, 1]")
-    if "split_seed" in obj:
-        kwargs["split_seed"] = _integer(obj["split_seed"], f"{path}.split_seed")
-    if "normalization_range" in obj:
-        lo, hi = _pair(obj["normalization_range"], f"{path}.normalization_range")
-        if hi <= lo:
-            raise ProjectSemanticError(f"{path}.normalization_range must have hi > lo")
-        kwargs["normalization_range"] = (lo, hi)
-    return AnfisConfig(**kwargs)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return (value,) * len(FEATURE_NAMES)
+    if isinstance(value, list) and len(value) == len(FEATURE_NAMES):
+        return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(value))
+    raise ProjectSchemaError(f"{path} must be an integer or a {len(FEATURE_NAMES)}-element list")
 
 
-def _parse_fuzzy_point(obj: Any, path: str) -> FuzzyPoint:
+_ANFIS = {
+    "mfs_per_input": _mf_counts,
+    "epochs": _integer,
+    "learn_rate": _number,
+    "ridge": lambda value, path: None if value is None else _number(value, path),
+    "train_fraction": _where(_number, lambda f: 0.0 < f <= 1.0, "must lie in (0, 1]"),
+    "split_seed": _integer,
+    "normalization_range": _where(_pair, lambda r: r[1] > r[0], "must have hi > lo"),
+}
+
+
+def _anfis(obj: Any, path: str) -> AnfisConfig:
+    from .surrogate.model import check_step_sizes, check_training_shape
+
+    anfis = AnfisConfig(**_fields(obj, path, _ANFIS))
+    _owned(path, check_step_sizes, anfis.learn_rate, anfis.ridge, sep=".")
+    _owned(path, check_training_shape, anfis.mfs_per_input, anfis.epochs, sep=".")
+    return anfis
+
+
+_POINT = dict.fromkeys(("x", "y"), _trapezoid)
+
+
+def _point(obj: Any, path: str) -> FuzzyPoint:
     from .plane_geometry import FuzzyPoint
 
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, {"x", "y"}, {"x", "y"})
-    return FuzzyPoint(_trapezoid(obj["x"], f"{path}.x"), _trapezoid(obj["y"], f"{path}.y"))
+    return FuzzyPoint(**_fields(obj, path, _POINT, tuple(_POINT)))
 
 
-def _parse_geometry(obj: Any, path: str) -> GeometryJob:
-    from .plane_geometry import FuzzyLineImplicit, FuzzyPolygon, FuzzySegment
+def _polygon(value: Any, path: str) -> tuple[FuzzyPoint, ...]:
+    if not isinstance(value, list) or len(value) < 3:
+        raise ProjectSchemaError(f"{path} must list at least 3 points")
+    return tuple(_point(v, f"{path}[{i}]") for i, v in enumerate(value))
 
-    if not isinstance(obj, dict):
-        raise ProjectSchemaError(f"{path} must be an object")
-    _check_keys(obj, path, {"shape", "bbox", "nx", "ny"}, {"shape", "bbox"})
-    shape_obj = obj["shape"]
-    if not isinstance(shape_obj, dict) or "type" not in shape_obj:
-        raise ProjectSchemaError(f"{path}.shape must be an object with a 'type' key")
-    kind = shape_obj["type"]
-    spath = f"{path}.shape"
-    if kind == "line":
-        _check_keys(shape_obj, spath, {"type", "a", "b", "c"}, {"a", "b", "c"})
-        try:
-            shape: FuzzyShape = FuzzyLineImplicit(
-                _trapezoid(shape_obj["a"], f"{spath}.a"),
-                _trapezoid(shape_obj["b"], f"{spath}.b"),
-                _trapezoid(shape_obj["c"], f"{spath}.c"),
-            )
-        except ValueError as exc:
-            raise ProjectSemanticError(f"{spath}: {exc}") from None
-    elif kind == "segment":
-        _check_keys(shape_obj, spath, {"type", "p", "q"}, {"p", "q"})
-        shape = FuzzySegment(
-            _parse_fuzzy_point(shape_obj["p"], f"{spath}.p"),
-            _parse_fuzzy_point(shape_obj["q"], f"{spath}.q"),
-        )
-    elif kind == "polygon":
-        _check_keys(shape_obj, spath, {"type", "vertices"}, {"vertices"})
-        raw = shape_obj["vertices"]
-        if not isinstance(raw, list) or len(raw) < 3:
-            raise ProjectSchemaError(f"{spath}.vertices must list at least 3 points")
-        shape = FuzzyPolygon(
-            tuple(
-                _parse_fuzzy_point(v, f"{spath}.vertices[{i}]") for i, v in enumerate(raw)
-            )
-        )
-    else:
+
+# each shape type: its plane_geometry class, and the keys beside "type", all required
+_SHAPES = {
+    "line": ("FuzzyLineImplicit", dict.fromkeys(("a", "b", "c"), _trapezoid)),
+    "segment": ("FuzzySegment", dict.fromkeys(("p", "q"), _point)),
+    "polygon": ("FuzzyPolygon", {"vertices": _polygon}),
+}
+
+
+def _shape(obj: Any, path: str) -> FuzzyShape:
+    from . import plane_geometry
+
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise ProjectSchemaError(f"{path} must be an object with a 'type' key")
+    kind = obj["type"]
+    if not isinstance(kind, str) or kind not in _SHAPES:
         raise ProjectSchemaError(
-            f"{spath}.type must be one of 'line', 'segment', 'polygon', got {kind!r}"
+            f"{path}.type must be one of {', '.join(map(repr, _SHAPES))}, got {kind!r}"
         )
-    bbox = obj["bbox"]
-    if not isinstance(bbox, list) or len(bbox) != 4:
-        raise ProjectSchemaError(f"{path}.bbox must be [xmin, ymin, xmax, ymax]")
-    bbox = tuple(_number(v, f"{path}.bbox[{i}]") for i, v in enumerate(bbox))
-    if not (bbox[2] > bbox[0] and bbox[3] > bbox[1]):
-        raise ProjectSemanticError(f"{path}.bbox is degenerate: {list(bbox)}")
-    nx = _integer(obj.get("nx", 40), f"{path}.nx")
-    ny = _integer(obj.get("ny", 40), f"{path}.ny")
-    if nx < 2 or ny < 2:
-        raise ProjectSemanticError(f"{path}: nx and ny must be at least 2")
-    return GeometryJob(shape, bbox, nx, ny)
+    name, readers = _SHAPES[kind]
+    rest = {key: value for key, value in obj.items() if key != "type"}
+    fields = _fields(rest, path, readers, tuple(readers))
+    return _owned(path, getattr(plane_geometry, name), **fields)
+
+
+_GEOMETRY = {
+    "shape": _shape,
+    "bbox": partial(_numbers, count=4, form="[xmin, ymin, xmax, ymax]"),
+    "nx": _integer,
+    "ny": _integer,
+}
+
+
+def _geometry(obj: Any, path: str) -> GeometryJob:
+    from .plane_geometry import check_grid
+
+    job = GeometryJob(**_fields(obj, path, _GEOMETRY, ("shape", "bbox")))
+    _owned(path, check_grid, job.bbox, job.nx, job.ny, sep=".")
+    return job
+
+
+def _version(value: Any, path: str) -> int:
+    if _integer(value, path) != SCHEMA_VERSION:
+        raise ProjectSchemaError(
+            f"unsupported schema_version {value!r}; this build reads version {SCHEMA_VERSION}")
+    return value
+
+
+# the root; parse_project_dict binds the dataset reader to the tunnel read before it
+_PROJECT: dict[str, Optional[Reader]] = {
+    "schema_version": _version,
+    "tunnel": _tunnel,
+    "joints": _where(_array_of(_joint), lambda joints: len({j.id for j in joints}) == len(joints),
+                     "ids must be unique"),
+    "fuzzy_joints": _array_of(_fuzzy_joint),
+    "dataset": None,
+    "anfis": _anfis,
+    "geometry": _geometry,
+    "label_thresholds": partial(_numbers, count=3, form="a 3-element array"),
+}
 
 
 def parse_project_dict(doc: Any) -> ProjectConfig:
     if not isinstance(doc, dict):
         raise ProjectSchemaError("project root must be a JSON object")
-    _check_keys(doc, "$", _TOP_KEYS, {"schema_version", "tunnel"})
-    version = _integer(doc["schema_version"], "$.schema_version")
-    if version != SCHEMA_VERSION:
-        raise ProjectSchemaError(
-            f"unsupported schema_version {version!r}; this build reads version {SCHEMA_VERSION}"
-        )
-    tunnel = _parse_tunnel(doc["tunnel"], "$.tunnel")
+    fields: dict[str, Any] = {}
 
-    joints = []
-    raw_joints = doc.get("joints", [])
-    if not isinstance(raw_joints, list):
-        raise ProjectSchemaError("$.joints must be an array")
-    for i, obj in enumerate(raw_joints):
-        joints.append(_parse_joint(obj, f"$.joints[{i}]", i))
-    if len({j.id for j in joints}) != len(joints):
-        raise ProjectSemanticError("$.joints ids must be unique")
+    def dataset(obj: Any, path: str) -> DatasetSpec:
+        from .surrogate.dataset import DatasetSpec
+        return _owned(path, DatasetSpec, tunnel=fields["tunnel"], **_fields(obj, path, _DATASET))
 
-    raw_fuzzy = doc.get("fuzzy_joints", [])
-    if not isinstance(raw_fuzzy, list):
-        raise ProjectSchemaError("$.fuzzy_joints must be an array")
-    fuzzy_joints = [
-        _parse_fuzzy_joint(obj, f"$.fuzzy_joints[{i}]") for i, obj in enumerate(raw_fuzzy)
-    ]
-
-    dataset = None
-    if "dataset" in doc:
-        dataset = _parse_dataset(doc["dataset"], "$.dataset", tunnel)
-    anfis = _parse_anfis(doc["anfis"], "$.anfis") if "anfis" in doc else AnfisConfig()
-    geometry = _parse_geometry(doc["geometry"], "$.geometry") if "geometry" in doc else None
-
-    thresholds = doc.get("label_thresholds", list(DEFAULT_LABEL_THRESHOLDS))
-    if not isinstance(thresholds, list) or len(thresholds) != 3:
-        raise ProjectSchemaError("$.label_thresholds must be a 3-element array")
-    thresholds = tuple(_number(v, f"$.label_thresholds[{i}]") for i, v in enumerate(thresholds))
-    if not (1.0 >= thresholds[0] > thresholds[1] > thresholds[2] >= 0.0):
-        raise ProjectSemanticError("$.label_thresholds must strictly decrease within [0, 1]")
-
-    return ProjectConfig(
-        tunnel=tunnel,
-        joints=tuple(joints),
-        fuzzy_joints=tuple(fuzzy_joints),
-        dataset=dataset,
-        anfis=anfis,
-        geometry=geometry,
-        label_thresholds=thresholds,
-    )
+    _fields(doc, "$", {**_PROJECT, "dataset": dataset}, ("schema_version", "tunnel"), fields)
+    del fields["schema_version"]
+    config = ProjectConfig(**fields)
+    _owned("$", check_label_thresholds, config.label_thresholds, sep=".")
+    return config
 
 
 def parse_project(path: str) -> ProjectConfig:

@@ -22,7 +22,6 @@ from ..kernel.orientation import wrap_azimuth
 from .dataset import FEATURE_NAMES, NormalizationRecord, check_finite_numbers
 
 _W_TINY = 1e-300
-_RIDGE = 1e-8
 _MAX_RULES = 1024
 
 MODEL_SCHEMA_VERSION = 1
@@ -125,14 +124,7 @@ def init_model(
     counts = [mfs_per_input] * d if isinstance(mfs_per_input, int) else list(mfs_per_input)
     if len(counts) != d:
         raise ValueError("one MF count per input required")
-    if any(k < 2 for k in counts):
-        raise ValueError("need at least 2 membership functions per input")
-    n_rules = int(np.prod(counts))
-    if n_rules > _MAX_RULES:
-        raise ValueError(
-            f"rule grid has {n_rules} rules (> {_MAX_RULES}); reduce MFs per input "
-            "or split the inputs across models"
-        )
+    check_training_shape(counts)
     mf_params = []
     for i, k in enumerate(counts):
         lo, hi = float(X[:, i].min()), float(X[:, i].max())
@@ -147,7 +139,7 @@ def init_model(
     names = tuple(input_names) if input_names is not None else tuple(
         f"x{i + 1}" for i in range(d)
     )
-    return TskModel(mf_params, np.zeros((n_rules, d + 1)), input_names=names)
+    return TskModel(mf_params, np.zeros((math.prod(counts), d + 1)), input_names=names)
 
 
 class PremiseState(NamedTuple):
@@ -215,6 +207,18 @@ def check_step_sizes(learn_rate: Optional[float] = None, ridge: Optional[float] 
         raise ValueError("ridge must be >= 0 or null")
 
 
+def check_training_shape(mfs_per_input: Optional[Sequence[int]] = None,
+                         epochs: Optional[int] = None) -> None:
+    """The training shape ``init_model`` and ``train`` take: at least 2 MFs per
+    input, at most ``_MAX_RULES`` rules in their grid, and at least 1 epoch."""
+    if mfs_per_input is not None and any(k < 2 for k in mfs_per_input):
+        raise ValueError("mfs_per_input entries must be >= 2")
+    if mfs_per_input is not None and math.prod(mfs_per_input) > _MAX_RULES:
+        raise ValueError(f"mfs_per_input gives {math.prod(mfs_per_input)} rules, over {_MAX_RULES}")
+    if epochs is not None and epochs < 1:
+        raise ValueError("epochs must be >= 1")
+
+
 def lse_consequents(
     model: TskModel,
     X: np.ndarray,
@@ -225,8 +229,9 @@ def lse_consequents(
 ) -> np.ndarray:
     """Globally optimal consequents for the current premises.
 
-    With ridge None or 0: minimum-norm least squares via orthogonal factorization,
-    falling back to a tiny ridge when the factorization itself fails.  A
+    With ridge None or 0: minimum-norm least squares via orthogonal
+    factorization; a ``LinAlgError`` from it propagates (it is a ValueError),
+    since refitting with another ridge would change the model unseen.  A
     positive ridge switches to Tikhonov regression, which is what keeps the
     rule grid from interpolating small datasets.  state, if given, holds
     the current premises' strengths on X and saves recomputing them.
@@ -247,10 +252,7 @@ def lse_consequents(
     phi = (wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
     shape = (model.rule_count, model.input_count + 1)
     if not ridge:
-        try:
-            return np.linalg.lstsq(phi, y, rcond=None)[0].reshape(shape)
-        except np.linalg.LinAlgError:
-            ridge = _RIDGE
+        return np.linalg.lstsq(phi, y, rcond=None)[0].reshape(shape)
     gram, rhs = phi.T @ phi, phi.T @ y
     del phi
     gram[np.diag_indices_from(gram)] += ridge
@@ -349,8 +351,7 @@ def train(
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("training data must be nonempty")
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
+    check_training_shape(epochs=epochs)
     check_step_sizes(learn_rate, ridge)
     model = copy.deepcopy(model)
     lr = learn_rate

@@ -350,6 +350,25 @@ class TestTrain:
         m = init_model(2, 2, X)
         assert lse_consequents(m, X, y, 0.0).tobytes() == lse_consequents(m, X, y).tobytes()
 
+    def test_failed_least_squares_propagates(self, monkeypatch):
+        # a failed factorization is an error, not a silent refit with another ridge
+        X = grid_2d(5)
+        m = init_model(2, 2, X)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            lse_consequents(m, X, X[:, 0] * X[:, 1])
+        with pytest.raises(ValueError):  # the CLI's data-error exit
+            train(m, X, X[:, 0] * X[:, 1], epochs=1, ridge=None)
+
+    def test_zero_epochs_rejected(self):
+        X = grid_2d(5)
+        with pytest.raises(ValueError, match=r"^epochs must be >= 1$"):
+            train(init_model(2, 2, X), X, X[:, 0] * X[:, 1], epochs=0)
+
     def test_nonfinite_loss_diagnosed(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1e300])

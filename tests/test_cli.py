@@ -120,6 +120,17 @@ class TestExitCodes:
         assert main(["kbt", "analyze", "-p", str(path), "-o", str(tmp_path / "x.csv")]) == 2
         assert "unknown key 'location' at $.joints[2]" in capsys.readouterr().err
 
+    def test_rule_grid_cap_is_data_error_before_gen(self, tmp_path, capsys):
+        # a rule grid that training would refuse stops gen, not train
+        doc = standard_project_dict()
+        doc["anfis"]["mfs_per_input"] = [8, 8, 8, 8, 8]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "d.csv"
+        assert main(["surrogate", "gen", "-p", str(path), "-o", str(out)]) == 2
+        assert "$.anfis.mfs_per_input" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["surrogate", "gen", "-p", "p.json", "-o", "d.csv", "--seed", "5"],
         ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--seed", "5"],

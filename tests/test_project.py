@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fuzzyblock
 from fuzzyblock.project import (
     ProjectIOError,
     ProjectSchemaError,
@@ -266,4 +271,83 @@ class TestParseProject:
         doc = standard_project_dict()
         doc["geometry"]["shape"] = {"type": "circle"}
         with pytest.raises(ProjectSchemaError, match="circle"):
+            parse_project_dict(doc)
+
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "3"])
+    def test_missing_key_independent_of_hash_seed(self, tmp_path, hash_seed):
+        # the first missing key is named in the table's order, not in the
+        # order of a set, which the hash seed picks for each interpreter
+        doc = standard_project_dict()
+        doc["joints"][0] = {"id": "J1"}
+        path = write(tmp_path, doc)
+        src = str(pathlib.Path(fuzzyblock.__file__).resolve().parent.parent)
+        child = (
+            "import sys\n"
+            "from fuzzyblock.project import ProjectSchemaError, parse_project\n"
+            "try:\n"
+            "    parse_project(sys.argv[1])\n"
+            "except ProjectSchemaError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", child, path], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "missing required key 'dip_deg' at $.joints[0]\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["joints"][0].update(frction=1, dip_deg=None),
+             r"^unknown key 'frction' at \$\.joints\[0\]$"),
+            (lambda doc: (doc["fuzzy_joints"][1].pop("friction_deg"),
+                          doc["fuzzy_joints"][1].update(dip_deg="x")),
+             r"^missing required key 'friction_deg' at \$\.fuzzy_joints\[1\]$"),
+            (lambda doc: doc["joints"][0].update(dip_deg="x", friction_deg="y"),
+             r"^\$\.joints\[0\]\.dip_deg must be a number"),
+            (lambda doc: (doc["dataset"].update(dip_range=[50, 95]),
+                          doc["anfis"].update(epochs="x")),
+             r"^\$\.dataset: dip_range must stay"),
+            (lambda doc: (doc["tunnel"].pop("section"), doc.update(tunel=1)),
+             r"^unknown key 'tunel' at \$$"),
+        ],
+        ids=["unknown_before_bad_value", "missing_before_bad_value", "table_order",
+             "dataset_before_anfis", "unknown_before_missing_section"],
+    )
+    def test_first_fault_named(self, edit, message):
+        doc = standard_project_dict()
+        edit(doc)
+        with pytest.raises((ProjectSchemaError, ProjectSemanticError), match=message):
+            parse_project_dict(doc)
+
+    def test_rule_grid_cap_checked_at_parse(self):
+        # 8 MFs on each of the 5 inputs make 32,768 rules, over the 1024 that
+        # training takes: the parse rejects it before any dataset is generated
+        doc = standard_project_dict()
+        doc["anfis"]["mfs_per_input"] = [8, 8, 8, 8, 8]
+        with pytest.raises(ProjectSemanticError,
+                           match=r"^\$\.anfis\.mfs_per_input gives 32768 rules"):
+            parse_project_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["anfis"].update(mfs_per_input=[2, 2, 1, 2, 2]),
+             r"^\$\.anfis\.mfs_per_input entries must be >= 2$"),
+            (lambda doc: doc["anfis"].update(epochs=0), r"^\$\.anfis\.epochs must be >= 1$"),
+            (lambda doc: doc["geometry"].update(bbox=[0, 0, 0, 1]),
+             r"^\$\.geometry\.bbox is degenerate: \[0\.0, 0\.0, 0\.0, 1\.0\]$"),
+            (lambda doc: doc["geometry"].update(nx=1), r"^\$\.geometry\.nx must be at least 2$"),
+            (lambda doc: doc["geometry"].update(ny=0), r"^\$\.geometry\.ny must be at least 2$"),
+            (lambda doc: doc.update(label_thresholds=[0.3, 0.7, 0.95]),
+             r"^\$\.label_thresholds must strictly decrease within \[0, 1\]$"),
+        ],
+        ids=["mfs_below_2", "zero_epochs", "degenerate_bbox", "nx_below_2", "ny_below_2",
+             "thresholds_out_of_order"],
+    )
+    def test_owned_rules_named_at_key_path(self, edit, message):
+        # these rules belong to surrogate.model, plane_geometry and
+        # fuzzy_numbers; the parser adds the key path to the owner's message
+        doc = standard_project_dict()
+        edit(doc)
+        with pytest.raises(ProjectSemanticError, match=message):
             parse_project_dict(doc)
