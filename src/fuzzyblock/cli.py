@@ -6,6 +6,14 @@ never leaves a truncated CSV or SVG behind.  Diagnostics go through
 ``logging``; ``main`` shows INFO and above on stderr as bare messages unless
 logging is already configured.
 
+The commands are one table, ``_COMMANDS``: each group with its help text and
+its leaves, each leaf with its help text, handler and argument specs, and
+``plot`` as a top-level leaf.  ``build_parser`` builds from it, on each call,
+only what the argv can reach: for an argv that starts with a leaf's names,
+every group (the top-level usage lists them), the leaves of that group (its
+usage lists them) and that leaf's arguments; for any other argv, such as
+``--help`` or a bad command, the whole tree.  Nothing is kept across calls.
+
 The module loads only what every command uses: the project parser, the
 crisp tunnel sweep and the CSV helpers.  Each other command imports its own
 layer when it runs (``fuzzy_blocks``, ``plane_geometry``, ``surrogate``,
@@ -355,77 +363,96 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PROJECT = ("-p", "--project", {"required": True})
+_OUT = ("-o", "--out", {"required": True})
+_DATA = ("-d", "--data", {"required": True})
+_MODEL = ("-m", "--model", {"required": True})
+_SVG = ("--svg", {})
+
+# group -> (help, {leaf -> (help, handler, argument specs)}); a top-level leaf
+# is (help, handler, argument specs) itself.  An argument spec is the option
+# strings, then the keywords of ``add_argument``; help lists in table order.
+_COMMANDS = {
+    "kbt": ("crisp key-block theory commands", {
+        "analyze": ("classify every (facet, code) block", _cmd_kbt_analyze, (_PROJECT, _OUT)),
+        "volume": ("volumes of blocks that have one", _cmd_kbt_volume, (_PROJECT, _OUT)),
+    }),
+    "fuzzy": ("direct fuzzy block theory commands", {
+        "pbr": ("PBP / PJB / PBR table per facet and code", _cmd_fuzzy_pbr, (
+            _PROJECT,
+            ("-o", "--out", {}),
+            ("--delta-variant", {"choices": DELTA_VARIANTS, "default": "paper"}),
+        )),
+    }),
+    "geom": ("fuzzy plane geometry commands", {
+        "eval": ("rasterize a fuzzy shape's membership", _cmd_geom_eval, (_PROJECT, _OUT, _SVG)),
+    }),
+    "surrogate": ("TSK surrogate commands", {
+        "gen": ("generate the kernel-labeled dataset", _cmd_surrogate_gen, (_PROJECT, _OUT)),
+        "train": ("train the TSK model on a dataset CSV", _cmd_surrogate_train, (
+            _PROJECT, _DATA, _OUT,
+            ("--rules", {"help": "also write extracted if-then rules here"}),
+        )),
+        "predict": ("predict safety factors for feature rows", _cmd_surrogate_predict,
+                    (_MODEL, _DATA, _OUT)),
+        "map": ("predicted damage map around the section", _cmd_surrogate_map, (
+            _PROJECT, _MODEL, _OUT, _SVG, ("--bins", {"type": int, "default": 72}),
+        )),
+    }),
+    "plot": ("render any product CSV as an SVG", _cmd_plot, (_DATA, _OUT)),
+}
+
+
+def _invoked(argv: Sequence[str]) -> tuple[str, ...]:
+    """The names of the leaf that ``argv`` starts with, else ().
+
+    Only a leaf's own names in front fix the parsers that argparse goes
+    through; an option, ``--`` or an unknown name there may reach any.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return ()
+    if not isinstance(entry[1], dict):
+        return (argv[0],)
+    return tuple(argv[:2]) if len(argv) > 1 and argv[1] in entry[1] else ()
+
+
+def _add_leaf(parser: argparse.ArgumentParser, leaf: tuple) -> None:
+    _, handler, specs = leaf
+    for *flags, keywords in specs:
+        parser.add_argument(*flags, **keywords)
+    parser.set_defaults(func=handler)
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """A new parser of ``argv`` (``sys.argv[1:]`` when None) from ``_COMMANDS``,
+    holding only the parsers and arguments that ``argv`` can reach."""
+    invoked = _invoked(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="fuzzyblock",
         description="Crisp and fuzzy key-block stability analysis around tunnels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    kbt = sub.add_parser("kbt", help="crisp key-block theory commands")
-    kbt_sub = kbt.add_subparsers(dest="subcommand", required=True)
-    analyze = kbt_sub.add_parser("analyze", help="classify every (facet, code) block")
-    analyze.add_argument("-p", "--project", required=True)
-    analyze.add_argument("-o", "--out", required=True)
-    analyze.set_defaults(func=_cmd_kbt_analyze)
-    volume = kbt_sub.add_parser("volume", help="volumes of blocks that have one")
-    volume.add_argument("-p", "--project", required=True)
-    volume.add_argument("-o", "--out", required=True)
-    volume.set_defaults(func=_cmd_kbt_volume)
-
-    fuzzy = sub.add_parser("fuzzy", help="direct fuzzy block theory commands")
-    fuzzy_sub = fuzzy.add_subparsers(dest="subcommand", required=True)
-    pbr_cmd = fuzzy_sub.add_parser("pbr", help="PBP / PJB / PBR table per facet and code")
-    pbr_cmd.add_argument("-p", "--project", required=True)
-    pbr_cmd.add_argument("-o", "--out")
-    pbr_cmd.add_argument("--delta-variant", choices=DELTA_VARIANTS, default="paper")
-    pbr_cmd.set_defaults(func=_cmd_fuzzy_pbr)
-
-    geom = sub.add_parser("geom", help="fuzzy plane geometry commands")
-    geom_sub = geom.add_subparsers(dest="subcommand", required=True)
-    geval = geom_sub.add_parser("eval", help="rasterize a fuzzy shape's membership")
-    geval.add_argument("-p", "--project", required=True)
-    geval.add_argument("-o", "--out", required=True)
-    geval.add_argument("--svg")
-    geval.set_defaults(func=_cmd_geom_eval)
-
-    surrogate = sub.add_parser("surrogate", help="TSK surrogate commands")
-    s_sub = surrogate.add_subparsers(dest="subcommand", required=True)
-    gen = s_sub.add_parser("gen", help="generate the kernel-labeled dataset")
-    gen.add_argument("-p", "--project", required=True)
-    gen.add_argument("-o", "--out", required=True)
-    gen.set_defaults(func=_cmd_surrogate_gen)
-    tr = s_sub.add_parser("train", help="train the TSK model on a dataset CSV")
-    tr.add_argument("-p", "--project", required=True)
-    tr.add_argument("-d", "--data", required=True)
-    tr.add_argument("-o", "--out", required=True)
-    tr.add_argument("--rules", help="also write extracted if-then rules here")
-    tr.set_defaults(func=_cmd_surrogate_train)
-    pred = s_sub.add_parser("predict", help="predict safety factors for feature rows")
-    pred.add_argument("-m", "--model", required=True)
-    pred.add_argument("-d", "--data", required=True)
-    pred.add_argument("-o", "--out", required=True)
-    pred.set_defaults(func=_cmd_surrogate_predict)
-    smap = s_sub.add_parser("map", help="predicted damage map around the section")
-    smap.add_argument("-p", "--project", required=True)
-    smap.add_argument("-m", "--model", required=True)
-    smap.add_argument("-o", "--out", required=True)
-    smap.add_argument("--svg")
-    smap.add_argument("--bins", type=int, default=72)
-    smap.set_defaults(func=_cmd_surrogate_map)
-
-    plot = sub.add_parser("plot", help="render any product CSV as an SVG")
-    plot.add_argument("-d", "--data", required=True)
-    plot.add_argument("-o", "--out", required=True)
-    plot.set_defaults(func=_cmd_plot)
+    for name, entry in _COMMANDS.items():
+        group = sub.add_parser(name, help=entry[0])
+        if invoked and invoked[0] != name:
+            continue
+        if not isinstance(entry[1], dict):
+            _add_leaf(group, entry)
+            continue
+        leaves = group.add_subparsers(dest="subcommand", required=True)
+        for leaf_name, leaf in entry[1].items():
+            leaf_parser = leaves.add_parser(leaf_name, help=leaf[0])
+            if invoked in ((), (name, leaf_name)):
+                _add_leaf(leaf_parser, leaf)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 on --help
         return 0 if exc.code in (0, None) else USAGE_ERROR

@@ -3,8 +3,10 @@
 Parsing is strict because the inputs are safety-relevant: unknown keys are
 errors (a typo must not silently fall back to a default), and every value is
 range-checked with a diagnostic naming the offending key path.  Every
-accepted key is read by some command, except fuzzy ``friction_deg``, which
-is required and checked but not read yet.  Retired keys are unknown ones:
+accepted key is read by some command, except two fuzzy-joint keys:
+``friction_deg``, which is required and checked but not read yet, and
+``id``, which is checked as a string but neither read nor checked for
+uniqueness.  Retired keys are unknown ones:
 ``resolution``, ``bbox_margin_m``, ``unit_weight_kn_m3``, joint ``location``,
 ``axis_plunge_deg`` (every tunnel axis is horizontal), ``seed_offset_m``
 and ``delta_variant`` (the ``--delta-variant`` flag sets it).
@@ -124,6 +126,12 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ProjectSchemaError(f"{path} must be a string, got {value!r}")
+    return value
+
+
 def _numbers(value: Any, path: str, count: int, form: str) -> tuple[float, ...]:
     if not isinstance(value, list) or len(value) != count:
         raise ProjectSchemaError(f"{path} must be {form}")
@@ -198,7 +206,7 @@ def _tunnel(obj: Any, path: str) -> TunnelSection:
 
 # the keys of a crisp and of a fuzzy joint; all but the id are required
 _JOINT_KEYS = ("dip_deg", "dip_direction_deg", "friction_deg")
-_JOINT = {"id": lambda value, path: str(value), **dict.fromkeys(_JOINT_KEYS, _number)}
+_JOINT = {"id": _string, **dict.fromkeys(_JOINT_KEYS, _number)}
 _FUZZY_JOINT = {**_JOINT, **dict.fromkeys(_JOINT_KEYS, _trapezoid)}
 
 

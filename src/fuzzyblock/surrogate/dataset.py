@@ -189,22 +189,34 @@ def _draw(spec: DatasetSpec, rng: np.random.Generator) -> Draw:
     return dip, dd, phi, theta
 
 
+def _rekeyed(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """``rng`` with its Philox bit generator at the start of the stream keyed by
+    (seed, index): counter 0 and an empty buffer, as ``Philox(key=...)`` starts."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
     """The random stream keyed by (seed, index): a dataset sample's, or the train/test split's."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _rekeyed(np.random.Generator(np.random.Philox(0)), seed, index)
 
 
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
     """Generate the dataset; identical output for identical (spec, seed).
 
     Sample i is the first draw of its own Philox stream keyed by (seed, i),
-    so it does not depend on the sample count.  ``DatasetSpec`` admits only
-    ranges whose every draw the kernel can analyze, and all draws go through
-    one ``joint_cases`` call, so each sample is bit-identical to
+    so it does not depend on the sample count; one generator, re-keyed per
+    sample, draws them all.  ``DatasetSpec`` admits only ranges whose every
+    draw the kernel can analyze, and all draws go through one
+    ``joint_cases`` call, so each sample is bit-identical to
     ``single_joint_case`` on its draw; a failure propagates.
     """
-    draws = [_draw(spec, stream(spec.seed, i)) for i in range(spec.sample_count)]
+    rng = stream(spec.seed, 0)
+    draws = [_draw(spec, _rekeyed(rng, spec.seed, i)) for i in range(spec.sample_count)]
     return joint_cases(spec.tunnel, draws, spec.sf_cap)
 
 

@@ -114,6 +114,24 @@ class TestGeneration:
                 rng.uniform(*r) for r in ranges
             ]
 
+    def test_rekeyed_generator_restarts_each_stream(self):
+        # the generator that generate_dataset re-keys per sample, left with a
+        # pending 32-bit half and a part-used buffer, restarts stream (seed, i)
+        # exactly as a fresh Philox keyed by (seed, i) starts it
+        near = (0, 1, 999, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1)
+        rng = dataset.stream(0, 0)
+        for seed in (*near, 7, -1, -(2**63), 2**64 + 7):
+            for index in (*near, *range(2, 40)):
+                rng.integers(2**32, dtype=np.uint32)
+                rng.random()
+                key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+                draws = []
+                for gen in (dataset._rekeyed(rng, seed, index), dataset.stream(seed, index),
+                            np.random.Generator(np.random.Philox(key=key))):
+                    draws.append((gen.integers(2**32, size=3, dtype=np.uint32).tolist(),
+                                  gen.random(9).tolist()))
+                assert draws[0] == draws[1] == draws[2], (seed, index)
+
     def test_roof_positions_fall(self):
         # any position on an upward-facing facet admits vertical fall: sf 0
         s = single_joint_case(OCTAGON, 25.0, 130.0, 20.0, 90.0)

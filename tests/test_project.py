@@ -102,6 +102,24 @@ class TestParseProject:
         with pytest.raises(ProjectSemanticError, match="unique"):
             parse_project_dict(doc)
 
+    @pytest.mark.parametrize("section", ["joints", "fuzzy_joints"])
+    @pytest.mark.parametrize("value", [None, 1, ["J1"], {"a": [1]}],
+                             ids=["null", "number", "list", "object"])
+    def test_joint_id_must_be_a_string(self, section, value):
+        doc = standard_project_dict()
+        doc[section][1]["id"] = value
+        with pytest.raises(ProjectSchemaError,
+                           match=rf"^\$\.{section}\[1\]\.id must be a string, got "):
+            parse_project_dict(doc)
+
+    def test_number_id_does_not_collide_with_string_id(self):
+        # 1 is no id at all, rather than a duplicate of "1"
+        doc = standard_project_dict()
+        doc["joints"][0]["id"] = "1"
+        doc["joints"][1]["id"] = 1
+        with pytest.raises(ProjectSchemaError, match=r"^\$\.joints\[1\]\.id must be a string"):
+            parse_project_dict(doc)
+
     def test_nonconvex_section(self):
         doc = standard_project_dict()
         doc["tunnel"]["section"] = [[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]]
