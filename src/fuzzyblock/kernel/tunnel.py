@@ -28,7 +28,7 @@ from .mechanics import (
 )
 from .orientation import JointPlane, wrap_azimuth
 from .pyramid import signed_cones
-from .volume import block_volumes
+from .volume import pyramid_volumes
 
 GRAVITY_DIR = (0.0, 0.0, -1.0)
 
@@ -41,6 +41,12 @@ class Facet:
     angle_deg: float  # position of the midpoint around the section
     edge_length: float
     section_edge: tuple[tuple[float, float], tuple[float, float]]
+
+    @property
+    def seed_depth(self) -> float:
+        """How far into the rock a block is seeded from the facet: a quarter of
+        the edge length, a convention, not a property of the rock."""
+        return 0.25 * self.edge_length
 
 
 def _convexity_sign(vertices: Sequence[tuple[float, float]]) -> float:
@@ -226,11 +232,12 @@ def enumerate_tunnel_blocks(
     blocks get mode and safety factor under gravity (``GRAVITY_DIR``, the
     only load), which depend on the code only and come from one
     ``block_mechanics`` call for all codes, and the volume of the block
-    that ``seeded_halfspaces`` seeds at the facet midpoint.  That block is
-    bounded, as its recession cone is its empty block pyramid, so
-    all volumes are exact and come from one ``block_volumes`` call, with no
-    box.  A mode or safety-factor failure is recorded on the affected record
-    and never aborts the sweep.
+    seeded ``Facet.seed_depth`` into the rock from the facet midpoint.  Its
+    block pyramid is empty, so that block is a pyramid: the seed point is
+    its apex, its JP its sides and the facet plane its base.  All volumes
+    come in closed form from one ``pyramid_volumes`` call, with no box and
+    no plane-triple solve.  A mode or safety-factor failure is recorded on
+    the affected record and never aborts the sweep.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
@@ -241,12 +248,11 @@ def enumerate_tunnel_blocks(
     facets = tunnel.facets()
     classified = [classify_codes(signs, normals, jp, f.inward_normal) for f in facets]
     removable = np.array([classes == CLASS_REMOVABLE for classes, _ in classified])
-    jp_normals = signs[:, :, None] * normals
     by_code: dict[int, tuple[SlidingMode, Optional[float], Optional[str]]] = {}
     moving = np.flatnonzero(removable.any(axis=0))  # codes removable at some facet
     if len(moving):
         tan_phi = [math.tan(math.radians(j.friction_deg)) for j in joints]
-        mech = block_mechanics(jp_normals[moving], GRAVITY_DIR, tan_phi)
+        mech = block_mechanics(signs[moving, :, None] * normals, GRAVITY_DIR, tan_phi)
         for k, c in enumerate(moving):
             error = mech.error[k] and f"{ModeInconsistencyError.__name__}: {mech.error[k]}"
             by_code[c] = (mech.mode(k), None if error else float(mech.sf[k]), error)
@@ -268,9 +274,9 @@ def enumerate_tunnel_blocks(
                     sized.append((rec, f, c))
     if sized:
         f, c = np.array([(f, c) for _, f, c in sized]).T
-        mid = np.array([facet.midpoint for facet in facets])
-        planes, offsets = seeded_halfspaces(jp_normals[c], facets, f, mid[f])
-        for (rec, _, _), volume in zip(sized, block_volumes(planes, offsets)):
+        volumes = pyramid_volumes(normals, signs[c], [facet.inward_normal for facet in facets],
+                                  [facet.seed_depth for facet in facets], f)
+        for (rec, _, _), volume in zip(sized, volumes):
             rec.volume_m3 = float(volume)
     return records
 
@@ -281,15 +287,14 @@ def seeded_halfspaces(
     """Half-spaces of the block that each row seeds at a point of its facet.
 
     Row b's joint planes, ``jp_normals[b]`` (m, 3) facing into the block,
-    pass through the seed point, a quarter of the edge length of facet
-    ``which[b]`` into the rock from ``points[b]``; that facet's plane through
-    ``points[b]`` closes the block.  The quarter is a convention, not a
-    property of the rock.  Returns normals (B, m+1, 3) and offsets (B, m+1),
+    pass through the seed point, ``seed_depth`` of facet ``which[b]`` into
+    the rock from ``points[b]``; that facet's plane through ``points[b]``
+    closes the block.  Returns normals (B, m+1, 3) and offsets (B, m+1),
     the facet plane last; every row is computed elementwise, so it gets the
     bits it gets alone.
     """
     e = np.array([f.inward_normal for f in facets])[which]
-    seeds = points + np.array([0.25 * f.edge_length for f in facets])[which][:, None] * e
+    seeds = points + np.array([f.seed_depth for f in facets])[which][:, None] * e
     normals = np.concatenate([jp_normals, e[:, None]], axis=1)
     offsets = np.c_[np.vecdot(jp_normals, seeds[:, None]), np.vecdot(e, points)]
     return normals, offsets

@@ -1,9 +1,21 @@
-"""Convex block volumes from half-space descriptions, computed in batches.
+"""Convex block volumes, computed in batches: seeded key blocks in closed
+form, general blocks from half-space descriptions.
 
-A block is the intersection of half-spaces n . x >= d (inward normals).  It
-is bounded exactly when its recession cone {v : n . v >= 0 for every plane}
-is the zero vector alone; for a removable key block that cone is the block
-pyramid, which is empty, so no bounding box is needed.  ``block_volumes``
+A seeded key block is a pyramid: its apex is the seed point, its sides the
+planes of its joint pyramid (JP) through the apex, and its base lies on the
+facet plane.  ``pyramid_volumes`` sizes such blocks as h * A / 3 from the
+base polygon that the JP's edge rays span; the tunnel sweep sizes every
+block this way.  Its work is elementwise or a sum in ray order, so a block
+gets the same bits alone or in any batch, and it runs in chunks of
+``_PYRAMID_ENTRIES`` (block, edge ray) entries: under tracemalloc a full
+chunk of 8-joint key blocks with one parallel pair (54 edge rays, 303 blocks
+to a chunk) peaks near 1.05 MB.
+
+A block in general is the intersection of half-spaces n . x >= d (inward
+normals).  It is bounded exactly when its recession cone {v : n . v >= 0 for
+every plane} is the zero vector alone; for a removable key block that cone
+is the block pyramid, which is empty, so no bounding box is needed.
+``block_volumes``
 first decides every block's recession cone with ``cones_nonempty`` (the
 candidates and tolerance of the crisp classification) and raises
 ``UnboundedBlockError`` naming every unbounded block.  Then, for all blocks
@@ -36,10 +48,11 @@ calls.  ``block_volume`` and ``block_vertices`` are the one-block form of
 the same routine.  Blocks are processed in chunks of at most
 ``_CHUNK_ENTRIES`` (block, plane triple, plane) feasibility tests, which
 bounds every temporary whatever the batch size.  Under tracemalloc a full
-chunk of 9-plane seeded blocks (86 to a chunk) peaks just under 1.1 MB,
-most of it the boundedness cone test's (86, 132, 9) margins, and a full
-chunk of the surrogate's 8-plane boxed wedges (146 to a chunk) peaks near
-2.0 MB, in the face step.
+chunk of the surrogate's 8-plane boxed wedges, its one production caller
+(146 to a chunk), peaks near 2.0 MB, in the face step; a full chunk of
+9-plane blocks (an 8-joint pyramid closed by one plane, 86 to a chunk)
+peaks just under 1.1 MB, most of it the boundedness cone test's
+(86, 132, 9) margins.
 """
 from __future__ import annotations
 
@@ -49,13 +62,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pyramid import cones_nonempty
+from .pyramid import _TOL, cones_nonempty, edge_rays
 
 FEAS_TOL = 1e-9
 _VERTEX_TOL = 1e-7  # vertices closer than this (times scale) are one vertex
 _FACE_TOL = 1e-6  # a vertex this close (times scale) to a plane lies on its face
 _PLANE_TOL = 1e-9  # planes closer than this are one face
 _CHUNK_ENTRIES = 1 << 16
+_PYRAMID_ENTRIES = 1 << 14  # (block, edge ray) entries in one pyramid_volumes chunk
 
 Halfspaces = Sequence[tuple[np.ndarray, float]]
 
@@ -145,9 +159,10 @@ def _pack(values: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(values, order[..., None], axis=1), count
 
 
-def _slices(B: int, per_block: int) -> list[slice]:
-    """Ranges of B blocks holding at most ``_CHUNK_ENTRIES`` entries (and at least one block)."""
-    step = max(1, _CHUNK_ENTRIES // max(1, per_block))
+def _slices(B: int, per_block: int, entries: int | None = None) -> list[slice]:
+    """Ranges of B blocks holding at most ``entries`` (default ``_CHUNK_ENTRIES``)
+    entries, and at least one block."""
+    step = max(1, (entries or _CHUNK_ENTRIES) // max(1, per_block))
     return [slice(first, first + step) for first in range(0, B, step)]
 
 
@@ -187,6 +202,18 @@ def _pseudo_angle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, p, np.where(y >= 0.0, 2.0 - p, -2.0 - p))
 
 
+def _plane_basis(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal in-plane basis (u, w) of each unit normal, deterministic given n."""
+    a = np.zeros_like(N)
+    big = np.abs(N[..., 0]) > 0.9
+    a[..., 0] = ~big
+    a[..., 1] = big
+    u = _cross(N, a)
+    length = np.sqrt(_dot(u, u))
+    u /= np.where(length > 0.0, length, 1.0)[..., None]
+    return u, _cross(N, u)
+
+
 def _volumes(N: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Volumes of one chunk of bounded blocks."""
     verts, count = _vertices(N, D)
@@ -209,15 +236,7 @@ def _volumes(N: np.ndarray, D: np.ndarray) -> np.ndarray:
 
     face = _first_kept(np.ones(D.shape, dtype=bool), same) & closed[:, None] & (on_count >= 3)
 
-    # orthonormal in-plane basis (u, w), deterministic given n
-    a = np.zeros_like(N)
-    big = np.abs(N[..., 0]) > 0.9
-    a[..., 0] = ~big
-    a[..., 1] = big
-    u = _cross(N, a)
-    length = np.sqrt(_dot(u, u))
-    u /= np.where(length > 0.0, length, 1.0)[..., None]
-    w = _cross(N, u)
+    u, w = _plane_basis(N)
     masked = np.where(on[:, :, None, :], np.moveaxis(verts, 1, 2)[:, None], 0.0)
     centroid = _seq_sum(masked)
     centroid /= np.maximum(on_count, 1)[..., None]
@@ -300,3 +319,93 @@ def block_volume(halfspaces: Halfspaces) -> float:
     for a batch of one.
     """
     return float(block_volumes(*_one_block(halfspaces))[0])
+
+
+def _pyramid_areas(feasible: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Shoelace areas of the polygons spanned by each row's feasible (x, y) points.
+
+    The points are sorted by angle about their centroid; a point repeated
+    bit for bit adds exactly 0 to the sum, so none needs merging.
+    """
+    count = feasible.sum(axis=1)
+    x = x - (_seq_sum(x) / np.maximum(count, 1))[:, None]
+    y = y - (_seq_sum(y) / np.maximum(count, 1))[:, None]
+    order = np.argsort(np.where(feasible, _pseudo_angle(x, y), np.inf), axis=1, kind="stable")
+    x, y = np.take_along_axis(x, order, axis=1), np.take_along_axis(y, order, axis=1)
+    k = np.arange(x.shape[1])
+    nxt = np.where(k + 1 < count[:, None], k + 1, 0)
+    cross = x * np.take_along_axis(y, nxt, axis=1) - y * np.take_along_axis(x, nxt, axis=1)
+    return 0.5 * np.abs(_seq_sum(np.where(k < count[:, None], cross, 0.0)))
+
+
+def pyramid_volumes(
+    normals: np.ndarray,
+    signs: np.ndarray,
+    facet_normals: np.ndarray,
+    heights: np.ndarray,
+    which: np.ndarray,
+) -> np.ndarray:
+    """Volumes in cubic meters of B seeded key blocks, in closed form, shape (B,).
+
+    Block b is a pyramid.  Its sides are the planes of its joint pyramid (JP)
+    {v : signs[b, i] * normals[i] . v >= 0} through the apex, and its base
+    lies on the plane of facet f = which[b], heights[f] from the apex, with
+    inward unit normal e = facet_normals[f].  normals is (m, 3), signs (B, m)
+    of +-1, facet_normals (F, 3), heights (F,) and which (B,).  The base
+    vertices are apex + d * h / (-e . d) over the JP's feasible edge rays d,
+    the candidates ``edge_rays`` builds for the classification with both
+    signs and the same tolerance, and the volume is h * A / 3 for the base
+    area A.  A JP with no interior (a joint opposed to its parallel copy,
+    say) or no ray gives exactly 0.0.  A block whose JP holds a ray with
+    e . d >= -tol is not closed by its facet; UnboundedBlockError names every
+    such block.
+
+    A code's signs map the candidate rays onto themselves, so the ray-joint
+    margins and the rays' base-plane coordinates are built once per call.
+    Blocks are processed in chunks of ``_PYRAMID_ENTRIES`` (block, ray)
+    entries; every step is elementwise or a sum in ray order, so a block
+    gets the same bits alone, in any batch and at any chunk size.
+    """
+    N = np.asarray(normals, dtype=float).reshape(-1, 3)
+    S = np.asarray(signs, dtype=float)
+    E = np.asarray(facet_normals, dtype=float).reshape(-1, 3)
+    H = np.asarray(heights, dtype=float)
+    which = np.asarray(which, dtype=np.intp)
+    B = len(which)
+    if which.ndim != 1 or S.shape != (B, len(N)) or H.shape != (len(E),):
+        raise ValueError(f"need normals (m, 3), signs (B, m), facet normals (F, 3), heights (F,) "
+                         f"and which (B,), got {N.shape}, {S.shape}, {E.shape}, {H.shape}, "
+                         f"{which.shape}")
+    if not (np.isfinite(N).all() and np.isfinite(E).all() and np.all(H > 0.0)
+            and np.all(np.abs(S) == 1.0) and np.all((which >= 0) & (which < len(E)))):
+        raise ValueError("need finite normals, positive heights, signs of +-1 and facet "
+                         "indices below the facet count")
+    rays = edge_rays(N)
+    rays = rays[~np.isnan(rays[:, 0])]
+    rays = np.concatenate([rays, -rays])
+    if B and not len(rays):  # parallel or no joints: the JP holds a plane
+        raise UnboundedBlockError(range(B))
+    margins = rays @ N.T
+    # ray k violates row i of a code when signs[i] * margin < -tol
+    breaks = np.hstack([margins < -_TOL, margins > _TOL]).T.astype(float)
+    sides = np.hstack([S > 0, S < 0]).astype(float)
+    u, w = _plane_basis(E)
+    down = -_dot(rays, E[:, None])  # (F, rays): -e . d
+    reach = down > _TOL  # the ray meets the base plane
+    down = np.where(reach, down, 1.0)
+    X, Y = _dot(rays, u[:, None]) / down, _dot(rays, w[:, None]) / down
+    out = np.zeros(B)
+    unbounded = np.zeros(B, dtype=bool)
+    for sl in _slices(B, len(rays), _PYRAMID_ENTRIES):
+        f, h = which[sl], H[which[sl]]
+        feasible = sides[sl] @ breaks == 0
+        unbounded[sl] = np.any(feasible & ~reach[f], axis=1)
+        # the JP has an interior exactly when the sum of its rays is strictly inside it
+        total = np.stack([_seq_sum(np.where(feasible, rays[:, c], 0.0)) for c in range(3)], -1)
+        solid = (S[sl] * _dot(total[:, None], N)).min(axis=1) > _TOL * np.sqrt(_dot(total, total))
+        area = _pyramid_areas(feasible, np.where(feasible, h[:, None] * X[f], 0.0),
+                              np.where(feasible, h[:, None] * Y[f], 0.0))
+        out[sl] = np.where(solid, h * area / 3.0, 0.0)
+    if unbounded.any():
+        raise UnboundedBlockError(np.flatnonzero(unbounded))
+    return out

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
+import pyramid_oracle
 import vertex_oracle
 from conftest import OCTAGON_SECTION, principal_frame_monte_carlo
+from test_tunnel import OCTAGON, degenerate_joint_set, joint_sets
 from volume_oracle import monte_carlo_volume
 
-from fuzzyblock.kernel import Orientation, TunnelSection, volume
-from fuzzyblock.kernel.mechanics import ModeInconsistencyError
+from fuzzyblock.kernel import Orientation, TunnelSection, enumerate_tunnel_blocks, volume
+from fuzzyblock.kernel.mechanics import ModeInconsistencyError, code_signs, joint_normals
 from fuzzyblock.kernel.orientation import normal_from_orientation
 from fuzzyblock.kernel.pyramid import cones_nonempty
 from fuzzyblock.surrogate import dataset
@@ -493,6 +495,138 @@ class TestChunking:
         tracemalloc.start()
         try:
             block_volumes(normals, offsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6
+
+
+# The closed form's relative error against the exact rational volume, argued
+# from measurement.  On degenerate_joint_set(3) and (8) it is at most 4.5e-15.
+# Over 84,372 positive blocks of 5,000 hypothesis joint sets on the octagon
+# the median is 2.8e-16 and the worst 2.9e-11 (36 blocks above 1e-11, none
+# above 3e-11).  The tail is thin bases far from the apex foot: there the
+# rounding of the cross product of two nearly parallel normals tilts an edge
+# ray (with correctly rounded cross products the worst such block falls from
+# 7.7e-12 to 1.4e-13).  1e-10 leaves a factor of 3.5 over that tail and is
+# ten times tighter than the Qhull comparison's 1e-9.  Never loosen it.
+PYRAMID_REL_TOL = 1e-10
+
+
+def key_blocks(joints):
+    """The blocks the sweep sizes on the octagon, as ``pyramid_volumes`` arguments."""
+    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON) if r.volume_m3 is not None]
+    facets = OCTAGON.facets()
+    return (joint_normals(joints), code_signs([r.code for r in records], len(joints)),
+            np.array([f.inward_normal for f in facets]), np.array([f.seed_depth for f in facets]),
+            np.array([r.facet_index for r in records]))
+
+
+def assert_matches_pyramid_oracle(joints):
+    """Every sized block of the sweep against the exact oracle; returns (positive, flat) counts."""
+    normals, signs, E, H, which = key_blocks(joints)
+    got = volume.pyramid_volumes(normals, signs, E, H, which)
+    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON) if r.volume_m3 is not None]
+    assert [r.volume_m3 for r in records] == got.tolist()
+    flat = 0
+    for rec, row, f, v in zip(records, signs, which, got):
+        exact = pyramid_oracle.pyramid_volume(row[:, None] * normals, E[f], H[f])
+        if rec.boundary_pyramid:
+            # a JP the classification finds without interior is flat: exactly
+            # 0, and in rationals exactly 0 unless rounding of the float
+            # normals tilts it into a sliver (at most 1.8e-30 h^3 measured)
+            assert v == 0.0 and exact <= 1e-24 * H[f] ** 3
+            flat += 1
+        else:
+            assert v > 0.0 and abs(v - exact) <= PYRAMID_REL_TOL * exact
+    return len(records) - flat, flat
+
+
+class TestPyramidVolumes:
+    def test_orthant_corner(self):
+        # the positive orthant cut by x + y + z = sqrt(3) h: a corner tetrahedron
+        h = 0.7
+        got = volume.pyramid_volumes(np.eye(3), np.ones((1, 3)), [-np.ones(3) / math.sqrt(3)],
+                                     [h], [0])
+        assert got[0] == pytest.approx((math.sqrt(3) * h) ** 3 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("n_joints", [3, 8])
+    def test_degenerate_sets_match_exact_oracle(self, n_joints):
+        positive, flat = assert_matches_pyramid_oracle(degenerate_joint_set(n_joints))
+        assert (positive, flat) == {3: (6, 0), 8: (110, 57)}[n_joints]
+
+    @settings(max_examples=40, deadline=None)
+    @given(joint_sets())
+    def test_joint_sets_match_exact_oracle(self, joints):
+        assert_matches_pyramid_oracle(joints)
+
+    def test_flat_joint_pyramid_is_exactly_zero(self):
+        # J1 opposed to its parallel copy J8: the JP is a flat wedge in J1's plane
+        joints = degenerate_joint_set(8)
+        normals, signs, E, H, which = key_blocks(joints)
+        opposed = signs[:, 0] != signs[:, 7]
+        assert opposed.sum() == 57
+        got = volume.pyramid_volumes(normals, signs, E, H, which)
+        assert np.all(got[opposed] == 0.0) and np.all(got[~opposed] > 0.0)
+        for row, f in zip(signs[opposed], which[opposed]):
+            assert pyramid_oracle.pyramid_volume(row[:, None] * normals, E[f], H[f]) == 0
+
+    def test_unbounded_blocks_named(self):
+        normals, signs, E, H, which = key_blocks(degenerate_joint_set(3))
+        # each code's opposite opens its JP away from the facet
+        with pytest.raises(UnboundedBlockError) as info:
+            volume.pyramid_volumes(normals, np.r_[signs[:1], -signs[1:3]], E, H, which[:3])
+        assert info.value.blocks == (1, 2)
+        # parallel joints only: every JP holds a plane
+        with pytest.raises(UnboundedBlockError) as info:
+            volume.pyramid_volumes(normals[:1], np.ones((2, 1)), E, H, which[:2])
+        assert info.value.blocks == (0, 1)
+
+    @pytest.mark.parametrize("change", ["sign", "height", "normal", "facet", "shape"])
+    def test_inputs_checked(self, change):
+        normals, signs, E, H, which = key_blocks(degenerate_joint_set(3))
+        if change == "sign":
+            signs[0, 0] = 0.0
+        elif change == "height":
+            H[0] = 0.0
+        elif change == "normal":
+            normals[0, 0] = np.nan
+        elif change == "facet":
+            which[0] = len(E)
+        else:
+            signs = signs[:, :2]
+        with pytest.raises(ValueError):
+            volume.pyramid_volumes(normals, signs, E, H, which)
+
+
+class TestPyramidChunking:
+    """Chunk boundaries and batch order never change a bit, and a full chunk
+    stays inside its memory figure."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, None], ids=["one", "three", "single_chunk"])
+    def test_any_chunk_size_matches_one_block_calls(self, monkeypatch, per_chunk):
+        normals, signs, E, H, which = key_blocks(degenerate_joint_set(8))
+        B, rays = len(which), 54  # 27 non-parallel joint pairs (J1 and J8 are parallel), both signs
+        monkeypatch.setattr(volume, "_PYRAMID_ENTRIES", rays * (per_chunk or B))
+        assert len(volume._slices(B, rays, volume._PYRAMID_ENTRIES)) == -(-B // (per_chunk or B))
+        got = volume.pyramid_volumes(normals, signs, E, H, which)
+        for b in range(B):
+            alone = volume.pyramid_volumes(normals, signs[b:b + 1], E, H, which[b:b + 1])
+            assert got[b].tobytes() == alone[0].tobytes()
+        order = np.random.Generator(np.random.Philox(5)).permutation(B)
+        shuffled = volume.pyramid_volumes(normals, signs[order], E, H, which[order])
+        assert shuffled.tobytes() == got[order].tobytes()
+        assert np.count_nonzero(got) == 110
+
+    def test_full_chunk_peak_memory(self):
+        # the module docstring's figure for a full chunk of 8-joint seeded key blocks
+        normals, signs, E, H, which = key_blocks(degenerate_joint_set(8))
+        full = volume._PYRAMID_ENTRIES // 54  # (block, edge ray) entries per block
+        assert full == 303
+        signs, which = np.resize(signs, (full, 8)), np.resize(which, full)
+        tracemalloc.start()
+        try:
+            volume.pyramid_volumes(normals, signs, E, H, which)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
