@@ -13,7 +13,6 @@ from fuzzyblock.kernel import (
     TunnelSection,
     UnboundedBlockError,
     all_codes,
-    block_volume,
     block_volumes,
     classify_block,
     enumerate_tunnel_blocks,
@@ -24,6 +23,7 @@ from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.kernel.mechanics import code_signs, joint_normals
 from fuzzyblock.kernel.orientation import wrap_azimuth
 from fuzzyblock.kernel.tunnel import GRAVITY_DIR
+from fuzzyblock.kernel.volume import pyramid_volumes
 from kinematics_oracle import safety_factor, sliding_mode
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
@@ -208,12 +208,13 @@ def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
     """The sweep one record at a time: the reference for the batched sweep.
 
     Modes and safety factors come from the per-code reference, not from
-    the kernel's batched routine.
+    the kernel's batched routine.  Each volume is ``pyramid_volumes`` on that
+    one block, which pins the batched sweep's volumes bit for bit; their
+    accuracy is checked against the exact oracle in ``pyramid_oracle``.
     """
     frictions = [j.friction_deg for j in joints]
     out = []
     for facet in tunnel.facets():
-        seed_point = facet.midpoint + 0.25 * facet.edge_length * facet.inward_normal
         for code in all_codes(len(joints)):
             cls, jp_res, bp_res = classify_block(code, joints, facet.inward_normal)
             row = [facet.index, code, cls, jp_res.boundary_only or bp_res.boundary_only,
@@ -229,10 +230,8 @@ def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
             except Exception as exc:
                 row[7] = f"{type(exc).__name__}: {exc}"
                 continue
-            halfspaces = [(n, float(n @ seed_point)) for n in jp.normals]
-            halfspaces.append(
-                (facet.inward_normal, float(facet.inward_normal @ facet.midpoint)))
-            row[6] = block_volume(halfspaces)
+            row[6] = float(pyramid_volumes(joint_normals(joints), code_signs([code], len(joints)),
+                                           [facet.inward_normal], [facet.seed_depth], [0])[0])
     return out
 
 
