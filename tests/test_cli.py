@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ class TestFuzzyPbr:
         plain, flagged = str(tmp_path / "plain.csv"), str(tmp_path / "flagged.csv")
         assert main(["fuzzy", "pbr", "-p", proj, "-o", plain]) == 0
         assert main(["fuzzy", "pbr", "-p", proj, "-o", flagged, "--delta-variant", "paper"]) == 0
-        assert open(plain, "rb").read() == open(flagged, "rb").read()
+        assert Path(plain).read_bytes() == Path(flagged).read_bytes()
 
     def test_variant_key_is_data_error(self, tmp_path, capsys):
         # the flag is the one source of the variant; the project key is retired
@@ -230,7 +231,7 @@ class TestGeomEval:
         assert header == ["x", "y", "membership"]
         assert len(rows) == 8 * 8
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
-        assert open(svg).read().startswith("<svg")
+        assert Path(svg).read_text().startswith("<svg")
 
     def test_csv_cells_are_the_cell_centers(self, tmp_path):
         proj = small_project(tmp_path)
@@ -267,10 +268,10 @@ class TestSurrogatePipeline:
 
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model,
                      "--rules", rules]) == 0
-        doc = json.load(open(model))
+        doc = json.loads(Path(model).read_text())
         assert doc["schema_version"] == 1
         assert doc["normalization"] is not None
-        assert len(open(rules).read().splitlines()) == 2 * 2 * 2 * 8 * 2
+        assert len(Path(rules).read_text().splitlines()) == 2 * 2 * 2 * 8 * 2
 
         assert main(["surrogate", "predict", "-m", model, "-d", data, "-o", pred]) == 0
         pheader, prows = read_csv(pred)
@@ -282,7 +283,7 @@ class TestSurrogatePipeline:
         mheader, mrows = read_csv(map_csv)
         assert mheader == ["angle_deg", "sf_pred"]
         assert len(mrows) == 36
-        assert open(map_svg).read().startswith("<svg")
+        assert Path(map_svg).read_text().startswith("<svg")
 
     def test_map_volumes_equal_single_joint_cases(self, tmp_path, monkeypatch):
         proj = small_project(tmp_path)
@@ -311,9 +312,9 @@ class TestSurrogatePipeline:
 
     def test_gen_sample_count_283(self, tmp_path):
         proj = small_project(tmp_path)
-        doc = json.loads(open(proj).read())
+        doc = json.loads(Path(proj).read_text())
         doc["dataset"]["sample_count"] = 283
-        open(proj, "w").write(json.dumps(doc))
+        Path(proj).write_text(json.dumps(doc))
         data = str(tmp_path / "data.csv")
         assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
         _, rows = read_csv(data)
@@ -341,7 +342,7 @@ class TestSurrogatePipeline:
         m2 = str(tmp_path / "m2.json")
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", m1]) == 0
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", m2]) == 0
-        assert open(m1, "rb").read() == open(m2, "rb").read()
+        assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
     def test_products_match_library_writers(self, tmp_path):
         # one serializer per product: the CLI files are the library's bytes
@@ -351,10 +352,10 @@ class TestSurrogatePipeline:
         assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
         samples = generate_dataset(parse_project(proj).dataset)
         atomic_write_text(lib_data, dataset_csv_text(samples))
-        assert open(data, "rb").read() == open(lib_data, "rb").read()
+        assert Path(data).read_bytes() == Path(lib_data).read_bytes()
         assert main(["surrogate", "train", "-p", proj, "-d", data, "-o", model]) == 0
         atomic_write_text(lib_model, model_json_text(load_model(model)))
-        assert open(model, "rb").read() == open(lib_model, "rb").read()
+        assert Path(model).read_bytes() == Path(lib_model).read_bytes()
 
     def test_range_flag(self, tmp_path):
         # the normalization range comes from anfis.normalization_range
@@ -367,7 +368,7 @@ class TestSurrogatePipeline:
         proj.write_text(json.dumps(doc))
         model = str(tmp_path / "m.json")
         assert main(["surrogate", "train", "-p", str(proj), "-d", data, "-o", model]) == 0
-        doc = json.load(open(model))
+        doc = json.loads(Path(model).read_text())
         assert doc["normalization"]["range"] == [0.0, 1.0]
 
     def test_bad_range_flag(self, tmp_path, capsys):
@@ -500,7 +501,7 @@ class TestPlot:
         path.write_text("angle_deg,sf_pred\n" + "\n".join(f"{a},{a % 7}" for a in range(0, 360, 10)) + "\n")
         out = str(tmp_path / "plot.svg")
         assert main(["plot", "-d", str(path), "-o", out]) == 0
-        assert open(out).read().startswith("<svg")
+        assert Path(out).read_text().startswith("<svg")
 
     def test_plot_raster(self, tmp_path):
         path = tmp_path / "raster.csv"
@@ -511,7 +512,7 @@ class TestPlot:
         path.write_text("\n".join(rows) + "\n")
         out = str(tmp_path / "plot.svg")
         assert main(["plot", "-d", str(path), "-o", out]) == 0
-        assert "rect" in open(out).read()
+        assert "rect" in Path(out).read_text()
 
     def test_empty_csv_is_data_error(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -571,7 +572,7 @@ class TestPlot:
         assert main(["geom", "eval", "-p", project_file, "-o", raster]) == 0
         out = str(tmp_path / "plot.svg")
         assert main(["plot", "-d", raster, "-o", out]) == 0
-        assert open(out).read().count("<rect") == 64
+        assert Path(out).read_text().count("<rect") == 64
 
     def test_byte_identical_reruns(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -580,7 +581,7 @@ class TestPlot:
         out2 = str(tmp_path / "p2.svg")
         main(["plot", "-d", str(path), "-o", out1])
         main(["plot", "-d", str(path), "-o", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 class TestAtomicWrites:
