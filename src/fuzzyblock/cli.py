@@ -33,7 +33,7 @@ import numpy as np
 
 from .csv_io import csv_text, finite_rows, read_csv_rows
 from .fuzzy_numbers import DELTA_VARIANTS
-from .kernel.tunnel import all_codes, enumerate_tunnel_blocks
+from .kernel.tunnel import TunnelSweep, all_codes, enumerate_tunnel_blocks
 from .project import ProjectConfig, ProjectError, parse_project
 
 if TYPE_CHECKING:
@@ -71,50 +71,47 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _fmtnum(v: Optional[float]) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
-
-
-def _sweep(cfg: ProjectConfig):
+def _sweep(cfg: ProjectConfig) -> TunnelSweep:
     if not cfg.joints:
         raise CliDataError("project has no crisp joints; add a 'joints' section")
     return enumerate_tunnel_blocks(cfg.joints, cfg.tunnel)
 
 
+def _sized_volumes(sweep: TunnelSweep) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Facet and code positions of the sized blocks, facet-major, and their volume texts."""
+    f, c = np.nonzero(sweep.sized)
+    return f, c, [repr(v) for v in sweep.volume[f, c].tolist()]
+
+
 def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
-    cfg = parse_project(args.project)
-    records = _sweep(cfg)
-    rows = [
-        (
-            r.facet_index,
-            r.code,
-            r.classification or "",
-            r.mode_label,
-            _fmtnum(r.safety_factor),
-            _fmtnum(r.volume_m3),
-            _fmtnum(r.facet_angle_deg),
-            int(r.boundary_pyramid),
-            r.error or "",
-        )
-        for r in records
-    ]
+    sweep = _sweep(parse_project(args.project))
     header = ("facet", "code", "class", "mode", "sf", "volume", "angle", "boundary", "error")
-    text = csv_text(header, rows)
+    # the rows as one object table, filled a column at a time from texts
+    # formatted once per facet, per code or per sized block
+    table = np.full(sweep.removable.shape + (len(header),), "", dtype=object)
+    table[..., 0] = np.array([facet.index for facet in sweep.facets], dtype=object)[:, None]
+    table[..., 1] = np.array(sweep.codes, dtype=object)
+    table[..., 2] = sweep.classification
+    sf = ["" if np.isnan(v) else repr(v) for v in sweep.safety_factor.tolist()]
+    error = [e or "" for e in sweep.error]
+    for column, per_code in ((3, sweep.mode_label), (4, sf), (8, error)):
+        table[..., column] = np.where(sweep.removable, np.array(per_code, dtype=object), "")
+    f, c, volumes = _sized_volumes(sweep)
+    table[f, c, 5] = volumes
+    angles = [repr(float(facet.angle_deg)) for facet in sweep.facets]
+    table[..., 6] = np.array(angles, dtype=object)[:, None]
+    table[..., 7] = sweep.boundary.astype(int)
+    text = csv_text(header, table.reshape(-1, len(header)).tolist())
     atomic_write_text(args.out, text)
     return 0
 
 
 def _cmd_kbt_volume(args: argparse.Namespace) -> int:
-    cfg = parse_project(args.project)
-    records = _sweep(cfg)
-    rows = [
-        (r.facet_index, r.code, _fmtnum(r.volume_m3))
-        for r in records
-        if r.volume_m3 is not None
-    ]
-    text = csv_text(("facet", "code", "volume"), rows)
+    sweep = _sweep(parse_project(args.project))
+    f, c, volumes = _sized_volumes(sweep)
+    rows = zip([sweep.facets[i].index for i in f.tolist()],
+               [sweep.codes[j] for j in c.tolist()], volumes)
+    text = csv_text(("facet", "code", "volume"), list(rows))
     atomic_write_text(args.out, text)
     return 0
 

@@ -20,6 +20,7 @@ from .tunnel import (
     BlockRecord,
     Facet,
     TunnelSection,
+    TunnelSweep,
     all_codes,
     enumerate_tunnel_blocks,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "PyramidResult",
     "SlidingMode",
     "TunnelSection",
+    "TunnelSweep",
     "UnboundedBlockError",
     "all_codes",
     "bbox_halfspaces",

@@ -47,17 +47,20 @@ def joint_pyramid(code: str, joints: Sequence[JointPlane]) -> HalfSpaceSystem:
 
 
 def classify_codes(
-    signs: np.ndarray, normals: np.ndarray, jp: SignedCones, facet_normal: np.ndarray
+    signs: np.ndarray, normals: np.ndarray, jp: SignedCones, facet_normals: np.ndarray
 ) -> tuple[np.ndarray, SignedCones]:
-    """Shi classification of every code against one free face.
+    """Shi classification of every code against every free face, shape (F, C).
 
-    Codes are sign rows of the joint normals and jp holds their JP tests,
-    which do not depend on the face.  Returns (classes, bp).
+    Codes are sign rows (C, n) of the joint normals and jp holds their JP
+    tests, which do not depend on the face.  The block pyramids of all F
+    faces come from one stacked ``signed_cones`` call.  Returns (classes,
+    bp).
     """
-    e = np.asarray(facet_normal, dtype=float)
-    e = e / np.linalg.norm(e)
+    e = np.asarray(facet_normals, dtype=float)
+    e = e / np.array([np.linalg.norm(row) for row in e])[:, None]
     bp = signed_cones(
-        np.vstack([normals, e]), np.hstack([signs, np.ones((len(signs), 1))])
+        np.concatenate([np.broadcast_to(normals, (len(e),) + normals.shape), e[:, None]], axis=1),
+        np.hstack([signs, np.ones((len(signs), 1))]),
     )
     classes = np.select(
         [bp.nonempty, jp.nonempty], [CLASS_INFINITE, CLASS_REMOVABLE], CLASS_TAPERED
@@ -71,13 +74,14 @@ def classify_block(
     """Shi classification of a block code against one free face.
 
     Returns (classification, jp_result, bp_result); classification is one of
-    "infinite", "tapered", "removable".
+    "infinite", "tapered", "removable".  It is the one-code, one-face form
+    of ``classify_codes``.
     """
     signs = code_signs([code], len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
-    classes, bp = classify_codes(signs, normals, jp, facet_normal)
-    return str(classes[0]), jp.result(0), bp.result(0)
+    classes, bp = classify_codes(signs, normals, jp, [facet_normal])
+    return str(classes[0, 0]), jp.result(0), bp.result(0, 0)
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,16 @@ class SlidingMode:
     potential: float
 
     def label(self) -> str:
-        if self.kind == "plane":
-            return f"plane({self.indices[0] + 1})"
-        if self.kind == "wedge":
-            return f"wedge({self.indices[0] + 1},{self.indices[1] + 1})"
-        return self.kind
+        return _label(self.kind, self.indices)
+
+
+def _label(kind: str, indices: Sequence[int]) -> str:
+    """A mode's product label: its kind, with the 1-based planes of a plane or wedge."""
+    if kind == "plane":
+        return f"plane({indices[0] + 1})"
+    if kind == "wedge":
+        return f"wedge({indices[0] + 1},{indices[1] + 1})"
+    return kind
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,11 @@ class BlockMechanics:
     potential: np.ndarray  # (B,)
     sf: Optional[np.ndarray] = None  # (B,)
     error: Optional[list[Optional[str]]] = None
+
+    def labels(self) -> list[str]:
+        """Each row's ``SlidingMode.label``, without building the modes."""
+        return [_label(kind, indices)
+                for kind, indices in zip(self.kind.tolist(), self.indices.tolist())]
 
     def mode(self, k: int) -> SlidingMode:
         kind = str(self.kind[k])

@@ -15,7 +15,9 @@ generate the cone, so it has an interior exactly when their sum is strictly
 feasible; otherwise it is boundary-only and a feasible candidate is the
 witness.  Flipping the sign of a normal maps the candidates onto
 themselves, so one candidate matrix decides every sign pattern of a normal
-set (every block code) at once.  ``cones_nonempty`` applies the same
+set (every block code) at once, and ``signed_cones`` decides them for a
+stack of normal sets (the block pyramids of every facet) in one call.
+``cones_nonempty`` applies the same
 candidates to a batch of row sets, one cone each: the recession cones that
 decide whether blocks are bounded.
 """
@@ -62,20 +64,21 @@ class PyramidResult:
 
 @dataclass(frozen=True)
 class SignedCones:
-    """Cone tests of one normal set under each row of a sign matrix.
+    """Cone tests of one normal set, or of a stack of sets, under each row of a sign matrix.
 
-    Row c describes {v != 0 : signs[c, i] * n_i . v >= 0}; ``witness[c]`` is
-    a unit vector of that cone, or NaN when the cone is empty.
+    Entry c, or (f, c) for set f of a stack, describes
+    {v != 0 : signs[c, i] * n_i . v >= 0}; ``witness`` holds a unit vector
+    of that cone, or NaN when the cone is empty.
     """
 
     nonempty: np.ndarray
     boundary_only: np.ndarray
     witness: np.ndarray
 
-    def result(self, c: int) -> PyramidResult:
-        if not self.nonempty[c]:
+    def result(self, *index: int) -> PyramidResult:
+        if not self.nonempty[index]:
             return PyramidResult(False, None, False)
-        return PyramidResult(True, self.witness[c].copy(), bool(self.boundary_only[c]))
+        return PyramidResult(True, self.witness[index].copy(), bool(self.boundary_only[index]))
 
 
 def edge_rays(rows: np.ndarray) -> np.ndarray:
@@ -127,32 +130,49 @@ def cones_nonempty(normals: np.ndarray) -> np.ndarray:
 
 
 def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
-    """Decide {v != 0 : signs[c, i] * n_i . v >= 0} for every sign row c at once.
+    """Decide {v != 0 : signs[c, i] * n_i . v >= 0} for every normal set and sign row c.
 
-    Signs are +-1.  A candidate ray fails row c when it violates a constraint
-    of either sign, so counting violations is one matrix product of 0/1
-    matrices and no temporary grows past (rows x candidates).
+    normals is one set (m, d), with results of shape (C,), or a stack of
+    sets (F, m, d) that share the sign matrix (C, m) of +-1, with results
+    of shape (F, C).  The candidate rays and their margins come for every
+    set in one pass.  A candidate fails row c when it violates a constraint
+    of either sign, so counting violations is one product of 0/1 matrices
+    per set, on that set's defined candidates; no temporary grows past
+    (rows x candidates) of one set, and each set gets the bits it gets
+    alone.
     """
     normals = np.asarray(normals, dtype=float)
     signs = np.asarray(signs, dtype=float)
-    if len(normals) == 0:  # the whole space
-        witness = np.zeros((len(signs), normals.shape[1]))
-        witness[:, -1] = 1.0
-        return SignedCones(np.ones(len(signs), bool), np.zeros(len(signs), bool), witness)
-    k = _candidates(normals)
-    k = k[~np.isnan(k[:, 0])]
-    margins = k @ normals.T
-    # ray k violates +n_i when its margin is below -tol, -n_i when above +tol
-    breaks = np.hstack([margins < -_TOL, margins > _TOL]).T.astype(float)
-    feasible = np.hstack([signs > 0, signs < 0]) @ breaks == 0
-    nonempty = feasible.any(axis=1)
-    total = feasible.astype(float) @ k
-    norms = np.linalg.norm(total, axis=1)
-    interior = norms > _CROSS_TOL
-    total[interior] /= norms[interior, None]
-    interior &= (signs * (total @ normals.T)).min(axis=1) > _TOL
-    witness = np.where(interior[:, None], total, k[feasible.argmax(axis=1)])
-    witness[~nonempty] = np.nan
+    stack = normals if normals.ndim == 3 else normals[None]
+    sets, m, d = stack.shape
+    if m == 0:  # the whole space
+        witness = np.zeros((sets, len(signs), d))
+        witness[..., -1] = 1.0
+        nonempty, interior = np.ones((sets, len(signs)), bool), np.ones((sets, len(signs)), bool)
+    else:
+        k = _candidates(stack)
+        rows = np.swapaxes(stack, -1, -2)
+        margins = k @ rows
+        # ray k violates +n_i when its margin is below -tol, -n_i when above +tol
+        breaks = np.concatenate([margins < -_TOL, margins > _TOL], axis=-1)
+        sides = np.hstack([signs > 0, signs < 0])
+        nonempty = np.empty((sets, len(signs)), bool)
+        total = np.empty((sets, len(signs), d))
+        first = np.empty((sets, len(signs)), int)
+        for f in range(sets):
+            defined = np.flatnonzero(~np.isnan(k[f, :, 0]))
+            feasible = sides @ breaks[f, defined].T.astype(float) == 0
+            nonempty[f] = feasible.any(axis=1)
+            total[f] = feasible.astype(float) @ k[f, defined]
+            first[f] = defined[feasible.argmax(axis=1)]
+        norms = np.linalg.norm(total, axis=-1)
+        interior = norms > _CROSS_TOL
+        total[interior] /= norms[interior, None]
+        interior &= (signs * (total @ rows)).min(axis=-1) > _TOL
+        witness = np.where(interior[..., None], total, np.take_along_axis(k, first[..., None], 1))
+        witness[~nonempty] = np.nan
+    if normals.ndim != 3:
+        nonempty, interior, witness = nonempty[0], interior[0], witness[0]
     return SignedCones(nonempty, nonempty & ~interior, witness)
 
 

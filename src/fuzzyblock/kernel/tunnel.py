@@ -5,7 +5,9 @@ plane swept along a horizontal axis.  Each polygon edge becomes a planar
 free face whose inward-to-rock normal points away from the opening.  For
 every (facet, block code) pair the sweep classifies the block and, when it
 is removable, derives sliding mode, safety factor, and the volume of the
-maximal block seeded a short way into the rock.
+maximal block seeded a short way into the rock.  The sweep returns its
+results as columns, a ``TunnelSweep``; ``BlockRecord`` is the per-pair
+view of them.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .mechanics import (
     CLASS_REMOVABLE,
+    BlockMechanics,
     ModeInconsistencyError,
     SlidingMode,
     block_mechanics,
@@ -222,22 +225,72 @@ def all_codes(n_joints: int) -> list[str]:
     return ["".join(c) for c in itertools.product("LU", repeat=n_joints)]
 
 
+@dataclass(eq=False)
+class TunnelSweep:
+    """Outcome of the tunnel sweep as columns, facet-major and codes lexicographic.
+
+    The (F, C) columns hold one entry per (facet, code) pair; the (C,)
+    columns hold what depends on the code only, and apply where the block
+    is removable.  ``len()`` is the number of records, F * C.
+    """
+
+    facets: tuple[Facet, ...]
+    codes: list[str]
+    classification: np.ndarray  # (F, C) str
+    boundary: np.ndarray  # (F, C) bool: the JP or the BP is boundary-only
+    removable: np.ndarray  # (F, C) bool
+    volume: np.ndarray  # (F, C), NaN where the block is not sized
+    mode_label: list[str]  # (C,) "" where the code is removable on no facet
+    safety_factor: np.ndarray  # (C,), NaN where the code has none
+    error: list[Optional[str]]  # (C,)
+    mechanics: Optional[BlockMechanics]  # of the codes ``moving``
+    moving: np.ndarray  # the codes removable on some facet
+
+    def __len__(self) -> int:
+        return self.removable.size
+
+    @property
+    def sized(self) -> np.ndarray:
+        """(F, C) mask of the blocks with a volume: removable, with no error."""
+        return self.removable & np.array([e is None for e in self.error])
+
+    def records(self) -> list[BlockRecord]:
+        """One ``BlockRecord`` per (facet, code) pair, in the sweep's order."""
+        modes = {c: self.mechanics.mode(k) for k, c in enumerate(self.moving.tolist())}
+        classes, boundary = self.classification.tolist(), self.boundary.tolist()
+        removable, sized = self.removable.tolist(), self.sized.tolist()
+        volume, sf = self.volume.tolist(), self.safety_factor.tolist()
+        records = []
+        for f, facet in enumerate(self.facets):
+            for c, code in enumerate(self.codes):
+                rec = BlockRecord(facet.index, facet.angle_deg, code, classes[f][c],
+                                  boundary_pyramid=boundary[f][c])
+                if removable[f][c]:
+                    rec.mode, rec.error = modes[c], self.error[c]
+                if sized[f][c]:
+                    rec.safety_factor, rec.volume_m3 = sf[c], volume[f][c]
+                records.append(rec)
+        return records
+
+
 def enumerate_tunnel_blocks(
     joints: Sequence[JointPlane],
     tunnel: TunnelSection,
-) -> list[BlockRecord]:
+) -> TunnelSweep:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
-    All codes of a facet are classified in one batched cone test.  Removable
-    blocks get mode and safety factor under gravity (``GRAVITY_DIR``, the
-    only load), which depend on the code only and come from one
-    ``block_mechanics`` call for all codes, and the volume of the block
-    seeded ``Facet.seed_depth`` into the rock from the facet midpoint.  Its
-    block pyramid is empty, so that block is a pyramid: the seed point is
-    its apex, its JP its sides and the facet plane its base.  All volumes
-    come in closed form from one ``pyramid_volumes`` call, with no box and
-    no plane-triple solve.  A mode or safety-factor failure is recorded on
-    the affected record and never aborts the sweep.
+    The JPs of all codes are one cone test and the BPs of all (facet, code)
+    pairs another, stacked over the facets.  Removable blocks get mode and
+    safety factor under gravity (``GRAVITY_DIR``, the only load), which
+    depend on the code only and come from one ``block_mechanics`` call for
+    all codes, and the volume of the block seeded ``Facet.seed_depth`` into
+    the rock from the facet midpoint.  Its block pyramid is empty, so that
+    block is a pyramid: the seed point is its apex, its JP its sides and the
+    facet plane its base.  All volumes come in closed form from one
+    ``pyramid_volumes`` call, with no box and no plane-triple solve.  A mode
+    or safety-factor failure is recorded on the affected code and never
+    aborts the sweep.  The result is a ``TunnelSweep`` of columns; its
+    ``records()`` gives one ``BlockRecord`` per pair.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
@@ -246,39 +299,33 @@ def enumerate_tunnel_blocks(
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
     facets = tunnel.facets()
-    classified = [classify_codes(signs, normals, jp, f.inward_normal) for f in facets]
-    removable = np.array([classes == CLASS_REMOVABLE for classes, _ in classified])
-    by_code: dict[int, tuple[SlidingMode, Optional[float], Optional[str]]] = {}
-    moving = np.flatnonzero(removable.any(axis=0))  # codes removable at some facet
+    classes, bp = classify_codes(signs, normals, jp, [f.inward_normal for f in facets])
+    removable = classes == CLASS_REMOVABLE
+    moving = np.flatnonzero(removable.any(axis=0))
+    label, error = [""] * len(codes), [None] * len(codes)
+    sf = np.full(len(codes), math.nan)
+    mech = None
     if len(moving):
         tan_phi = [math.tan(math.radians(j.friction_deg)) for j in joints]
         mech = block_mechanics(signs[moving, :, None] * normals, GRAVITY_DIR, tan_phi)
-        for k, c in enumerate(moving):
-            error = mech.error[k] and f"{ModeInconsistencyError.__name__}: {mech.error[k]}"
-            by_code[c] = (mech.mode(k), None if error else float(mech.sf[k]), error)
-
-    records: list[BlockRecord] = []
-    sized: list[tuple[BlockRecord, int, int]] = []  # (record, facet, code)
-    for f, facet in enumerate(facets):
-        classes, bp = classified[f]
-        boundary = jp.boundary_only | bp.boundary_only
-        for c, (code, cls, on_boundary, moves) in enumerate(
-            zip(codes, classes.tolist(), boundary.tolist(), removable[f].tolist())
-        ):
-            rec = BlockRecord(facet.index, facet.angle_deg, code, cls,
-                              boundary_pyramid=on_boundary)
-            records.append(rec)
-            if moves:
-                rec.mode, rec.safety_factor, rec.error = by_code[c]
-                if rec.error is None:
-                    sized.append((rec, f, c))
-    if sized:
-        f, c = np.array([(f, c) for _, f, c in sized]).T
-        volumes = pyramid_volumes(normals, signs[c], [facet.inward_normal for facet in facets],
-                                  [facet.seed_depth for facet in facets], f)
-        for (rec, _, _), volume in zip(sized, volumes):
-            rec.volume_m3 = float(volume)
-    return records
+        for c, text, fault, value in zip(moving.tolist(), mech.labels(), mech.error,
+                                         mech.sf.tolist()):
+            label[c] = text
+            if fault:
+                error[c] = f"{ModeInconsistencyError.__name__}: {fault}"
+            else:
+                sf[c] = value
+    sweep = TunnelSweep(
+        facets, codes, classes, boundary=jp.boundary_only | bp.boundary_only,
+        removable=removable, volume=np.full(removable.shape, math.nan), mode_label=label,
+        safety_factor=sf, error=error, mechanics=mech, moving=moving,
+    )
+    f, c = np.nonzero(sweep.sized)
+    if len(f):
+        sweep.volume[f, c] = pyramid_volumes(
+            normals, signs[c], [facet.inward_normal for facet in facets],
+            [facet.seed_depth for facet in facets], f)
+    return sweep
 
 
 def seeded_halfspaces(

@@ -5,17 +5,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import sweep_csv_oracle
 from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
-from fuzzyblock.kernel.tunnel import all_codes
+from fuzzyblock.kernel.tunnel import all_codes, enumerate_tunnel_blocks
 from fuzzyblock.plane_geometry import cell_centers
 from fuzzyblock.project import parse_project
 from fuzzyblock.surrogate import generate_dataset, load_model, single_joint_case
 from fuzzyblock.surrogate.dataset import dataset_csv_text
 from fuzzyblock.surrogate import model as surrogate_model
 from fuzzyblock.surrogate.model import bin_angles, model_json_text
-from conftest import standard_project_dict
+from conftest import OCTAGON_SECTION, standard_project_dict
+from test_readme import fenced_blocks
+from test_tunnel import degenerate_joint_set, joint_sets
 
 
 def read_csv(path):
@@ -93,6 +97,56 @@ class TestKbtCommands:
         path.write_text(json.dumps(doc))
         out = str(tmp_path / "x.csv")
         assert main(["kbt", "analyze", "-p", str(path), "-o", out]) == 2
+
+
+def joints_project(joints):
+    """A crisp project on the octagon with the given joints."""
+    return {
+        "schema_version": 1,
+        "tunnel": {"section": OCTAGON_SECTION, "axis_trend_deg": 0.0},
+        "joints": [{"id": j.id, "dip_deg": j.orientation.dip_deg,
+                    "dip_direction_deg": j.orientation.dip_direction_deg,
+                    "friction_deg": j.friction_deg} for j in joints],
+    }
+
+
+def assert_sweep_products_match_record_oracle(directory, doc):
+    """``kbt analyze`` and ``kbt volume`` write, byte for byte, what the
+    record-by-record oracle builds from ``records()`` of the same project."""
+    path = directory / "p.json"
+    path.write_text(json.dumps(doc))
+    cfg = parse_project(str(path))
+    records = enumerate_tunnel_blocks(cfg.joints, cfg.tunnel).records()
+    expected = {"analyze": sweep_csv_oracle.analyze_text(records),
+                "volume": sweep_csv_oracle.volume_text(records)}
+    for cmd, text in expected.items():
+        out = directory / f"{cmd}.csv"
+        assert main(["kbt", cmd, "-p", str(path), "-o", str(out)]) == 0
+        assert out.read_bytes() == text.encode("utf-8"), cmd
+
+
+class TestSweepProductsMatchRecordOracle:
+    @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
+    def test_degenerate_joint_sets(self, tmp_path, n_joints):
+        doc = joints_project(degenerate_joint_set(n_joints))
+        assert_sweep_products_match_record_oracle(tmp_path, doc)
+        _, rows = read_csv(tmp_path / "analyze.csv")
+        assert len(rows) == 8 * 2 ** n_joints
+        if n_joints == 8:
+            # dip 0, dip 90 and a parallel copy: boundary-only cones, mode
+            # errors, zero and positive volumes all reach the products
+            assert {r[2] for r in rows} == {"infinite", "tapered", "removable"}
+            assert any(r[8] for r in rows) and {r[7] for r in rows} == {"0", "1"}
+
+    def test_readme_project(self, tmp_path):
+        (block,) = fenced_blocks("json")
+        assert_sweep_products_match_record_oracle(tmp_path, json.loads(block))
+
+    @settings(max_examples=25, deadline=None)
+    @given(joint_sets())
+    def test_joint_sets(self, tmp_path_factory, joints):
+        directory = tmp_path_factory.mktemp("sweep")
+        assert_sweep_products_match_record_oracle(directory, joints_project(joints))
 
 
 class TestExitCodes:

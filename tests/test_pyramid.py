@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import cone_oracle
+from test_tunnel import OCTAGON, SQUARE, degenerate_joint_set, joint_sets
+
+from fuzzyblock.kernel.mechanics import classify_codes, code_signs, joint_normals
 from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
     cone_nonempty,
@@ -11,6 +15,7 @@ from fuzzyblock.kernel.pyramid import (
     edge_rays,
     signed_cones,
 )
+from fuzzyblock.kernel.tunnel import all_codes
 
 
 def sampling_oracle(normals, directions):
@@ -278,3 +283,95 @@ class TestEdgeRays:
         rays = edge_rays(np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(rays[0], [-0.8, 0.6])
         assert np.isnan(rays[1]).all()
+
+
+def assert_sets_match_cone_oracle(stacked, sets, signs):
+    """Set f of the stacked result has the bits the one-set oracle gives ``sets[f]`` alone."""
+    assert stacked.nonempty.shape == (len(sets), len(signs))
+    for f, normals in enumerate(sets):
+        alone = cone_oracle.signed_cones(normals, signs)
+        for name in ("nonempty", "boundary_only", "witness"):
+            got, want = getattr(stacked, name)[f], getattr(alone, name)
+            assert np.array_equal(got, want, equal_nan=True), name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def normal_stacks(draw):
+    """A stack of 1-4 normal sets and a sign matrix they share.
+
+    Each set is one drawn system plus one row of its own, as a block
+    pyramid of the sweep is the joint normals plus its facet's normal.  The
+    own rows are small integer vectors too, so axis-parallel rows and rows
+    parallel or opposed to the shared ones occur.
+    """
+    normals = draw(normal_systems())
+    dim = normals.shape[1]
+    vec = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    own = unit_rows(np.array(draw(st.lists(vec, min_size=1, max_size=4)), dtype=float))
+    stack = np.concatenate(
+        [np.broadcast_to(normals, (len(own),) + normals.shape), own[:, None]], axis=1)
+    m = stack.shape[1]
+    signs = np.array(draw(st.lists(
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m),
+        min_size=1, max_size=8)))
+    return stack, signs
+
+
+class TestStackedSignedCones:
+    """The stacked cone test gives each set the bits of the one-set test it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_stacks())
+    def test_each_set_matches_the_one_set_oracle(self, case):
+        stack, signs = case
+        assert_sets_match_cone_oracle(signed_cones(stack, signs), stack, signs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(normal_systems(), st.data())
+    def test_one_set_call_matches_the_oracle(self, normals, data):
+        signs = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(normals),
+                     max_size=len(normals)),
+            min_size=1, max_size=8)))
+        alone = signed_cones(normals, signs)
+        assert alone.nonempty.shape == (len(signs),)
+        assert_sets_match_cone_oracle(signed_cones(normals[None], signs), [normals], signs)
+        assert_sets_match_cone_oracle(
+            signed_cones(np.stack([normals, normals]), signs), [normals, normals], signs)
+        for name in ("nonempty", "boundary_only", "witness"):
+            assert getattr(alone, name).tobytes() == getattr(
+                cone_oracle.signed_cones(normals, signs), name).tobytes()
+
+    def test_sets_without_rows_are_the_whole_space(self):
+        signs = np.ones((3, 0))
+        got = signed_cones(np.zeros((2, 0, 3)), signs)
+        assert_sets_match_cone_oracle(got, np.zeros((2, 0, 3)), signs)
+
+
+def assert_sweep_cones_match_oracle(joints, tunnel):
+    """The sweep's JP and block pyramid tests against the one-set oracle, facet by facet."""
+    signs = code_signs(all_codes(len(joints)), len(joints))
+    normals = joint_normals(joints)
+    jp = signed_cones(normals, signs)
+    assert_sets_match_cone_oracle(
+        signed_cones(normals[None], signs), [normals], signs)
+    facet_normals = [f.inward_normal for f in tunnel.facets()]
+    _, bp = classify_codes(signs, normals, jp, facet_normals)
+    bp_signs = np.hstack([signs, np.ones((len(signs), 1))])
+    sets = [np.vstack([normals, e / np.linalg.norm(e)]) for e in facet_normals]
+    assert_sets_match_cone_oracle(bp, sets, bp_signs)
+
+
+class TestSweepConesMatchOneSetOracle:
+    # axis-parallel facet normals, dip 0 and dip 90 joints and parallel
+    # copies (J1 and J8 of the 8-joint set) leave candidate rays undefined
+    @pytest.mark.parametrize("tunnel", [OCTAGON, SQUARE], ids=["octagon", "square"])
+    @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
+    def test_degenerate_joint_sets(self, n_joints, tunnel):
+        assert_sweep_cones_match_oracle(degenerate_joint_set(n_joints), tunnel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(joint_sets(), st.sampled_from([OCTAGON, SQUARE]))
+    def test_joint_sets(self, joints, tunnel):
+        assert_sweep_cones_match_oracle(joints, tunnel)

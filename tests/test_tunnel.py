@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,7 +135,7 @@ class TestEnumerateTunnelBlocks:
         assert len(records) == 4 * 2
 
     def test_zero_joints_one_infinite_record_per_facet(self):
-        records = enumerate_tunnel_blocks([], SQUARE)
+        records = enumerate_tunnel_blocks([], SQUARE).records()
         assert len(records) == 4
         assert all(r.classification == CLASS_INFINITE for r in records)
         assert all(r.code == "" for r in records)
@@ -144,7 +146,7 @@ class TestEnumerateTunnelBlocks:
             enumerate_tunnel_blocks(joints, SQUARE)
 
     def test_roof_block_falls_with_zero_sf(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
         roof = [
             r
             for r in records
@@ -159,7 +161,7 @@ class TestEnumerateTunnelBlocks:
         assert rec.error is None
 
     def test_every_record_classified(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
         for rec in records:
             assert rec.classification in (CLASS_INFINITE, CLASS_REMOVABLE, "tapered")
             if rec.classification == CLASS_REMOVABLE:
@@ -168,13 +170,13 @@ class TestEnumerateTunnelBlocks:
                 assert rec.safety_factor is None
 
     def test_deterministic_ordering(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
         keys = [(r.facet_index, r.code) for r in records]
         assert keys == sorted(keys)
 
     def test_repeatable(self):
-        a = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
-        b = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        a = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
+        b = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
         for ra, rb in zip(a, b):
             assert ra.classification == rb.classification
             assert ra.safety_factor == rb.safety_factor
@@ -188,7 +190,7 @@ class TestEnumerateTunnelBlocks:
             JointPlane(f"J{i + 1}", Orientation(60, (dd + 90.0) % 360.0), 20.0)
             for i, dd in enumerate((0, 120, 240))
         ]
-        records = enumerate_tunnel_blocks(joints, rotated)
+        records = enumerate_tunnel_blocks(joints, rotated).records()
         roof = [
             r
             for r in records
@@ -254,17 +256,35 @@ class TestBatchedSweepMatchesPerRecordPath:
     @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
     def test_records_equal(self, n_joints):
         joints = degenerate_joint_set(n_joints)
-        records = enumerate_tunnel_blocks(joints, OCTAGON)
+        records = enumerate_tunnel_blocks(joints, OCTAGON).records()
         expected = per_record_sweep(joints, OCTAGON)
         got = [[r.facet_index, r.code, r.classification, r.boundary_pyramid, r.mode_label,
                 r.safety_factor, r.volume_m3, r.error] for r in records]
         assert got == expected
 
     def test_degenerate_kinds_are_exercised(self):
-        records = enumerate_tunnel_blocks(degenerate_joint_set(8), OCTAGON)
+        records = enumerate_tunnel_blocks(degenerate_joint_set(8), OCTAGON).records()
         assert any(r.boundary_pyramid for r in records)
         assert any(r.error and r.error.startswith("ModeInconsistencyError") for r in records)
         assert {r.classification for r in records} == {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}
+
+
+class TestSweepPeakMemory:
+    def test_eight_joint_sweep_peak(self):
+        # Under tracemalloc the 8-joint sweep on the octagon peaked at 1.26 MB
+        # when each facet's block pyramids were a cone test of their own; with
+        # one stacked test that counts violations set by set it peaks near
+        # 0.82 MB.  A (facets, codes, candidates) float count over all facets
+        # at once would alone take 8 x 256 x 132 x 8 bytes = 2.2 MB.
+        joints = degenerate_joint_set(8)
+        enumerate_tunnel_blocks(joints, OCTAGON)
+        tracemalloc.start()
+        try:
+            enumerate_tunnel_blocks(joints, OCTAGON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3e6
 
 
 def sweep_planes(joints, tunnel, facet_index, code):
@@ -292,7 +312,7 @@ class TestBoxFreeSweepVolumes:
     def test_positive_volumes_match_halfspace_intersection(self):
         joints = degenerate_joint_set(8)
         checked = 0
-        for rec in enumerate_tunnel_blocks(joints, OCTAGON):
+        for rec in enumerate_tunnel_blocks(joints, OCTAGON).records():
             if rec.volume_m3 is None or rec.volume_m3 == 0.0:
                 continue
             oracle = halfspace_volume(*sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
@@ -303,7 +323,7 @@ class TestBoxFreeSweepVolumes:
     def test_guard_agrees_with_classes(self):
         joints = degenerate_joint_set(8)
         blocks = {CLASS_INFINITE: [], CLASS_REMOVABLE: []}
-        for rec in enumerate_tunnel_blocks(joints, OCTAGON):
+        for rec in enumerate_tunnel_blocks(joints, OCTAGON).records():
             if rec.classification in blocks:
                 blocks[rec.classification].append(
                     sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
@@ -359,8 +379,8 @@ class TestRotationInvariance:
         # whole problem about the vertical: gravity and the section stay put
         tunnel = TunnelSection(OCTAGON.vertices, axis_trend_deg=theta)
         turned = rotated(joints, theta)
-        records = enumerate_tunnel_blocks(joints, OCTAGON)
-        for a, b in zip(records, enumerate_tunnel_blocks(turned, tunnel), strict=True):
+        records = enumerate_tunnel_blocks(joints, OCTAGON).records()
+        for a, b in zip(records, enumerate_tunnel_blocks(turned, tunnel).records(), strict=True):
             assert (a.facet_index, a.code, a.classification, a.mode_label, a.boundary_pyramid,
                     a.error is None) == (b.facet_index, b.code, b.classification, b.mode_label,
                                          b.boundary_pyramid, b.error is None)

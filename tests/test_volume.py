@@ -515,7 +515,8 @@ PYRAMID_REL_TOL = 1e-10
 
 def key_blocks(joints):
     """The blocks the sweep sizes on the octagon, as ``pyramid_volumes`` arguments."""
-    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON) if r.volume_m3 is not None]
+    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON).records()
+               if r.volume_m3 is not None]
     facets = OCTAGON.facets()
     return (joint_normals(joints), code_signs([r.code for r in records], len(joints)),
             np.array([f.inward_normal for f in facets]), np.array([f.seed_depth for f in facets]),
@@ -526,7 +527,8 @@ def assert_matches_pyramid_oracle(joints):
     """Every sized block of the sweep against the exact oracle; returns (positive, flat) counts."""
     normals, signs, E, H, which = key_blocks(joints)
     got = volume.pyramid_volumes(normals, signs, E, H, which)
-    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON) if r.volume_m3 is not None]
+    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON).records()
+               if r.volume_m3 is not None]
     assert [r.volume_m3 for r in records] == got.tolist()
     flat = 0
     for rec, row, f, v in zip(records, signs, which, got):
