@@ -554,6 +554,9 @@ class TestWholeGridRaster:
             return solve(pt, *rest)
 
         monkeypatch.setattr(plane_geometry, "_pair_values", counted)
+        # a chunk small enough that the grid's few hundred live pairs fill
+        # several of them whatever the cull leaves
+        monkeypatch.setattr(plane_geometry, "_CHUNK_PAIRS", 64)
         bbox = (-2.2, -0.0, 2.2, 2.2)
         grid = raster_membership(_fuzzy_pentagon(), bbox, 60, 30)
         assert len(calls) >= 4 and max(calls) == plane_geometry._CHUNK_PAIRS
