@@ -89,7 +89,7 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
     # the rows as one object table, filled a column at a time from texts
     # formatted once per facet, per code or per sized block
     table = np.full(sweep.removable.shape + (len(header),), "", dtype=object)
-    table[..., 0] = np.array([facet.index for facet in sweep.facets], dtype=object)[:, None]
+    table[..., 0] = np.array([str(facet.index) for facet in sweep.facets], dtype=object)[:, None]
     table[..., 1] = np.array(sweep.codes, dtype=object)
     table[..., 2] = sweep.classification
     sf = ["" if np.isnan(v) else repr(v) for v in sweep.safety_factor.tolist()]
@@ -100,7 +100,7 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
     table[f, c, 5] = volumes
     angles = [repr(float(facet.angle_deg)) for facet in sweep.facets]
     table[..., 6] = np.array(angles, dtype=object)[:, None]
-    table[..., 7] = sweep.boundary.astype(int)
+    table[..., 7] = np.where(sweep.boundary, "1", "0")
     text = csv_text(header, table.reshape(-1, len(header)).tolist())
     atomic_write_text(args.out, text)
     return 0
@@ -109,7 +109,8 @@ def _cmd_kbt_analyze(args: argparse.Namespace) -> int:
 def _cmd_kbt_volume(args: argparse.Namespace) -> int:
     sweep = _sweep(parse_project(args.project))
     f, c, volumes = _sized_volumes(sweep)
-    rows = zip([sweep.facets[i].index for i in f.tolist()],
+    indices = [str(facet.index) for facet in sweep.facets]
+    rows = zip([indices[i] for i in f.tolist()],
                [sweep.codes[j] for j in c.tolist()], volumes)
     text = csv_text(("facet", "code", "volume"), list(rows))
     atomic_write_text(args.out, text)
@@ -130,12 +131,13 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
     bp_values = pbps(block_knots(jp_knots, [f.inward_normal for f in facets]), args.delta_variant)
     rows = []
     for facet, pbp_values in zip(facets, bp_values.reshape(len(facets), len(codes)).tolist()):
+        index = str(facet.index)
         for code, pjb_sup, pbp_value in zip(codes, pjb_sups, pbp_values):
             pbr_value = min(1.0 - pbp_value, pjb_sup)
             label = finiteness_label(pbp_value, cfg.label_thresholds)
             rows.append(
                 (
-                    facet.index,
+                    index,
                     code,
                     repr(pbp_value),
                     repr(pjb_sup),

@@ -2,8 +2,10 @@
 
 Every command writes its CSV products with ``csv_text`` and reads CSV input
 through ``read_csv_rows`` and ``finite_rows``, so one rule serves the crisp
-sweep, the dataset, the surrogate and ``plot``.  The module needs only the
-standard library and numpy.
+sweep, the dataset, the surrogate and ``plot``.  The commands pass every
+field as text, formatted once per column, and ``csv_text`` joins such
+fields directly when none needs quoting; ``csv.writer`` writes the rest
+with the same bytes.  The module needs only the standard library and numpy.
 """
 from __future__ import annotations
 
@@ -16,12 +18,40 @@ import numpy as np
 
 
 def csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """A product CSV: the header, then the rows, with bare newlines between lines."""
+    """A product CSV: the header, then the rows, with bare newlines between lines.
+
+    The text is that of ``csv.writer`` with ``lineterminator="\\n"``.  A line
+    of at least two ``str`` fields none of which holds a comma, a quote, a
+    carriage return, a newline or a NUL is written unquoted, so it is built
+    by joining its fields, with the same bytes.  A comma inside a field shows
+    as one more comma than the line's width accounts for, and only such
+    lines, and lines of one field or none (a lone empty field is quoted), go
+    through ``csv.writer``.  Any other input (a field of another type, a
+    quote, a carriage return, a newline or a NUL, which writers before
+    Python 3.11 reject) goes through ``csv.writer`` whole.
+    """
+    lines = [header, *rows]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    try:
+        widths = list(map(len, lines))
+        texts = [",".join(line) for line in lines]
+    except TypeError:  # a line that is not a sequence or a field that is not a str
+        texts = []
+    text = "\n".join(texts) + "\n"
+    if not texts or text.count("\n") != len(texts) or any(c in text for c in '"\r\0'):
+        writer.writerows(lines)
+        return buf.getvalue()
+    if min(widths) >= 2 and text.count(",") == sum(widths) - len(widths):
+        return text
+    commas = np.fromiter(map(str.count, texts, [","] * len(texts)), int, len(texts))
+    width = np.array(widths)
+    quoted = np.flatnonzero((commas != width - 1) | (width < 2)).tolist()
+    # no field holds a newline, so the quoted lines split apart
+    writer.writerows([lines[k] for k in quoted])
+    for k, line in zip(quoted, buf.getvalue().split("\n")):
+        texts[k] = line
+    return "\n".join(texts) + "\n"
 
 
 def _finite(text: str) -> bool:

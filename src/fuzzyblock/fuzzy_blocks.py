@@ -336,15 +336,20 @@ def _standard_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
     update: with k the last feasible valid t, if any, lo = t_k and the live
     orthants narrow to those feasible there; hi falls to the first valid t
     after k.  A system with no valid t left has closed its bracket to float
-    precision.  The first round tests only t = 0 (orthants with no
-    direction of positive support drop out) and t = 1.
+    precision.  The first round tests only t = 1 on every orthant: where
+    it holds, lo = hi = 1 and the system is done.  The second tests t = 0
+    on the systems still open, and orthants with no direction of positive
+    support drop out; where t = 0 fails too, hi = 0.  Together they make
+    the update that one round of t = 0 and t = 1 would make, without the
+    t = 0 tests of the systems of value 1.
     """
     n_sys, n_orth = len(knots), len(signs)
     lo, hi = np.zeros(n_sys), np.ones(n_sys)
     live = np.ones((n_sys, n_orth), dtype=bool)
-    ts = np.tile([0.0, 1.0], (n_sys, 1))
+    ts = np.ones((n_sys, 1))
     valid = np.ones(ts.shape, dtype=bool)
     sys_i = np.arange(n_sys)
+    first = True
     while valid.any():
         n_t = ts.shape[1]
         todo = np.flatnonzero(live[:, :, None] & valid[:, None, :])
@@ -362,6 +367,10 @@ def _standard_sups(knots: np.ndarray, signs: np.ndarray) -> np.ndarray:
         live &= ok[sys_i, :, k] | (k < 0)[:, None]
         after = valid & (np.arange(n_t) > k[:, None])
         hi = np.minimum(hi, np.where(after, ts, np.inf).min(axis=1))
+        if first:
+            first = False
+            ts, valid = np.zeros((n_sys, 1)), (lo < hi)[:, None]
+            continue
         ts = lo[:, None] + (hi - lo)[:, None] * np.arange(1, _GRID + 1) / (_GRID + 1)
         # the grid is sorted, so a repeat can only follow its equal
         valid = (ts > lo[:, None]) & (ts < hi[:, None])

@@ -21,12 +21,15 @@ value here has a closed form:
 
 Segment knots are widened by 1e-9 * scale, where scale is 1 plus the
 largest absolute point coordinate or knot of the shape, so that a point
-that rounding puts a hair off a crisp segment still reads 1.  At every
+that rounding puts a hair off a crisp segment still reads 1.  At each
 lambda an edge's knots lie within that widening, plus rounding far below
-it, of the box spanned by the supports of its two ends.  A point outside
-that box by more than twice the widening therefore reads exactly 0 on the
-edge, and such (point, edge) pairs skip the candidate solve: the result
-is the full computation's bit for bit.  Every function works on arrays of
+it, of the support box at lambda, (1 - lambda) * supp Q + lambda * supp P.
+A point that no lambda in [0, 1] puts within twice the widening of that
+box, in both coordinates, therefore reads exactly 0 on the edge.  Over
+lambda these boxes sweep the convex hull of the two end boxes, not their
+bounding box, so a point off a slanted side of the hull is such a point
+too.  Those (point, edge) pairs skip the candidate solve: the result is
+the full computation's bit for bit.  Every function works on arrays of
 points; ``raster_membership`` evaluates the whole grid in one call, whose
 live (point, edge) pairs are solved ``_CHUNK_PAIRS`` at a time.  The chunks
 only bound the temporaries: no step before the per-point maximum mixes two
@@ -45,8 +48,9 @@ from .fuzzy_numbers import AlphaInterval, TrapezoidalNumber
 # relative widening of segment knots: the slack of the crisp segment test
 _CRISP_SLACK = 1e-9
 _WIDEN = np.array([-1.0, -1.0, 1.0, 1.0])
-# (point, edge) pairs solved per numpy pass: it bounds the (2, 4, pairs, 35)
-# knot array and its temporaries of a large raster, and changes no bit
+# live (point, edge) pairs, those within the margin of the support hull,
+# solved per numpy pass: it bounds the (2, 4, pairs, 35) knot array and its
+# temporaries of a large raster, and changes no bit
 _CHUNK_PAIRS = 128
 
 
@@ -154,12 +158,36 @@ def _slope_values(line: FuzzyLineSlope, px: np.ndarray, py: np.ndarray) -> np.nd
     return _membership(_scaled(_knots(line.m), px) + _knots(line.b), py)
 
 
+def _in_hull(
+    pt: np.ndarray, margin: np.ndarray, pk: np.ndarray, qk: np.ndarray
+) -> np.ndarray:
+    """Does some lambda in [0, 1] put each point within its margin of the
+    support box at lambda, in both coordinates?  pt (K, 2), margin (K,),
+    knots (K, 2, 4).
+
+    Per coordinate and support bound, g >= 0 says the point is within the
+    margin of the bound.  g is linear in lambda, from g0 at Q to g1 at P, so
+    it holds on [0, 1] from ``enter`` to ``leave``: all of it, or up to or
+    from where it crosses 0.  A point is inside when the four spans meet.
+    A bound that holds nowhere enters at infinity, past where the other
+    bound of its coordinate leaves: that one holds on all of [0, 1].
+    """
+    m = margin[:, None]
+    g0 = np.concatenate([pt - qk[..., 0] + m, qk[..., 3] - pt + m], axis=1)  # (K, 4)
+    g1 = np.concatenate([pt - pk[..., 0] + m, pk[..., 3] - pt + m], axis=1)
+    in0, in1 = g0 >= 0.0, g1 >= 0.0
+    cross = np.divide(g0, g0 - g1, out=np.zeros(g0.shape), where=in0 != in1)
+    enter = np.where(in0, 0.0, np.where(in1, cross, np.inf))
+    leave = np.where(in1, 1.0, cross)
+    return enter.max(axis=1) <= leave.min(axis=1)
+
+
 def _edge_values(
     ends: Sequence[tuple[FuzzyPoint, FuzzyPoint]], px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
     """Largest membership over the fuzzy segments joining each pair in ``ends``.
 
-    Only the (point, edge) pairs inside the edge's widened support box are
+    Only the (point, edge) pairs inside the edge's widened support hull are
     solved, ``_CHUNK_PAIRS`` at a time, by ``_pair_values``.
     """
     pk = np.array([[_knots(p.x), _knots(p.y)] for p, _ in ends])  # (E, 2, 4)
@@ -167,13 +195,17 @@ def _edge_values(
     pt = np.stack([px, py], axis=-1)  # (N, 2)
     biggest = max(np.abs(pk).max(), np.abs(qk).max())
     scale = 1.0 + np.maximum(np.maximum(np.abs(px), np.abs(py)), biggest)
-    # a pair whose point lies outside the support box by twice the widening
-    # reads exactly 0 (see the module docstring); only the live pairs are solved
-    margin = (2.0 * _CRISP_SLACK * scale)[:, None, None]
-    outside = (pt[:, None] < np.minimum(pk, qk)[..., 0] - margin) | (
-        pt[:, None] > np.maximum(pk, qk)[..., 3] + margin
+    # a pair whose point lies outside the support hull by twice the widening
+    # reads exactly 0 (see the module docstring); only the live pairs are
+    # solved.  The hull lies in the box of both ends, whose cheap test on
+    # every pair leaves few for the hull's
+    margin = 2.0 * _CRISP_SLACK * scale
+    outside = (pt[:, None] < np.minimum(pk, qk)[..., 0] - margin[:, None, None]) | (
+        pt[:, None] > np.maximum(pk, qk)[..., 3] + margin[:, None, None]
     )
     point, edge = np.nonzero(~outside.any(axis=-1))
+    live = _in_hull(pt[point], margin[point], pk[edge], qk[edge])
+    point, edge = point[live], edge[live]
     # pair axis last: (coord, knot, pair) and (coord, pair)
     pk, qk, pt = pk.transpose(1, 2, 0), qk.transpose(1, 2, 0), pt.T
     best = np.empty(len(point))
@@ -290,7 +322,9 @@ def raster_membership(
     Returns an (ny, nx) array, rows ordered by increasing y.  The whole grid
     is one array evaluation, and every cell equals ``membership_at`` at its
     center bit for bit.  For segments and polygons only the (cell, edge)
-    pairs inside the edge's support box widened by 2e-9 * scale are solved,
+    pairs that some lambda in [0, 1] puts within 2e-9 * scale of the edge's
+    support box at lambda, in both coordinates, are solved: the cells in the
+    widened convex hull of the two end boxes.  They are solved
     ``_CHUNK_PAIRS`` pairs per numpy pass; the others read 0 on that edge,
     exactly as the full solve gives, since rounding moves a knot by far less
     than the 1e-9 * scale knot widening.  A pair's value depends on that

@@ -593,6 +593,61 @@ class TestBatchedPbp:
             fuzzy_blocks.code_knots(joints, ["UX"])
 
 
+def _valued_systems():
+    """4-row 3-D systems whose standard PBP is exactly 0, exactly 1 or in between."""
+    octant = np.vstack([np.eye(3), np.ones((1, 3)) / math.sqrt(3.0)])
+    return {
+        "zero": [crisp_system(TETRA), fuzzed_tetra(0.05)],
+        "one": [crisp_system(octant), widened(crisp_system(octant), 0.1)],
+        "between": [fuzzed_tetra(0.25), fuzzed_tetra(0.6)],
+    }
+
+
+class TestStandardSearchOrder:
+    """The standard search tests t = 1 first, and t = 0 only where t = 1 fails."""
+
+    def _cone_tests(self, monkeypatch, system):
+        counts = []
+        edges = fuzzy_blocks._orthant_edges
+
+        def counted(rows, signs):
+            counts.append(len(rows))
+            return edges(rows, signs)
+
+        monkeypatch.setattr(fuzzy_blocks, "_orthant_edges", counted)
+        value = pbp(system, "standard")
+        monkeypatch.undo()
+        return value, sum(counts)
+
+    def test_value_one_tests_only_t_one(self, monkeypatch):
+        # one cone test per octant at t = 1 decides it; t = 0 is never tested
+        for system in _valued_systems()["one"]:
+            assert self._cone_tests(monkeypatch, system) == (1.0, 8)
+
+    def test_value_zero_tests_t_one_then_t_zero(self, monkeypatch):
+        for system in _valued_systems()["zero"]:
+            assert self._cone_tests(monkeypatch, system) == (0.0, 16)
+
+    def test_value_between_multisects(self, monkeypatch):
+        for system in _valued_systems()["between"]:
+            value, tests = self._cone_tests(monkeypatch, system)
+            assert 0.0 < value < 1.0 and tests > 16
+
+    @pytest.mark.parametrize("variant", ["paper", "standard"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bit_equal_to_oracle_alone_and_in_batches(self, variant, data):
+        pool = [s for group in _valued_systems().values() for s in group]
+        batch = data.draw(st.permutations(pool))
+        batch += data.draw(st.lists(st.sampled_from(pool) | fuzzy_systems(dim=3, rows=4),
+                                    max_size=6))
+        batch = data.draw(st.permutations(batch))
+        knots = np.array([pbp_oracle._knot_matrices(s) for s in batch])
+        expected = bits(pbp_oracle.pbp(s, variant) for s in batch)
+        assert bits(pbps(knots, variant)) == expected
+        assert bits(pbps(k[None], variant)[0] for k in knots) == expected
+
+
 class TestBlockCodeRule:
     @pytest.mark.parametrize("code", ["UL", "ULLU", "UXL", "ulu", ""])
     def test_crisp_and_fuzzy_readers_reject_a_bad_code_alike(self, code):

@@ -366,25 +366,52 @@ class TestExactSegment:
             assert membership_at(seg, px, py) == 1.0
 
 
+def _shifted(t, s):
+    return T(t.a1 + s, t.a2 + s, t.a3 + s, t.a4 + s)
+
+
 @st.composite
 def edges_and_points(draw):
-    """A segment or a closed polygon, and points where the support-box cull decides.
+    """A segment or a closed polygon, and points where the support-hull cull decides.
 
-    Per edge: each bound of its support box exactly, then moved out by a
-    fraction of the knot widening w = 1e-9 * scale, by w plus a fraction and
-    by the cull margin 2w and beyond; the other coordinate in the core of the
-    end that attains the bound, so a point in the widening band reads above 0.
-    Also every pairing of the ends' x and y knots, points on the core edges
-    and a few free points, some far enough out to raise the scale.
+    An edge runs free, parallel to an axis (its ends share one coordinate),
+    diagonally (the next end is the last shifted by (s, +-s)) or has zero
+    length (both ends the same).  Per edge: each bound of its support box
+    exactly, then moved out by a fraction of the knot widening
+    w = 1e-9 * scale, by w plus a fraction and by the cull margin 2w and
+    beyond; the other coordinate in the core of the end that attains the
+    bound, so a point in the widening band reads above 0.  Then the same
+    offsets, in both coordinates, off each of the four corner paths of the
+    support box at lambda, (1 - lambda) * supp Q + lambda * supp P: two of
+    them run along the slanted sides of the hull of the end boxes, where the
+    hull cull decides but the box of both ends does not.  Also every pairing
+    of the ends' x and y knots, points on the core edges and a few free
+    points, some far enough out to raise the scale.
     """
     n = draw(st.sampled_from([2, 3, 5]))
-    verts = [FuzzyPoint(draw(trapezoids()), draw(trapezoids())) for _ in range(n)]
+    verts = [FuzzyPoint(draw(trapezoids()), draw(trapezoids()))]
+    for _ in range(n - 1):
+        last = verts[-1]
+        kind = draw(st.sampled_from(["free", "axis", "diagonal", "zero-length"]))
+        if kind == "free":
+            verts.append(FuzzyPoint(draw(trapezoids()), draw(trapezoids())))
+        elif kind == "axis":
+            moved = draw(trapezoids())
+            along_x = draw(st.booleans())
+            verts.append(FuzzyPoint(moved, last.y) if along_x else FuzzyPoint(last.x, moved))
+        elif kind == "diagonal":
+            s = draw(st.floats(0.1, 3.0))
+            sx, sy = s * draw(st.sampled_from([1.0, -1.0])), s * draw(st.sampled_from([1.0, -1.0]))
+            verts.append(FuzzyPoint(_shifted(last.x, sx), _shifted(last.y, sy)))
+        else:
+            verts.append(last)
     ends = list(zip(verts, verts[1:] + verts[:1])) if n > 2 else [tuple(verts)]
     knots = np.array([[v.x.to_list(), v.y.to_list()] for v in verts])
     w = _CRISP_SLACK * (1.0 + np.abs(knots).max())
     f = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     t = draw(st.floats(0.0, 1.0))
     lam = draw(st.floats(0.0, 1.0))
+    offsets = (0.0, f, 1.0 + f, 2.0, 2.0 + f, 4.0)
     band = []
     for p, q in ends:
         for axis in (0, 1):
@@ -393,9 +420,16 @@ def edges_and_points(draw):
                 bound = (end.x, end.y)[axis].to_list()[side]
                 other = (end.y, end.x)[axis]
                 inside = other.a2 + t * (other.a3 - other.a2)
-                for k in (0.0, f, 1.0 + f, 2.0, 2.0 + f, 4.0):
+                for k in offsets:
                     xy = [bound + sign * k * w, inside]
                     band.append(xy if axis == 0 else xy[::-1])
+        pk, qk = (np.array([v.x.to_list(), v.y.to_list()]) for v in (p, q))
+        for kx, ky in ((0, 0), (0, 3), (3, 0), (3, 3)):
+            out = np.array([1.0 if kx == 3 else -1.0, 1.0 if ky == 3 else -1.0])
+            corner_q, corner_p = qk[[0, 1], [kx, ky]], pk[[0, 1], [kx, ky]]
+            for at in (lam, 0.5):
+                corner = corner_q + at * (corner_p - corner_q)
+                band += [list(corner + k * w * out) for k in offsets]
     rest = []
     for p, q in ends:
         for v in (p, q):
@@ -412,7 +446,7 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-class TestSupportBoxCull:
+class TestSupportHullCull:
     @settings(max_examples=200, deadline=None)
     @given(edges_and_points())
     def test_bit_equal_to_full_solve(self, case):
@@ -421,7 +455,7 @@ class TestSupportBoxCull:
         values = _edge_values(ends, px, py)
         assert np.array_equal(_bits(values), _bits(edge_values(ends, px, py)))
         # a point's value does not depend on the other points in its batch;
-        # a stride of 5 over 6 offsets per bound reaches every offset
+        # a stride of 5 over 6 offsets per bound or corner path reaches every offset
         some = range(0, len(band), 5)
         alone = [_edge_values(ends, band[k : k + 1, 0], band[k : k + 1, 1])[0] for k in some]
         assert np.array_equal(_bits(alone), _bits(values[list(some)]))
@@ -438,6 +472,55 @@ class TestSupportBoxCull:
         values = _edge_values([(p, q)], px, py)
         assert values[0] > 0.0 and values[1] == 0.0 and values[2] == 0.0
         assert np.array_equal(_bits(values), _bits(edge_values([(p, q)], px, py)))
+
+
+    def test_slanted_side_margin(self, monkeypatch):
+        # Q's support box moves by (2, 2) to P's, so the hull's upper-left
+        # side runs from (0, 0.3) to (2, 2.3); off its middle by k * w in
+        # both coordinates a point is inside the box of both ends, on the
+        # widened ramps at k = 0.5, within the cull margin at k = 1.5 and
+        # culled at k = 2.5
+        q = FuzzyPoint(T(0.0, 0.1, 0.2, 0.3), T(0.0, 0.1, 0.2, 0.3))
+        p = FuzzyPoint(T(2.0, 2.1, 2.2, 2.3), T(2.0, 2.1, 2.2, 2.3))
+        w = _CRISP_SLACK * (1.0 + 2.3)
+        k = np.array([0.5, 1.5, 2.5])
+        px, py = 1.0 - k * w, 1.3 + k * w
+        solved = []
+        solve = plane_geometry._pair_values
+
+        def counted(pt, *rest):
+            solved.append(pt.shape[1])
+            return solve(pt, *rest)
+
+        monkeypatch.setattr(plane_geometry, "_pair_values", counted)
+        values = _edge_values([(p, q)], px, py)
+        assert values[0] > 0.0 and values[1] == 0.0 and values[2] == 0.0
+        assert sum(solved) == 2
+        assert np.array_equal(_bits(values), _bits(edge_values([(p, q)], px, py)))
+        # left of both end boxes, or below both, no lambda reaches the point
+        ends = np.array([[p.x.to_list(), p.y.to_list()]]), np.array([[q.x.to_list(), q.y.to_list()]])
+        outside = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        assert not plane_geometry._in_hull(outside[:1], np.array([w]), *ends).any()
+        assert not plane_geometry._in_hull(outside[1:], np.array([w]), *ends).any()
+
+    def test_hull_solves_fewer_pairs_than_box(self, monkeypatch):
+        # with the hull test off, only the box of both end supports culls
+        solved = []
+        solve = plane_geometry._pair_values
+
+        def counted(pt, *rest):
+            solved.append(pt.shape[1])
+            return solve(pt, *rest)
+
+        monkeypatch.setattr(plane_geometry, "_pair_values", counted)
+        bbox = (-2.2, -2.2, 2.2, 2.2)
+        hull = raster_membership(_fuzzy_pentagon(), bbox, 60, 60)
+        hull_pairs = sum(solved)
+        solved.clear()
+        monkeypatch.setattr(plane_geometry, "_in_hull", lambda pt, *rest: np.ones(len(pt), bool))
+        box = raster_membership(_fuzzy_pentagon(), bbox, 60, 60)
+        assert hull_pairs < sum(solved)
+        _assert_same_bits(hull, box)
 
 
 def _assert_same_bits(values, reference):
