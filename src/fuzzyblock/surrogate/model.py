@@ -23,6 +23,7 @@ from .dataset import FEATURE_NAMES, NormalizationRecord, check_finite_numbers
 
 _W_TINY = 1e-300
 _MAX_RULES = 1024
+_GRAM_ROWS = 256
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -219,6 +220,117 @@ def check_training_shape(mfs_per_input: Optional[Sequence[int]] = None,
         raise ValueError("epochs must be >= 1")
 
 
+class GramLayout(NamedTuple):
+    """Where each consequent Gram entry lies among the Gram's distinct values.
+
+    A design-matrix column (r, j) is a product of d + 1 factors: input i's
+    normalized membership of MF r_i, for each i, then regressor j of
+    a = (x, 1).  ``left`` and ``right`` split the factors into the two
+    groups whose per-sample pair products ``normal_equations`` multiplies
+    in one matrix product; ``index`` (P, P) holds each Gram entry's
+    position in that product's flat result.
+    """
+
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    index: np.ndarray
+
+
+def _pair_codes(m: int) -> np.ndarray:
+    """(m, m) code s(s + 1)/2 + r of each unordered pair {r <= s} of m columns."""
+    i = np.arange(m)
+    hi = np.maximum.outer(i, i)
+    return hi * (hi + 1) // 2 + np.minimum.outer(i, i)
+
+
+def _pair_products(v: np.ndarray) -> np.ndarray:
+    """v[:, r] * v[:, s] of every unordered column pair, in the order of ``_pair_codes``."""
+    hi, lo = np.tril_indices(v.shape[1])
+    return v[:, hi] * v[:, lo]
+
+
+def _row_kron(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Kronecker product of (N, m_f) arrays, the first varying slowest."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, :, None] * m[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+def gram_layout(model: TskModel) -> GramLayout:
+    """The Gram layout of the model's rule grid; it depends only on the grid's shape.
+
+    The factors go, largest pair count first, to the group whose pair
+    counts have the smaller product, so both sides of the matrix product
+    stay near the square root of the number of distinct values.  The index
+    is a sum of one small symmetric table per factor, so it is exactly
+    symmetric.
+    """
+    sizes = model.mf_counts + (model.input_count + 1,)
+    pairs = [m * (m + 1) // 2 for m in sizes]
+    groups: tuple[list[int], list[int]] = ([], [])
+    for f in sorted(range(len(sizes)), key=lambda f: -pairs[f]):
+        groups[math.prod(pairs[g] for g in groups[0]) > math.prod(pairs[g] for g in groups[1])].append(f)
+    left, right = (tuple(sorted(g)) for g in groups)
+    stride = {}  # of each factor's pair code in the flat (left, right) product
+    step = 1
+    for f in reversed(left + right):
+        stride[f] = step
+        step *= pairs[f]
+    index = np.zeros((1, 1), dtype=np.int32)
+    for f, m in enumerate(sizes):  # in column order (r, j), first input slowest
+        table = (_pair_codes(m) * stride[f]).astype(np.int32)
+        index = (index[:, None, :, None] + table[None, :, None, :]).reshape(len(index) * m, -1)
+    return GramLayout(left, right, index)
+
+
+def normal_equations(
+    model: TskModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
+    state: Optional[PremiseState] = None,
+    layout: Optional[GramLayout] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix phi.T @ phi and right-hand side phi.T @ y of the consequents.
+
+    phi (N, P) is the design matrix, wbar[n, r] * a[n, j] in column
+    r * (d + 1) + j; it is never formed.  On the full rule grid wbar[n, r]
+    is the product over inputs of ubar_i[n, r_i], input i's memberships
+    divided by their sum, or 1 / k_i on the rows where ``premise_state``
+    falls back to uniform strengths.  So Gram entry ((r, j), (s, k)) sums
+    over samples the product of ubar_i[r_i] * ubar_i[s_i] over inputs and
+    a_j * a_k, and depends only on the unordered pairs {r_i, s_i} and
+    {j, k}: prod k_i(k_i + 1)/2 * (d + 1)(d + 2)/2 distinct values in all.
+    One matrix product of the two layout groups' row-wise Kronecker
+    products of those pair products gives them, a few hundred samples at a
+    time, and the layout's index gathers them into the exactly symmetric
+    (P, P) Gram matrix.  Normalizing per input never squares a raw
+    strength, which underflows on rows of small total strength.  The
+    right-hand side is wbar.T @ (a * y).  state as in ``lse_consequents``;
+    layout is ``gram_layout(model)`` if None.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    U, w, _ = state or premise_state(model, X)
+    layout = layout or gram_layout(model)
+    uniform = ~(w.sum(axis=1) > _W_TINY)  # premise_state's fallback rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = [u / u.sum(axis=1, keepdims=True) for u in U]
+    for v in factors:
+        v[uniform] = 1.0 / v.shape[1]
+    a = _augmented(X)
+    pairs = [_pair_products(v) for v in factors + [a]]
+    values = np.zeros([math.prod(pairs[f].shape[1] for f in g) for g in layout[:2]])
+    rhs = np.zeros((model.rule_count, a.shape[1]))
+    for lo in range(0, X.shape[0], _GRAM_ROWS):
+        rows = slice(lo, lo + _GRAM_ROWS)
+        values += _row_kron([pairs[f][rows] for f in layout.left]).T @ _row_kron(
+            [pairs[f][rows] for f in layout.right])
+        rhs += _row_kron([v[rows] for v in factors]).T @ (a[rows] * y[rows, None])
+    return values.ravel()[layout.index], rhs.ravel()
+
+
 def lse_consequents(
     model: TskModel,
     X: np.ndarray,
@@ -226,35 +338,36 @@ def lse_consequents(
     ridge: Optional[float] = None,
     *,
     state: Optional[PremiseState] = None,
+    layout: Optional[GramLayout] = None,
 ) -> np.ndarray:
     """Globally optimal consequents for the current premises.
 
     With ridge None or 0: minimum-norm least squares via orthogonal
-    factorization; a ``LinAlgError`` from it propagates (it is a ValueError),
-    since refitting with another ridge would change the model unseen.  A
-    positive ridge switches to Tikhonov regression, which is what keeps the
-    rule grid from interpolating small datasets.  state, if given, holds
-    the current premises' strengths on X and saves recomputing them.
+    factorization of the (N, P) design matrix; a ``LinAlgError`` from it
+    propagates (it is a ValueError), since refitting with another ridge
+    would change the model unseen.  A positive ridge switches to Tikhonov
+    regression, which is what keeps the rule grid from interpolating small
+    datasets.  state, if given, holds the current premises' strengths on
+    X and saves recomputing them; layout, if given, is ``gram_layout(model)``,
+    which ``train`` builds once for all its epochs.
 
-    The Tikhonov path forms the Gram matrix phi.T @ phi and phi.T @ y, then
-    frees the (N, P) design matrix phi before the solve, so the solve's LU
-    copy does not stack on it; the ridge goes onto the Gram diagonal in
-    place, so no second (P, P) array is allocated either.  numpy forms
-    phi.T @ phi with one symmetric rank-k update and mirrors its triangle,
-    so the Gram matrix is exactly symmetric and its transpose is the same
-    matrix: the solve takes that F-ordered view, whose copy into LAPACK's
-    column-major layout reads contiguous columns, and gets the same bits.
+    The Tikhonov path takes the Gram matrix and right-hand side from
+    ``normal_equations``, which never forms the design matrix, and adds
+    the ridge onto the Gram diagonal in place, so no second (P, P) array
+    is allocated.  The Gram matrix is exactly symmetric, so its transpose
+    is the same matrix: the solve takes that F-ordered view, whose copy
+    into LAPACK's column-major layout reads contiguous columns, and gets
+    the same bits.
     """
     check_step_sizes(ridge=ridge)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    wbar = (state or premise_state(model, X)).wbar
-    phi = (wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
     shape = (model.rule_count, model.input_count + 1)
     if not ridge:
+        wbar = (state or premise_state(model, X)).wbar
+        phi = (wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
         return np.linalg.lstsq(phi, y, rcond=None)[0].reshape(shape)
-    gram, rhs = phi.T @ phi, phi.T @ y
-    del phi
+    gram, rhs = normal_equations(model, X, y, state=state, layout=layout)
     gram[np.diag_indices_from(gram)] += ridge
     return np.linalg.solve(gram.T, rhs).reshape(shape)
 
@@ -341,11 +454,12 @@ def train(
     Pass 1 of each epoch solves the consequents exactly; pass 2 is one batch
     gradient step on the premises.  The learning rate halves whenever the
     epoch RMSE increases.  Memberships and firing strengths are evaluated
-    once per premise setting and shared by both passes and the RMSE.  At
-    most one (N, P) design matrix is alive at a time: ``lse_consequents``
-    frees it before its solve, and the gradient pass works on (N, R) grids.
-    A non-finite premise gradient or epoch RMSE raises TrainingError, so no
-    model with non-finite MF parameters comes back.
+    once per premise setting and shared by both passes and the RMSE.  With
+    a positive ridge no (N, P) design matrix is formed: the Gram layout is
+    built once, serves every epoch's ``lse_consequents`` and is freed on
+    return, and the gradient pass works on (N, R) grids.  A non-finite
+    premise gradient or epoch RMSE raises TrainingError, so no model with
+    non-finite MF parameters comes back.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -357,9 +471,10 @@ def train(
     lr = learn_rate
     history: list[float] = []
     prev = math.inf
+    layout = gram_layout(model) if ridge else None
     state = premise_state(model, X)
     for epoch in range(epochs):
-        model.consequents = lse_consequents(model, X, y, ridge, state=state)
+        model.consequents = lse_consequents(model, X, y, ridge, state=state, layout=layout)
         grads = premise_gradients(model, X, y, state=state)
         if not all(np.isfinite(g).all() for g in grads):
             raise TrainingError(
