@@ -7,7 +7,9 @@ onto the rule columns, rebuild dy/dw per input and sum each MF's rules
 through a boolean column mask.  ``train`` is the epoch loop as written
 before strengths were shared: least squares on a broadcast-built design
 matrix, the gradients and the RMSE each evaluate the strengths themselves.
-The package must reproduce their bits.
+With a ridge, least squares solves the package's ``normal_equations``
+on this module's strengths; ``tests/gram_oracle.py`` checks those
+against exact arithmetic.  The package must reproduce their bits.
 """
 import copy
 import math
@@ -15,7 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from fuzzyblock.surrogate.model import _W_TINY, PremiseState, TskModel, bell_membership
+from fuzzyblock.surrogate.model import (
+    _W_TINY,
+    PremiseState,
+    TskModel,
+    bell_membership,
+    normal_equations,
+)
 
 
 def premise_state(model: TskModel, X: np.ndarray) -> PremiseState:
@@ -105,15 +113,14 @@ def _augmented(X: np.ndarray) -> np.ndarray:
 def lse_consequents(
     model: TskModel, X: np.ndarray, y: np.ndarray, ridge: Optional[float] = None
 ) -> np.ndarray:
-    """Least-squares consequents, from the Gram matrix of phi when ridge > 0."""
-    wbar = premise_state(model, X).wbar
-    Xa = _augmented(X)
-    phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(X.shape[0], -1)
+    """Least-squares consequents, from the normal equations when ridge > 0."""
+    state = premise_state(model, X)
     if ridge is not None and ridge > 0.0:
-        gram = phi.T @ phi
+        gram, rhs = normal_equations(model, X, y, state=state)
         gram[np.diag_indices_from(gram)] += ridge
-        theta = np.linalg.solve(gram, phi.T @ y)
+        theta = np.linalg.solve(gram, rhs)
     else:
+        phi = (state.wbar[:, :, None] * _augmented(X)[:, None, :]).reshape(X.shape[0], -1)
         theta = np.linalg.lstsq(phi, y, rcond=None)[0]
     return theta.reshape(model.rule_count, model.input_count + 1)
 

@@ -23,6 +23,7 @@ from fuzzyblock.surrogate.model import (
     model_from_dict,
     model_json_text,
     model_to_dict,
+    normal_equations,
     premise_gradients,
     premise_state,
     rmse,
@@ -172,15 +173,15 @@ class TestTrain:
             assert all(isinstance(a[0], TskModel) and a[1] is X for a in log)
 
     def test_ridge_solution_matches_explicit_gram(self):
+        # the Gram matrix that normal_equations returns, solved in full; its
+        # values are checked against exact arithmetic in TestNormalEquations
         rng = np.random.Generator(np.random.Philox(5))
         X = rng.uniform(-1, 1, size=(50, 2))
         y = np.cos(3 * X[:, 0]) * X[:, 1]
         m = init_model(2, 3, X)
-        wbar = premise_state(m, X).wbar
-        Xa = np.column_stack([X, np.ones(len(X))])
-        phi = (wbar[:, :, None] * Xa[:, None, :]).reshape(len(X), -1)
-        gram = phi.T @ phi + 0.01 * np.eye(phi.shape[1])
-        expected = np.linalg.solve(gram, phi.T @ y).reshape(m.consequents.shape)
+        gram, rhs = normal_equations(m, X, y)
+        gram = gram + 0.01 * np.eye(len(gram))
+        expected = np.linalg.solve(gram, rhs).reshape(m.consequents.shape)
         assert lse_consequents(m, X, y, 0.01).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows, cols", [(50, 27), (283, 96), (2000, 768)])
