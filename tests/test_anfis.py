@@ -1,4 +1,6 @@
 import copy
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradient_oracle
+import gram_oracle
 from fuzzyblock.cli import atomic_write_text
 from fuzzyblock.surrogate.dataset import NormalizationRecord
 from fuzzyblock.surrogate.model import (
@@ -187,10 +190,49 @@ class TestTrain:
     @pytest.mark.parametrize("rows, cols", [(50, 27), (283, 96), (2000, 768)])
     def test_gram_is_exactly_symmetric(self, rows, cols):
         # lse_consequents solves through gram.T, which is the same matrix only
-        # while numpy forms phi.T @ phi with a symmetric update
-        phi = np.random.Generator(np.random.Philox(rows)).uniform(0, 1, size=(rows, cols))
-        gram = phi.T @ phi
+        # while normal_equations gathers mirrored entries from one value
+        counts = {27: [3, 3], 96: [2, 3, 4], 768: [2, 2, 2, 8, 2]}[cols]
+        model, X, y = self.random_model(rows, counts, rows, masked=True)
+        gram, _ = normal_equations(model, X, y)
+        assert gram.shape == (cols, cols)
         assert np.array_equal(gram, gram.T)
+
+    def test_train_memory_at_benchmark_shape(self, monkeypatch):
+        # N = 1600 samples on the paper's grid: R = 128 rules, P = 768
+        # consequents.  train holds the Gram layout's int32 index and one
+        # premise state (the (N, R) raw and normalized strengths); the
+        # consequent pass adds the Gram matrix, and pair products, distinct
+        # values and chunk products under 2.5 MB; the gradient pass adds
+        # four (N, R) grids and (N, sum k_i) slopes under 4 MB.  LAPACK's
+        # copy of the Gram matrix is not traced.  The design matrix phi
+        # (N, P) would add 9.8 MB to either pass.
+        from fuzzyblock.surrogate import model as model_module
+
+        rng = np.random.Generator(np.random.Philox(3))
+        N, counts = 1600, [2, 2, 2, 8, 2]
+        X = rng.uniform(-1, 1, size=(N, len(counts)))
+        y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 3]
+        model = init_model(len(counts), counts, X)
+        R, P = model.rule_count, model.consequents.size
+        grid, gram, index, design = N * R * 8, P * P * 8, P * P * 4, N * P * 8
+        tracemalloc.start()
+        try:
+            train(model, X, y, epochs=2, ridge=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+            lse_peaks = []
+
+            def traced(*args, _f=model_module.lse_consequents, **kwargs):
+                tracemalloc.reset_peak()
+                result = _f(*args, **kwargs)
+                lse_peaks.append(tracemalloc.get_traced_memory()[1])
+                return result
+
+            monkeypatch.setattr(model_module, "lse_consequents", traced)
+            train(model, X, y, epochs=2, ridge=0.01)
+        finally:
+            tracemalloc.stop()
+        assert max(lse_peaks) <= index + 2 * grid + gram + 2.5e6 < index + 2 * grid + design
+        assert peak <= index + 6 * grid + 4e6 < index + 2 * grid + design + gram
 
     def test_underflowed_membership_is_left_alone(self):
         # b = 50 and a centre 1e7 away from every input: |z|^(2b) overflows, so
@@ -377,6 +419,87 @@ class TestTrain:
         with np.errstate(all="ignore"):
             with pytest.raises((TrainingError, np.linalg.LinAlgError)):
                 model, _ = train(m, X, y, epochs=3, learn_rate=1e280)
+
+
+class TestNormalEquations:
+    """The Gram matrix and right-hand side against exact rational arithmetic.
+
+    Both are sums over N samples of products of rounded factors, so each
+    entry lies within gamma_n * sum|terms| of its exact value, where n counts
+    the roundings on one term's path (the standard dot-product bound),
+    plus an allowance for gradual underflow, which adds absolute, not
+    relative, errors.  For ``normal_equations``, with m = sum k_i:
+    - Gram: ubar_i rounds k_i times (its k_i - 1 sums, then the division),
+      a pair product once more, so 2 k_i + 1 per input; the regressor pair
+      once; joining the d + 1 pair products d times; summing N - 1 times:
+      n = sum (2 k_i + 1) + d + N;
+    - right-hand side: the d ubar_i, d - 1 products, a * y, the product
+      with it and the sum: n = m + d + N.
+    Every factor but a * a (at most M = max(1, max|x|)^2) or a * y lies in
+    [0, 1], so an underflow error of at most 2^-1075 per rounding grows to
+    at most n * N * M * 2^-1074 in all.  The explicit phi.T @ phi rounds
+    each raw strength d - 1 times, their total R - 1 more and the quotient
+    once, then phi once, the product once and the sum N - 1 times:
+    n = 2 (2d + R - 1) + N - 1 for the Gram, 2d + R + N - 1 for phi.T @ y.
+    It divides raw strengths, whose underflow errors are absolute, by
+    their total, so its allowance is ((R + 1) d + 2) N M 2^-1074 / tau, with
+    tau the smallest total of a row not on uniform strengths (at most 1).
+    """
+
+    @staticmethod
+    def model_with_small_totals(seed, counts, n_rows, masked):
+        """``TestTrain.random_model`` with rows 1 and, from four rows on, 2 of
+        total strength in [1e-300, 1e-150]; the last row keeps its draw.
+        Input 0's MFs get width 1 and shape 50, such a row's
+        x_0 = 10^(e/100) with e in [155, 295] puts each of its memberships
+        near 10^-e, and each other input sits on the centre of its first MF."""
+        model, X, y = TestTrain.random_model(seed, counts, n_rows, masked)
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        model.mf_params[0][:, 1:] = (1.0, 50.0)
+        small = np.arange(1, min(3, n_rows - 1))
+        X[small, 0] = 10.0 ** (rng.uniform(155, 295, size=len(small)) / 100)
+        for i in range(1, len(counts)):
+            X[small, i] = model.mf_params[i][0, 0]
+        return model, X, y, small
+
+    # exact sums grow by thousands of bits a row, so the rows are few
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.tuples(st.lists(st.integers(2, 4), min_size=1, max_size=3),
+                            st.integers(3, 6)),
+                  st.tuples(st.just([2, 2, 2, 8, 2]), st.just(3))),
+        st.booleans(),
+    )
+    def test_matches_exact_arithmetic(self, seed, grid, masked):
+        counts, n_rows = grid
+        model, X, y, small = self.model_with_small_totals(seed, counts, n_rows, masked)
+        state = premise_state(model, X)
+        total = state.w.sum(axis=1)
+        assert np.all((1e-300 <= total[small]) & (total[small] <= 1e-150))
+        if masked and len(counts) >= 2:
+            assert total[0] <= _W_TINY  # the uniform fallback row
+        exact_gram, exact_rhs = gram_oracle.exact_normal_equations(state, X, y)
+        classes = gram_oracle.entry_classes(tuple(counts) + (len(counts) + 1,))
+        gram, rhs = normal_equations(model, X, y, state=state)
+        assert np.array_equal(gram, gram.T)
+
+        N, d, R = n_rows, len(counts), model.rule_count
+        M = Fraction(max(1.0, float(np.abs(X).max()))) ** 2
+        My = Fraction(max(1.0, float(np.abs(X).max()))) * Fraction(max(1.0, float(np.abs(y).max())))
+        n = sum(2 * k + 1 for k in counts) + d + N
+        gram_oracle.assert_within(gram, exact_gram, n, n * N * M / 2**1074, classes)
+        n = sum(counts) + d + N
+        gram_oracle.assert_within(rhs, exact_rhs, n, n * N * My / 2**1074)
+
+        # the explicit design matrix meets the same kind of bound
+        phi = (state.wbar[:, :, None] * np.column_stack([X, np.ones(N)])[:, None, :]).reshape(N, -1)
+        ok = total > _W_TINY
+        tau = min([Fraction(1)] + [Fraction(float(t)) for t in total[ok]])
+        slack = ((R + 1) * d + 2) * N / tau / 2**1074
+        gram_oracle.assert_within(phi.T @ phi, exact_gram, 2 * (2 * d + R - 1) + N - 1,
+                                  slack * M, classes)
+        gram_oracle.assert_within(phi.T @ y, exact_rhs, 2 * d + R + N - 1, slack * My)
 
 
 class TestRulesAndSerialization:
