@@ -23,6 +23,8 @@ from .dataset import FEATURE_NAMES, NormalizationRecord, check_finite_numbers
 
 _W_TINY = 1e-300
 _MAX_RULES = 1024
+# samples per matrix product in normal_equations; at the benchmark shape its
+# two factors stay under 1 MB
 _GRAM_ROWS = 256
 
 MODEL_SCHEMA_VERSION = 1
@@ -321,7 +323,7 @@ def normal_equations(
         v[uniform] = 1.0 / v.shape[1]
     a = _augmented(X)
     pairs = [_pair_products(v) for v in factors + [a]]
-    values = np.zeros([math.prod(pairs[f].shape[1] for f in g) for g in layout[:2]])
+    values = np.zeros([math.prod(pairs[f].shape[1] for f in g) for g in (layout.left, layout.right)])
     rhs = np.zeros((model.rule_count, a.shape[1]))
     for lo in range(0, X.shape[0], _GRAM_ROWS):
         rows = slice(lo, lo + _GRAM_ROWS)
