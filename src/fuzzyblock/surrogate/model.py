@@ -272,7 +272,7 @@ def gram_layout(model: TskModel) -> GramLayout:
     pairs = [m * (m + 1) // 2 for m in sizes]
     groups: tuple[list[int], list[int]] = ([], [])
     for f in sorted(range(len(sizes)), key=lambda f: -pairs[f]):
-        groups[math.prod(pairs[g] for g in groups[0]) > math.prod(pairs[g] for g in groups[1])].append(f)
+        min(groups, key=lambda g: math.prod(pairs[h] for h in g)).append(f)
     left, right = (tuple(sorted(g)) for g in groups)
     stride = {}  # of each factor's pair code in the flat (left, right) product
     step = 1
