@@ -126,11 +126,19 @@ def _cmd_fuzzy_pbr(args: argparse.Namespace) -> int:
     codes = all_codes(len(cfg.fuzzy_joints))
     # the joint pyramid of a code, and so its PJB-sup, is the same on every facet
     jp_knots = code_knots(cfg.fuzzy_joints, codes)
-    pjb_sups = pbps(jp_knots, args.delta_variant).tolist()
+    pjb_sups = pbps(jp_knots, args.delta_variant)
     facets = cfg.tunnel.facets()
-    bp_values = pbps(block_knots(jp_knots, [f.inward_normal for f in facets]), args.delta_variant)
+    # a block pyramid is its joint pyramid plus the facet row, so its PBP is
+    # at most the PJB-sup: only the codes with a positive sup are searched
+    live = np.flatnonzero(pjb_sups > 0.0)
+    bp_values = np.zeros((len(facets), len(codes)))
+    if len(live):
+        bp_values[:, live] = pbps(
+            block_knots(jp_knots[live], [f.inward_normal for f in facets]), args.delta_variant
+        ).reshape(len(facets), len(live))
+    pjb_sups = pjb_sups.tolist()
     rows = []
-    for facet, pbp_values in zip(facets, bp_values.reshape(len(facets), len(codes)).tolist()):
+    for facet, pbp_values in zip(facets, bp_values.tolist()):
         index = str(facet.index)
         for code, pjb_sup, pbp_value in zip(codes, pjb_sups, pbp_values):
             pbr_value = min(1.0 - pbp_value, pjb_sup)

@@ -52,16 +52,25 @@ def classify_codes(
     """Shi classification of every code against every free face, shape (F, C).
 
     Codes are sign rows (C, n) of the joint normals and jp holds their JP
-    tests, which do not depend on the face.  The block pyramids of all F
-    faces come from one stacked ``signed_cones`` call.  Returns (classes,
-    bp).
+    tests, which do not depend on the face.  A block pyramid is its JP plus
+    the face row, so a code whose JP is empty has an empty BP on every face
+    and is tapered: only the live codes, those with a nonempty JP, are
+    tested, for all F faces in one stacked ``signed_cones`` call.  A dead
+    code's BP entries are empty, not boundary-only, with a NaN witness.
+    Returns (classes, bp).
     """
     e = np.asarray(facet_normals, dtype=float)
     e = e / np.array([np.linalg.norm(row) for row in e])[:, None]
-    bp = signed_cones(
+    live = np.flatnonzero(jp.nonempty)
+    tested = signed_cones(
         np.concatenate([np.broadcast_to(normals, (len(e),) + normals.shape), e[:, None]], axis=1),
-        np.hstack([signs, np.ones((len(signs), 1))]),
+        np.hstack([signs[live], np.ones((len(live), 1))]),
     )
+    bp = SignedCones(np.zeros((len(e), len(signs)), bool), np.zeros((len(e), len(signs)), bool),
+                     np.full((len(e), len(signs), normals.shape[1]), np.nan))
+    bp.nonempty[:, live] = tested.nonempty
+    bp.boundary_only[:, live] = tested.boundary_only
+    bp.witness[:, live] = tested.witness
     classes = np.select(
         [bp.nonempty, jp.nonempty], [CLASS_INFINITE, CLASS_REMOVABLE], CLASS_TAPERED
     )
