@@ -10,6 +10,7 @@ from test_tunnel import OCTAGON, SQUARE, degenerate_joint_set, joint_sets
 from fuzzyblock.kernel.mechanics import classify_codes, code_signs, joint_normals
 from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
+    SignedCones,
     cone_nonempty,
     cones_nonempty,
     edge_rays,
@@ -350,7 +351,15 @@ class TestStackedSignedCones:
 
 
 def assert_sweep_cones_match_oracle(joints, tunnel):
-    """The sweep's JP and block pyramid tests against the one-set oracle, facet by facet."""
+    """The sweep's JP and block pyramid tests against the one-set oracle, facet by facet.
+
+    The sweep tests the block pyramids of the live codes only, those with a
+    nonempty JP.  Every code's flags, and the NaN witness of every dead
+    code, must be what the oracle gives on all codes.  A witness is a row of
+    a matrix product whose bits depend on how many rows it has, so a live
+    code's witness must have the bits the oracle gives on the live sign rows,
+    the rows the sweep decided.
+    """
     signs = code_signs(all_codes(len(joints)), len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
@@ -360,7 +369,15 @@ def assert_sweep_cones_match_oracle(joints, tunnel):
     _, bp = classify_codes(signs, normals, jp, facet_normals)
     bp_signs = np.hstack([signs, np.ones((len(signs), 1))])
     sets = [np.vstack([normals, e / np.linalg.norm(e)]) for e in facet_normals]
-    assert_sets_match_cone_oracle(bp, sets, bp_signs)
+    live = jp.nonempty
+    every = [cone_oracle.signed_cones(s, bp_signs) for s in sets]
+    for name in ("nonempty", "boundary_only"):
+        assert getattr(bp, name).tobytes() == np.array(
+            [getattr(alone, name) for alone in every]).tobytes(), name
+    assert bp.witness[:, ~live].tobytes() == np.array(
+        [alone.witness[~live] for alone in every]).tobytes()
+    tested = SignedCones(bp.nonempty[:, live], bp.boundary_only[:, live], bp.witness[:, live])
+    assert_sets_match_cone_oracle(tested, sets, bp_signs[live])
 
 
 class TestSweepConesMatchOneSetOracle:
