@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import sweep_csv_oracle
+from fuzzyblock import fuzzy_blocks
 from fuzzyblock.cli import atomic_write_text, main
 from fuzzyblock.fuzzy_blocks import finiteness_label, pbp, systems_for_code
 from fuzzyblock.kernel.tunnel import all_codes, enumerate_tunnel_blocks
@@ -18,6 +19,7 @@ from fuzzyblock.surrogate.dataset import dataset_csv_text
 from fuzzyblock.surrogate import model as surrogate_model
 from fuzzyblock.surrogate.model import bin_angles, model_json_text
 from conftest import OCTAGON_SECTION, standard_project_dict
+from test_fuzzy_blocks import fuzzy_joint_ring
 from test_readme import fenced_blocks
 from test_tunnel import degenerate_joint_set, joint_sets
 
@@ -254,6 +256,47 @@ class TestFuzzyPbr:
         assert rows == expected
         if variant == "standard":  # the paper PBP is 0 or 1; this one takes values between
             assert {r[2] for r in rows} > {"0.0", "1.0"}
+
+    @staticmethod
+    def spy(monkeypatch, result=fuzzy_blocks.pbps):
+        """Record the knot shape and values of each ``pbps`` call; ``result`` gives the values."""
+        calls = []
+
+        def recording(knots, variant="paper"):
+            values = result(knots, variant)
+            calls.append((np.asarray(knots).shape, values))
+            return values
+
+        monkeypatch.setattr(fuzzy_blocks, "pbps", recording)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["paper", "standard"])
+    def test_block_pyramids_of_live_codes_only(self, tmp_path, monkeypatch, variant):
+        path = small_project(tmp_path, fuzzy_joints=fuzzy_joint_ring(8, 7))
+        cfg = parse_project(path)
+        jp = fuzzy_blocks.code_knots(cfg.fuzzy_joints, all_codes(8))
+        every = fuzzy_blocks.pbps(
+            fuzzy_blocks.block_knots(jp, [f.inward_normal for f in cfg.tunnel.facets()]), variant)
+        out = tmp_path / "pbr.csv"
+        calls = self.spy(monkeypatch)
+        assert main(["fuzzy", "pbr", "-p", path, "-o", str(out), "--delta-variant", variant]) == 0
+        (jp_shape, pjb_sups), (bp_shape, _) = calls
+        live = pjb_sups > 0.0
+        assert jp_shape == (256, 4, 8, 3) and 0 < live.sum() < 128
+        assert bp_shape == (8 * live.sum(), 4, 9, 3)
+        # the values of a search over every code, the skipped ones 0.0 too
+        _, rows = read_csv(out)
+        assert [r[2] for r in rows] == [repr(v) for v in every.tolist()]
+
+    def test_no_live_code(self, tmp_path, monkeypatch):
+        # every joint pyramid of PJB-sup 0 leaves no block pyramid to search
+        calls = self.spy(monkeypatch, lambda knots, variant: np.zeros(len(knots)))
+        out = tmp_path / "pbr.csv"
+        assert main(["fuzzy", "pbr", "-p", small_project(tmp_path), "-o", str(out)]) == 0
+        assert [shape for shape, _ in calls] == [(8, 4, 3, 3)]
+        _, rows = read_csv(out)
+        assert len(rows) == 64
+        assert {tuple(r[2:]) for r in rows} == {("0.0", "0.0", "0.0", "finite")}
 
     def test_paper_is_the_default_variant(self, tmp_path):
         proj = small_project(tmp_path)

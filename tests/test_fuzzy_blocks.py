@@ -31,9 +31,11 @@ from fuzzyblock.kernel import (
     cone_nonempty,
     joint_pyramid,
 )
+from fuzzyblock.kernel.tunnel import all_codes
 
 import pbp_oracle
 from possibility_oracle import attains, min_poss_over_dirs
+from test_tunnel import OCTAGON, SQUARE
 
 T = TrapezoidalNumber
 
@@ -762,3 +764,85 @@ class TestFinitenessLabel:
             assert cu.a4 == pytest.approx(-cl.a1)
         with pytest.raises(ValueError):
             joint_constraint(fo, "X")
+
+
+def fuzzy_joint_ring(count, seed):
+    """``count`` fuzzy joints spread around the compass, as a project's ``fuzzy_joints``.
+
+    Dips lie in 40-70 degrees and dip directions within 20 degrees of count
+    even steps.  Each attitude is a trapezoid of core half-width 0-1.5 and
+    spread 3-6 degrees, the last joint's 12-18 degrees.  At 8 joints most
+    joint pyramids have a PJB-sup of 0.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    joints = []
+    for i in range(count):
+        spread = rng.uniform(12.0, 18.0) if i == count - 1 else rng.uniform(3.0, 6.0)
+        core = rng.uniform(0.0, 1.5)
+        dip, dd = rng.uniform(40.0, 70.0), i * 360.0 / count + rng.uniform(-20.0, 20.0)
+        joints.append({
+            "id": f"F{i + 1}",
+            "dip_deg": [dip - spread, dip - core, dip + core, dip + spread],
+            "dip_direction_deg": [dd - spread, dd - core, dd + core, dd + spread],
+            "friction_deg": [15.0, 20.0, 20.0, 25.0],
+        })
+    return joints
+
+
+def ring_orientations(joints):
+    return [FuzzyOrientation(T(*j["dip_deg"]), T(*j["dip_direction_deg"])) for j in joints]
+
+
+DEG_CORE_HALF_WIDTHS = st.sampled_from([0.0]) | st.floats(0.5, 3.0)
+DEG_SPREADS = st.sampled_from([0.0]) | st.floats(0.5, 10.0)
+
+
+@st.composite
+def fuzzy_joint_sets(draw):
+    """1-4 fuzzy joints: general, dip 0, dip 90, and copies turned by 1e-12 to 1e-3 degrees.
+
+    Dip knots are clipped to [0, 90], so a dip-0 or dip-90 joint has its
+    core or support on the bound.
+    """
+    cores, joints = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["general", "flat", "vertical", "copy"]))
+        if kind == "copy" and cores:
+            dip, dd = draw(st.sampled_from(cores))
+            turn = 10.0 ** draw(st.floats(-12.0, -3.0))
+            dip, dd = dip + (turn if dip < 45.0 else -turn), dd + turn
+        else:
+            dip = {"flat": 0.0, "vertical": 90.0}.get(kind, draw(st.floats(5.0, 85.0)))
+            dd = draw(st.floats(0.0, 359.0))
+        cores.append((dip, dd))
+        h, w = draw(DEG_CORE_HALF_WIDTHS), draw(DEG_SPREADS)
+        knots = [dip - h - w, dip - h, dip + h, dip + h + w]
+        joints.append(FuzzyOrientation(T(*np.clip(knots, 0.0, 90.0)),
+                                       T(dd - h - w, dd - h, dd + h, dd + h + w)))
+    return joints
+
+
+def assert_dead_codes_have_zero_block_values(joints, tunnel, variant):
+    """Where a code's PJB-sup is 0, a full ``pbps`` over every code gives its BP 0 on every facet.
+
+    That is the rule by which ``fuzzy pbr`` skips the block pyramids of
+    dead codes.  Returns the number of dead codes.
+    """
+    jp = fuzzy_blocks.code_knots(joints, all_codes(len(joints)))
+    dead = pbps(jp, variant) == 0.0
+    facet_normals = [f.inward_normal for f in tunnel.facets()]
+    bp = pbps(fuzzy_blocks.block_knots(jp, facet_normals), variant)
+    assert (bp.reshape(len(facet_normals), len(jp))[:, dead] == 0.0).all()
+    return int(dead.sum())
+
+
+class TestDeadCodesHaveZeroBlockValues:
+    @pytest.mark.parametrize("variant", ["paper", "standard"])
+    def test_eight_joint_ring(self, variant):
+        joints = ring_orientations(fuzzy_joint_ring(8, 7))
+        assert assert_dead_codes_have_zero_block_values(joints, OCTAGON, variant) >= 128
+
+    @settings(max_examples=60, deadline=None)
+    @given(fuzzy_joint_sets(), st.sampled_from([OCTAGON, SQUARE]), VARIANTS)
+    def test_joint_sets(self, joints, tunnel, variant):
+        assert_dead_codes_have_zero_block_values(joints, tunnel, variant)

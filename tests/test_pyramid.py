@@ -7,7 +7,9 @@ from scipy.optimize import linprog
 import cone_oracle
 from test_tunnel import OCTAGON, SQUARE, degenerate_joint_set, joint_sets
 
-from fuzzyblock.kernel.mechanics import classify_codes, code_signs, joint_normals
+from fuzzyblock.kernel import mechanics
+from fuzzyblock.kernel.mechanics import CLASS_TAPERED, classify_codes, code_signs, joint_normals
+from fuzzyblock.kernel.orientation import JointPlane, Orientation, wrap_azimuth
 from fuzzyblock.kernel.pyramid import (
     HalfSpaceSystem,
     SignedCones,
@@ -16,7 +18,7 @@ from fuzzyblock.kernel.pyramid import (
     edge_rays,
     signed_cones,
 )
-from fuzzyblock.kernel.tunnel import all_codes
+from fuzzyblock.kernel.tunnel import all_codes, enumerate_tunnel_blocks
 
 
 def sampling_oracle(normals, directions):
@@ -392,3 +394,115 @@ class TestSweepConesMatchOneSetOracle:
     @given(joint_sets(), st.sampled_from([OCTAGON, SQUARE]))
     def test_joint_sets(self, joints, tunnel):
         assert_sweep_cones_match_oracle(joints, tunnel)
+
+
+@st.composite
+def near_parallel_joint_sets(draw):
+    """1-3 general joints, dip 0 and dip 90, and 1-3 copies turned by 1e-12 to 1e-3 degrees.
+
+    Each copy turns an earlier joint's dip and dip direction by tiny angles,
+    the dip toward the inside of [0, 90], so the copy and its original cut
+    the sphere into slivers of near-empty joint pyramids.
+    """
+    orients = [Orientation(draw(st.floats(5.0, 85.0)), draw(st.floats(0.0, 359.0)))
+               for _ in range(draw(st.integers(1, 3)))]
+    orients += [Orientation(0.0, draw(st.floats(0.0, 359.0))),
+                Orientation(90.0, draw(st.floats(0.0, 359.0)))]
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from(orients))
+        turn = [10.0 ** draw(st.floats(-12.0, -3.0)) for _ in range(2)]
+        dip = base.dip_deg + (turn[0] if base.dip_deg < 45.0 else -turn[0])
+        dip_direction = wrap_azimuth(base.dip_direction_deg + draw(st.sampled_from([-1, 1]))
+                                     * turn[1])
+        orients.append(Orientation(dip, dip_direction))
+    return [JointPlane(f"J{i + 1}", o, 20.0) for i, o in enumerate(orients)]
+
+
+def assert_dead_codes_have_empty_block_pyramids(joints, tunnel):
+    """Where a code's JP is empty, the one-set oracle finds its BP empty on every facet.
+
+    That is the rule by which the sweep skips the block pyramids of dead
+    codes.  Returns the number of dead codes.
+    """
+    signs = code_signs(all_codes(len(joints)), len(joints))
+    normals = joint_normals(joints)
+    dead = ~signed_cones(normals, signs).nonempty
+    bp_signs = np.hstack([signs[dead], np.ones((int(dead.sum()), 1))])
+    for facet in tunnel.facets():
+        e = facet.inward_normal
+        bp = cone_oracle.signed_cones(np.vstack([normals, e / np.linalg.norm(e)]), bp_signs)
+        assert not bp.nonempty.any(), facet.index
+    return int(dead.sum())
+
+
+class TestDeadCodesHaveEmptyBlockPyramids:
+    @pytest.mark.parametrize("tunnel", [OCTAGON, SQUARE], ids=["octagon", "square"])
+    @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
+    def test_degenerate_joint_sets(self, n_joints, tunnel):
+        dead = assert_dead_codes_have_empty_block_pyramids(degenerate_joint_set(n_joints), tunnel)
+        if n_joints == 8:  # 68 of the 256 JPs are nonempty, flat ones included
+            assert dead >= 128
+
+    @settings(max_examples=60, deadline=None)
+    @given(joint_sets(), st.sampled_from([OCTAGON, SQUARE]))
+    def test_joint_sets(self, joints, tunnel):
+        assert_dead_codes_have_empty_block_pyramids(joints, tunnel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(near_parallel_joint_sets(), st.sampled_from([OCTAGON, SQUARE]))
+    def test_near_parallel_joint_sets(self, joints, tunnel):
+        assert_dead_codes_have_empty_block_pyramids(joints, tunnel)
+
+
+class TestOnlyLiveCodesAreTested:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the sign matrix of each ``signed_cones`` call that ``classify_codes`` makes."""
+        calls = []
+
+        def recording(normals, signs):
+            calls.append(np.asarray(signs))
+            return signed_cones(normals, signs)
+
+        monkeypatch.setattr(mechanics, "signed_cones", recording)
+        return calls
+
+    def test_block_pyramids_of_live_codes_only(self, monkeypatch):
+        joints = degenerate_joint_set(8)
+        signs = code_signs(all_codes(8), 8)
+        jp = signed_cones(joint_normals(joints), signs)
+        calls = self.spy(monkeypatch)
+        sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+        (bp_signs,) = calls
+        assert bp_signs.shape == (jp.nonempty.sum(), 9)
+        assert bp_signs.tobytes() == np.hstack([signs, np.ones((256, 1))])[jp.nonempty].tobytes()
+        assert (sweep.classification[:, ~jp.nonempty] == CLASS_TAPERED).all()
+        assert not sweep.boundary[:, ~jp.nonempty].any()
+
+    def test_no_live_code(self, monkeypatch):
+        # the dead codes of the 8-joint set alone: no block pyramid is left to test
+        joints = degenerate_joint_set(8)
+        normals = joint_normals(joints)
+        signs = code_signs(all_codes(8), 8)
+        signs = signs[~signed_cones(normals, signs).nonempty]
+        jp = signed_cones(normals, signs)
+        facet_normals = [f.inward_normal for f in OCTAGON.facets()]
+        calls = self.spy(monkeypatch)
+        classes, bp = classify_codes(signs, normals, jp, facet_normals)
+        (bp_signs,) = calls
+        assert bp_signs.shape == (0, 9)
+        assert classes.shape == bp.nonempty.shape == bp.boundary_only.shape == (8, len(signs))
+        assert (classes == CLASS_TAPERED).all()
+        assert not bp.nonempty.any() and not bp.boundary_only.any()
+        assert bp.witness.shape == (8, len(signs), 3) and np.isnan(bp.witness).all()
+
+    @pytest.mark.parametrize("sets", [0, 1, 3])
+    def test_sign_matrix_without_rows(self, sets):
+        normals = unit_rows(np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 1.0], [3.0, -1.0, 0.0]]))
+        stack = np.broadcast_to(normals, (sets, 3, 3))
+        got = signed_cones(stack, np.zeros((0, 3)))
+        assert got.nonempty.shape == got.boundary_only.shape == (sets, 0)
+        assert got.witness.shape == (sets, 0, 3)
+        alone = signed_cones(normals, np.zeros((0, 3)))
+        assert alone.nonempty.shape == alone.boundary_only.shape == (0,)
+        assert alone.witness.shape == (0, 3)
