@@ -66,8 +66,9 @@ def classify_codes(
         np.concatenate([np.broadcast_to(normals, (len(e),) + normals.shape), e[:, None]], axis=1),
         np.hstack([signs[live], np.ones((len(live), 1))]),
     )
-    bp = SignedCones(np.zeros((len(e), len(signs)), bool), np.zeros((len(e), len(signs)), bool),
-                     np.full((len(e), len(signs), normals.shape[1]), np.nan))
+    shape = (len(e), len(signs))
+    bp = SignedCones(np.zeros(shape, bool), np.zeros(shape, bool),
+                     np.full(shape + (normals.shape[1],), np.nan))
     bp.nonempty[:, live] = tested.nonempty
     bp.boundary_only[:, live] = tested.boundary_only
     bp.witness[:, live] = tested.witness

@@ -279,11 +279,11 @@ def enumerate_tunnel_blocks(
 ) -> TunnelSweep:
     """Classify every (facet, code) pair; facet-major, codes lexicographic.
 
-    The JPs of all codes are one cone test and the BPs another, stacked
-    over the facets.  That one tests only the codes whose JP is nonempty:
-    a BP is its JP plus the facet row, so every other code is tapered on
-    every facet, and by Goodman & Shi at most n(n - 1) + 2 of the 2^n JPs
-    of n joints in general position are nonempty.  Removable blocks get mode and
+    The JPs of all codes are one cone test and the BPs another, stacked over
+    the facets.  That one tests only the codes whose JP is nonempty: a BP is
+    its JP plus the facet row, so every other code is tapered on every
+    facet, and by Goodman & Shi at most n(n - 1) + 2 of the 2^n JPs of n
+    joints in general position are nonempty.  Removable blocks get mode and
     safety factor under gravity (``GRAVITY_DIR``, the only load), which
     depend on the code only and come from one ``block_mechanics`` call for
     all codes, and the volume of the block seeded ``Facet.seed_depth`` into

@@ -789,23 +789,19 @@ def fuzzy_joint_ring(count, seed):
     return joints
 
 
-def ring_orientations(joints):
-    return [FuzzyOrientation(T(*j["dip_deg"]), T(*j["dip_direction_deg"])) for j in joints]
-
-
 DEG_CORE_HALF_WIDTHS = st.sampled_from([0.0]) | st.floats(0.5, 3.0)
-DEG_SPREADS = st.sampled_from([0.0]) | st.floats(0.5, 10.0)
+DEG_SPREADS = st.sampled_from([0.0]) | st.floats(0.5, 5.0)
 
 
 @st.composite
 def fuzzy_joint_sets(draw):
-    """1-4 fuzzy joints: general, dip 0, dip 90, and copies turned by 1e-12 to 1e-3 degrees.
+    """3-5 fuzzy joints: general, dip 0, dip 90, and copies turned by 1e-12 to 1e-3 degrees.
 
     Dip knots are clipped to [0, 90], so a dip-0 or dip-90 joint has its
     core or support on the bound.
     """
     cores, joints = [], []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(3, 5))):
         kind = draw(st.sampled_from(["general", "flat", "vertical", "copy"]))
         if kind == "copy" and cores:
             dip, dd = draw(st.sampled_from(cores))
@@ -826,23 +822,20 @@ def assert_dead_codes_have_zero_block_values(joints, tunnel, variant):
     """Where a code's PJB-sup is 0, a full ``pbps`` over every code gives its BP 0 on every facet.
 
     That is the rule by which ``fuzzy pbr`` skips the block pyramids of
-    dead codes.  Returns the number of dead codes.
+    dead codes.
     """
     jp = fuzzy_blocks.code_knots(joints, all_codes(len(joints)))
     dead = pbps(jp, variant) == 0.0
     facet_normals = [f.inward_normal for f in tunnel.facets()]
     bp = pbps(fuzzy_blocks.block_knots(jp, facet_normals), variant)
     assert (bp.reshape(len(facet_normals), len(jp))[:, dead] == 0.0).all()
-    return int(dead.sum())
 
 
 class TestDeadCodesHaveZeroBlockValues:
-    @pytest.mark.parametrize("variant", ["paper", "standard"])
-    def test_eight_joint_ring(self, variant):
-        joints = ring_orientations(fuzzy_joint_ring(8, 7))
-        assert assert_dead_codes_have_zero_block_values(joints, OCTAGON, variant) >= 128
-
-    @settings(max_examples=60, deadline=None)
+    # the 8-joint ring, where most codes are dead, is checked through fuzzy
+    # pbr in test_cli: its products equal a search over every code; about
+    # one drawn set in six has a dead code
+    @settings(max_examples=150, deadline=None)
     @given(fuzzy_joint_sets(), st.sampled_from([OCTAGON, SQUARE]), VARIANTS)
     def test_joint_sets(self, joints, tunnel, variant):
         assert_dead_codes_have_zero_block_values(joints, tunnel, variant)
