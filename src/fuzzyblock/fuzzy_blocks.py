@@ -27,7 +27,9 @@ orthant) pair at once, each system with its own multisection bracket, the
 cone tests of a round in fixed-size chunks so memory stays bounded.  A
 value does not depend on the batch or the chunks around it; ``pbp`` is the
 one-system form, and ``fuzzy pbr`` makes one call for all joint pyramids
-and one for all block pyramids.
+and one for the block pyramids of the codes whose PJB-sup is positive.  A
+block pyramid is its joint pyramid plus one row, so its PBP never exceeds
+the PJB-sup, and the other codes' block pyramids are 0 without a search.
 """
 from __future__ import annotations
 
