@@ -114,13 +114,13 @@ def joints_project(joints):
 
 def assert_sweep_products_match_record_oracle(directory, doc):
     """``kbt analyze`` and ``kbt volume`` write, byte for byte, what the
-    record-by-record oracle builds from ``records()`` of the same project."""
+    oracle builds pair by pair from the sweep's columns for the same project."""
     path = directory / "p.json"
     path.write_text(json.dumps(doc))
     cfg = parse_project(str(path))
-    records = enumerate_tunnel_blocks(cfg.joints, cfg.tunnel).records()
-    expected = {"analyze": sweep_csv_oracle.analyze_text(records),
-                "volume": sweep_csv_oracle.volume_text(records)}
+    sweep = enumerate_tunnel_blocks(cfg.joints, cfg.tunnel)
+    expected = {"analyze": sweep_csv_oracle.analyze_text(sweep),
+                "volume": sweep_csv_oracle.volume_text(sweep)}
     for cmd, text in expected.items():
         out = directory / f"{cmd}.csv"
         assert main(["kbt", cmd, "-p", str(path), "-o", str(out)]) == 0
