@@ -17,7 +17,6 @@ from .pyramid import (
     cone_nonempty,
 )
 from .tunnel import (
-    BlockRecord,
     Facet,
     TunnelSection,
     TunnelSweep,
@@ -33,7 +32,6 @@ from .volume import (
 )
 
 __all__ = [
-    "BlockRecord",
     "CLASS_INFINITE",
     "CLASS_REMOVABLE",
     "CLASS_TAPERED",

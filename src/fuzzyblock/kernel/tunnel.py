@@ -6,8 +6,7 @@ free face whose inward-to-rock normal points away from the opening.  For
 every (facet, block code) pair the sweep classifies the block and, when it
 is removable, derives sliding mode, safety factor, and the volume of the
 maximal block seeded a short way into the rock.  The sweep returns its
-results as columns, a ``TunnelSweep``; ``BlockRecord`` is the per-pair
-view of them.
+results as columns, a ``TunnelSweep``.
 """
 from __future__ import annotations
 
@@ -21,9 +20,7 @@ import numpy as np
 
 from .mechanics import (
     CLASS_REMOVABLE,
-    BlockMechanics,
     ModeInconsistencyError,
-    SlidingMode,
     block_mechanics,
     classify_codes,
     code_signs,
@@ -201,25 +198,6 @@ class TunnelSection:
         return corners.min(axis=0), corners.max(axis=0)
 
 
-@dataclass
-class BlockRecord:
-    """Outcome of one (facet, code) analysis during the tunnel sweep."""
-
-    facet_index: int
-    facet_angle_deg: float
-    code: str
-    classification: Optional[str] = None
-    mode: Optional[SlidingMode] = None
-    safety_factor: Optional[float] = None
-    volume_m3: Optional[float] = None
-    boundary_pyramid: bool = False
-    error: Optional[str] = None
-
-    @property
-    def mode_label(self) -> str:
-        return self.mode.label() if self.mode is not None else ""
-
-
 def all_codes(n_joints: int) -> list[str]:
     """All 2^n block codes in lexicographic order (L before U)."""
     return ["".join(c) for c in itertools.product("LU", repeat=n_joints)]
@@ -243,8 +221,6 @@ class TunnelSweep:
     mode_label: list[str]  # (C,) "" where the code is removable on no facet
     safety_factor: np.ndarray  # (C,), NaN where the code has none
     error: list[Optional[str]]  # (C,)
-    mechanics: Optional[BlockMechanics]  # of the codes ``moving``
-    moving: np.ndarray  # the codes removable on some facet
 
     def __len__(self) -> int:
         return self.removable.size
@@ -253,24 +229,6 @@ class TunnelSweep:
     def sized(self) -> np.ndarray:
         """(F, C) mask of the blocks with a volume: removable, with no error."""
         return self.removable & np.array([e is None for e in self.error])
-
-    def records(self) -> list[BlockRecord]:
-        """One ``BlockRecord`` per (facet, code) pair, in the sweep's order."""
-        modes = {c: self.mechanics.mode(k) for k, c in enumerate(self.moving.tolist())}
-        classes, boundary = self.classification.tolist(), self.boundary.tolist()
-        removable, sized = self.removable.tolist(), self.sized.tolist()
-        volume, sf = self.volume.tolist(), self.safety_factor.tolist()
-        records = []
-        for f, facet in enumerate(self.facets):
-            for c, code in enumerate(self.codes):
-                rec = BlockRecord(facet.index, facet.angle_deg, code, classes[f][c],
-                                  boundary_pyramid=boundary[f][c])
-                if removable[f][c]:
-                    rec.mode, rec.error = modes[c], self.error[c]
-                if sized[f][c]:
-                    rec.safety_factor, rec.volume_m3 = sf[c], volume[f][c]
-                records.append(rec)
-        return records
 
 
 def enumerate_tunnel_blocks(
@@ -292,8 +250,7 @@ def enumerate_tunnel_blocks(
     facet plane its base.  All volumes come in closed form from one
     ``pyramid_volumes`` call, with no box and no plane-triple solve.  A mode
     or safety-factor failure is recorded on the affected code and never
-    aborts the sweep.  The result is a ``TunnelSweep`` of columns; its
-    ``records()`` gives one ``BlockRecord`` per pair.
+    aborts the sweep.  The result is a ``TunnelSweep`` of columns.
     """
     if len(joints) > 8:
         raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
@@ -307,7 +264,6 @@ def enumerate_tunnel_blocks(
     moving = np.flatnonzero(removable.any(axis=0))
     label, error = [""] * len(codes), [None] * len(codes)
     sf = np.full(len(codes), math.nan)
-    mech = None
     if len(moving):
         tan_phi = [math.tan(math.radians(j.friction_deg)) for j in joints]
         mech = block_mechanics(signs[moving, :, None] * normals, GRAVITY_DIR, tan_phi)
@@ -321,8 +277,7 @@ def enumerate_tunnel_blocks(
     sweep = TunnelSweep(
         facets, codes, classes, boundary=jp.boundary_only | bp.boundary_only,
         removable=removable, volume=np.full(removable.shape, math.nan), mode_label=label,
-        safety_factor=sf, error=error, mechanics=mech, moving=moving,
-    )
+        safety_factor=sf, error=error)
     f, c = np.nonzero(sweep.sized)
     if len(f):
         sweep.volume[f, c] = pyramid_volumes(

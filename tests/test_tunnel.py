@@ -35,6 +35,12 @@ def roof_tetra_joints():
     return [JointPlane(f"J{i + 1}", Orientation(60, dd), 20.0) for i, dd in enumerate((0, 120, 240))]
 
 
+def roof_removable(sweep):
+    """(facet, code) positions of the sweep's removable blocks on the roof facet."""
+    return [(f, c) for f, c in zip(*np.nonzero(sweep.removable))
+            if sweep.facets[f].angle_deg == pytest.approx(90.0)]
+
+
 class TestTunnelSection:
     def test_needs_three_vertices(self):
         with pytest.raises(ValueError):
@@ -126,19 +132,19 @@ class TestTunnelSection:
 
 class TestEnumerateTunnelBlocks:
     def test_record_count(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
-        assert len(records) == 4 * 8
+        sweep = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        assert len(sweep) == 4 * 8
 
     def test_single_joint_counts(self):
         joints = [JointPlane("J1", Orientation(45, 90), 20.0)]
-        records = enumerate_tunnel_blocks(joints, SQUARE)
-        assert len(records) == 4 * 2
+        sweep = enumerate_tunnel_blocks(joints, SQUARE)
+        assert len(sweep) == 4 * 2
 
     def test_zero_joints_one_infinite_record_per_facet(self):
-        records = enumerate_tunnel_blocks([], SQUARE).records()
-        assert len(records) == 4
-        assert all(r.classification == CLASS_INFINITE for r in records)
-        assert all(r.code == "" for r in records)
+        sweep = enumerate_tunnel_blocks([], SQUARE)
+        assert len(sweep) == 4
+        assert sweep.classification.tolist() == [[CLASS_INFINITE]] * 4
+        assert sweep.codes == [""]
 
     def test_too_many_joints_rejected(self):
         joints = [JointPlane(f"J{k}", Orientation(30, k * 10.0), 20.0) for k in range(9)]
@@ -146,41 +152,34 @@ class TestEnumerateTunnelBlocks:
             enumerate_tunnel_blocks(joints, SQUARE)
 
     def test_roof_block_falls_with_zero_sf(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
-        roof = [
-            r
-            for r in records
-            if r.facet_angle_deg == pytest.approx(90.0) and r.classification == CLASS_REMOVABLE
-        ]
+        sweep = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        roof = roof_removable(sweep)
         assert len(roof) == 1
-        rec = roof[0]
-        assert rec.code == "LLL"
-        assert rec.mode_label == "falling"
-        assert rec.safety_factor == 0.0
-        assert rec.volume_m3 is not None and rec.volume_m3 > 0.0
-        assert rec.error is None
+        f, c = roof[0]
+        assert sweep.codes[c] == "LLL"
+        assert sweep.mode_label[c] == "falling"
+        assert sweep.safety_factor[c] == 0.0
+        assert sweep.sized[f, c] and sweep.volume[f, c] > 0.0
+        assert sweep.error[c] is None
 
     def test_every_record_classified(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
-        for rec in records:
-            assert rec.classification in (CLASS_INFINITE, CLASS_REMOVABLE, "tapered")
-            if rec.classification == CLASS_REMOVABLE:
-                assert rec.safety_factor is not None
-            else:
-                assert rec.safety_factor is None
+        sweep = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        assert set(sweep.classification.ravel()) <= {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}
+        # a pair reports its code's safety factor where it is sized
+        reported = np.where(sweep.sized, sweep.safety_factor, np.nan)
+        assert (~np.isnan(reported) == (sweep.classification == CLASS_REMOVABLE)).all()
 
     def test_deterministic_ordering(self):
-        records = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
-        keys = [(r.facet_index, r.code) for r in records]
+        sweep = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        keys = [(facet.index, code) for facet in sweep.facets for code in sweep.codes]
         assert keys == sorted(keys)
 
     def test_repeatable(self):
-        a = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
-        b = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE).records()
-        for ra, rb in zip(a, b):
-            assert ra.classification == rb.classification
-            assert ra.safety_factor == rb.safety_factor
-            assert ra.volume_m3 == rb.volume_m3
+        a = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        b = enumerate_tunnel_blocks(roof_tetra_joints(), SQUARE)
+        assert a.classification.tolist() == b.classification.tolist()
+        assert np.array_equal(a.safety_factor, b.safety_factor, equal_nan=True)
+        assert np.array_equal(a.volume, b.volume, equal_nan=True)
 
     def test_rotated_axis_same_roof_physics(self):
         # a tunnel running east instead of north still drops its roof block:
@@ -190,15 +189,12 @@ class TestEnumerateTunnelBlocks:
             JointPlane(f"J{i + 1}", Orientation(60, (dd + 90.0) % 360.0), 20.0)
             for i, dd in enumerate((0, 120, 240))
         ]
-        records = enumerate_tunnel_blocks(joints, rotated).records()
-        roof = [
-            r
-            for r in records
-            if r.facet_angle_deg == pytest.approx(90.0) and r.classification == CLASS_REMOVABLE
-        ]
+        sweep = enumerate_tunnel_blocks(joints, rotated)
+        roof = roof_removable(sweep)
         assert len(roof) == 1
-        assert roof[0].mode_label == "falling"
-        assert roof[0].volume_m3 == pytest.approx(0.5773502691896258, abs=1e-9)
+        f, c = roof[0]
+        assert sweep.mode_label[c] == "falling"
+        assert sweep.volume[f, c] == pytest.approx(0.5773502691896258, abs=1e-9)
 
 
 OCTAGON = TunnelSection(
@@ -256,17 +252,29 @@ class TestBatchedSweepMatchesPerRecordPath:
     @pytest.mark.parametrize("n_joints", [1, 2, 3, 8])
     def test_records_equal(self, n_joints):
         joints = degenerate_joint_set(n_joints)
-        records = enumerate_tunnel_blocks(joints, OCTAGON).records()
-        expected = per_record_sweep(joints, OCTAGON)
-        got = [[r.facet_index, r.code, r.classification, r.boundary_pyramid, r.mode_label,
-                r.safety_factor, r.volume_m3, r.error] for r in records]
-        assert got == expected
+        sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+        shape = sweep.removable.shape
+        index, code, cls, boundary, mode, sf, volume, error = (
+            np.array(column, dtype=object).reshape(shape)
+            for column in zip(*per_record_sweep(joints, OCTAGON)))
+        assert index.tolist() == [[facet.index] * shape[1] for facet in sweep.facets]
+        assert code.tolist() == [sweep.codes] * shape[0]
+        assert cls.tolist() == sweep.classification.tolist()
+        assert boundary.tolist() == sweep.boundary.tolist()
+        # mode and error apply where the pair is removable, SF and volume
+        # where it is sized; elsewhere the reference leaves them unset
+        removable, sized = sweep.removable, sweep.sized
+        assert mode.tolist() == np.where(removable, np.array(sweep.mode_label, object), "").tolist()
+        assert error.tolist() == np.where(removable, np.array(sweep.error, object), None).tolist()
+        assert sf.tolist() == np.where(sized, sweep.safety_factor.astype(object), None).tolist()
+        assert volume.tolist() == np.where(sized, sweep.volume.astype(object), None).tolist()
 
     def test_degenerate_kinds_are_exercised(self):
-        records = enumerate_tunnel_blocks(degenerate_joint_set(8), OCTAGON).records()
-        assert any(r.boundary_pyramid for r in records)
-        assert any(r.error and r.error.startswith("ModeInconsistencyError") for r in records)
-        assert {r.classification for r in records} == {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}
+        sweep = enumerate_tunnel_blocks(degenerate_joint_set(8), OCTAGON)
+        assert sweep.boundary.any()
+        moving = np.flatnonzero(sweep.removable.any(axis=0))
+        assert any((sweep.error[c] or "").startswith("ModeInconsistencyError") for c in moving)
+        assert set(sweep.classification.ravel()) == {CLASS_INFINITE, CLASS_REMOVABLE, "tapered"}
 
 
 class TestSweepPeakMemory:
@@ -311,22 +319,22 @@ def halfspace_volume(normals, offsets):
 class TestBoxFreeSweepVolumes:
     def test_positive_volumes_match_halfspace_intersection(self):
         joints = degenerate_joint_set(8)
+        sweep = enumerate_tunnel_blocks(joints, OCTAGON)
         checked = 0
-        for rec in enumerate_tunnel_blocks(joints, OCTAGON).records():
-            if rec.volume_m3 is None or rec.volume_m3 == 0.0:
-                continue
-            oracle = halfspace_volume(*sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
-            assert rec.volume_m3 == pytest.approx(oracle, rel=1e-9)
+        for f, c in zip(*np.nonzero(sweep.sized & (sweep.volume != 0.0))):
+            planes = sweep_planes(joints, OCTAGON, sweep.facets[f].index, sweep.codes[c])
+            assert sweep.volume[f, c] == pytest.approx(halfspace_volume(*planes), rel=1e-9)
             checked += 1
         assert checked >= 50
 
     def test_guard_agrees_with_classes(self):
         joints = degenerate_joint_set(8)
         blocks = {CLASS_INFINITE: [], CLASS_REMOVABLE: []}
-        for rec in enumerate_tunnel_blocks(joints, OCTAGON).records():
-            if rec.classification in blocks:
-                blocks[rec.classification].append(
-                    sweep_planes(joints, OCTAGON, rec.facet_index, rec.code))
+        sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+        for (f, c), cls in np.ndenumerate(sweep.classification):
+            if cls in blocks:
+                blocks[cls].append(sweep_planes(joints, OCTAGON, sweep.facets[f].index,
+                                                sweep.codes[c]))
         infinite = [np.array(a) for a in zip(*blocks[CLASS_INFINITE])]
         removable = [np.array(a) for a in zip(*blocks[CLASS_REMOVABLE])]
         assert len(infinite[0]) and len(removable[0])
@@ -379,13 +387,17 @@ class TestRotationInvariance:
         # whole problem about the vertical: gravity and the section stay put
         tunnel = TunnelSection(OCTAGON.vertices, axis_trend_deg=theta)
         turned = rotated(joints, theta)
-        records = enumerate_tunnel_blocks(joints, OCTAGON).records()
-        for a, b in zip(records, enumerate_tunnel_blocks(turned, tunnel).records(), strict=True):
-            assert (a.facet_index, a.code, a.classification, a.mode_label, a.boundary_pyramid,
-                    a.error is None) == (b.facet_index, b.code, b.classification, b.mode_label,
-                                         b.boundary_pyramid, b.error is None)
-            for x, y in ((a.safety_factor, b.safety_factor), (a.volume_m3, b.volume_m3)):
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert y == pytest.approx(x, rel=1e-9)
+        a = enumerate_tunnel_blocks(joints, OCTAGON)
+        b = enumerate_tunnel_blocks(turned, tunnel)
+        assert ([f.index for f in a.facets], a.codes) == ([f.index for f in b.facets], b.codes)
+        assert a.classification.tolist() == b.classification.tolist()
+        assert a.boundary.tolist() == b.boundary.tolist()
+        # with the classes equal, the per-code columns decide the pairs' modes and errors
+        assert a.mode_label == b.mode_label
+        assert [e is None for e in a.error] == [e is None for e in b.error]
+        assert a.sized.tolist() == b.sized.tolist()
+        reported = a.sized.any(axis=0)  # the codes whose SF some pair reports
+        assert b.safety_factor[reported] == pytest.approx(a.safety_factor[reported], rel=1e-9)
+        assert b.volume[b.sized] == pytest.approx(a.volume[a.sized], rel=1e-9)
         assert zero_spread_values(joints, OCTAGON) == zero_spread_values(turned, tunnel)
+

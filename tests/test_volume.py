@@ -515,25 +515,24 @@ PYRAMID_REL_TOL = 1e-10
 
 def key_blocks(joints):
     """The blocks the sweep sizes on the octagon, as ``pyramid_volumes`` arguments."""
-    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON).records()
-               if r.volume_m3 is not None]
+    sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+    sized_f, sized_c = np.nonzero(sweep.sized)
     facets = OCTAGON.facets()
-    return (joint_normals(joints), code_signs([r.code for r in records], len(joints)),
+    return (joint_normals(joints), code_signs([sweep.codes[k] for k in sized_c], len(joints)),
             np.array([f.inward_normal for f in facets]), np.array([f.seed_depth for f in facets]),
-            np.array([r.facet_index for r in records]))
+            np.array([sweep.facets[k].index for k in sized_f]))
 
 
 def assert_matches_pyramid_oracle(joints):
     """Every sized block of the sweep against the exact oracle; returns (positive, flat) counts."""
     normals, signs, E, H, which = key_blocks(joints)
     got = volume.pyramid_volumes(normals, signs, E, H, which)
-    records = [r for r in enumerate_tunnel_blocks(joints, OCTAGON).records()
-               if r.volume_m3 is not None]
-    assert [r.volume_m3 for r in records] == got.tolist()
+    sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+    assert sweep.volume[sweep.sized].tolist() == got.tolist()
     flat = 0
-    for rec, row, f, v in zip(records, signs, which, got):
+    for boundary, row, f, v in zip(sweep.boundary[sweep.sized], signs, which, got):
         exact = pyramid_oracle.pyramid_volume(row[:, None] * normals, E[f], H[f])
-        if rec.boundary_pyramid:
+        if boundary:
             # a JP the classification finds without interior is flat: exactly
             # 0, and in rationals exactly 0 unless rounding of the float
             # normals tilts it into a sliver (at most 1.8e-30 h^3 measured)
@@ -541,7 +540,7 @@ def assert_matches_pyramid_oracle(joints):
             flat += 1
         else:
             assert v > 0.0 and abs(v - exact) <= PYRAMID_REL_TOL * exact
-    return len(records) - flat, flat
+    return len(got) - flat, flat
 
 
 class TestPyramidVolumes:
