@@ -50,18 +50,26 @@ class Facet:
 
 
 def _convexity_sign(vertices: Sequence[tuple[float, float]]) -> float:
+    """1 for a convex polygon wound counterclockwise, -1 for one wound clockwise.
+
+    Its turns must all have one sign, collinear vertices aside, and add up
+    to one full turn: a pentagram, or a polygon listed twice, turns one way
+    throughout but winds twice.
+    """
     n = len(vertices)
     signs = []
+    turning = 0.0
     for i in range(n):
         ax, ay = vertices[i]
         bx, by = vertices[(i + 1) % n]
         cx, cy = vertices[(i + 2) % n]
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        turning += math.atan2(cross, (bx - ax) * (cx - bx) + (by - ay) * (cy - by))
         if abs(cross) > 1e-12:
             signs.append(math.copysign(1.0, cross))
     if not signs:
         raise ValueError("section polygon is degenerate")
-    if len(set(signs)) != 1:
+    if len(set(signs)) != 1 or round(abs(turning) / (2.0 * math.pi)) != 1:
         raise ValueError("section polygon must be convex")
     return signs[0]
 

@@ -16,6 +16,7 @@ from fuzzyblock.project import (
     parse_project_dict,
 )
 from conftest import standard_project_dict
+from test_tunnel import PENTAGRAM
 
 
 def write(tmp_path, doc):
@@ -123,6 +124,10 @@ class TestParseProject:
     def test_nonconvex_section(self):
         doc = standard_project_dict()
         doc["tunnel"]["section"] = [[0, 0], [2, 0], [1, 0.2], [2, 2], [0, 2]]
+        with pytest.raises(ProjectSemanticError, match="convex"):
+            parse_project_dict(doc)
+        # a pentagram turns one way at every vertex, but winds twice
+        doc["tunnel"]["section"] = [list(vertex) for vertex in PENTAGRAM]
         with pytest.raises(ProjectSemanticError, match="convex"):
             parse_project_dict(doc)
 

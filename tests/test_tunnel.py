@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,8 @@ from fuzzyblock.kernel.volume import pyramid_volumes
 from kinematics_oracle import safety_factor, sliding_mode
 
 SQUARE = TunnelSection(((-2, -2), (2, -2), (2, 2), (-2, 2)))
+PENTAGRAM = tuple((2 * math.cos(math.radians(144 * k)), 2 * math.sin(math.radians(144 * k)))
+                  for k in range(5))
 
 
 def roof_tetra_joints():
@@ -49,6 +52,15 @@ class TestTunnelSection:
     def test_convexity_enforced(self):
         with pytest.raises(ValueError):
             TunnelSection(((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)))
+
+    @pytest.mark.parametrize("vertices", [PENTAGRAM, SQUARE.vertices * 2],
+                             ids=["pentagram", "square_twice"])
+    def test_polygon_wound_twice_rejected(self, vertices):
+        # every turn has one sign, but the turns add up to two full turns:
+        # the pentagram's 5 facets cross, the doubled square's 8 come in pairs
+        for order in (vertices, vertices[::-1]):
+            with pytest.raises(ValueError, match="section polygon must be convex"):
+                TunnelSection(order)
 
     def test_clockwise_input_reordered(self):
         cw = TunnelSection(tuple(reversed(SQUARE.vertices)))
