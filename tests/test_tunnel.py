@@ -413,3 +413,16 @@ class TestRotationInvariance:
         assert b.volume[b.sized] == pytest.approx(a.volume[a.sized], rel=1e-9)
         assert zero_spread_values(joints, OCTAGON) == zero_spread_values(turned, tunnel)
 
+
+class TestRecordRules:
+    @settings(max_examples=40, deadline=None)
+    @given(joint_sets())
+    def test_columns_keep_the_record_rules(self, joints):
+        sweep = enumerate_tunnel_blocks(joints, OCTAGON)
+        moving = sweep.removable.any(axis=0)  # the codes removable on some facet
+        has_error = np.array([e is not None for e in sweep.error])
+        assert not (sweep.sized & ~sweep.removable).any()
+        assert (np.isnan(sweep.volume) == ~sweep.sized).all()
+        assert [label != "" for label in sweep.mode_label] == moving.tolist()
+        assert not (has_error & ~moving).any()
+        assert (np.isnan(sweep.safety_factor) == (has_error | ~moving)).all()
