@@ -17,7 +17,6 @@ Subpackages and modules:
 """
 from .fuzzy_numbers import (
     AlphaInterval,
-    SampledFuzzyNumber,
     TrapezoidalNumber,
     exceedance_poss,
     fit_trapezoid,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaInterval",
-    "SampledFuzzyNumber",
     "TrapezoidalNumber",
     "exceedance_poss",
     "fit_trapezoid",

@@ -36,13 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .fuzzy_numbers import (
     DEFAULT_LABEL_THRESHOLDS, DELTA_VARIANTS, DeltaVariant, TrapezoidalNumber,
-    check_label_thresholds, exceedance_poss, linear_combine,
+    check_label_thresholds, exceedance_poss, fit_trapezoid, linear_combine,
 )
 from .kernel.mechanics import code_signs
 from .kernel.pyramid import edge_rays
@@ -87,24 +87,14 @@ def _contains_angle(lo: float, hi: float, target: float) -> bool:
     return math.ceil((lo - target) / 360.0) <= math.floor((hi - target) / 360.0)
 
 
-def _interval_sin_deg(lo: float, hi: float) -> tuple[float, float]:
-    vals = (math.sin(math.radians(lo)), math.sin(math.radians(hi)))
-    smin, smax = min(vals), max(vals)
-    if _contains_angle(lo, hi, 90.0):
-        smax = 1.0
-    if _contains_angle(lo, hi, 270.0):
-        smin = -1.0
-    return smin, smax
-
-
-def _interval_cos_deg(lo: float, hi: float) -> tuple[float, float]:
-    vals = (math.cos(math.radians(lo)), math.cos(math.radians(hi)))
-    cmin, cmax = min(vals), max(vals)
-    if _contains_angle(lo, hi, 0.0):
-        cmax = 1.0
-    if _contains_angle(lo, hi, 180.0):
-        cmin = -1.0
-    return cmin, cmax
+def _trig_range_deg(
+    fn: Callable[[float], float], peak: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """Exact [min, max] of sin or cos over [lo, hi] degrees, ``peak`` where it is 1."""
+    vals = (fn(math.radians(lo)), fn(math.radians(hi)))
+    vmax = 1.0 if _contains_angle(lo, hi, peak) else max(vals)
+    vmin = -1.0 if _contains_angle(lo, hi, peak + 180.0) else min(vals)
+    return vmin, vmax
 
 
 def _product_interval(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
@@ -122,8 +112,8 @@ def _normal_box(fo: FuzzyOrientation, alpha: float) -> tuple[tuple[float, float]
     tcut = fo.dip_direction.alpha_cut(alpha)
     sin_dip = (math.sin(math.radians(dcut.lo)), math.sin(math.radians(dcut.hi)))
     cos_dip = (math.cos(math.radians(dcut.hi)), math.cos(math.radians(dcut.lo)))
-    sin_dd = _interval_sin_deg(tcut.lo, tcut.hi)
-    cos_dd = _interval_cos_deg(tcut.lo, tcut.hi)
+    sin_dd = _trig_range_deg(math.sin, 90.0, tcut.lo, tcut.hi)
+    cos_dd = _trig_range_deg(math.cos, 0.0, tcut.lo, tcut.hi)
     return (
         _product_interval(sin_dip, sin_dd),
         _product_interval(sin_dip, cos_dd),
@@ -136,18 +126,11 @@ def fuzzy_normal(
 ) -> tuple[TrapezoidalNumber, TrapezoidalNumber, TrapezoidalNumber]:
     """Componentwise fuzzy upward normal of a fuzzy joint attitude.
 
-    Each component is the trapezoid whose support and core are its exact
-    ranges over the alpha = 0 and alpha = 1 cut boxes; the cuts in between
-    are linear, so this is the linearized normal that the PBP search reads.
+    Each component is ``fit_trapezoid`` of its exact ranges over the
+    alpha = 0 and alpha = 1 cut boxes; the cuts in between are linear, so
+    this is the linearized normal that the PBP search reads.
     """
-    comps = []
-    for (a1, a4), (a2, a3) in zip(_normal_box(fo, 0.0), _normal_box(fo, 1.0)):
-        # clamp sub-ulp rounding so the core nests in the support
-        a2, a3 = max(a2, a1), min(a3, a4)
-        if a2 > a3:
-            a2 = a3 = 0.5 * (a2 + a3)
-        comps.append(TrapezoidalNumber(a1, a2, a3, a4))
-    return tuple(comps)
+    return tuple(map(fit_trapezoid, _normal_box(fo, 0.0), _normal_box(fo, 1.0)))
 
 
 @dataclass(frozen=True)

@@ -163,50 +163,22 @@ def exceedance_poss(
     return min(1.0, max(0.0, num / den))
 
 
-@dataclass(frozen=True)
-class SampledFuzzyNumber:
-    """Fuzzy number represented by nested alpha-cut intervals.
+# slack for a core end outside the support: monotone formulas can wobble by an ulp
+_NEST_TOL = 1e-12
 
-    Carrier for sampled results whose exact shape is not trapezoidal.
-    Levels must include alpha = 0 and alpha = 1 and be nested.
+
+def fit_trapezoid(support: tuple[float, float], core: tuple[float, float]) -> TrapezoidalNumber:
+    """Trapezoid of the (lo, hi) cuts at alpha = 0 (support) and alpha = 1 (core).
+
+    A core end at most 1e-12 outside the support is clamped onto it, and a
+    core that rounding inverted by at most as much becomes its midpoint; one
+    further out is a ValueError.  The cuts in between are taken as linear.
     """
-
-    levels: tuple[AlphaInterval, ...]
-
-    # slack for nestedness checks; float evaluation of monotone formulas can
-    # wobble by an ulp
-    _NEST_TOL = 1e-12
-
-    def __post_init__(self) -> None:
-        levels = tuple(self.levels)
-        object.__setattr__(self, "levels", levels)
-        if len(levels) < 2:
-            raise ValueError("need at least the alpha=0 and alpha=1 levels")
-        alphas = [lv.alpha for lv in levels]
-        if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            raise ValueError("alpha values must be strictly increasing")
-        if alphas[0] != 0.0 or alphas[-1] != 1.0:
-            raise ValueError("levels must span alpha = 0 through alpha = 1")
-        for prev, cur in zip(levels, levels[1:]):
-            if cur.lo < prev.lo - self._NEST_TOL or cur.hi > prev.hi + self._NEST_TOL:
-                raise ValueError(
-                    f"non-nested levels: alpha={cur.alpha} cut "
-                    f"[{cur.lo}, {cur.hi}] escapes [{prev.lo}, {prev.hi}]"
-                )
-
-    @property
-    def support(self) -> AlphaInterval:
-        return self.levels[0]
-
-    @property
-    def core(self) -> AlphaInterval:
-        return self.levels[-1]
-
-
-def fit_trapezoid(s: SampledFuzzyNumber) -> TrapezoidalNumber:
-    """Trapezoidal linearization: support from the alpha=0 cut, core from alpha=1.
-
-    Intermediate levels are discarded, so this is exact only for genuinely
-    trapezoidal inputs.
-    """
-    return TrapezoidalNumber(s.support.lo, s.core.lo, s.core.hi, s.support.hi)
+    (a1, a4), (a2, a3) = support, core
+    lo, hi = a1 - _NEST_TOL, a4 + _NEST_TOL
+    if not (lo <= a2 <= hi and lo <= a3 <= hi and a2 <= a3 + _NEST_TOL):
+        raise ValueError(f"core [{a2}, {a3}] does not nest in support [{a1}, {a4}]")
+    a2, a3 = min(max(a2, a1), a4), min(max(a3, a1), a4)
+    if a2 > a3:
+        a2 = a3 = 0.5 * (a2 + a3)
+    return TrapezoidalNumber(a1, a2, a3, a4)

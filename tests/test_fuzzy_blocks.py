@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyblock import fuzzy_blocks
-from fuzzyblock.fuzzy_numbers import AlphaInterval, SampledFuzzyNumber, TrapezoidalNumber
+from fuzzyblock.fuzzy_numbers import TrapezoidalNumber
 from fuzzyblock.fuzzy_blocks import (
     FINITENESS_LABELS,
     FuzzyHalfSpaceConstraint,
@@ -58,6 +58,66 @@ def fuzzed_tetra(spread):
         ),
         "joint-pyramid",
     )
+
+
+def knot_trapezoid(data, lo, hi, extremes, width):
+    """A trapezoid within [lo, hi] centered on one of ``extremes`` or anywhere."""
+    center = data.draw(st.sampled_from(extremes) | st.floats(lo, hi))
+    w = sorted(data.draw(st.lists(st.floats(0.0, width), min_size=2, max_size=2)))
+    knots = [center - w[1], center - w[0], center + w[0], center + w[1]]
+    return T(*np.clip(knots, lo, hi))
+
+
+def inline_clamp_normal(fo):
+    """``fuzzy_normal`` as written before ``fit_trapezoid`` served it."""
+    def contains(lo, hi, target):
+        return math.ceil((lo - target) / 360.0) <= math.floor((hi - target) / 360.0)
+
+    def sin_range(lo, hi):
+        vals = (math.sin(math.radians(lo)), math.sin(math.radians(hi)))
+        smin, smax = min(vals), max(vals)
+        if contains(lo, hi, 90.0):
+            smax = 1.0
+        if contains(lo, hi, 270.0):
+            smin = -1.0
+        return smin, smax
+
+    def cos_range(lo, hi):
+        vals = (math.cos(math.radians(lo)), math.cos(math.radians(hi)))
+        cmin, cmax = min(vals), max(vals)
+        if contains(lo, hi, 0.0):
+            cmax = 1.0
+        if contains(lo, hi, 180.0):
+            cmin = -1.0
+        return cmin, cmax
+
+    def product(a, b):
+        prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+        return min(prods), max(prods)
+
+    def box(alpha):
+        dcut, tcut = fo.dip.alpha_cut(alpha), fo.dip_direction.alpha_cut(alpha)
+        sin_dip = (math.sin(math.radians(dcut.lo)), math.sin(math.radians(dcut.hi)))
+        cos_dip = (math.cos(math.radians(dcut.hi)), math.cos(math.radians(dcut.lo)))
+        return (
+            product(sin_dip, sin_range(tcut.lo, tcut.hi)),
+            product(sin_dip, cos_range(tcut.lo, tcut.hi)),
+            cos_dip,
+        )
+
+    comps = []
+    for (a1, a4), (a2, a3) in zip(box(0.0), box(1.0)):
+        a2, a3 = max(a2, a1), min(a3, a4)
+        if a2 > a3:
+            a2 = a3 = 0.5 * (a2 + a3)
+        comps.append(T(a1, a2, a3, a4))
+    return tuple(comps)
+
+
+def assert_inline_clamp_bits(fo):
+    assert [k.hex() for c in fuzzy_normal(fo) for k in c.to_list()] == [
+        k.hex() for c in inline_clamp_normal(fo) for k in c.to_list()
+    ]
 
 
 class TestFuzzyNormal:
@@ -116,14 +176,8 @@ class TestFuzzyNormal:
         # each knot is the min or max of its component over the alpha = 0
         # (support) or alpha = 1 (core) box, so a dense grid reaches it: at
         # 0.05 degree spacing a grid point lies within 4e-7 of any extremum
-        def trapezoid(lo, hi, extremes, width):
-            center = data.draw(st.sampled_from(extremes) | st.floats(lo, hi))
-            w = sorted(data.draw(st.lists(st.floats(0.0, width), min_size=2, max_size=2)))
-            knots = [center - w[1], center - w[0], center + w[0], center + w[1]]
-            return T(*np.clip(knots, lo, hi))
-
-        dip = trapezoid(0.0, 90.0, [0.0, 90.0], 20.0)
-        dd = trapezoid(-90.0, 450.0, [0.0, 90.0, 180.0, 270.0, 360.0], 44.0)
+        dip = knot_trapezoid(data, 0.0, 90.0, [0.0, 90.0], 20.0)
+        dd = knot_trapezoid(data, -90.0, 450.0, [0.0, 90.0, 180.0, 270.0, 360.0], 44.0)
         fo = FuzzyOrientation(dip, dd)
         comps = fuzzy_normal(fo)
         for alpha in (0.0, 1.0):
@@ -140,6 +194,27 @@ class TestFuzzyNormal:
                 lo, hi = comp.support if alpha == 0.0 else comp.core
                 assert lo == pytest.approx(values.min(), abs=1e-6)
                 assert hi == pytest.approx(values.max(), abs=1e-6)
+
+    @pytest.mark.parametrize("dip, dd", [
+        ((55, 60, 60, 65), (-5, 0, 0, 5)),  # the README's F1
+        ((0, 0, 0, 5), (40, 45, 45, 50)),
+        ((80, 85, 88, 90), (110, 115, 120, 125)),
+        ((65, 70, 70, 75), (175, 180, 180, 185)),
+        ((0, 0, 90, 90), (255, 270, 270, 285)),
+        ((30, 35, 35, 40), (330, 355, 365, 370)),
+    ])
+    def test_project_attitudes_keep_inline_clamp_bits(self, dip, dd):
+        assert_inline_clamp_bits(FuzzyOrientation(T(*dip), T(*dd)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_knot_bits_match_inline_clamp(self, data):
+        # dip supports touch 0 and 90; dip directions cross 0 to 360 and go
+        # negative
+        assert_inline_clamp_bits(FuzzyOrientation(
+            knot_trapezoid(data, 0.0, 90.0, [0.0, 90.0], 20.0),
+            knot_trapezoid(data, -90.0, 450.0, [0.0, 90.0, 180.0, 270.0, 360.0], 44.0),
+        ))
 
     def test_wide_dip_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -172,9 +247,6 @@ class TestConstraintPoss:
     @pytest.mark.parametrize("coeffs, d", [
         ((T.crisp(1.0), 0.5), T.crisp(0.0)),
         ((T.crisp(1.0), T.crisp(0.0)), 0.0),
-        ((SampledFuzzyNumber((AlphaInterval(0.0, 0.0, 2.0), AlphaInterval(1.0, 1.0, 1.0))),
-          T.crisp(0.0)),
-         T.crisp(0.0)),
     ])
     def test_trapezoids_only(self, coeffs, d):
         # a non-trapezoidal number is rejected, not silently linearized

@@ -3,8 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyblock.fuzzy_numbers import (
-    AlphaInterval,
-    SampledFuzzyNumber,
     TrapezoidalNumber,
     exceedance_poss,
     fit_trapezoid,
@@ -262,39 +260,55 @@ class TestExceedance:
             assert 0.0 <= exceedance_poss(b, r, variant) <= 1.0
 
 
-class TestSampledFuzzyNumber:
+class TestFitTrapezoid:
     def test_fit_trapezoid_from_levels(self):
-        s = SampledFuzzyNumber(
-            (AlphaInterval(0.0, 0.0, 3.0), AlphaInterval(1.0, 1.0, 2.0))
-        )
-        assert fit_trapezoid(s).to_list() == [0, 1, 2, 3]
+        assert fit_trapezoid((0.0, 3.0), (1.0, 2.0)).to_list() == [0, 1, 2, 3]
 
     def test_fit_trapezoid_crisp(self):
-        s = SampledFuzzyNumber(
-            (AlphaInterval(0.0, 2.0, 2.0), AlphaInterval(1.0, 2.0, 2.0))
-        )
-        assert fit_trapezoid(s).to_list() == [2, 2, 2, 2]
+        assert fit_trapezoid((2.0, 2.0), (2.0, 2.0)).to_list() == [2, 2, 2, 2]
 
     def test_fit_trapezoid_distance_example(self):
-        s = SampledFuzzyNumber(
-            (AlphaInterval(0.0, 4.472, 5.657), AlphaInterval(1.0, 5.0, 5.0))
-        )
-        assert fit_trapezoid(s).to_list() == [4.472, 5.0, 5.0, 5.657]
+        t = fit_trapezoid((4.472, 5.657), (5.0, 5.0))
+        assert t.to_list() == [4.472, 5.0, 5.0, 5.657]
 
     def test_non_nested_rejected(self):
         with pytest.raises(ValueError):
-            SampledFuzzyNumber(
-                (AlphaInterval(0.0, 0.0, 1.0), AlphaInterval(1.0, -1.0, 0.5))
-            )
+            fit_trapezoid((0.0, 1.0), (-1.0, 0.5))
 
-    def test_levels_must_cover_zero_and_one(self):
-        with pytest.raises(ValueError):
-            SampledFuzzyNumber(
-                (AlphaInterval(0.1, 0.0, 1.0), AlphaInterval(1.0, 0.2, 0.8))
-            )
+    def test_exact_nesting_kept(self):
+        # core ends on the support ends are kept, signed zeros included
+        t = fit_trapezoid((-0.0, 3.0), (-0.0, 3.0 - 2.0 ** -51))
+        assert [x.hex() for x in t.to_list()] == [
+            x.hex() for x in (-0.0, -0.0, 3.0 - 2.0 ** -51, 3.0)
+        ]
 
-    def test_alpha_order_enforced(self):
-        with pytest.raises(ValueError):
-            SampledFuzzyNumber(
-                (AlphaInterval(0.0, 0.0, 1.0), AlphaInterval(0.0, 0.1, 0.9))
-            )
+    def test_core_equal_to_support(self):
+        assert fit_trapezoid((0.5, 2.5), (0.5, 2.5)).to_list() == [0.5, 0.5, 2.5, 2.5]
+
+    @pytest.mark.parametrize("core, knots", [
+        ((-5e-13, 0.5), [0.0, 0.0, 0.5, 1.0]),
+        ((0.5, 1.0 + 5e-13), [0.0, 0.5, 1.0, 1.0]),
+        ((-1e-12, 1.0 + 1e-12), [0.0, 0.0, 1.0, 1.0]),
+        # a point core just past an end is clamped onto it, not inverted
+        ((1.0 + 5e-13, 1.0 + 5e-13), [0.0, 1.0, 1.0, 1.0]),
+        ((-5e-13, -5e-13), [0.0, 0.0, 0.0, 1.0]),
+    ])
+    def test_sub_tolerance_overhang_clamped(self, core, knots):
+        assert fit_trapezoid((0.0, 1.0), core).to_list() == knots
+
+    def test_inverted_core_becomes_midpoint(self):
+        a2, a3 = 0.5 + 2e-13, 0.5 - 2e-13
+        t = fit_trapezoid((0.0, 1.0), (a2, a3))
+        assert t.a2 == t.a3 == 0.5 * (a2 + a3)
+        assert t.support == (0.0, 1.0)
+
+    @pytest.mark.parametrize("core", [
+        (-1e-9, 0.5),
+        (0.5, 1.0 + 1e-9),
+        (1.0 + 1e-9, 1.0 + 1e-9),
+        (0.5 + 1e-9, 0.5),
+        (float("nan"), 0.5),
+    ])
+    def test_overhang_beyond_tolerance_rejected(self, core):
+        with pytest.raises(ValueError, match=r"core \[.*\] does not nest in support \[0\.0, 1\.0\]"):
+            fit_trapezoid((0.0, 1.0), core)
