@@ -82,7 +82,9 @@ class TrapezoidalNumber:
         return (self.a2, self.a3)
 
     def membership(self, x: float) -> float:
-        """Piecewise-linear membership degree of ``x``."""
+        """Piecewise-linear membership degree of ``x``, which must be finite."""
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
         if x < self.a1 or x > self.a4:
             return 0.0
         if self.a2 <= x <= self.a3:

@@ -37,6 +37,7 @@ pairs, so the chunking changes no bit.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -288,13 +289,17 @@ def _values(shape: FuzzyShape, px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
 
 def membership_at(shape: FuzzyShape, px: float, py: float) -> float:
-    """Membership of (px, py) in any shape; a polygon's is the maximum over its closing edges."""
+    """Membership of a finite (px, py) in any shape; a polygon's is the max over its edges."""
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise ValueError(f"point must be finite, got ({px}, {py})")
     return float(_values(shape, np.array([px], dtype=float), np.array([py], dtype=float))[0])
 
 
 def check_grid(bbox: Sequence[float], nx: int, ny: int) -> None:
-    """A raster grid needs a bbox of positive width and height, and nx, ny >= 2."""
+    """A raster grid needs a finite bbox of positive, finite width and height, and nx, ny >= 2."""
     xmin, ymin, xmax, ymax = bbox
+    if not all(map(math.isfinite, (xmin, ymin, xmax, ymax, xmax - xmin, ymax - ymin))):
+        raise ValueError(f"bbox must be finite, with a finite width and height: {list(bbox)}")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"bbox is degenerate: {list(bbox)}")
     for name, count in (("nx", nx), ("ny", ny)):

@@ -36,6 +36,12 @@ class TestTrapezoidBasics:
         # linear ramp inversion, cross-checked by the alpha-grid scan below
         assert t.membership(0.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("knots", [(0, 1, 1, 1), (0, 1, 2, 3), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_membership_rejects_non_finite(self, knots, x):
+        with pytest.raises(ValueError, match="x must be finite"):
+            T(*knots).membership(x)
+
     def test_membership_matches_alpha_grid_scan(self):
         t = T(-1.0, 0.5, 2.0, 7.0)
         for x in [-1.5, -1.0, -0.2, 0.5, 1.7, 2.0, 4.1, 7.0, 8.0]:

@@ -20,6 +20,7 @@ from fuzzyblock.plane_geometry import (
     FuzzyPolygon,
     FuzzySegment,
     _edge_values,
+    check_grid,
     membership_at,
     raster_membership,
 )
@@ -655,6 +656,23 @@ def _fuzzy_pentagon():
     return FuzzyPolygon(tuple(verts))
 
 
+class TestNonFinitePoint:
+    SHAPES = {
+        "line": FuzzyLineImplicit(T(0.9, 1, 1, 1.1), T(0.9, 1, 1, 1.1), T(1.8, 2, 2, 2.2)),
+        "slope": FuzzyLineSlope(T(0, 1, 1, 2), T.crisp(0)),
+        "segment": FuzzySegment(FuzzyPoint.crisp(0, 0), FuzzyPoint(T(0.9, 1, 1, 1.1), T.crisp(0))),
+        "polygon": _fuzzy_pentagon(),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("point", [
+        (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf),
+    ])
+    def test_rejected(self, shape, point):
+        with pytest.raises(ValueError, match="point must be finite"):
+            membership_at(self.SHAPES[shape], *point)
+
+
 class TestRaster:
     def test_crisp_line_cells(self):
         line = FuzzyLineImplicit.crisp(0, 1, 0.5)  # y = 0.5
@@ -718,6 +736,21 @@ class TestRaster:
         line = FuzzyLineImplicit.crisp(1, 1, 1)
         with pytest.raises(ValueError):
             raster_membership(line, (0, 0, 0, 1), 3, 3)
+
+    @pytest.mark.parametrize("bbox", [
+        (0, 0, math.inf, 2),
+        (-math.inf, 0, 2, 2),
+        (0, math.nan, 2, 2),
+        (0, 0, 2, math.nan),
+        (-1e308, 0, 1e308, 2),  # finite ends, infinite width
+        (0, -1e308, 2, 1e308),
+    ])
+    def test_non_finite_bbox_rejected(self, bbox):
+        line = FuzzyLineImplicit.crisp(1, 1, 1)
+        with pytest.raises(ValueError, match="bbox must be finite"):
+            check_grid(bbox, 4, 4)
+        with pytest.raises(ValueError, match="bbox must be finite"):
+            raster_membership(line, bbox, 4, 4)
 
     def test_small_grid_rejected(self):
         line = FuzzyLineImplicit.crisp(1, 1, 1)
