@@ -5,7 +5,7 @@ plane swept along a horizontal axis.  Each polygon edge becomes a planar
 free face whose inward-to-rock normal points away from the opening.  For
 every (facet, block code) pair the sweep classifies the block and, when it
 is removable, derives sliding mode, safety factor, and the volume of the
-maximal block seeded a short way into the rock.  The sweep returns its
+block seeded ``Facet.seed_depth`` into the rock.  The sweep returns its
 results as columns, a ``TunnelSweep``.
 """
 from __future__ import annotations
