@@ -187,9 +187,26 @@ def forward_batch(model: TskModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _predict(model, X, wbar), wbar
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_GRAM_ROWS`` rows that cover n rows.
+
+    If n >= 2, no block has one row: numpy multiplies a one-row block
+    through a matrix-vector BLAS call, whose bits differ from the row's in
+    the matrix product of all rows.
+    """
+    stops = list(range(_GRAM_ROWS, n, _GRAM_ROWS)) + [n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= 1
+    return [slice(lo, hi) for lo, hi in zip([0] + stops[:-1], stops)]
+
+
 def _predict(model: TskModel, X: np.ndarray, wbar: np.ndarray) -> np.ndarray:
-    f = _augmented(X) @ model.consequents.T
-    return (wbar * f).sum(axis=1)
+    """Per-sample predictions, a block of rows at a time, so no (N, R) array is formed."""
+    a = _augmented(X)
+    pred = np.empty(X.shape[0])
+    for rows in _row_blocks(len(pred)):
+        pred[rows] = (wbar[rows] * (a[rows] @ model.consequents.T)).sum(axis=1)
+    return pred
 
 
 def rmse(
@@ -230,12 +247,15 @@ class GramLayout(NamedTuple):
     a = (x, 1).  ``left`` and ``right`` split the factors into the two
     groups whose per-sample pair products ``normal_equations`` multiplies
     in one matrix product; ``index`` (P, P) holds each Gram entry's
-    position in that product's flat result.
+    position in that product's flat result.  ``gram`` (P, P) is the array
+    that ``normal_equations`` gathers the Gram matrix into, so every call
+    with one layout returns the same array, overwritten.
     """
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     index: np.ndarray
+    gram: np.ndarray
 
 
 def _pair_codes(m: int) -> np.ndarray:
@@ -283,7 +303,7 @@ def gram_layout(model: TskModel) -> GramLayout:
     for f, m in enumerate(sizes):  # in column order (r, j), first input slowest
         table = (_pair_codes(m) * stride[f]).astype(np.int32)
         index = (index[:, None, :, None] + table[None, :, None, :]).reshape(len(index) * m, -1)
-    return GramLayout(left, right, index)
+    return GramLayout(left, right, index, np.empty(index.shape))
 
 
 def normal_equations(
@@ -305,32 +325,39 @@ def normal_equations(
     a_j * a_k, and depends only on the unordered pairs {r_i, s_i} and
     {j, k}: prod k_i(k_i + 1)/2 * (d + 1)(d + 2)/2 distinct values in all.
     One matrix product of the two layout groups' row-wise Kronecker
-    products of those pair products gives them, a few hundred samples at a
-    time, and the layout's index gathers them into the exactly symmetric
-    (P, P) Gram matrix.  Normalizing per input never squares a raw
-    strength, which underflows on rows of small total strength.  The
-    right-hand side is wbar.T @ (a * y).  state as in ``lse_consequents``;
-    layout is ``gram_layout(model)`` if None.
+    products of those pair products gives them, ``_GRAM_ROWS`` samples at a
+    time, from memberships normalized and paired a block at a time too, so
+    that their footprint next to the layout's Gram array stays small.  The
+    layout's index gathers them, a block of rows at a time, into that
+    array: the exactly symmetric (P, P) Gram matrix that is returned.
+    Normalizing per input never squares a raw strength, which underflows on
+    rows of small total strength.  The right-hand side is wbar.T @ (a * y).
+    state as in ``lse_consequents``; layout is ``gram_layout(model)`` if
+    None.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     U, w, _ = state or premise_state(model, X)
     layout = layout or gram_layout(model)
-    uniform = ~(w.sum(axis=1) > _W_TINY)  # premise_state's fallback rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = [u / u.sum(axis=1, keepdims=True) for u in U]
-    for v in factors:
-        v[uniform] = 1.0 / v.shape[1]
-    a = _augmented(X)
-    pairs = [_pair_products(v) for v in factors + [a]]
-    values = np.zeros([math.prod(pairs[f].shape[1] for f in g) for g in (layout.left, layout.right)])
-    rhs = np.zeros((model.rule_count, a.shape[1]))
-    for lo in range(0, X.shape[0], _GRAM_ROWS):
+    sizes = model.mf_counts + (model.input_count + 1,)
+    values = np.zeros([math.prod(sizes[f] * (sizes[f] + 1) // 2 for f in g)
+                       for g in (layout.left, layout.right)])
+    rhs = np.zeros((model.rule_count, model.input_count + 1))
+    for lo in range(0, X.shape[0], _GRAM_ROWS):  # the blocks fix the order of the sums
         rows = slice(lo, lo + _GRAM_ROWS)
-        values += _row_kron([pairs[f][rows] for f in layout.left]).T @ _row_kron(
-            [pairs[f][rows] for f in layout.right])
-        rhs += _row_kron([v[rows] for v in factors]).T @ (a[rows] * y[rows, None])
-    return values.ravel()[layout.index], rhs.ravel()
+        uniform = ~(w[rows].sum(axis=1) > _W_TINY)  # premise_state's fallback rows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factors = [u[rows] / u[rows].sum(axis=1, keepdims=True) for u in U]
+        for v in factors:
+            v[uniform] = 1.0 / v.shape[1]
+        a = _augmented(X[rows])
+        pairs = [_pair_products(v) for v in factors + [a]]
+        values += _row_kron([pairs[f] for f in layout.left]).T @ _row_kron(
+            [pairs[f] for f in layout.right])
+        rhs += _row_kron(factors).T @ (a * y[rows, None])
+    for rows in _row_blocks(len(layout.gram)):
+        layout.gram[rows] = values.ravel()[layout.index[rows]]
+    return layout.gram, rhs.ravel()
 
 
 def lse_consequents(
@@ -355,11 +382,11 @@ def lse_consequents(
 
     The Tikhonov path takes the Gram matrix and right-hand side from
     ``normal_equations``, which never forms the design matrix, and adds
-    the ridge onto the Gram diagonal in place, so no second (P, P) array
-    is allocated.  The Gram matrix is exactly symmetric, so its transpose
-    is the same matrix: the solve takes that F-ordered view, whose copy
-    into LAPACK's column-major layout reads contiguous columns, and gets
-    the same bits.
+    the ridge onto the Gram diagonal in place, so the only (P, P) array
+    allocated is LAPACK's copy: the Gram matrix is the layout's array.
+    The Gram matrix is exactly symmetric, so its transpose is the same
+    matrix: the solve takes that F-ordered view, whose copy into LAPACK's
+    column-major layout reads contiguous columns, and gets the same bits.
     """
     check_step_sizes(ridge=ridge)
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -381,66 +408,83 @@ def premise_gradients(
 
     Returns one (k_i, 3) array per input, aligned with ``mf_params``.  state,
     if given, holds the current premises' memberships and strengths on X.
-    The strengths and the error times dy/dw of every rule are copied once
-    into rules-outer (k_1, ..., k_d, N) grids, so each pass runs along
-    N-contiguous rows.  Each input divides its membership out of the
+    Every step but the sum over samples is per sample, so the pass runs on
+    blocks of ``_row_blocks`` rows and allocates no (N, R) array.  Each
+    block copies its strengths and its error times dy/dw of every rule into
+    rules-outer (k_1, ..., k_d, rows) grids, so each pass runs along
+    row-contiguous lines.  Each input divides its membership out of the
     strengths straight into a buffer whose leading axis is its MF, and each
-    MF's rules are summed one after another in rule order.  The per-MF sums
-    of all inputs go back to one (N, sum k_i) C-order array, so the sums
-    over samples also add one row after another.  Those two summation
-    orders fix the bits of the trained model; ``tests/gradient_oracle.py``
-    holds the loop they must match.  A dy/dw that overflows leaves the
-    gradient non-finite, without a warning; ``train`` stops on it.
+    MF's rules are summed one after another in rule order.  Those per-MF
+    sums times the MF slopes are added over samples one row after another,
+    each block's rows onto the sum of the rows before.  Those two summation
+    orders fix the bits of the trained model, whatever the block size;
+    ``tests/gradient_oracle.py`` holds the loop they must match.  A
+    dy/dw that overflows leaves the gradient non-finite, without a warning;
+    ``train`` stops on it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     N = X.shape[0]
     U, w, wbar = state or premise_state(model, X)
-    total = w.sum(axis=1)
-    ok = total > _W_TINY
-    f = _augmented(X) @ model.consequents.T
-    pred = (wbar * f).sum(axis=1)
-    err = pred - y
     counts = model.mf_counts
-    w_grid = np.ascontiguousarray(w.T).reshape(counts + (N,))
-    # err * dy/dw of every rule, zero on rows whose strengths all underflow
-    err_dydw = np.ascontiguousarray(f.T)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        err_dydw -= pred
-        err_dydw /= total
-        err_dydw[:, ~ok] = 0.0
-        err_dydw *= err
-        buf = np.empty(w.size)  # dE/dmu of each rule for one input, up to 2 / N
-        sums = []  # dE/dmu per MF, up to 2 / N, one (k_i, N) array per input
-        for i, k_i in enumerate(counts):
-            mu = np.ascontiguousarray(U[i].T).reshape((1,) * i + (k_i,) + (1,) * (len(counts) - i - 1) + (N,))
-            by_mf = buf.reshape((k_i,) + counts[:i] + counts[i + 1:] + (N,))
-            contrib = np.moveaxis(by_mf, 0, i)  # by_mf seen on the rule grid
-            np.divide(w_grid, mu, out=contrib)
-            tiny = mu <= _W_TINY
-            if tiny.any():
-                np.copyto(contrib, 0.0, where=tiny)
-            contrib *= err_dydw.reshape(w_grid.shape)
-            sums.append(by_mf.reshape(k_i, -1, N).sum(axis=1))
-    B = np.ascontiguousarray(np.concatenate(sums).T)  # C order: sums over samples row by row
-
-    # the MF slopes of all inputs side by side, one column per MF
     params = np.concatenate(model.mf_params)
+    mf_input = np.repeat(np.arange(len(counts)), counts)  # the input of each MF column
+    buf = np.empty(model.rule_count * min(N, _GRAM_ROWS))  # dE/dmu of each rule for one input
+    g = np.zeros((3, len(params)))  # sum over the rows so far of dE/dmu * dmu/d(c, a, b)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(N):
+            n = rows.stop - rows.start
+            f = _augmented(X[rows]) @ model.consequents.T
+            pred = (wbar[rows] * f).sum(axis=1)
+            # err * dy/dw of every rule, zero on rows whose strengths all underflow
+            err_dydw = np.ascontiguousarray(f.T)
+            del f  # at most three (rules, rows) grids are alive at a time
+            total = w[rows].sum(axis=1)
+            err_dydw -= pred
+            err_dydw /= total
+            err_dydw[:, ~(total > _W_TINY)] = 0.0
+            err_dydw *= pred - y[rows]
+            w_grid = np.ascontiguousarray(w[rows].T).reshape(counts + (n,))
+            sums = []  # dE/dmu per MF, up to 2 / N, one (k_i, n) array per input
+            for i, k_i in enumerate(counts):
+                mu = np.ascontiguousarray(U[i][rows].T).reshape(
+                    (1,) * i + (k_i,) + (1,) * (len(counts) - i - 1) + (n,))
+                by_mf = buf[:w_grid.size].reshape((k_i,) + counts[:i] + counts[i + 1:] + (n,))
+                contrib = np.moveaxis(by_mf, 0, i)  # by_mf seen on the rule grid
+                np.divide(w_grid, mu, out=contrib)
+                tiny = mu <= _W_TINY
+                if tiny.any():
+                    np.copyto(contrib, 0.0, where=tiny)
+                contrib *= err_dydw.reshape(w_grid.shape)
+                sums.append(by_mf.reshape(k_i, -1, n).sum(axis=1))
+            del err_dydw, w_grid
+            u = np.concatenate([u_i[rows] for u_i in U], axis=1)
+            terms = np.concatenate(sums).T * _mf_slopes(params, X[rows][:, mf_input], u)
+            # numpy adds the rows of an axis that is not innermost one after
+            # another, onto 0: the block's rows carry on the sum of the rows before
+            g = np.concatenate([g[:, None], terms], axis=1).sum(axis=1)
+        g = ((2.0 / N) * g).T
+    return np.split(g, np.cumsum(counts)[:-1])
+
+
+def _mf_slopes(params: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(3, n, m) slopes dmu/d(center, width, shape) of m bell MFs.
+
+    params (m, 3) holds the MFs side by side, x (n, m) each MF's input and u
+    (n, m) its memberships.  Call under ``np.errstate`` ignoring over,
+    divide and invalid.
+    """
     c, a, b = params[:, 0], params[:, 1], params[:, 2]
-    x = X[:, np.repeat(np.arange(len(counts)), counts)]
-    mu2 = np.concatenate(U, axis=1) ** 2
+    mu2 = u ** 2
     z = (x - c) / a
     absz = np.abs(z)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u_pow_b = absz ** (2.0 * b)
-        zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b - 1.0), 0.0)
-        log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
-        dmu = np.stack([(2.0 * b / a) * zu * mu2, (2.0 * b / a) * u_pow_b * mu2,
-                        -mu2 * u_pow_b * log_u])
+    u_pow_b = absz ** (2.0 * b)
+    zu = np.sign(z) * np.where(absz > 0.0, absz ** (2.0 * b - 1.0), 0.0)
+    log_u = np.where(absz > 0.0, 2.0 * np.log(absz), 0.0)
+    dmu = np.stack([(2.0 * b / a) * zu * mu2, (2.0 * b / a) * u_pow_b * mu2,
+                    -mu2 * u_pow_b * log_u])
     dmu[:, np.isinf(u_pow_b)] = 0.0  # membership underflowed to 0: slope 0, not inf * 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = ((2.0 / N) * (B * dmu).sum(axis=1)).T
-    return np.split(g, np.cumsum(counts)[:-1])
+    return dmu
 
 
 def train(
@@ -457,9 +501,13 @@ def train(
     gradient step on the premises.  The learning rate halves whenever the
     epoch RMSE increases.  Memberships and firing strengths are evaluated
     once per premise setting and shared by both passes and the RMSE.  With
-    a positive ridge no (N, P) design matrix is formed: the Gram layout is
-    built once, serves every epoch's ``lse_consequents`` and is freed on
-    return, and the gradient pass works on (N, R) grids.  A non-finite
+    a positive ridge no (N, P) design matrix is formed: the Gram layout,
+    with its index and its Gram array, is built once, serves every epoch's
+    ``lse_consequents`` and is freed on return.  The gradient pass, the
+    normal equations and the RMSE work on blocks of a few hundred rows, so
+    besides the premise state and LAPACK's copy of the Gram matrix no
+    epoch allocates an (N, R) or larger array, and each epoch reuses the
+    memory the one before freed instead of taking fresh pages.  A non-finite
     premise gradient or epoch RMSE raises TrainingError, so no model with
     non-finite MF parameters comes back.
     """

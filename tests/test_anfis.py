@@ -203,9 +203,9 @@ class TestTrain:
         # premise state (the (N, R) raw and normalized strengths); the
         # consequent pass adds the Gram matrix, and pair products, distinct
         # values and chunk products under 2.5 MB; the gradient pass adds
-        # four (N, R) grids and (N, sum k_i) slopes under 4 MB.  LAPACK's
-        # copy of the Gram matrix is not traced.  The design matrix phi
-        # (N, P) would add 9.8 MB to either pass.
+        # less than one (N, R) grid (see the next test).  LAPACK's copy of
+        # the Gram matrix is not traced.  The design matrix phi (N, P)
+        # would add 9.8 MB to either pass.
         from fuzzyblock.surrogate import model as model_module
 
         rng = np.random.Generator(np.random.Philox(3))
@@ -233,6 +233,26 @@ class TestTrain:
             tracemalloc.stop()
         assert max(lse_peaks) <= index + 2 * grid + gram + 2.5e6 < index + 2 * grid + design
         assert peak <= index + 6 * grid + 4e6 < index + 2 * grid + design + gram
+
+    def test_gradient_pass_memory_at_benchmark_shape(self):
+        # with the premise state given, the gradient pass works on blocks of
+        # 256 rows: three (rules, rows) grids of a block and its (rows,
+        # sum k_i) slopes stay under one (N, R) grid, where a pass over all
+        # N rows at once would allocate four
+        rng = np.random.Generator(np.random.Philox(3))
+        N, counts = 1600, [2, 2, 2, 8, 2]
+        X = rng.uniform(-1, 1, size=(N, len(counts)))
+        y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 3]
+        model = init_model(len(counts), counts, X)
+        model.consequents = rng.normal(size=model.consequents.shape)
+        state = premise_state(model, X)
+        tracemalloc.start()
+        try:
+            premise_gradients(model, X, y, state=state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * model.rule_count * 8
 
     def test_underflowed_membership_is_left_alone(self):
         # b = 50 and a centre 1e7 away from every input: |z|^(2b) overflows, so
@@ -326,6 +346,20 @@ class TestTrain:
         assert w[0].sum() <= _W_TINY < w[1:].sum(axis=1).min()
         assert np.all(U[1][:, -1] <= _W_TINY)
         self.assert_matches_loop_reference(model, X, y)
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 1600])
+    def test_premise_pass_matches_loop_reference_across_row_blocks(self, n_rows):
+        # the gradient pass and the RMSE run on blocks of at most 256 rows,
+        # 255 and 2 at 257 rows, whose last row a one-row block would give
+        # other bits; rows whose strengths all underflow lie on both sides
+        # of the block edges at 255 (257 rows) and 512 (1600 rows)
+        model, X, y = self.random_model(n_rows, [2, 2, 2, 8, 2], n_rows, masked=True)
+        masked = [r for r in (0, 254, 255, 511, 512) if r < n_rows]
+        X[masked, 0] = 1122.0
+        w = premise_state(model, X).w
+        assert np.all(w[masked].sum(axis=1) <= _W_TINY)
+        self.assert_matches_loop_reference(model, X, y)
+        assert rmse(model, X, y) == gradient_oracle.rmse(model, X, y)
 
     def test_lse_is_optimal_for_frozen_premises(self):
         rng = np.random.Generator(np.random.Philox(11))
