@@ -4,18 +4,13 @@ from .mechanics import (
     CLASS_REMOVABLE,
     CLASS_TAPERED,
     ModeInconsistencyError,
-    SlidingMode,
     classify_block,
     joint_pyramid,
     safety_factor,
     sliding_mode,
 )
 from .orientation import JointPlane, Orientation, normal_from_orientation
-from .pyramid import (
-    HalfSpaceSystem,
-    PyramidResult,
-    cone_nonempty,
-)
+from .pyramid import cone_nonempty
 from .tunnel import (
     Facet,
     TunnelSection,
@@ -36,12 +31,9 @@ __all__ = [
     "CLASS_REMOVABLE",
     "CLASS_TAPERED",
     "Facet",
-    "HalfSpaceSystem",
     "JointPlane",
     "ModeInconsistencyError",
     "Orientation",
-    "PyramidResult",
-    "SlidingMode",
     "TunnelSection",
     "TunnelSweep",
     "UnboundedBlockError",

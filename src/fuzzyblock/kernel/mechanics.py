@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .orientation import JointPlane
-from .pyramid import HalfSpaceSystem, PyramidResult, SignedCones, signed_cones
+from .pyramid import SignedCones, signed_cones
 
 _FEAS_TOL = 1e-9
 _KINDS = ("falling", "plane", "wedge", "safe")  # of a sliding mode
@@ -42,8 +42,9 @@ def joint_normals(joints: Sequence[JointPlane]) -> np.ndarray:
     return np.array([j.normal for j in joints]).reshape(len(joints), 3)
 
 
-def joint_pyramid(code: str, joints: Sequence[JointPlane]) -> HalfSpaceSystem:
-    return HalfSpaceSystem(code_signs([code], len(joints))[0][:, None] * joint_normals(joints))
+def joint_pyramid(code: str, joints: Sequence[JointPlane]) -> np.ndarray:
+    """The JP normals (n, 3) of a code: each joint's normal signed by its side."""
+    return code_signs([code], len(joints))[0][:, None] * joint_normals(joints)
 
 
 def classify_codes(
@@ -80,35 +81,19 @@ def classify_codes(
 
 def classify_block(
     code: str, joints: Sequence[JointPlane], facet_normal: np.ndarray
-) -> tuple[str, PyramidResult, PyramidResult]:
+) -> tuple[str, SignedCones, SignedCones]:
     """Shi classification of a block code against one free face.
 
-    Returns (classification, jp_result, bp_result); classification is one of
-    "infinite", "tapered", "removable".  It is the one-code, one-face form
-    of ``classify_codes``.
+    Returns (classification, jp, bp); classification is one of "infinite",
+    "tapered", "removable", and jp and bp hold the code's one cone test
+    each.  It is the one-code, one-face form of ``classify_codes``.
     """
     signs = code_signs([code], len(joints))
     normals = joint_normals(joints)
     jp = signed_cones(normals, signs)
     classes, bp = classify_codes(signs, normals, jp, [facet_normal])
-    return str(classes[0, 0]), jp.result(0), bp.result(0, 0)
-
-
-@dataclass(frozen=True)
-class SlidingMode:
-    """Kinematic mode of a removable block under a resultant force.
-
-    kind is "falling", "plane", "wedge" or "safe"; indices name the joints
-    whose planes carry the motion (0-based positions in the JP).
-    """
-
-    kind: str
-    indices: tuple[int, ...]
-    direction: Optional[np.ndarray]
-    potential: float
-
-    def label(self) -> str:
-        return _label(self.kind, self.indices)
+    bp = SignedCones(bp.nonempty[0], bp.boundary_only[0], bp.witness[0])
+    return str(classes[0, 0]), jp, bp
 
 
 def _label(kind: str, indices: Sequence[int]) -> str:
@@ -137,15 +122,9 @@ class BlockMechanics:
     error: Optional[list[Optional[str]]] = None
 
     def labels(self) -> list[str]:
-        """Each row's ``SlidingMode.label``, without building the modes."""
+        """Each row's mode label, as ``_label`` writes it."""
         return [_label(kind, indices)
                 for kind, indices in zip(self.kind.tolist(), self.indices.tolist())]
-
-    def mode(self, k: int) -> SlidingMode:
-        kind = str(self.kind[k])
-        return SlidingMode(kind, tuple(int(i) for i in self.indices[k] if i >= 0),
-                           None if kind == "safe" else self.direction[k].copy(),
-                           float(self.potential[k]))
 
 
 def _resultant(r: Sequence[float]) -> np.ndarray:
@@ -264,25 +243,21 @@ def block_mechanics(
     return replace(modes, sf=sf, error=error)
 
 
-def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
-    """The one-row form of the mode scan of ``block_mechanics``."""
-    return _scan(jp.normals[None], _resultant(r)).mode(0)
+def sliding_mode(normals: np.ndarray, r: Sequence[float]) -> BlockMechanics:
+    """The one-row form of the mode scan of ``block_mechanics``, for the JP normals (m, 3)."""
+    return _scan(np.asarray(normals, dtype=float)[None], _resultant(r))
 
 
 def safety_factor(
-    jp: HalfSpaceSystem, mode: SlidingMode, r: Sequence[float], friction_deg: Sequence[float]
+    normals: np.ndarray, mode: BlockMechanics, r: Sequence[float], friction_deg: Sequence[float]
 ) -> float:
-    """The one-row form of the SF step of ``block_mechanics``, for any mode of the JP.
+    """The one-row form of the SF step of ``block_mechanics``, for a one-row mode of the JP.
 
     Raises ``ModeInconsistencyError`` where that step records an error.
     """
-    if mode.kind not in _KINDS:
-        raise ValueError(f"unknown mode kind {mode.kind!r}")
-    one = BlockMechanics(np.array([mode.kind]), np.array([[*mode.indices, -1, -1][:2]]),
-                         np.full((1, 3), math.nan if mode.direction is None else mode.direction),
-                         np.array([mode.potential]))
     tan_phi = np.array([[math.tan(math.radians(phi)) for phi in friction_deg]])
-    (sf,), (error,) = _factors(jp.normals[None], one, _resultant(r), tan_phi)
+    normals = np.asarray(normals, dtype=float)[None]
+    (sf,), (error,) = _factors(normals, mode, _resultant(r), tan_phi)
     if error is not None:
         raise ModeInconsistencyError(error)
     return float(sf)

@@ -24,42 +24,11 @@ decide whether blocks are bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 _TOL = 1e-9
 _CROSS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HalfSpaceSystem:
-    """Homogeneous half-space constraints n_i . v >= 0 with unit normals."""
-
-    normals: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        if arr.size == 0:
-            arr = np.zeros((0, 3))
-        if arr.shape[1] != 3:
-            raise ValueError(f"normals must be 3-vectors, got shape {arr.shape}")
-        lengths = np.linalg.norm(arr, axis=1)
-        if arr.shape[0] and not np.all(np.abs(lengths - 1.0) <= 1e-9):
-            raise ValueError("all normals must be unit length within 1e-9")
-        arr.setflags(write=False)
-        object.__setattr__(self, "normals", arr)
-
-    @property
-    def size(self) -> int:
-        return self.normals.shape[0]
-
-
-@dataclass(frozen=True)
-class PyramidResult:
-    nonempty: bool
-    witness: Optional[np.ndarray]
-    boundary_only: bool
 
 
 @dataclass(frozen=True)
@@ -74,11 +43,6 @@ class SignedCones:
     nonempty: np.ndarray
     boundary_only: np.ndarray
     witness: np.ndarray
-
-    def result(self, *index: int) -> PyramidResult:
-        if not self.nonempty[index]:
-            return PyramidResult(False, None, False)
-        return PyramidResult(True, self.witness[index].copy(), bool(self.boundary_only[index]))
 
 
 def edge_rays(rows: np.ndarray) -> np.ndarray:
@@ -176,13 +140,10 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
     return SignedCones(nonempty, nonempty & ~interior, witness)
 
 
-def cone_nonempty(normals: np.ndarray) -> PyramidResult:
+def cone_nonempty(normals: np.ndarray) -> SignedCones:
     """Decide whether {v != 0 : n_i . v >= 0 for all i} is nonempty.
 
-    Takes 2-D or 3-D normals: one sign row of ``signed_cones``.
+    Takes 2-D or 3-D normals (m, d): one sign row of ``signed_cones``, so
+    each field of the result has one entry.
     """
-    normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    if normals.size == 0:
-        normals = np.zeros((0, normals.shape[1] or 3))
-    return signed_cones(normals, np.ones((1, len(normals)))).result(0)
-
+    return signed_cones(normals, np.ones((1, len(normals))))

@@ -207,7 +207,13 @@ class TunnelSection:
 
 
 def all_codes(n_joints: int) -> list[str]:
-    """All 2^n block codes in lexicographic order (L before U)."""
+    """All 2^n block codes in lexicographic order (L before U), for at most 8 joints.
+
+    The crisp sweep and the fuzzy ranking both make their codes here, so
+    both refuse a ninth joint before any 2^n-row array is built.
+    """
+    if n_joints > 8:
+        raise ValueError(f"at most 8 joints are supported (2^n block codes), got {n_joints}")
     return ["".join(c) for c in itertools.product("LU", repeat=n_joints)]
 
 
@@ -260,8 +266,6 @@ def enumerate_tunnel_blocks(
     or safety-factor failure is recorded on the affected code and never
     aborts the sweep.  The result is a ``TunnelSweep`` of columns.
     """
-    if len(joints) > 8:
-        raise ValueError("tunnel sweep supports at most 8 joints (2^n codes)")
     codes = all_codes(len(joints))
     signs = code_signs(codes, len(joints))
     normals = joint_normals(joints)

@@ -71,8 +71,6 @@ _PLANE_TOL = 1e-9  # planes closer than this are one face
 _CHUNK_ENTRIES = 1 << 16
 _PYRAMID_ENTRIES = 1 << 14  # (block, edge ray) entries in one pyramid_volumes chunk
 
-Halfspaces = Sequence[tuple[np.ndarray, float]]
-
 
 class UnboundedBlockError(RuntimeError):
     """Some blocks have a nonzero recession direction; ``blocks`` lists their indices."""
@@ -85,22 +83,18 @@ class UnboundedBlockError(RuntimeError):
         )
 
 
-def bbox_halfspaces(
-    lo: Sequence[float], hi: Sequence[float]
-) -> list[tuple[np.ndarray, float]]:
+def bbox_halfspaces(lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The box lo <= x <= hi as normals (6, 3) and offsets (6,): per axis k the
+    low face (+e_k, lo_k), then the high one (-e_k, -hi_k), +0.0 off the axis."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
         raise ValueError(f"degenerate bounding box {lo} .. {hi}")
-    planes = []
+    normals, offsets = np.zeros((6, 3)), np.zeros(6)
     for k in range(3):
-        n = np.zeros(3)
-        n[k] = 1.0
-        planes.append((n.copy(), float(lo[k])))
-        n2 = np.zeros(3)
-        n2[k] = -1.0
-        planes.append((n2, float(-hi[k])))
-    return planes
+        normals[2 * k, k], offsets[2 * k] = 1.0, lo[k]
+        normals[2 * k + 1, k], offsets[2 * k + 1] = -1.0, -hi[k]
+    return normals, offsets
 
 
 def _seq_sum(a: np.ndarray) -> np.ndarray:
@@ -296,29 +290,23 @@ def block_volumes(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_block(halfspaces: Halfspaces) -> tuple[np.ndarray, np.ndarray]:
-    normals = np.array([np.asarray(n, dtype=float) for n, _ in halfspaces]).reshape(1, -1, 3)
-    offsets = np.array([float(d) for _, d in halfspaces]).reshape(1, -1)
-    return _as_batch(normals, offsets)
-
-
-def block_vertices(halfspaces: Halfspaces) -> np.ndarray:
-    """Vertices of the bounded block, shape (k, 3); raises UnboundedBlockError."""
-    N, D = _one_block(halfspaces)
+def block_vertices(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Vertices (k, 3) of one block, normals (m, 3) and offsets (m,); an
+    unbounded block raises UnboundedBlockError."""
+    N, D = _as_batch([normals], [offsets])
     _require_bounded(N, [slice(0, 1)])
     verts, count = _vertices(N, D)
     return verts[0, : count[0]]
 
 
-def block_volume(halfspaces: Halfspaces) -> float:
-    """Volume in cubic meters of the block cut out by the half-spaces.
+def block_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
+    """Volume in cubic meters of one block, normals (m, 3) and offsets (m,).
 
-    halfspaces are (inward unit normal, offset) pairs meaning n . x >= d.
-    Returns 0.0 for an empty or lower-dimensional region and raises
-    UnboundedBlockError for an unbounded one.  This is ``block_volumes``
-    for a batch of one.
+    This is ``block_volumes`` for a batch of one: n . x >= d on every row,
+    0.0 for an empty or lower-dimensional region, and UnboundedBlockError
+    for an unbounded one.
     """
-    return float(block_volumes(*_one_block(halfspaces))[0])
+    return float(block_volumes([normals], [offsets])[0])
 
 
 def _pyramid_areas(feasible: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

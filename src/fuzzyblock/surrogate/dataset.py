@@ -77,20 +77,6 @@ class Sample:
         )
 
 
-Planes = tuple[np.ndarray, np.ndarray]  # normals (m, 3), offsets (m,)
-
-
-def _section_box(tunnel: TunnelSection) -> Planes:
-    """The six planes of the section box, which closes every sample's wedge.
-
-    A joint plane and a facet plane alone bound an unbounded dihedral wedge;
-    until the dataset states a physical closure, the box around the section
-    stands in for one.
-    """
-    planes = bbox_halfspaces(*tunnel.section_bbox())
-    return np.array([n for n, _ in planes]), np.array([d for _, d in planes])
-
-
 Draw = tuple[float, float, float, float]  # dip, dip direction, friction, position angle
 
 
@@ -103,8 +89,9 @@ def _wedges(
 
     Returns sf (N,), upper (N,) (True where the wedge lies on the joint's
     upper side), normals (N, 8, 3) and offsets (N, 8): the joint and facet
-    planes of ``seeded_halfspaces`` at the hit point first, then the six box
-    planes.  Each side of the joint is a one-plane JP, and one
+    planes of ``seeded_halfspaces`` at the hit point first, then the six
+    planes of the section box, which close the dihedral wedge those two
+    leave unbounded.  Each side of the joint is a one-plane JP, and one
     ``block_mechanics`` call, the sweep's routine, gives the modes and SFs of
     both sides of all draws.
     """
@@ -132,7 +119,7 @@ def _wedges(
 
     m = np.where(upper, 1.0, -1.0)[:, None] * n
     wedge_n, wedge_d = seeded_halfspaces(m[:, None], facets, hit, points)
-    box_n, box_d = _section_box(tunnel)
+    box_n, box_d = bbox_halfspaces(*tunnel.section_bbox())
     normals = np.concatenate(
         [wedge_n, np.broadcast_to(box_n, (len(draws),) + box_n.shape)], axis=1
     )

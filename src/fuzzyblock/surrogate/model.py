@@ -614,12 +614,10 @@ def model_from_dict(doc: dict) -> TskModel:
     if doc.get("normalization") is not None:
         nd = doc["normalization"]
         _require_keys(nd, ("feature_names", "mins", "maxs", "range"), "model normalization")
+        if not isinstance(nd["range"], list) or len(nd["range"]) != 2:
+            raise ValueError(f"model normalization range must be two numbers, got {nd['range']!r}")
         norm = NormalizationRecord(
-            tuple(nd["feature_names"]),
-            tuple(nd["mins"]),
-            tuple(nd["maxs"]),
-            nd["range"][0],
-            nd["range"][1],
+            tuple(nd["feature_names"]), tuple(nd["mins"]), tuple(nd["maxs"]), *nd["range"]
         )
     medians = doc.get("input_medians")
     return TskModel(

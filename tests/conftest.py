@@ -50,7 +50,7 @@ def standard_project_dict():
     }
 
 
-def principal_frame_monte_carlo(halfspaces, verts, n_points, seed, pad=0.05):
+def principal_frame_monte_carlo(normals, offsets, verts, n_points, seed, pad=0.05):
     """Monte-Carlo volume of a block, sampled in the principal-axis frame of its vertices.
 
     Rotating the block onto its principal axes preserves its volume, and the
@@ -62,7 +62,8 @@ def principal_frame_monte_carlo(halfspaces, verts, n_points, seed, pad=0.05):
     rotation = np.linalg.svd(centered)[2]  # rows are the principal axes
     rotated = verts @ rotation.T
     box = (rotated.min(axis=0) - pad, rotated.max(axis=0) + pad)
-    return monte_carlo_volume([(rotation @ n, d) for n, d in halfspaces], box, n_points, seed)
+    rotated_normals = np.array([rotation @ n for n in normals])
+    return monte_carlo_volume(rotated_normals, offsets, box, n_points, seed)
 
 
 @pytest.fixture

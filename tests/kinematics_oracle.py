@@ -7,17 +7,16 @@ The batched routine, the sweep and the surrogate dataset must reproduce
 their bits exactly.
 
 ``wedge`` analyzes one dataset draw the way the kernel's sweep analyzes a
-block: one ``HalfSpaceSystem`` per side of the joint, ``sliding_mode`` for
-its mode, ``safety_factor`` for its SF.
+block: a one-plane JP per side of the joint, ``sliding_mode`` for its mode,
+``safety_factor`` for its SF.  A JP is its normals, an (m, 3) array.
 """
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from fuzzyblock.kernel.mechanics import ModeInconsistencyError, SlidingMode
+from fuzzyblock.kernel.mechanics import ModeInconsistencyError
 from fuzzyblock.kernel.orientation import Orientation, normal_from_orientation, wrap_azimuth
-from fuzzyblock.kernel.pyramid import HalfSpaceSystem
 from fuzzyblock.kernel.tunnel import GRAVITY_DIR, TunnelSection
 from fuzzyblock.kernel.volume import bbox_halfspaces
 
@@ -25,11 +24,26 @@ EXIT_TOL = 1e-9
 _FEAS_TOL = 1e-9
 
 
+class Mode(NamedTuple):
+    """A sliding mode: kind "falling", "plane", "wedge" or "safe", the 0-based
+    planes carrying the motion, its direction (None when safe) and its gain."""
+
+    kind: str
+    indices: tuple[int, ...]
+    direction: Optional[np.ndarray]
+    potential: float
+
+    def label(self) -> str:
+        """The product label: the kind, with the 1-based planes of a plane or wedge."""
+        planes = ",".join(str(i + 1) for i in self.indices)
+        return f"{self.kind}({planes})" if planes else self.kind
+
+
 def _feasible(m: np.ndarray, s: np.ndarray) -> bool:
     return bool(np.all(m @ s >= -_FEAS_TOL)) if m.size else True
 
 
-def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
+def sliding_mode(jp: np.ndarray, r: Sequence[float]) -> Mode:
     """Direction in the JP that gains the most potential along the resultant.
 
     The maximizer of s . r over the unit JP cone lies at one of finitely many
@@ -41,20 +55,20 @@ def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
     norm_r = np.linalg.norm(r)
     if norm_r == 0.0:
         raise ValueError("resultant force must be nonzero")
-    if jp.size == 0:
+    m = np.asarray(jp, dtype=float)
+    if len(m) == 0:
         raise ValueError("sliding mode needs at least one JP constraint")
     rhat = r / norm_r
-    m = jp.normals
 
     candidates: list[tuple[str, tuple[int, ...], np.ndarray]] = []
     candidates.append(("falling", (), rhat))
-    for i in range(jp.size):
+    for i in range(len(m)):
         u = rhat - (rhat @ m[i]) * m[i]
         nu = np.linalg.norm(u)
         if nu > 1e-12:
             candidates.append(("plane", (i,), u / nu))
-    for i in range(jp.size):
-        for j in range(i + 1, jp.size):
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
             t = np.cross(m[i], m[j])
             nt = np.linalg.norm(t)
             if nt <= 1e-12:
@@ -73,14 +87,14 @@ def sliding_mode(jp: HalfSpaceSystem, r: Sequence[float]) -> SlidingMode:
             best = (kind, idx, s, gain)
 
     if best is None or best[3] <= 1e-12:
-        return SlidingMode("safe", (), None, 0.0 if best is None else best[3])
+        return Mode("safe", (), None, 0.0 if best is None else best[3])
     kind, idx, s, gain = best
-    return SlidingMode(kind, idx, s, gain)
+    return Mode(kind, idx, s, gain)
 
 
 def safety_factor(
-    jp: HalfSpaceSystem,
-    mode: SlidingMode,
+    jp: np.ndarray,
+    mode: Mode,
     r: Sequence[float],
     friction_deg: Sequence[float],
 ) -> float:
@@ -94,7 +108,7 @@ def safety_factor(
         return 0.0
     if mode.kind == "safe":
         return math.inf
-    m = jp.normals
+    m = np.asarray(jp, dtype=float)
     if mode.kind == "plane":
         (i,) = mode.indices
         n_force = -float(r @ m[i])
@@ -157,7 +171,7 @@ def wedge(
     best_sf = math.inf
     best_side: Optional[str] = None
     for side, sign in (("L", -1.0), ("U", 1.0)):
-        jp = HalfSpaceSystem((sign * n).reshape(1, 3))
+        jp = (sign * n).reshape(1, 3)
         mode = sliding_mode(jp, r)
         if mode.kind == "safe" or mode.direction is None:
             continue
@@ -169,7 +183,7 @@ def wedge(
             best_side = side
 
     m = (1.0 if best_side == "U" else -1.0) * n
-    box = bbox_halfspaces(*tunnel.section_bbox())
-    normals = np.vstack([m, e] + [bn for bn, _ in box])
-    offsets = np.array([float(m @ seed_point), float(e @ boundary_point)] + [d for _, d in box])
+    box_n, box_d = bbox_halfspaces(*tunnel.section_bbox())
+    normals = np.vstack([m, e, box_n])
+    offsets = np.array([float(m @ seed_point), float(e @ boundary_point), *box_d.tolist()])
     return min(best_sf, sf_cap), best_side, normals, offsets

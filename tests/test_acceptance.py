@@ -25,7 +25,6 @@ from fuzzyblock.fuzzy_blocks import (
 )
 from fuzzyblock.kernel import (
     CLASS_REMOVABLE,
-    HalfSpaceSystem,
     JointPlane,
     Orientation,
     TunnelSection,
@@ -184,7 +183,7 @@ def test_criterion_3_pyramid_oracle_suite():
         if -1e-2 < sampled <= 1e-3:
             continue
         compared += 1
-        if cone_nonempty(normals).nonempty != (sampled > 0):
+        if cone_nonempty(normals).nonempty[0] != (sampled > 0):
             disagreements += 1
     checks = [
         (compared >= 800, f"only {compared} systems had a decisive sampled margin"),
@@ -246,10 +245,10 @@ def test_criterion_5_mechanics_anchors():
     m2 = np.array([-0.5, -0.1, 0.860])
     m1 /= np.linalg.norm(m1)
     m2 /= np.linalg.norm(m2)
-    wedge_jp = HalfSpaceSystem(np.vstack([m1, m2]))
+    wedge_jp = np.vstack([m1, m2])
     wmode = sliding_mode(wedge_jp, (0, 0, -1))
     sf_wedge = safety_factor(wedge_jp, wmode, (0, 0, -1), [20.0, 20.0])
-    sol = np.linalg.solve(np.column_stack([wmode.direction, -m1, -m2]), np.array([0, 0, -1.0]))
+    sol = np.linalg.solve(np.column_stack([wmode.direction[0], -m1, -m2]), np.array([0, 0, -1.0]))
     oracle = (sol[1] + sol[2]) * math.tan(math.radians(20)) / sol[0]
     checks.append(
         (abs(sf_wedge - oracle) < 1e-3, f"wedge S.F {sf_wedge} vs decomposition oracle {oracle}")
@@ -262,16 +261,16 @@ def test_criterion_5_mechanics_anchors():
     while vol_checked < 4:
         normals = unit_rows(rng.normal(size=(5, 3)))
         offsets = rng.uniform(-0.8, 0.1, size=5)
-        hs = [(normals[i], float(offsets[i])) for i in range(5)]
         try:
-            vol = block_volume(hs)
+            vol = block_volume(normals, offsets)
         except UnboundedBlockError:
             continue
         if vol < 0.5:
             continue
         # sample inside a tight box around the block so the estimator's
         # standard error stays well below the 1% acceptance band
-        mc = principal_frame_monte_carlo(hs, block_vertices(hs), 1_000_000, seed=vol_checked)
+        verts = block_vertices(normals, offsets)
+        mc = principal_frame_monte_carlo(normals, offsets, verts, 1_000_000, seed=vol_checked)
         worst_rel = max(worst_rel, abs(vol - mc) / mc)
         vol_checked += 1
     checks.append(

@@ -189,6 +189,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["kbt", "analyze"], ["kbt", "volume"], ["fuzzy", "pbr", "--delta-variant", "paper"],
+        ["fuzzy", "pbr", "--delta-variant", "standard"],
+    ], ids=["kbt_analyze", "kbt_volume", "fuzzy_pbr_paper", "fuzzy_pbr_standard"])
+    def test_ninth_joint_is_data_error_in_both_theories(self, tmp_path, capsys, argv):
+        # fuzzy pbr once ranked 9 fuzzy joints (4097 rows) where kbt refused 9 crisp ones
+        doc = standard_project_dict()
+        doc["joints"] = [dict(doc["joints"][0], id=f"J{i + 1}", dip_direction_deg=40.0 * i)
+                         for i in range(9)]
+        doc["fuzzy_joints"] = fuzzy_joint_ring(9, 1)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(argv + ["-p", str(path), "-o", str(out)]) == 2
+        assert "at most 8 joints are supported (2^n block codes), got 9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["surrogate", "gen", "-p", "p.json", "-o", "d.csv", "--seed", "5"],
         ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--seed", "5"],
         ["surrogate", "train", "-p", "p.json", "-d", "d.csv", "-o", "m.json", "--epochs", "5"],
@@ -536,9 +553,16 @@ class TestMalformedInputs:
         (lambda doc: doc["normalization"]["feature_names"].reverse(), "map",
          "normalization feature_names ['volume_m3', 'angle_deg', 'phi_deg', 'dipdir_deg',"
          " 'dip_deg'] differ from input_names"),
+        # a third range value was once dropped without a word
+        (lambda doc: doc["normalization"]["range"].append(2.0), "predict",
+         "model normalization range must be two numbers, got [-1.0, 1.0, 2.0]"),
+        (lambda doc: doc["normalization"]["range"].pop(), "map",
+         "model normalization range must be two numbers, got [-1.0]"),
+        (lambda doc: doc["normalization"].update(range="ab"), "predict",
+         "model normalization range must be two numbers, got 'ab'"),
     ], ids=["medians_short", "min_string_map", "min_string_predict", "median_null",
             "consequent_inf", "center_nan", "max_equals_min", "feature_name_predict",
-            "feature_names_reversed_map"])
+            "feature_names_reversed_map", "range_three", "range_one", "range_string"])
     def test_bad_model_number(self, tmp_path, capsys, edit, command, message):
         # each of these once crashed with a traceback or wrote non-finite or
         # wrong values; the model file is now rejected when it is loaded

@@ -516,7 +516,7 @@ class TestExactPbp:
     @given(fuzzy_systems(crisp=True), VARIANTS)
     def test_zero_spread_matches_cone_nonempty(self, system, variant):
         normals = np.array([[t.a2 for t in c.coeffs] for c in system.constraints])
-        expected = 1.0 if cone_nonempty(normals).nonempty else 0.0
+        expected = 1.0 if cone_nonempty(normals).nonempty[0] else 0.0
         assert pbp(system, variant) == expected
 
     @pytest.mark.parametrize("dim", [2, 3])

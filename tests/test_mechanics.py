@@ -11,7 +11,6 @@ from fuzzyblock.kernel import (
     CLASS_INFINITE,
     CLASS_REMOVABLE,
     CLASS_TAPERED,
-    HalfSpaceSystem,
     JointPlane,
     ModeInconsistencyError,
     Orientation,
@@ -66,7 +65,8 @@ class TestClassifyBlock:
     def test_roof_tetra_all_lower_removable(self):
         cls, jp_res, bp_res = classify_block("LLL", roof_tetra_joints(), np.array([0, 0, 1.0]))
         assert cls == CLASS_REMOVABLE
-        assert jp_res.nonempty and not bp_res.nonempty
+        assert jp_res.nonempty.shape == bp_res.nonempty.shape == (1,)
+        assert jp_res.nonempty[0] and not bp_res.nonempty[0]
 
     def test_roof_tetra_all_upper_infinite(self):
         cls, _, _ = classify_block("UUU", roof_tetra_joints(), np.array([0, 0, 1.0]))
@@ -85,8 +85,8 @@ class TestClassifyBlock:
         e = np.array([0, 0, 1.0])
         for code in ("LLL", "UUU", "LUL", "ULL"):
             jp = joint_pyramid(code, joints)
-            jp_margin = (dirs @ jp.normals.T).min(axis=1).max()
-            bp_normals = np.vstack([jp.normals, e])
+            jp_margin = (dirs @ jp.T).min(axis=1).max()
+            bp_normals = np.vstack([jp, e])
             bp_margin = (dirs @ bp_normals.T).min(axis=1).max()
             cls, _, _ = classify_block(code, joints, e)
             if jp_margin > 1e-3 and bp_margin > 1e-3:
@@ -124,22 +124,22 @@ class TestSlidingMode:
     def test_roof_tetra_falls(self):
         jp = joint_pyramid("LLL", roof_tetra_joints())
         mode = sliding_mode(jp, GRAVITY)
-        assert mode.kind == "falling"
-        assert np.allclose(mode.direction, [0, 0, -1])
+        assert mode.kind.tolist() == ["falling"]
+        assert np.allclose(mode.direction, [[0, 0, -1]])
 
     def test_single_plane_slide_is_downdip(self):
         joints = [JointPlane("J1", Orientation(30, 0), 20.0)]
         jp = joint_pyramid("U", joints)
         mode = sliding_mode(jp, GRAVITY)
-        assert mode.kind == "plane"
-        assert mode.indices == (0,)
+        assert mode.kind.tolist() == ["plane"]
+        assert mode.indices.tolist() == [[0, -1]]
         # steepest descent of a plane dipping 30 degrees due north
-        assert np.allclose(mode.direction, [0.0, math.sqrt(3) / 2, -0.5], atol=1e-12)
+        assert np.allclose(mode.direction, [[0.0, math.sqrt(3) / 2, -0.5]], atol=1e-12)
 
     def test_uplift_is_safe(self):
         jp = joint_pyramid("LLL", roof_tetra_joints())  # downward cone
         mode = sliding_mode(jp, (0, 0, 1.0))
-        assert mode.kind == "safe"
+        assert mode.kind.tolist() == ["safe"]
 
     def test_zero_resultant_rejected(self):
         jp = joint_pyramid("U", [JointPlane("J", Orientation(30, 0), 20.0)])
@@ -148,7 +148,7 @@ class TestSlidingMode:
 
     def test_empty_jp_rejected(self):
         with pytest.raises(ValueError):
-            sliding_mode(HalfSpaceSystem(np.zeros((0, 3))), GRAVITY)
+            sliding_mode(np.zeros((0, 3)), GRAVITY)
 
     def test_mode_direction_optimal_vs_sampling(self):
         rng = np.random.Generator(np.random.Philox(21))
@@ -164,11 +164,11 @@ class TestSlidingMode:
             jp = joint_pyramid(code, joints)
             r = unit_rows(rng.normal(size=(1, 3)))[0]
             mode = sliding_mode(jp, r)
-            feasible = np.all(dirs @ jp.normals.T >= -1e-9, axis=1)
+            feasible = np.all(dirs @ jp.T >= -1e-9, axis=1)
             if not feasible.any():
                 continue
             best_sampled = float((dirs[feasible] @ r).max())
-            achieved = mode.potential if mode.direction is not None else 0.0
+            achieved = mode.potential[0] if mode.kind[0] != "safe" else 0.0
             assert achieved >= best_sampled - 1e-3
 
 
@@ -194,12 +194,12 @@ class TestSafetyFactor:
         m2 = np.array([-0.5, -0.1, 0.860])
         m1 /= np.linalg.norm(m1)
         m2 /= np.linalg.norm(m2)
-        jp = HalfSpaceSystem(np.vstack([m1, m2]))
+        jp = np.vstack([m1, m2])
         mode = sliding_mode(jp, GRAVITY)
-        assert mode.kind == "wedge"
+        assert mode.kind.tolist() == ["wedge"]
         sf = safety_factor(jp, mode, GRAVITY, [20.0, 20.0])
         # oracle: solve r = T s - N1 m1 - N2 m2 as a full linear system
-        s = mode.direction
+        s = mode.direction[0]
         sol = np.linalg.solve(np.column_stack([s, -m1, -m2]), np.array(GRAVITY))
         t_force, n1, n2 = sol
         assert t_force == pytest.approx(0.1155, abs=1e-4)
@@ -231,7 +231,7 @@ class TestSafetyFactor:
             phis = [j.friction_deg for j in joints]
             mode1 = sliding_mode(jp, r)
             mode2 = sliding_mode(jp, 7.3 * r)
-            assert mode1.kind == mode2.kind
+            assert mode1.kind.tolist() == mode2.kind.tolist()
             sf1 = safety_factor(jp, mode1, r, phis)
             sf2 = safety_factor(jp, mode2, 7.3 * r, phis)
             if math.isinf(sf1):
@@ -283,6 +283,14 @@ def bits(x):
     return None if x is None else np.asarray(x, dtype=float).tobytes()
 
 
+def row_mode(mech, k):
+    """Row k of a ``BlockMechanics`` as the oracle's mode record."""
+    kind = str(mech.kind[k])
+    return kinematics_oracle.Mode(kind, tuple(int(i) for i in mech.indices[k] if i >= 0),
+                                  None if kind == "safe" else mech.direction[k],
+                                  float(mech.potential[k]))
+
+
 class TestBlockMechanics:
     @settings(max_examples=200, deadline=None)
     @given(jp_batches())
@@ -291,8 +299,7 @@ class TestBlockMechanics:
         normals, frictions, r = case
         tan_phi = [math.tan(math.radians(phi)) for phi in frictions]
         got = block_mechanics(normals, r, tan_phi)
-        for k, rows in enumerate(normals):
-            jp = HalfSpaceSystem(rows)
+        for k, jp in enumerate(normals):
             ref = kinematics_oracle.sliding_mode(jp, r)
             try:
                 ref_sf, ref_error = kinematics_oracle.safety_factor(jp, ref, r, frictions), None
@@ -300,7 +307,8 @@ class TestBlockMechanics:
                 ref_sf, ref_error = math.nan, str(exc)
             alone = block_mechanics(normals[k:k + 1], r, tan_phi)
             one_row = sliding_mode(jp, r)
-            for mode in (got.mode(k), alone.mode(0), one_row):
+            assert len(one_row.kind) == 1
+            for mode in (row_mode(got, k), row_mode(alone, 0), row_mode(one_row, 0)):
                 assert (mode.kind, mode.indices) == (ref.kind, ref.indices)
                 assert bits(mode.direction) == bits(ref.direction)
                 assert bits(mode.potential) == bits(ref.potential)
@@ -314,11 +322,11 @@ class TestBlockMechanics:
 
     def test_kinds_and_errors(self):
         # roof tetrahedron falls, a dipping plane (three copies) slides, an uplifted cone is safe
-        roof = joint_pyramid("LLL", roof_tetra_joints()).normals
+        roof = joint_pyramid("LLL", roof_tetra_joints())
         plane = np.repeat([normal_from_orientation(Orientation(30, 0))], 3, axis=0)
         got = block_mechanics(np.array([roof, plane, -roof]), GRAVITY, math.tan(math.radians(20)))
         assert list(got.kind) == ["falling", "plane", "safe"]
-        assert [got.mode(k).label() for k in range(3)] == ["falling", "plane(1)", "safe"]
+        assert got.labels() == ["falling", "plane(1)", "safe"]
         assert got.sf[0] == 0.0 and got.sf[2] == math.inf
         assert got.sf[1] == pytest.approx(math.tan(math.radians(20)) / math.tan(math.radians(30)))
         assert got.error == [None, None, None]
@@ -331,9 +339,9 @@ class TestBlockMechanics:
         frictions[1, 2] = tan_phi
         with pytest.raises(ValueError, match=r"tan_phi of row\(s\) \[1\] must be finite"):
             block_mechanics(np.array([plane, plane]), GRAVITY, frictions)
-        jp = HalfSpaceSystem(plane[:1])
+        jp = plane[:1]
         mode = sliding_mode(jp, GRAVITY)
-        assert mode.kind == "plane"
+        assert mode.kind.tolist() == ["plane"]
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             safety_factor(jp, mode, GRAVITY, [-45.0])
 
@@ -342,7 +350,7 @@ class TestBlockMechanics:
             block_mechanics(np.zeros((1, 1, 3)) + [0, 0, 1.0], (0, 0, 0), 0.3)
         with pytest.raises(ValueError, match="resultant force must be finite"):
             block_mechanics(np.zeros((1, 1, 3)) + [0, 0, 1.0], (math.nan, 0, -1.0), 0.3)
-        jp = HalfSpaceSystem([[0, 0, 1.0]])
+        jp = np.array([[0, 0, 1.0]])
         with pytest.raises(ValueError, match="resultant force must be finite"):
             sliding_mode(jp, (0, math.inf, -1.0))
         with pytest.raises(ValueError, match="resultant force must be finite"):

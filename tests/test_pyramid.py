@@ -11,7 +11,6 @@ from fuzzyblock.kernel import mechanics
 from fuzzyblock.kernel.mechanics import CLASS_TAPERED, classify_codes, code_signs, joint_normals
 from fuzzyblock.kernel.orientation import JointPlane, Orientation, wrap_azimuth
 from fuzzyblock.kernel.pyramid import (
-    HalfSpaceSystem,
     SignedCones,
     cone_nonempty,
     cones_nonempty,
@@ -58,22 +57,12 @@ def unit_rows(arr):
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-class TestHalfSpaceSystem:
-    def test_unit_length_enforced(self):
-        with pytest.raises(ValueError):
-            HalfSpaceSystem(np.array([[1.0, 1.0, 0.0]]))
-
-    def test_shape_enforced(self):
-        with pytest.raises(ValueError):
-            HalfSpaceSystem(np.array([[1.0, 0.0]]))
-
-
 class TestPyramidNonempty:
     def test_single_halfspace(self):
         res = cone_nonempty(np.array([[0.0, 0.0, 1.0]]))
-        assert res.nonempty
-        assert res.witness @ np.array([0, 0, 1.0]) > 0
-        assert np.allclose(res.witness, [0, 0, 1.0], atol=1e-9)
+        assert res.nonempty.shape == (1,) and res.nonempty[0]
+        assert res.witness[0] @ np.array([0, 0, 1.0]) > 0
+        assert np.allclose(res.witness[0], [0, 0, 1.0], atol=1e-9)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_normal_rejected(self, value):
@@ -91,30 +80,27 @@ class TestPyramidNonempty:
             [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
             dtype=float,
         )
-        res = cone_nonempty(normals)
-        assert not res.nonempty
+        assert not cone_nonempty(normals).nonempty[0]
 
     def test_tetrahedron_empty_matches_sampling(self):
         normals = unit_rows(
             np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
         )
-        res = cone_nonempty(normals)
-        assert not res.nonempty
+        assert not cone_nonempty(normals).nonempty[0]
         rng = np.random.Generator(np.random.Philox(3))
         dirs = unit_rows(rng.normal(size=(100000, 3)))
         assert sampling_oracle(normals, dirs) < -1e-3
 
     def test_no_constraints_nonempty(self):
-        res = cone_nonempty(np.zeros((0, 3)))
-        assert res.nonempty
+        assert cone_nonempty(np.zeros((0, 3))).nonempty[0]
 
     def test_boundary_only_plane(self):
         # opposite normals leave only the equatorial plane: boundary rays count
         normals = np.array([[0, 0, 1], [0, 0, -1]], dtype=float)
         res = cone_nonempty(normals)
-        assert res.nonempty
-        assert res.boundary_only
-        assert abs(res.witness[2]) < 1e-9
+        assert res.nonempty[0]
+        assert res.boundary_only[0]
+        assert abs(res.witness[0, 2]) < 1e-9
 
     def test_witness_satisfies_constraints(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -122,18 +108,16 @@ class TestPyramidNonempty:
             n = rng.integers(1, 7)
             normals = unit_rows(rng.normal(size=(n, 3)))
             res = cone_nonempty(normals)
-            if res.nonempty:
-                assert np.all(normals @ res.witness >= -1e-6)
-                assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-9)
+            if res.nonempty[0]:
+                assert np.all(normals @ res.witness[0] >= -1e-6)
+                assert np.linalg.norm(res.witness[0]) == pytest.approx(1.0, abs=1e-9)
 
     def test_agrees_with_scipy_linprog(self):
         rng = np.random.Generator(np.random.Philox(7))
         for _ in range(200):
             n = rng.integers(1, 8)
             normals = unit_rows(rng.normal(size=(n, 3)))
-            assert cone_nonempty(normals).nonempty == scipy_cone_nonempty(
-                normals
-            )
+            assert cone_nonempty(normals).nonempty[0] == scipy_cone_nonempty(normals)
 
     def test_agrees_with_sampling_oracle_where_margin_clear(self):
         # A sampled margin > 1e-3 certifies nonemptiness outright.  The
@@ -151,7 +135,7 @@ class TestPyramidNonempty:
             if -1e-2 < margin <= 1e-3:
                 continue
             decided += 1
-            lp = cone_nonempty(normals).nonempty
+            lp = cone_nonempty(normals).nonempty[0]
             if lp != (margin > 0):
                 disagreements += 1
         assert decided > 800
@@ -160,19 +144,18 @@ class TestPyramidNonempty:
 
 class TestConeNonempty2D:
     def test_halfplane(self):
-        res = cone_nonempty(np.array([[1.0, 0.0]]))
-        assert res.nonempty
+        assert cone_nonempty(np.array([[1.0, 0.0]])).nonempty[0]
 
     def test_positively_spanning_triangle_empty(self):
         ang = np.radians([90, 210, 330])
         normals = np.column_stack([np.cos(ang), np.sin(ang)])
-        assert not cone_nonempty(normals).nonempty
+        assert not cone_nonempty(normals).nonempty[0]
 
     def test_wedge(self):
         normals = np.array([[1.0, 0.0], [0.0, 1.0]])
         res = cone_nonempty(normals)
-        assert res.nonempty
-        assert np.all(normals @ res.witness >= -1e-9)
+        assert res.nonempty[0]
+        assert np.all(normals @ res.witness[0] >= -1e-9)
 
 
 def scipy_interior_margin(normals):
@@ -232,26 +215,27 @@ class TestCandidateRays:
     @settings(max_examples=300, deadline=None)
     @given(normal_systems())
     def test_nonempty_agrees_with_scipy_oracle(self, normals):
-        assert cone_nonempty(normals).nonempty == scipy_cone_nonempty(normals)
+        assert cone_nonempty(normals).nonempty[0] == scipy_cone_nonempty(normals)
 
     @settings(max_examples=300, deadline=None)
     @given(normal_systems())
     def test_boundary_only_agrees_with_lp_margin(self, normals):
         res = cone_nonempty(normals)
-        expected = res.nonempty and scipy_interior_margin(normals) <= 1e-9
-        assert res.boundary_only == expected
+        expected = res.nonempty[0] and scipy_interior_margin(normals) <= 1e-9
+        assert res.boundary_only[0] == expected
 
     @settings(max_examples=300, deadline=None)
     @given(normal_systems())
     def test_witness_is_feasible_unit_vector(self, normals):
         res = cone_nonempty(normals)
-        if not res.nonempty:
-            assert res.witness is None
+        witness = res.witness[0]
+        if not res.nonempty[0]:
+            assert np.isnan(witness).all()
             return
-        assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(normals @ res.witness >= -1e-9)
-        if not res.boundary_only:
-            assert np.all(normals @ res.witness > 1e-9)
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(normals @ witness >= -1e-9)
+        if not res.boundary_only[0]:
+            assert np.all(normals @ witness > 1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(normal_systems(), st.data())
@@ -264,7 +248,7 @@ class TestCandidateRays:
         for c, row in enumerate(signs):
             single = cone_nonempty(row[:, None] * normals)
             assert (batch.nonempty[c], batch.boundary_only[c]) == (
-                single.nonempty, single.boundary_only)
+                single.nonempty[0], single.boundary_only[0])
 
     def test_three_dimensions_or_two_only(self):
         with pytest.raises(ValueError):

@@ -227,7 +227,7 @@ def per_record_sweep(joints, tunnel, resultant=GRAVITY_DIR):
     for facet in tunnel.facets():
         for code in all_codes(len(joints)):
             cls, jp_res, bp_res = classify_block(code, joints, facet.inward_normal)
-            row = [facet.index, code, cls, jp_res.boundary_only or bp_res.boundary_only,
+            row = [facet.index, code, cls, bool(jp_res.boundary_only[0] | bp_res.boundary_only[0]),
                    "", None, None, None]
             out.append(row)
             if cls != CLASS_REMOVABLE:

@@ -34,24 +34,19 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def cube_halfspaces():
-    return [
-        (np.array([1.0, 0, 0]), 0.0),
-        (np.array([-1.0, 0, 0]), -1.0),
-        (np.array([0, 1.0, 0]), 0.0),
-        (np.array([0, -1.0, 0]), -1.0),
-        (np.array([0, 0, 1.0]), 0.0),
-        (np.array([0, 0, -1.0]), -1.0),
-    ]
+def cube():
+    """The unit cube [0, 1]^3 as normals (6, 3) and offsets (6,)."""
+    normals = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0],
+                        [0, 0, -1.0]])
+    return normals, np.array([0.0, -1.0, 0.0, -1.0, 0.0, -1.0])
 
 
-def loop_vertices(planes, tol):
+def loop_vertices(normals, offsets, tol):
     """Vertex enumeration one plane triple at a time: the reference for the batched one."""
-    normals = np.array([p[0] for p in planes])
-    offsets = np.array([p[1] for p in planes])
+    normals, offsets = np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
     scale = 1.0 + float(np.max(np.abs(offsets)))
     verts = []
-    for i, j, k in itertools.combinations(range(len(planes)), 3):
+    for i, j, k in itertools.combinations(range(len(offsets)), 3):
         A = normals[[i, j, k]]
         if abs(np.linalg.det(A)) < 1e-12:
             continue
@@ -67,28 +62,25 @@ def loop_vertices(planes, tol):
 
 class TestBlockVolume:
     def test_unit_cube(self):
-        assert block_volume(cube_halfspaces()) == pytest.approx(1.0, abs=1e-12)
+        assert block_volume(*cube()) == pytest.approx(1.0, abs=1e-12)
 
     def test_simplex(self):
-        hs = [
-            (np.array([1.0, 0, 0]), 0.0),
-            (np.array([0, 1.0, 0]), 0.0),
-            (np.array([0, 0, 1.0]), 0.0),
-            (unit([-1, -1, -1]), -1 / math.sqrt(3)),
-        ]
-        assert block_volume(hs) == pytest.approx(1 / 6, abs=1e-12)
+        normals = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], unit([-1, -1, -1])])
+        offsets = np.array([0.0, 0.0, 0.0, -1 / math.sqrt(3)])
+        assert block_volume(normals, offsets) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_empty_region_zero(self):
         # x >= 1 and x <= -1 inside the cube's planes: bounded, and empty
-        hs = cube_halfspaces() + [(np.array([1.0, 0, 0]), 1.0), (np.array([-1.0, 0, 0]), 1.0)]
-        assert block_volume(hs) == 0.0
+        normals, offsets = cube()
+        normals = np.vstack([normals, [[1.0, 0, 0], [-1.0, 0, 0]]])
+        assert block_volume(normals, np.r_[offsets, 1.0, 1.0]) == 0.0
 
     @pytest.mark.parametrize("where", ["normal", "offset"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_input_rejected(self, where, value):
         # a non-finite value once made the unit cube a block of volume 0.0
-        normals = np.array([[n for n, _ in cube_halfspaces()]] * 3)
-        offsets = np.array([[d for _, d in cube_halfspaces()]] * 3)
+        normals = np.array([cube()[0]] * 3)
+        offsets = np.array([cube()[1]] * 3)
         if where == "normal":
             normals[1, 2, 0] = normals[2, 4, 1] = value
         else:
@@ -96,22 +88,21 @@ class TestBlockVolume:
         with pytest.raises(ValueError, match=r"block\(s\) \[1, 2\] have a non-finite"):
             block_volumes(normals, offsets)
         with pytest.raises(ValueError, match="non-finite normal or offset"):
-            block_volume(list(zip(normals[1], offsets[1])))
+            block_volume(normals[1], offsets[1])
         with pytest.raises(ValueError, match="non-finite normal or offset"):
-            block_vertices(list(zip(normals[2], offsets[2])))
+            block_vertices(normals[2], offsets[2])
 
     def test_unbounded_reported(self):
-        hs = [(np.array([0, 0, 1.0]), 0.0)]
         with pytest.raises(UnboundedBlockError):
-            block_volume(hs)
+            block_volume([[0, 0, 1.0]], [0.0])
         with pytest.raises(UnboundedBlockError):
-            block_vertices(hs)
+            block_vertices([[0, 0, 1.0]], [0.0])
 
     def test_error_names_every_unbounded_block(self):
-        cube = cube_halfspaces()
-        open_top = cube[:5] + [cube[4]]  # z <= 1 replaced by a repeat of z >= 0
-        normals = np.array([[n for n, _ in hs] for hs in (cube, open_top, cube, open_top)])
-        offsets = np.array([[d for _, d in hs] for hs in (cube, open_top, cube, open_top)])
+        n, d = cube()
+        open_top = [0, 1, 2, 3, 4, 4]  # z <= 1 replaced by a repeat of z >= 0
+        normals = np.array([n, n[open_top], n, n[open_top]])
+        offsets = np.array([d, d[open_top], d, d[open_top]])
         with pytest.raises(UnboundedBlockError) as info:
             block_volumes(normals, offsets)
         assert info.value.blocks == (1, 3)
@@ -125,15 +116,30 @@ class TestBlockVolume:
         normals = rng.normal(size=(3, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         centre = np.full(3, 0.5)
-        hs = cube_halfspaces() + [(n, float(n @ centre) - 0.3) for n in normals]
-        hs += [hs[0], (np.array([1.0, 0, 0]), -0.5)]
-        expected = loop_vertices(hs, 1e-9)
+        cube_n, cube_d = cube()
+        planes_n = np.vstack([cube_n, normals, cube_n[:1], [[1.0, 0, 0]]])
+        planes_d = np.r_[cube_d, [float(n @ centre) - 0.3 for n in normals], cube_d[0], -0.5]
+        expected = loop_vertices(planes_n, planes_d, 1e-9)
         assert len(expected) >= 8
-        assert np.array_equal(block_vertices(hs), expected)
+        assert np.array_equal(block_vertices(planes_n, planes_d), expected)
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ValueError):
             bbox_halfspaces((0, 0, 0), (0, 1, 1))
+
+    @pytest.mark.parametrize("box", [
+        ((-3.5, -1.0, -0.0), (2.25, 0.0, 7.0)), OCTAGON.section_bbox(),
+    ], ids=["signed_zeros", "octagon_section"])
+    def test_bbox_planes_bit_for_bit(self, box):
+        # per axis the low face, then the high one; every entry off the axis
+        # is +0.0, and the offsets are the (normal, offset) pairs' lo_k, -hi_k
+        lo, hi = box
+        normals, offsets = bbox_halfspaces(lo, hi)
+        expected = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                    [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        assert normals.tobytes() == np.array(expected).tobytes()
+        pairs = [float(v) for k in range(3) for v in (lo[k], -hi[k])]
+        assert offsets.tobytes() == np.array(pairs).tobytes()
 
     def test_random_five_plane_blocks_match_monte_carlo(self):
         rng = np.random.Generator(np.random.Philox(31))
@@ -143,14 +149,14 @@ class TestBlockVolume:
             normals /= np.linalg.norm(normals, axis=1, keepdims=True)
             # anchor all planes near the origin so the block often closes
             offsets = rng.uniform(-0.8, 0.1, size=5)
-            hs = [(normals[i], float(offsets[i])) for i in range(5)]
             try:
-                vol = block_volume(hs)
+                vol = block_volume(normals, offsets)
             except UnboundedBlockError:
                 continue
             if vol < 0.05:
                 continue
-            mc = principal_frame_monte_carlo(hs, block_vertices(hs), 1_000_000, seed=checked)
+            verts = block_vertices(normals, offsets)
+            mc = principal_frame_monte_carlo(normals, offsets, verts, 1_000_000, seed=checked)
             assert vol == pytest.approx(mc, rel=0.01)
             checked += 1
 
@@ -163,16 +169,17 @@ class TestBlockVolume:
             n = np.array([math.sin(dip) * math.sin(a), math.sin(dip) * math.cos(a), math.cos(dip)])
             normals.append(-n)
         apex = np.array([0.0, 0.0, 1.0])
-        hs = [(n, float(n @ apex)) for n in normals]
-        hs.append((np.array([0, 0, 1.0]), 0.0))
-        vol = block_volume(hs)
+        offsets = np.array([float(n @ apex) for n in normals] + [0.0])
+        normals = np.array(normals + [[0, 0, 1.0]])
+        vol = block_volume(normals, offsets)
         # exact value: cone of height 1 over the equilateral base triangle
         # with inradius 0.5 / sin(60)
         r = 0.5 / math.sin(math.radians(60))
         assert vol == pytest.approx(3 * math.sqrt(3) * r * r / 3, abs=1e-12)
         # Monte Carlo with a tight box so the fill fraction keeps the
         # 1e6-point estimator inside the 1% band
-        mc = monte_carlo_volume(hs, ((-1.1, -1.1, -0.05), (1.1, 1.1, 1.05)), 1_000_000, seed=9)
+        mc = monte_carlo_volume(normals, offsets, ((-1.1, -1.1, -0.05), (1.1, 1.1, 1.05)),
+                                1_000_000, seed=9)
         assert vol == pytest.approx(mc, rel=0.01)
 
 
@@ -203,16 +210,16 @@ def block_batches(draw, max_planes=6):
 
 def boxed(normals, offsets, box=PROPERTY_BOX):
     """Every block's planes followed by the six planes of box, which bound it."""
-    planes = bbox_halfspaces(*box)
+    box_n, box_d = bbox_halfspaces(*box)
     B = len(offsets)
-    box_n = np.broadcast_to(np.array([n for n, _ in planes]), (B, 6, 3))
-    box_d = np.broadcast_to(np.array([d for _, d in planes]), (B, 6))
+    box_n = np.broadcast_to(box_n, (B, 6, 3))
+    box_d = np.broadcast_to(box_d, (B, 6))
     return np.concatenate([normals, box_n], axis=1), np.concatenate([offsets, box_d], axis=1)
 
 
-def _hull_volume(halfspaces):
+def _hull_volume(normals, offsets):
     """Independent oracle: per-triple vertices of the block, then Qhull."""
-    verts = loop_vertices(halfspaces, 1e-9)
+    verts = loop_vertices(normals, offsets, 1e-9)
     if len(verts) < 4:
         return 0.0
     try:
@@ -242,9 +249,12 @@ class TestBlockVolumesProperties:
     def test_one_block_bits_equal_batched(self, batch):
         normals, offsets = boxed(*batch)
         got = block_volumes(normals, offsets)
+        verts, count = volume._vertices(normals, offsets)
         for b in range(len(offsets)):
-            alone = block_volume(list(zip(normals[b], offsets[b])))
+            alone = block_volume(normals[b], offsets[b])
             assert got[b].tobytes() == np.float64(alone).tobytes()
+            alone_verts = block_vertices(normals[b], offsets[b])
+            assert alone_verts.tobytes() == verts[b, :count[b]].tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(block_batches())
@@ -252,7 +262,7 @@ class TestBlockVolumesProperties:
         normals, offsets = boxed(*batch)
         got = block_volumes(normals, offsets)
         for b in range(len(offsets)):
-            hull = _hull_volume(list(zip(normals[b], offsets[b])))
+            hull = _hull_volume(normals[b], offsets[b])
             assert got[b] == pytest.approx(hull, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -267,7 +277,7 @@ class TestBlockVolumesProperties:
         else:
             got = block_volumes(normals, offsets)
             for b in range(len(offsets)):
-                hull = _hull_volume(list(zip(normals[b], offsets[b])))
+                hull = _hull_volume(normals[b], offsets[b])
                 assert got[b] == pytest.approx(hull, rel=1e-9, abs=1e-12)
 
     def test_degenerate_kinds(self):
@@ -299,7 +309,7 @@ class TestBlockVolumesProperties:
         normals, offsets = boxed(normals, offsets)
         got = block_volumes(normals, offsets)
         for b in range(0, 400, 37):
-            assert got[b] == block_volume(list(zip(normals[b], offsets[b])))
+            assert got[b] == block_volume(normals[b], offsets[b])
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -312,7 +322,7 @@ def assert_matches_vertex_oracle(normals, offsets, vertex_blocks=16):
     got = block_volumes(normals, offsets)
     assert got.tobytes() == vertex_oracle.block_volumes(normals, offsets).tobytes()
     for b in range(min(len(offsets), vertex_blocks)):
-        verts = block_vertices(list(zip(normals[b], offsets[b])))
+        verts = block_vertices(normals[b], offsets[b])
         assert verts.tobytes() == vertex_oracle.block_vertices(normals[b], offsets[b]).tobytes()
 
 
@@ -386,26 +396,24 @@ class TestFirstComeMerge:
     @given(st.lists(st.tuples(st.integers(0, 7), st.tuples(_SPACING, _SPACING, _SPACING)),
                     min_size=1, max_size=3))
     def test_vertex_chains_match_oracle(self, cuts):
-        planes = cube_halfspaces()
+        normals, offsets = cube()
         for c, spacing in cuts:
             corner = ((c >> 2) & 1, (c >> 1) & 1, c & 1)
-            planes.append(corner_cut(corner, np.array(spacing) * 1e-7 * 2.0))
-        normals = np.array([[n for n, _ in planes]])
-        offsets = np.array([[d for _, d in planes]])
-        assert_matches_vertex_oracle(normals, offsets)
+            cut_n, cut_d = corner_cut(corner, np.array(spacing) * 1e-7 * 2.0)
+            normals, offsets = np.vstack([normals, cut_n]), np.r_[offsets, cut_d]
+        assert_matches_vertex_oracle(normals[None], offsets[None])
 
     def test_vertex_close_only_to_a_dropped_one_is_kept(self):
         # the cut's vertices come in triple order a = (0, 0, 0.75), b = (0, 0.1, 0)
         # and c = (0.75, 0, 0), in units of 1e-7 * scale: a-b and b-c are 0.76
         # apart and a-c 1.06, so b goes with a and c stays
         delta = 1e-7 * 2.0  # scale = 1 + max |offset| = 2
-        planes = cube_halfspaces() + [corner_cut((0, 0, 0), np.array([0.75, 0.1, 0.75]) * delta)]
-        verts = block_vertices(planes)
+        cut_n, cut_d = corner_cut((0, 0, 0), np.array([0.75, 0.1, 0.75]) * delta)
+        normals, offsets = np.vstack([cube()[0], cut_n]), np.r_[cube()[1], cut_d]
+        verts = block_vertices(normals, offsets)
         near = verts[np.linalg.norm(verts, axis=1) < 1e-6] / delta
         assert near == pytest.approx(np.array([[0.0, 0.0, 0.75], [0.75, 0.0, 0.0]]), abs=1e-6)
-        normals = np.array([[n for n, _ in planes]])
-        offsets = np.array([[d for _, d in planes]])
-        assert verts.tobytes() == vertex_oracle.block_vertices(normals[0], offsets[0]).tobytes()
+        assert verts.tobytes() == vertex_oracle.block_vertices(normals, offsets).tobytes()
 
     def test_fourteen_planes_through_one_apex(self):
         # a pyramid over a regular 14-gon: 364 of its 455 plane triples solve
@@ -415,18 +423,15 @@ class TestFirstComeMerge:
         apex = centre + [0.0, 0.0, height]
         angles = 2 * np.pi * np.arange(sides + 1) / sides
         base = centre + radius * np.stack([np.cos(angles), np.sin(angles), 0 * angles], axis=1)
-        planes = []
-        for p, q in zip(base[:-1], base[1:]):
-            n = unit(np.cross(apex - p, q - p))  # inward: the centre lies on its positive side
-            planes.append((n, float(n @ apex)))
-        planes.append((np.array([0.0, 0.0, 1.0]), 0.0))
-        normals = np.array([[n for n, _ in planes]])
-        offsets = np.array([[d for _, d in planes]])
+        # inward: the centre lies on each side's positive side
+        sides_n = [unit(np.cross(apex - p, q - p)) for p, q in zip(base[:-1], base[1:])]
+        normals = np.array(sides_n + [[0.0, 0.0, 1.0]])
+        offsets = np.array([float(n @ apex) for n in sides_n] + [0.0])
         exact = sides / 2 * radius**2 * math.sin(2 * math.pi / sides) * height / 3
-        vol = block_volume(planes)
+        vol = block_volume(normals, offsets)
         assert vol == pytest.approx(exact, rel=1e-12)
-        assert len(block_vertices(planes)) == sides + 1
-        assert_matches_vertex_oracle(normals, offsets)
+        assert len(block_vertices(normals, offsets)) == sides + 1
+        assert_matches_vertex_oracle(normals[None], offsets[None])
 
 
 def nine_plane_blocks(seed, count):
@@ -481,7 +486,7 @@ class TestChunking:
         got = block_volumes(normals, offsets)
         assert got.tobytes() == vertex_oracle.block_volumes(normals, offsets).tobytes()
         for b in range(B):
-            alone = block_volume(list(zip(normals[b], offsets[b])))
+            alone = block_volume(normals[b], offsets[b])
             assert got[b].tobytes() == np.float64(alone).tobytes()
         assert np.count_nonzero(got) > B // 2
 
