@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .orientation import JointPlane
-from .pyramid import SignedCones, signed_cones
+from .pyramid import _TOL, SignedCones, signed_cones
 
-_FEAS_TOL = 1e-9
 _KINDS = ("falling", "plane", "wedge", "safe")  # of a sliding mode
 
 CLASS_INFINITE = "infinite"
@@ -142,9 +141,10 @@ def _scan(normals: np.ndarray, r: np.ndarray) -> BlockMechanics:
 
     The maximizer of s . r over the unit JP cone is one of these, in order:
     r itself (falling), r projected onto one plane, the edge of two planes
-    turned toward r (wedge).  A later feasible one wins only by more than
-    1e-12; the block is safe if none gains.  Each product is formed as a
-    one-row call forms it, so a row's bits do not depend on its batch.
+    turned toward r (wedge), feasible when no JP row's margin is below
+    -``pyramid._TOL``.  A later feasible one wins only by more than 1e-12;
+    the block is safe if none gains.  Each product is formed as a one-row
+    call forms it, so a row's bits do not depend on its batch.
     """
     B, m = normals.shape[:2]
     if m == 0:
@@ -166,7 +166,7 @@ def _scan(normals: np.ndarray, r: np.ndarray) -> BlockMechanics:
     wedges *= np.where(np.vecdot(wedges, rhat) < 0, -1.0, 1.0)[..., None]
     # m @ s per candidate as stacked matrix-vector products, which keep the bits of
     # a one-row call's m @ s (np.vecdot can differ from it in the last bit)
-    feasible &= np.all(np.matmul(normals[:, None], cands[..., None]) >= -_FEAS_TOL, axis=(2, 3))
+    feasible &= np.all(np.matmul(normals[:, None], cands[..., None]) >= -_TOL, axis=(2, 3))
     gains = np.vecdot(cands, rhat)
     best, best_gain = np.full(B, -1), np.full(B, -math.inf)
     for p in range(len(kinds)):

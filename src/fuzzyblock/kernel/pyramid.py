@@ -17,9 +17,13 @@ witness.  Flipping the sign of a normal maps the candidates onto
 themselves, so one candidate matrix decides every sign pattern of a normal
 set (every block code) at once, and ``signed_cones`` decides them for a
 stack of normal sets (the block pyramids of every facet) in one call.
-``cones_nonempty`` applies the same
-candidates to a batch of row sets, one cone each: the recession cones that
-decide whether blocks are bounded.
+``cones_nonempty`` applies the same candidates to a batch of row sets, one
+cone each: the recession cones that decide whether blocks are bounded.
+
+A ray d lies in a signed cone when no row has signs[i] * n_i . d below
+-``_TOL``.  ``feasible_rays`` is that rule for every sign row at once; the
+classification and the closed-form volumes call it, and the mode scan
+tests its already-signed rows against the same ``_TOL``.
 """
 from __future__ import annotations
 
@@ -81,6 +85,19 @@ def _candidates(normals: np.ndarray) -> np.ndarray:
     return np.concatenate([k, -k], axis=-2)
 
 
+def feasible_rays(margins: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Whether each ray lies in each signed cone, shape (..., C, K).
+
+    margins (..., K, m) holds K defined rays' margins against m rows and
+    signs (C, m) the +-1 sign rows.  A ray violates a +1 row when its
+    margin is below -tol and a -1 row when above +tol, so one product of
+    0/1 matrices counts the violations of every sign row.
+    """
+    breaks = np.concatenate([margins < -_TOL, margins > _TOL], axis=-1)
+    sides = np.hstack([signs > 0, signs < 0])
+    return sides @ np.swapaxes(breaks, -1, -2).astype(float) == 0
+
+
 def cones_nonempty(normals: np.ndarray) -> np.ndarray:
     """Decide {v != 0 : n_i . v >= 0 for all i} for each row set, shape (B,).
 
@@ -99,11 +116,9 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
     normals is one set (m, d), with results of shape (C,), or a stack of
     sets (F, m, d) that share the sign matrix (C, m) of +-1, with results
     of shape (F, C).  The candidate rays and their margins come for every
-    set in one pass.  A candidate fails row c when it violates a constraint
-    of either sign, so counting violations is one product of 0/1 matrices
-    per set, on that set's defined candidates; no temporary grows past
-    (rows x candidates) of one set, and each set gets the bits it gets
-    alone.
+    set in one pass; ``feasible_rays`` then tests each set's defined
+    candidates in one product, so no temporary grows past (rows x
+    candidates) of one set, and each set gets the bits it gets alone.
     """
     normals = np.asarray(normals, dtype=float)
     signs = np.asarray(signs, dtype=float)
@@ -117,15 +132,12 @@ def signed_cones(normals: np.ndarray, signs: np.ndarray) -> SignedCones:
         k = _candidates(stack)
         rows = np.swapaxes(stack, -1, -2)
         margins = k @ rows
-        # ray k violates +n_i when its margin is below -tol, -n_i when above +tol
-        breaks = np.concatenate([margins < -_TOL, margins > _TOL], axis=-1)
-        sides = np.hstack([signs > 0, signs < 0])
         nonempty = np.empty((sets, len(signs)), bool)
         total = np.empty((sets, len(signs), d))
         first = np.empty((sets, len(signs)), int)
         for f in range(sets):
             defined = np.flatnonzero(~np.isnan(k[f, :, 0]))
-            feasible = sides @ breaks[f, defined].T.astype(float) == 0
+            feasible = feasible_rays(margins[f, defined], signs)
             nonempty[f] = feasible.any(axis=1)
             total[f] = feasible.astype(float) @ k[f, defined]
             first[f] = defined[feasible.argmax(axis=1)]

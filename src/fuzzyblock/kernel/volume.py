@@ -62,7 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .pyramid import _TOL, cones_nonempty, edge_rays
+from .pyramid import _TOL, cones_nonempty, edge_rays, feasible_rays
 
 FEAS_TOL = 1e-9
 _VERTEX_TOL = 1e-7  # vertices closer than this (times scale) are one vertex
@@ -342,11 +342,11 @@ def pyramid_volumes(
     of +-1, facet_normals (F, 3), heights (F,) and which (B,).  The base
     vertices are apex + d * h / (-e . d) over the JP's feasible edge rays d,
     the candidates ``edge_rays`` builds for the classification with both
-    signs and the same tolerance, and the volume is h * A / 3 for the base
-    area A.  A JP with no interior (a joint opposed to its parallel copy,
-    say) or no ray gives exactly 0.0.  A block whose JP holds a ray with
-    e . d >= -tol is not closed by its facet; UnboundedBlockError names every
-    such block.
+    signs, kept by the classification's rule ``feasible_rays``, and the
+    volume is h * A / 3 for the base area A.  A JP with no interior (a
+    joint opposed to its parallel copy, say) or no ray gives exactly 0.0.
+    A block whose JP holds a ray with e . d >= -tol is not closed by its
+    facet; UnboundedBlockError names every such block.
 
     A code's signs map the candidate rays onto themselves, so the ray-joint
     margins and the rays' base-plane coordinates are built once per call.
@@ -374,9 +374,6 @@ def pyramid_volumes(
     if B and not len(rays):  # parallel or no joints: the JP holds a plane
         raise UnboundedBlockError(range(B))
     margins = rays @ N.T
-    # ray k violates row i of a code when signs[i] * margin < -tol
-    breaks = np.hstack([margins < -_TOL, margins > _TOL]).T.astype(float)
-    sides = np.hstack([S > 0, S < 0]).astype(float)
     u, w = _plane_basis(E)
     down = -_dot(rays, E[:, None])  # (F, rays): -e . d
     reach = down > _TOL  # the ray meets the base plane
@@ -386,7 +383,7 @@ def pyramid_volumes(
     unbounded = np.zeros(B, dtype=bool)
     for sl in _slices(B, len(rays), _PYRAMID_ENTRIES):
         f, h = which[sl], H[which[sl]]
-        feasible = sides[sl] @ breaks == 0
+        feasible = feasible_rays(margins, S[sl])
         unbounded[sl] = np.any(feasible & ~reach[f], axis=1)
         # the JP has an interior exactly when the sum of its rays is strictly inside it
         total = np.stack([_seq_sum(np.where(feasible, rays[:, c], 0.0)) for c in range(3)], -1)
