@@ -636,11 +636,10 @@ def model_json_text(model: TskModel) -> str:
 
 def load_model(path: str) -> TskModel:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return model_from_dict(doc)
-    except (IndexError, TypeError, ValueError) as exc:  # values of the wrong type or shape
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return model_from_dict(json.load(fh))
+        except (IndexError, TypeError, ValueError) as exc:  # not UTF-8 JSON, or bad values
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def bin_angles(lo: float, hi: float, bins: int) -> np.ndarray:

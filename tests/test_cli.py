@@ -529,6 +529,18 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(model) in err and message in err
 
+    @pytest.mark.parametrize("text", [b"{bad\n", b"\xff{}\n"], ids=["not_json", "not_utf8"])
+    def test_model_not_json(self, tmp_path, capsys, text):
+        # the decoder's message once reached stderr without the file's name
+        proj = small_project(tmp_path)
+        data, model = str(tmp_path / "data.csv"), tmp_path / "m.json"
+        assert main(["surrogate", "gen", "-p", proj, "-o", data]) == 0
+        model.write_bytes(text)
+        pred = tmp_path / "pred.csv"
+        assert main(["surrogate", "predict", "-m", str(model), "-d", data, "-o", str(pred)]) == 2
+        assert f"{model}: " in capsys.readouterr().err
+        assert not pred.exists()
+
     @pytest.mark.parametrize("edit, command, message", [
         (lambda doc: doc.update(input_medians=doc["input_medians"][:1]), "map",
          "need one input median per input (5)"),
