@@ -208,15 +208,6 @@ def constraint_poss(
     return exceedance_poss(value, c.d, variant)
 
 
-def pjb(
-    system: FuzzySystem, at: Sequence[float], variant: DeltaVariant = "paper"
-) -> float:
-    """Possibility of the joint block at one evaluation point: min over constraints."""
-    if system.kind != "joint-pyramid":
-        raise ValueError("pjb expects a joint-pyramid system")
-    return min(constraint_poss(c, at, variant) for c in system.constraints)
-
-
 def _knot_matrices(system: FuzzySystem) -> np.ndarray:
     """The coefficient knots as four (rows, dim) matrices, a1 to a4."""
     return np.moveaxis(

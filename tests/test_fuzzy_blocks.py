@@ -20,7 +20,6 @@ from fuzzyblock.fuzzy_blocks import (
     pbp,
     pbps,
     pbr,
-    pjb,
     systems_for_code,
 )
 from fuzzyblock.kernel import (
@@ -252,37 +251,6 @@ class TestConstraintPoss:
         # a non-trapezoidal number is rejected, not silently linearized
         with pytest.raises(TypeError):
             FuzzyHalfSpaceConstraint(coeffs, d)
-
-
-class TestPjb:
-    def test_zero_absorbs(self):
-        good = FuzzyHalfSpaceConstraint.crisp((1, 0), 0.0)
-        bad = FuzzyHalfSpaceConstraint.crisp((-1, 0), 1.0)
-        sys = FuzzySystem((good, bad), "joint-pyramid")
-        assert pjb(sys, (1, 0)) == 0.0
-
-    def test_all_satisfied_crisp(self):
-        sys = FuzzySystem(
-            (
-                FuzzyHalfSpaceConstraint.crisp((1, 0), 0.0),
-                FuzzyHalfSpaceConstraint.crisp((0, 1), 0.0),
-            ),
-            "joint-pyramid",
-        )
-        assert pjb(sys, (1, 1)) == 1.0
-
-    def test_min_composition(self):
-        c1 = FuzzyHalfSpaceConstraint((T(0.9, 1, 1, 1.1), T.crisp(0)), T(1, 2, 3, 5))
-        c2 = FuzzyHalfSpaceConstraint((T(0.5, 1, 1, 1.5), T.crisp(0)), T(1, 2, 3, 4))
-        sys = FuzzySystem((c1, c2), "joint-pyramid")
-        at = (3, 0)
-        expected = min(constraint_poss(c1, at), constraint_poss(c2, at))
-        assert pjb(sys, at) == pytest.approx(expected)
-
-    def test_kind_checked(self):
-        sys = FuzzySystem((FuzzyHalfSpaceConstraint.crisp((1, 0), 0.0),), "block-pyramid")
-        with pytest.raises(ValueError):
-            pjb(sys, (1, 0))
 
 
 class TestPbp:
