@@ -15,6 +15,7 @@ from fuzzyblock.kernel.pyramid import (
     cone_nonempty,
     cones_nonempty,
     edge_rays,
+    feasible_rays,
     signed_cones,
 )
 from fuzzyblock.kernel.tunnel import all_codes, enumerate_tunnel_blocks
@@ -270,6 +271,44 @@ class TestEdgeRays:
         rays = edge_rays(np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert np.allclose(rays[0], [-0.8, 0.6])
         assert np.isnan(rays[1]).all()
+
+
+# margins on and one ulp either side of the tolerance 1e-9, and both zeros
+EDGE_MARGINS = [0.0, -0.0] + [s * x for s in (1.0, -1.0) for x in (
+    np.nextafter(1e-9, 0.0), 1e-9, np.nextafter(1e-9, 1.0))]
+
+
+@st.composite
+def margins_and_signs(draw):
+    """Margins (*lead, K, m), with no, one or two leading axes, and sign rows (C, m)."""
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    K, m, C = draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    shape = lead + (K, m)
+    margin = st.sampled_from(EDGE_MARGINS) | st.floats(-1e-8, 1e-8) | st.floats(-2.0, 2.0)
+    margins = draw(st.lists(margin, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=C * m, max_size=C * m))
+    return np.array(margins).reshape(shape), np.array(signs).reshape(C, m)
+
+
+class TestFeasibleRays:
+    """The one signed-violation rule: ray k lies in cone c when every row holds
+    signs[c, i] * margins[k, i] >= -1e-9."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(margins_and_signs())
+    def test_matches_the_elementwise_rule(self, case):
+        margins, signs = case
+        want = np.all(signs[:, None, :] * margins[..., None, :, :] >= -1e-9, axis=-1)
+        got = feasible_rays(margins, signs)
+        assert got.shape == margins.shape[:-2] + (len(signs), margins.shape[-2])
+        assert np.array_equal(got, want)
+
+    def test_tolerance_edges(self):
+        below, above = np.nextafter(-1e-9, -1.0), np.nextafter(1e-9, 1.0)
+        margins = np.array([[-1e-9], [1e-9], [below], [above], [0.0], [-0.0]])
+        got = feasible_rays(margins, np.array([[1.0], [-1.0]]))
+        assert got.tolist() == [[True, True, False, True, True, True],
+                                [True, True, True, False, True, True]]
 
 
 def assert_sets_match_cone_oracle(stacked, sets, signs):
